@@ -8,7 +8,9 @@
 //! commit window (`--commit-delay-ms`) — restarts it, re-drives exactly
 //! the ticks the crash lost (the workload is per-tick pure), and proves
 //! the final sealed ledger is **byte-identical** to an uninterrupted
-//! reference run. The ledger must then pass `scenario audit`.
+//! reference run. The ledger must then pass `scenario audit`. A second
+//! run does the same after a long uptime, where recovery has thousands
+//! of records to validate.
 
 #![cfg(unix)]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -23,8 +25,15 @@ use rebudget_server::{Request, WorkloadSpec};
 
 const BIN: &str = env!("CARGO_BIN_EXE_rebudget");
 
-/// Total market quanta in every run (reference and chaos alike).
+/// Total market quanta in the short chaos run (reference and chaos alike).
 const TICKS: u64 = 8;
+
+/// Ticks committed before the long-uptime SIGKILL: the uptime of the
+/// benchmark's `serve-uptime` workload.
+const LONG_TICKS: u64 = 2000;
+
+/// Ticks re-driven after the long-uptime restart.
+const TAIL_TICKS: u64 = 10;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rebudget-chaos-{}-{tag}", std::process::id()));
@@ -145,8 +154,8 @@ impl Client {
     }
 }
 
-/// An uninterrupted run of `TICKS` quanta: the reference ledger bytes.
-fn reference_ledger(tag: &str) -> String {
+/// An uninterrupted run of `ticks` quanta: the reference ledger bytes.
+fn reference_ledger(tag: &str, ticks: u64) -> String {
     let dir = temp_dir(tag);
     let socket = dir.join("ref.sock");
     let state = dir.join("state");
@@ -154,13 +163,29 @@ fn reference_ledger(tag: &str) -> String {
     assert_eq!(daemon.ready_tick, 0);
     let mut client = Client::connect(&socket);
     let spec = spec();
-    for tick in 1..=TICKS {
+    for tick in 1..=ticks {
         client.drive_tick(&spec, tick);
     }
+    shutdown(daemon, client);
+    std::fs::read_to_string(state.join("server.ledger")).expect("reference ledger")
+}
+
+/// Graceful shutdown: the daemon seals its ledger and exits cleanly.
+fn shutdown(daemon: Daemon, mut client: Client) {
     let resp = client.request(&Request::Shutdown);
     assert!(resp.contains("\"records\":"), "shutdown: {resp}");
     daemon.wait_clean();
-    std::fs::read_to_string(state.join("server.ledger")).expect("reference ledger")
+}
+
+/// The sealed ledger passes the hash-chain integrity audit.
+fn assert_audits(ledger: &Path) {
+    let audit = rebudget_cli::run(&[
+        "scenario".to_string(),
+        "audit".to_string(),
+        ledger.display().to_string(),
+    ])
+    .expect("audit passes");
+    assert!(audit.contains("ok"), "audit output: {audit}");
 }
 
 /// Malformed, oversized, slowloris, and mid-line-disconnect clients, all
@@ -221,7 +246,7 @@ fn inject_abuse(socket: &Path) {
 /// byte for byte. The sealed ledger must also pass `scenario audit`.
 #[test]
 fn sigkill_mid_tick_resumes_byte_identical() {
-    let reference = reference_ledger("ref");
+    let reference = reference_ledger("ref", TICKS);
 
     let dir = temp_dir("chaos");
     let socket = dir.join("chaos.sock");
@@ -270,25 +295,55 @@ fn sigkill_mid_tick_resumes_byte_identical() {
         stats.contains(&format!("\"tick\":{TICKS}")),
         "final stats: {stats}"
     );
-    let resp = client.request(&Request::Shutdown);
-    assert!(resp.contains("\"records\":"), "shutdown: {resp}");
-    daemon.wait_clean();
+    shutdown(daemon, client);
 
-    let chaos = std::fs::read_to_string(state.join("server.ledger")).expect("chaos ledger");
+    let ledger = state.join("server.ledger");
+    let chaos = std::fs::read_to_string(&ledger).expect("chaos ledger");
     assert_eq!(
         chaos, reference,
         "chaos ledger diverged from the uninterrupted reference"
     );
+    assert_audits(&ledger);
+}
 
-    // The sealed ledger passes the hash-chain integrity audit.
+/// Kill safety at a realistic uptime: SIGKILL after `LONG_TICKS`
+/// committed ticks, restart, and the readiness line must name exactly
+/// the committed tick. Re-driving the tail must then match an
+/// uninterrupted reference byte for byte and pass the audit.
+#[test]
+fn sigkill_after_long_uptime_resumes_byte_identical() {
+    let reference = reference_ledger("long-ref", LONG_TICKS + TAIL_TICKS);
+
+    let dir = temp_dir("long");
+    let socket = dir.join("long.sock");
+    let state = dir.join("state");
+    let spec = spec();
+    let daemon = Daemon::spawn(&socket, &state, &[]);
+    let mut client = Client::connect(&socket);
+    for tick in 1..=LONG_TICKS {
+        client.drive_tick(&spec, tick);
+    }
+    drop(client);
+    daemon.sigkill();
+
+    let daemon = Daemon::spawn(&socket, &state, &[]);
+    assert_eq!(
+        daemon.ready_tick, LONG_TICKS,
+        "recovery must resume at the last committed tick"
+    );
+    let mut client = Client::connect(&socket);
+    for tick in LONG_TICKS + 1..=LONG_TICKS + TAIL_TICKS {
+        client.drive_tick(&spec, tick);
+    }
+    shutdown(daemon, client);
+
     let ledger = state.join("server.ledger");
-    let audit = rebudget_cli::run(&[
-        "scenario".to_string(),
-        "audit".to_string(),
-        ledger.display().to_string(),
-    ])
-    .expect("audit passes");
-    assert!(audit.contains("ok"), "audit output: {audit}");
+    let resumed = std::fs::read_to_string(&ledger).expect("resumed ledger");
+    assert_eq!(
+        resumed, reference,
+        "long-uptime resume diverged from the uninterrupted reference"
+    );
+    assert_audits(&ledger);
 }
 
 /// A sealed state directory refuses to serve again — with the dedicated

@@ -550,7 +550,7 @@ effects = [{ depart = 3 }]
         let outcome = run_scenario(&s).unwrap();
         // After quantum 1, player 3's allocation rows are zero in the
         // ledger (8 players × 2 resources, row-major).
-        let zero16 = f64_hex_zeros();
+        let zero16 = rebudget_sim::checkpoint::f64_hex(0.0);
         let mut saw_departed = false;
         for line in outcome.ledger.lines() {
             if let Some(rest) = line.strip_prefix("alloc=") {
@@ -563,9 +563,5 @@ effects = [{ depart = 3 }]
         }
         assert!(saw_departed, "departed player must have zero rows");
         assert!(outcome.ledger.contains("active=11101111"));
-    }
-
-    fn f64_hex_zeros() -> String {
-        format!("{:016x}", 0.0_f64.to_bits())
     }
 }

@@ -9,30 +9,26 @@
 //! every byte of the ledger before it, so truncation or in-place edits
 //! are detected at the first tampered record, not just at the seal.
 //!
+//! FNV-1a's running state after N bytes is the hash of those N bytes, so
+//! the ledger carries that one `u64` forward instead of rehashing: a
+//! chain link or seal costs O(record), and [`valid_prefix`] / [`verify`]
+//! check every link in one O(file) pass. A producer that streams its
+//! records to disk ([`Ledger::write_pending`]) holds no ledger bytes
+//! between records, however long it runs.
+//!
 //! Because the whole pipeline is deterministic, re-running a scenario
 //! reproduces its ledger byte for byte — the `ledger-replay` property —
 //! which makes the ledger an audit artifact: any holder can re-derive it
 //! from the scenario file and diff.
 
+use std::io::{BufRead, Write};
 use std::path::Path;
 
-use rebudget_sim::checkpoint::fnv1a;
+use rebudget_sim::checkpoint::{f64_hex, fnv1a, fnv1a_extend, hex_list, FNV_OFFSET};
 
 use crate::ScenarioError;
 
 const HEADER: &str = "rebudget-ledger v1";
-
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn hex_list(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|&v| f64_hex(v))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
 
 /// Metadata stamped into the ledger header.
 #[derive(Debug, Clone)]
@@ -87,7 +83,12 @@ pub struct LedgerRecord<'a> {
 /// An in-progress or sealed ledger.
 #[derive(Debug, Clone)]
 pub struct Ledger {
+    /// Ledger bytes not yet handed to [`Ledger::write_pending`]: the whole
+    /// ledger for a producer that never drains it.
     text: String,
+    /// FNV-1a state over every byte of the ledger so far, drained or
+    /// not — the value the next `chain=` or `fnv1a=` line carries.
+    chain: u64,
     records: usize,
     sealed: bool,
 }
@@ -111,8 +112,10 @@ impl Ledger {
         if !meta.faults.is_empty() {
             text.push_str(&format!("faults={}\n", meta.faults));
         }
+        let chain = fnv1a(text.as_bytes());
         Self {
             text,
+            chain,
             records: 0,
             sealed: false,
         }
@@ -153,7 +156,7 @@ impl Ledger {
     /// This is the raw record surface behind [`Ledger::append`]: other
     /// producers (the online server's tick records) write their own field
     /// sets while staying inside the chained, auditable format that
-    /// [`verify`] checks.
+    /// [`verify`] checks. Only the new record's bytes are hashed.
     ///
     /// # Panics
     ///
@@ -163,7 +166,7 @@ impl Ledger {
     /// line-oriented format.
     pub fn append_section(&mut self, quantum: usize, fields: &[(&str, String)]) {
         assert!(!self.sealed, "cannot append to a sealed ledger");
-        self.text.push_str(&format!("[quantum {quantum}]\n"));
+        self.push(&format!("[quantum {quantum}]\n"));
         for (key, value) in fields {
             assert!(
                 !key.is_empty() && *key != "chain" && !key.contains(['=', '\n']),
@@ -173,11 +176,16 @@ impl Ledger {
                 !value.contains('\n'),
                 "ledger field {key} value has newline"
             );
-            self.text.push_str(&format!("{key}={value}\n"));
+            self.push(&format!("{key}={value}\n"));
         }
-        let chain = fnv1a(self.text.as_bytes());
-        self.text.push_str(&format!("chain={chain:016x}\n"));
+        self.push(&format!("chain={:016x}\n", self.chain));
         self.records += 1;
+    }
+
+    /// Appends `line` and folds it into the chain state.
+    fn push(&mut self, line: &str) {
+        self.text.push_str(line);
+        self.chain = fnv1a_extend(self.chain, line.as_bytes());
     }
 
     /// Seals the ledger with its record count and whole-file checksum.
@@ -186,14 +194,14 @@ impl Ledger {
         if self.sealed {
             return;
         }
-        self.text.push_str("[seal]\n");
-        self.text.push_str(&format!("records={}\n", self.records));
-        let sum = fnv1a(self.text.as_bytes());
-        self.text.push_str(&format!("fnv1a={sum:016x}\n"));
+        self.push("[seal]\n");
+        self.push(&format!("records={}\n", self.records));
+        self.push(&format!("fnv1a={:016x}\n", self.chain));
         self.sealed = true;
     }
 
-    /// The ledger text so far.
+    /// The ledger bytes this value holds: everything since it was created
+    /// or resumed, minus what [`Ledger::write_pending`] has drained.
     #[must_use]
     pub fn text(&self) -> &str {
         &self.text
@@ -203,6 +211,20 @@ impl Ledger {
     #[must_use]
     pub fn records(&self) -> usize {
         self.records
+    }
+
+    /// Hands the held bytes to `out` with one `write_all` and drops them,
+    /// so a producer streaming its ledger to a file keeps only the chain
+    /// state in memory. The chain continues unchanged. On error the bytes
+    /// stay held.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `out.write_all` returns.
+    pub fn write_pending(&mut self, out: &mut impl Write) -> std::io::Result<()> {
+        out.write_all(self.text.as_bytes())?;
+        self.text.clear();
+        Ok(())
     }
 
     /// Writes the sealed ledger to a **new** file — an existing file is an
@@ -215,7 +237,6 @@ impl Ledger {
     /// file already exists; [`ScenarioError::Io`] for any other
     /// filesystem failure.
     pub fn write_new(&self, path: &Path) -> Result<(), ScenarioError> {
-        use std::io::Write;
         let mut f = create_new_ledger_file(path)?;
         f.write_all(self.text.as_bytes())?;
         f.sync_all()?;
@@ -228,7 +249,8 @@ impl Ledger {
     ///
     /// The text must be a fully chain-valid, unsealed ledger — i.e.
     /// exactly the [`valid_prefix`] of itself. Callers recovering from a
-    /// torn tail should truncate to `valid_prefix(text)` first.
+    /// torn tail should truncate to `valid_prefix(text)` first, or use
+    /// [`Ledger::resume_at`], which needs no text at all.
     ///
     /// # Errors
     ///
@@ -258,9 +280,41 @@ impl Ledger {
                 ),
             });
         }
+        let mut ledger = Self::resume_at(&prefix, prefix.records)?;
+        ledger.text = text.to_string();
+        Ok(ledger)
+    }
+
+    /// Continues a ledger cut to its first `records` valid records — the
+    /// file truncated to [`LedgerPrefix::cut`]`(records)` — from the chain
+    /// state its [`LedgerPrefix`] recorded, without the ledger's text.
+    /// The result holds no bytes; new records are written with
+    /// [`Ledger::write_pending`].
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Ledger`] when the prefix has no valid header or
+    /// holds fewer than `records` records.
+    pub fn resume_at(prefix: &LedgerPrefix, records: usize) -> Result<Self, ScenarioError> {
+        if prefix.header_bytes == 0 {
+            return Err(ScenarioError::Ledger {
+                line: 1,
+                reason: "cannot resume: missing or malformed ledger header".into(),
+            });
+        }
+        let Some(&chain) = prefix.chains.get(records) else {
+            return Err(ScenarioError::Ledger {
+                line: 1,
+                reason: format!(
+                    "cannot resume at record {records}: only {} valid record(s)",
+                    prefix.records
+                ),
+            });
+        };
         Ok(Self {
-            text: text.to_string(),
-            records: prefix.records,
+            text: String::new(),
+            chain,
+            records,
             sealed: false,
         })
     }
@@ -294,7 +348,7 @@ pub fn create_new_ledger_file(path: &Path) -> Result<std::fs::File, ScenarioErro
 /// This is the crash-recovery primitive: a producer killed mid-append
 /// leaves a torn tail, and because each chain hashes *all* preceding
 /// bytes, truncating to `bytes` restores a valid ledger that
-/// [`Ledger::resume`] can continue.
+/// [`Ledger::resume_at`] can continue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LedgerPrefix {
     /// Bytes in the valid prefix (a safe truncation point).
@@ -307,85 +361,149 @@ pub struct LedgerPrefix {
     /// Byte offset just past each valid record's `chain=` line —
     /// `record_ends[k]` truncates the ledger to `k + 1` records.
     pub record_ends: Vec<usize>,
+    /// FNV-1a chain state at each truncation point: `chains[k]` is the
+    /// hash of the ledger cut to `k` records ([`LedgerPrefix::cut`]).
+    /// Empty when the header is bad.
+    pub chains: Vec<u64>,
     /// Whether the prefix ends in a complete, checksum-valid seal.
     pub sealed: bool,
 }
 
-/// Computes the [`LedgerPrefix`] of `text`. Never errors: a hopeless
-/// input simply yields a zero-byte prefix.
+impl LedgerPrefix {
+    /// Byte length of the ledger cut to its first `records` records
+    /// (`records <= self.records`).
+    #[must_use]
+    pub fn cut(&self, records: usize) -> usize {
+        match records {
+            0 => self.header_bytes,
+            k => self.record_ends[k - 1],
+        }
+    }
+}
+
+/// One pass of [`valid_prefix`]'s line rules, fed a line at a time so a
+/// string and a file reader share it.
+struct PrefixScan {
+    prefix: LedgerPrefix,
+    /// FNV-1a state over every byte fed so far.
+    state: u64,
+    /// Bytes fed so far (the start of the next line).
+    offset: usize,
+    /// Are we inside the header/meta section (before the first record)?
+    in_meta: bool,
+}
+
+impl PrefixScan {
+    fn new() -> Self {
+        Self {
+            prefix: LedgerPrefix {
+                bytes: 0,
+                records: 0,
+                header_bytes: 0,
+                record_ends: Vec::new(),
+                chains: Vec::new(),
+                sealed: false,
+            },
+            state: FNV_OFFSET,
+            offset: 0,
+            in_meta: true,
+        }
+    }
+
+    /// Feeds the next line, `\n` included when complete. Returns `false`
+    /// once the prefix is final and further lines cannot change it.
+    fn feed(&mut self, line: &[u8]) -> bool {
+        let hash_before = self.state;
+        self.state = fnv1a_extend(self.state, line);
+        self.offset += line.len();
+        let Some(content) = line.strip_suffix(b"\n") else {
+            // Torn final line: everything before it already stands.
+            return false;
+        };
+        let p = &mut self.prefix;
+        if p.header_bytes == 0 {
+            if content != HEADER.as_bytes() {
+                return false;
+            }
+            self.mark_meta();
+            return true;
+        }
+        if content == b"[seal]" || content.starts_with(b"records=") {
+            // Seal in progress; only a valid fnv1a line below completes it.
+            return true;
+        }
+        if let Some(rest) = content.strip_prefix(b"fnv1a=") {
+            if parse_hash(rest) == Some(hash_before) {
+                p.bytes = self.offset;
+                p.sealed = true;
+            }
+            return false;
+        }
+        if let Some(rest) = content.strip_prefix(b"chain=") {
+            if parse_hash(rest) != Some(hash_before) {
+                return false;
+            }
+            p.bytes = self.offset;
+            p.records += 1;
+            p.record_ends.push(self.offset);
+            p.chains.push(self.state);
+            return true;
+        }
+        if content.starts_with(b"[quantum ") {
+            self.in_meta = false;
+        } else if self.in_meta {
+            // Meta lines carry no checksum; they stand with the header.
+            self.mark_meta();
+        }
+        // Record lines stay provisional until their chain validates.
+        true
+    }
+
+    /// Extends the header/meta section through the line just fed.
+    fn mark_meta(&mut self) {
+        let p = &mut self.prefix;
+        p.bytes = self.offset;
+        p.header_bytes = self.offset;
+        match p.chains.first_mut() {
+            Some(at_header) => *at_header = self.state,
+            None => p.chains.push(self.state),
+        }
+    }
+}
+
+/// A 16-hex-digit hash as written by the ledger (`None` if malformed).
+fn parse_hash(hex: &[u8]) -> Option<u64> {
+    u64::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()
+}
+
+/// Computes the [`LedgerPrefix`] of `text` in one pass. Never errors: a
+/// hopeless input simply yields a zero-byte prefix.
 #[must_use]
 pub fn valid_prefix(text: &str) -> LedgerPrefix {
-    let mut prefix = LedgerPrefix {
-        bytes: 0,
-        records: 0,
-        header_bytes: 0,
-        record_ends: Vec::new(),
-        sealed: false,
-    };
-    let bytes = text.as_bytes();
-    let mut offset = 0usize;
-    let mut first = true;
-    // Are we inside the header/meta section (before the first record)?
-    let mut in_meta = true;
-    for line in text.split_inclusive('\n') {
-        let complete = line.ends_with('\n');
-        let content = line.trim_end_matches('\n');
-        if first {
-            if !(complete && content == HEADER) {
-                return prefix;
-            }
-            first = false;
-            offset += line.len();
-            prefix.bytes = offset;
-            prefix.header_bytes = offset;
-            continue;
+    let mut scan = PrefixScan::new();
+    for line in text.as_bytes().split_inclusive(|&b| b == b'\n') {
+        if !scan.feed(line) {
+            break;
         }
-        if !complete {
-            // Torn final line: everything before it already stands.
-            return prefix;
-        }
-        if content == "[seal]" || content.starts_with("records=") {
-            // Seal in progress; only a valid fnv1a line below completes it.
-            offset += line.len();
-            continue;
-        }
-        if let Some(rest) = content.strip_prefix("fnv1a=") {
-            let valid = u64::from_str_radix(rest, 16)
-                .map(|want| fnv1a(&bytes[..offset]) == want)
-                .unwrap_or(false);
-            if valid {
-                offset += line.len();
-                prefix.bytes = offset;
-                prefix.sealed = true;
-            }
-            return prefix;
-        }
-        if let Some(rest) = content.strip_prefix("chain=") {
-            let valid = u64::from_str_radix(rest, 16)
-                .map(|want| fnv1a(&bytes[..offset]) == want)
-                .unwrap_or(false);
-            if !valid {
-                return prefix;
-            }
-            offset += line.len();
-            prefix.bytes = offset;
-            prefix.records += 1;
-            prefix.record_ends.push(offset);
-            continue;
-        }
-        if content.starts_with("[quantum ") {
-            in_meta = false;
-        } else if in_meta {
-            // Meta lines carry no checksum; they stand with the header.
-            offset += line.len();
-            prefix.bytes = offset;
-            prefix.header_bytes = offset;
-            continue;
-        }
-        // A record body line: provisional until its chain validates.
-        offset += line.len();
     }
-    prefix
+    scan.prefix
+}
+
+/// [`valid_prefix`] of a ledger read line by line from `reader`, holding
+/// one line at a time: recovery never loads the whole ledger.
+///
+/// # Errors
+///
+/// Whatever reading `reader` returns.
+pub fn read_valid_prefix(mut reader: impl BufRead) -> std::io::Result<LedgerPrefix> {
+    let mut scan = PrefixScan::new();
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 || !scan.feed(&line) {
+            return Ok(scan.prefix);
+        }
+    }
 }
 
 /// What [`verify`] found in a well-formed ledger.
@@ -399,7 +517,8 @@ pub struct LedgerSummary {
     pub fnv1a: u64,
 }
 
-/// Verifies a ledger's header, every chain hash, and the seal.
+/// Verifies a ledger's header, every chain hash, and the seal, in one
+/// pass that carries the running hash from line to line.
 ///
 /// Any truncation or in-place edit fails at the first record whose chain
 /// no longer matches the bytes before it.
@@ -413,20 +532,20 @@ pub fn verify(text: &str) -> Result<LedgerSummary, ScenarioError> {
     let mut records = 0usize;
     let mut sealed_records: Option<usize> = None;
     let mut seal_sum: Option<u64> = None;
-    // Byte offset of the start of the current line.
-    let mut offset = 0usize;
-    let mut first = true;
+    // FNV-1a state over every line before the current one.
+    let mut hash = FNV_OFFSET;
+    let mut lines = 0usize;
     for (idx, line) in text.split_inclusive('\n').enumerate() {
         let lineno = idx + 1;
+        lines = lineno;
         let content = line.trim_end_matches('\n');
-        if first {
+        if idx == 0 {
             if content != HEADER {
                 return Err(bad(
                     1,
                     format!("bad header '{content}' (expected '{HEADER}')"),
                 ));
             }
-            first = false;
         } else if let Some(rest) = content.strip_prefix("scenario=") {
             scenario = rest.to_string();
         } else if content.starts_with("[quantum ") {
@@ -434,12 +553,11 @@ pub fn verify(text: &str) -> Result<LedgerSummary, ScenarioError> {
         } else if let Some(rest) = content.strip_prefix("chain=") {
             let want = u64::from_str_radix(rest, 16)
                 .map_err(|_| bad(lineno, format!("malformed chain hash '{rest}'")))?;
-            let got = fnv1a(&text.as_bytes()[..offset]);
-            if got != want {
+            if hash != want {
                 return Err(bad(
                     lineno,
                     format!(
-                        "chain mismatch: record {} hashes to {got:016x}, ledger says \
+                        "chain mismatch: record {} hashes to {hash:016x}, ledger says \
                          {want:016x} (tampered or truncated upstream)",
                         records.saturating_sub(1)
                     ),
@@ -453,18 +571,16 @@ pub fn verify(text: &str) -> Result<LedgerSummary, ScenarioError> {
         } else if let Some(rest) = content.strip_prefix("fnv1a=") {
             let want = u64::from_str_radix(rest, 16)
                 .map_err(|_| bad(lineno, format!("malformed seal hash '{rest}'")))?;
-            let got = fnv1a(&text.as_bytes()[..offset]);
-            if got != want {
+            if hash != want {
                 return Err(bad(
                     lineno,
-                    format!("seal mismatch: ledger hashes to {got:016x}, seal says {want:016x}"),
+                    format!("seal mismatch: ledger hashes to {hash:016x}, seal says {want:016x}"),
                 ));
             }
             seal_sum = Some(want);
         }
-        offset += line.len();
+        hash = fnv1a_extend(hash, line.as_bytes());
     }
-    let lines = text.lines().count();
     let Some(sum) = seal_sum else {
         return Err(bad(
             lines.max(1),
@@ -739,6 +855,252 @@ mod tests {
         after.seal();
         assert_eq!(reference.text(), after.text());
         verify(after.text()).unwrap();
+    }
+
+    /// The whole-prefix `valid_prefix` the streaming scan replaced: it
+    /// rehashes every prefix from byte zero, O(file²), and serves as the
+    /// reference the one-pass scan must match exactly.
+    fn reference_valid_prefix(text: &str) -> LedgerPrefix {
+        let mut prefix = LedgerPrefix {
+            bytes: 0,
+            records: 0,
+            header_bytes: 0,
+            record_ends: Vec::new(),
+            chains: Vec::new(),
+            sealed: false,
+        };
+        let bytes = text.as_bytes();
+        let finish = |mut p: LedgerPrefix| {
+            if p.header_bytes > 0 {
+                p.chains = std::iter::once(p.header_bytes)
+                    .chain(p.record_ends.iter().copied())
+                    .map(|end| fnv1a(&bytes[..end]))
+                    .collect();
+            }
+            p
+        };
+        let mut offset = 0usize;
+        let mut first = true;
+        let mut in_meta = true;
+        for line in text.split_inclusive('\n') {
+            let complete = line.ends_with('\n');
+            let content = line.trim_end_matches('\n');
+            if first {
+                if !(complete && content == HEADER) {
+                    return finish(prefix);
+                }
+                first = false;
+                offset += line.len();
+                prefix.bytes = offset;
+                prefix.header_bytes = offset;
+                continue;
+            }
+            if !complete {
+                return finish(prefix);
+            }
+            if content == "[seal]" || content.starts_with("records=") {
+                offset += line.len();
+                continue;
+            }
+            if let Some(rest) = content.strip_prefix("fnv1a=") {
+                let valid = u64::from_str_radix(rest, 16)
+                    .map(|want| fnv1a(&bytes[..offset]) == want)
+                    .unwrap_or(false);
+                if valid {
+                    offset += line.len();
+                    prefix.bytes = offset;
+                    prefix.sealed = true;
+                }
+                return finish(prefix);
+            }
+            if let Some(rest) = content.strip_prefix("chain=") {
+                let valid = u64::from_str_radix(rest, 16)
+                    .map(|want| fnv1a(&bytes[..offset]) == want)
+                    .unwrap_or(false);
+                if !valid {
+                    return finish(prefix);
+                }
+                offset += line.len();
+                prefix.bytes = offset;
+                prefix.records += 1;
+                prefix.record_ends.push(offset);
+                continue;
+            }
+            if content.starts_with("[quantum ") {
+                in_meta = false;
+            } else if in_meta {
+                offset += line.len();
+                prefix.bytes = offset;
+                prefix.header_bytes = offset;
+                continue;
+            }
+            offset += line.len();
+        }
+        finish(prefix)
+    }
+
+    /// The whole-prefix `verify` the one-pass check replaced (reference).
+    fn reference_verify(text: &str) -> Result<LedgerSummary, ScenarioError> {
+        let bad = |line: usize, reason: String| ScenarioError::Ledger { line, reason };
+        let mut scenario = String::new();
+        let mut records = 0usize;
+        let mut sealed_records: Option<usize> = None;
+        let mut seal_sum: Option<u64> = None;
+        let mut offset = 0usize;
+        for (idx, line) in text.split_inclusive('\n').enumerate() {
+            let lineno = idx + 1;
+            let content = line.trim_end_matches('\n');
+            if idx == 0 {
+                if content != HEADER {
+                    return Err(bad(1, format!("bad header '{content}'")));
+                }
+            } else if let Some(rest) = content.strip_prefix("scenario=") {
+                scenario = rest.to_string();
+            } else if content.starts_with("[quantum ") {
+                records += 1;
+            } else if let Some(rest) = content.strip_prefix("chain=") {
+                let want = u64::from_str_radix(rest, 16)
+                    .map_err(|_| bad(lineno, format!("malformed chain hash '{rest}'")))?;
+                if fnv1a(&text.as_bytes()[..offset]) != want {
+                    return Err(bad(lineno, "chain mismatch".into()));
+                }
+            } else if let Some(rest) = content.strip_prefix("records=") {
+                sealed_records = Some(
+                    rest.parse()
+                        .map_err(|_| bad(lineno, format!("malformed record count '{rest}'")))?,
+                );
+            } else if let Some(rest) = content.strip_prefix("fnv1a=") {
+                let want = u64::from_str_radix(rest, 16)
+                    .map_err(|_| bad(lineno, format!("malformed seal hash '{rest}'")))?;
+                if fnv1a(&text.as_bytes()[..offset]) != want {
+                    return Err(bad(lineno, "seal mismatch".into()));
+                }
+                seal_sum = Some(want);
+            }
+            offset += line.len();
+        }
+        let lines = text.lines().count().max(1);
+        let Some(sum) = seal_sum else {
+            return Err(bad(lines, "not sealed".into()));
+        };
+        match sealed_records {
+            Some(n) if n == records => Ok(LedgerSummary {
+                scenario,
+                records,
+                fnv1a: sum,
+            }),
+            _ => Err(bad(lines, "bad record count".into())),
+        }
+    }
+
+    /// `Ok` summaries equal, or `Err`s on the same line.
+    fn same_verdict(
+        got: &Result<LedgerSummary, ScenarioError>,
+        want: &Result<LedgerSummary, ScenarioError>,
+    ) -> bool {
+        match (got, want) {
+            (Ok(a), Ok(b)) => a == b,
+            (
+                Err(ScenarioError::Ledger { line: a, .. }),
+                Err(ScenarioError::Ledger { line: b, .. }),
+            ) => a == b,
+            _ => false,
+        }
+    }
+
+    /// A four-record ledger with events, inactive players and a faults
+    /// meta line, unsealed; `step` runs after the header and each record.
+    fn multi_record(mut step: impl FnMut(&mut Ledger)) -> Ledger {
+        let mut ledger = Ledger::new(&LedgerMeta {
+            scenario: "equiv".into(),
+            seed: 3,
+            mechanism: "rebudget".into(),
+            workload: "cpbn".into(),
+            cores: 2,
+            resources: 2,
+            quanta: 4,
+            budget: 100.0,
+            faults: "noise=0.1,seed=3".into(),
+        });
+        step(&mut ledger);
+        let events = vec!["shock".to_string()];
+        for q in 0..4 {
+            ledger.append(&LedgerRecord {
+                quantum: q,
+                phase: "steady",
+                events: if q == 2 { &events } else { &[] },
+                active: &[true, q != 1],
+                budgets: &[100.0, 50.0 + q as f64],
+                allocation: &[8.0, 40.0, 8.0 * q as f64, 1.0 / 3.0],
+                efficiency: 1.5,
+                envy_freeness: 0.9,
+                degraded: q == 3,
+                fallback: false,
+                converged: true,
+            });
+            step(&mut ledger);
+        }
+        ledger
+    }
+
+    #[test]
+    fn streaming_chain_matches_whole_prefix_reference() {
+        let mut ledger = multi_record(|_| {});
+        let unsealed = ledger.text().to_string();
+        ledger.seal();
+        let sealed = ledger.text().to_string();
+        for text in [&unsealed, &sealed] {
+            let mut variants: Vec<String> =
+                (0..=text.len()).map(|cut| text[..cut].into()).collect();
+            variants.extend((0..text.len()).map(|at| {
+                let mut bytes = text.as_bytes().to_vec();
+                bytes[at] ^= 1; // ASCII stays ASCII, so the text stays UTF-8
+                String::from_utf8(bytes).unwrap()
+            }));
+            for v in &variants {
+                let want = reference_valid_prefix(v);
+                assert_eq!(valid_prefix(v), want, "valid_prefix of {v:?}");
+                assert_eq!(
+                    read_valid_prefix(v.as_bytes()).unwrap(),
+                    want,
+                    "reader {v:?}"
+                );
+                let (got, want) = (verify(v), reference_verify(v));
+                assert!(
+                    same_verdict(&got, &want),
+                    "verify {v:?}: {got:?} vs {want:?}"
+                );
+            }
+        }
+        // The chain states continue a cut ledger byte-identically.
+        let prefix = valid_prefix(&unsealed);
+        assert_eq!(prefix.chains.len(), prefix.records + 1);
+        for k in 0..=prefix.records {
+            let cut = &unsealed[..prefix.cut(k)];
+            assert_eq!(prefix.chains[k], fnv1a(cut.as_bytes()));
+            let mut resumed = Ledger::resume_at(&prefix, k).unwrap();
+            assert!(resumed.text().is_empty());
+            resumed.seal();
+            let mut whole = Ledger::resume(cut).unwrap();
+            whole.seal();
+            assert_eq!(format!("{cut}{}", resumed.text()), whole.text());
+            verify(whole.text()).unwrap();
+        }
+        assert!(Ledger::resume_at(&prefix, prefix.records + 1).is_err());
+    }
+
+    #[test]
+    fn write_pending_drains_without_breaking_the_chain() {
+        let mut reference = multi_record(|_| {});
+        reference.seal();
+        let mut file = Vec::new();
+        let mut ledger = multi_record(|l| {
+            l.write_pending(&mut file).unwrap();
+            assert!(l.text().is_empty());
+        });
+        ledger.seal();
+        ledger.write_pending(&mut file).unwrap();
+        assert_eq!(String::from_utf8(file).unwrap(), reference.text());
     }
 
     #[test]

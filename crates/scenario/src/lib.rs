@@ -29,7 +29,9 @@ pub mod trigger;
 
 pub use effect::Effect;
 pub use engine::{run_scenario, ScenarioOutcome};
-pub use ledger::{create_new_ledger_file, valid_prefix, Ledger, LedgerMeta, LedgerPrefix};
+pub use ledger::{
+    create_new_ledger_file, read_valid_prefix, valid_prefix, Ledger, LedgerMeta, LedgerPrefix,
+};
 pub use model::{Event, Phase, Scenario};
 pub use properties::{Property, PropertyReport};
 pub use trigger::{Metric, Trigger};

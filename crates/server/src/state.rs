@@ -10,7 +10,7 @@
 //! * killed before the ledger append: the snapshot still says tick `T`
 //!   and the ledger holds `T` records — resume re-runs tick `T`.
 //! * killed mid-append: the torn tail is cut at
-//!   [`rebudget_scenario::valid_prefix`]'s record boundary — same as
+//!   [`rebudget_scenario::read_valid_prefix`]'s record boundary — same as
 //!   above.
 //! * killed between append and snapshot: the ledger holds `T + 1`
 //!   records but the snapshot says `T` — recovery truncates the ledger
@@ -26,10 +26,16 @@
 //! nothing from the kernel page cache, so `write_all` suffices. (A
 //! power-cut story would need fsync; that is out of scope, as it is for
 //! the checkpoint layer this reuses.)
+//!
+//! The core holds no ledger text: only the chain state, the record count
+//! and the append-mode file. Each tick hashes and writes just its own
+//! record (O(record)), and recovery is one streaming pass over the file
+//! (O(file)) that validates every link and yields the chain state at the
+//! truncation point.
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::path::{Path, PathBuf};
 
 use rebudget_market::equilibrium::{EquilibriumOptions, WarmStart};
@@ -37,24 +43,12 @@ use rebudget_market::{
     solve_sparse_with_retry, solve_with_retry, RetryPolicy, SolverKind, SparseBids, SparseMarket,
     SparseUtilityKind,
 };
-use rebudget_scenario::{valid_prefix, Ledger, LedgerMeta};
-use rebudget_sim::checkpoint::{fnv1a, prev_path, write_atomic};
+use rebudget_scenario::{read_valid_prefix, Ledger, LedgerMeta};
+use rebudget_sim::checkpoint::{f64_hex, fnv1a, hex_list, prev_path, write_atomic};
 
 use crate::{ServerError, ServerResult};
 
 const SNAPSHOT_HEADER: &str = "rebudget-server-snapshot v1";
-
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn hex_list(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|&v| f64_hex(v))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
 
 fn parse_hex_f64(s: &str) -> Option<f64> {
     // Fixed-width to keep snapshot lines canonical (encode emits 16).
@@ -185,12 +179,12 @@ pub struct ServerCore {
     tick: u64,
     consecutive_failures: usize,
     degraded: bool,
+    /// The ledger's chain state and record count; its bytes live only in
+    /// `ledger_file`, written record by record.
     ledger: Ledger,
     ledger_file: File,
     ledger_path: PathBuf,
     snapshot_path: PathBuf,
-    /// Bytes of `ledger.text()` already on disk.
-    written: usize,
     /// Whether recovery fell back to the `.prev` snapshot generation.
     recovered_from_prev: bool,
 }
@@ -239,11 +233,10 @@ impl ServerCore {
         ledger_path: PathBuf,
         snapshot_path: PathBuf,
     ) -> ServerResult<Self> {
-        let ledger = Ledger::new(&Self::ledger_meta(&config));
+        let mut ledger = Ledger::new(&Self::ledger_meta(&config));
         let mut ledger_file = rebudget_scenario::create_new_ledger_file(&ledger_path)?;
-        ledger_file.write_all(ledger.text().as_bytes())?;
+        ledger.write_pending(&mut ledger_file)?;
         ledger_file.flush()?;
-        let written = ledger.text().len();
         let core = Self {
             config,
             players: BTreeMap::new(),
@@ -254,7 +247,6 @@ impl ServerCore {
             ledger_file,
             ledger_path,
             snapshot_path,
-            written,
             recovered_from_prev: false,
         };
         core.write_snapshot()?;
@@ -266,14 +258,16 @@ impl ServerCore {
         ledger_path: PathBuf,
         snapshot_path: PathBuf,
     ) -> ServerResult<Self> {
-        let ledger_text =
-            std::fs::read_to_string(&ledger_path).map_err(|e| ServerError::Snapshot {
+        // One streaming pass validates every chain link and records the
+        // chain state at each record boundary.
+        let prefix = File::open(&ledger_path)
+            .and_then(|f| read_valid_prefix(BufReader::new(f)))
+            .map_err(|e| ServerError::Snapshot {
                 reason: format!(
                     "snapshot exists but ledger '{}' is unreadable: {e}",
                     ledger_path.display()
                 ),
             })?;
-        let prefix = valid_prefix(&ledger_text);
         if prefix.header_bytes == 0 {
             return Err(ServerError::Snapshot {
                 reason: format!(
@@ -319,18 +313,12 @@ impl ServerCore {
         // both torn tails and whole records from a crash that landed
         // between the ledger append and the snapshot write. The dropped
         // tick re-runs deterministically.
-        let keep = if snap.tick == 0 {
-            prefix.header_bytes
-        } else {
-            prefix.record_ends[snap.tick as usize - 1]
-        };
-        let file = std::fs::OpenOptions::new().write(true).open(&ledger_path)?;
-        file.set_len(keep as u64)?;
-        drop(file);
-        let ledger = Ledger::resume(&ledger_text[..keep])?;
+        let records = snap.tick as usize;
         let ledger_file = std::fs::OpenOptions::new()
             .append(true)
             .open(&ledger_path)?;
+        ledger_file.set_len(prefix.cut(records) as u64)?;
+        let ledger = Ledger::resume_at(&prefix, records)?;
         Ok(Self {
             config,
             players: snap.players,
@@ -341,7 +329,6 @@ impl ServerCore {
             ledger_file,
             ledger_path,
             snapshot_path,
-            written: keep,
             recovered_from_prev,
         })
     }
@@ -506,10 +493,8 @@ impl ServerCore {
             ("eff", f64_hex(efficiency)),
         ];
         self.ledger.append_section(self.tick as usize, &fields);
-        self.ledger_file
-            .write_all(&self.ledger.text().as_bytes()[self.written..])?;
+        self.ledger.write_pending(&mut self.ledger_file)?;
         self.ledger_file.flush()?;
-        self.written = self.ledger.text().len();
         self.tick += 1;
         if self.config.commit_delay_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(
@@ -676,11 +661,9 @@ impl ServerCore {
     /// [`ServerError::Io`] for write failures.
     pub fn seal(&mut self) -> ServerResult<usize> {
         self.ledger.seal();
-        self.ledger_file
-            .write_all(&self.ledger.text().as_bytes()[self.written..])?;
+        self.ledger.write_pending(&mut self.ledger_file)?;
         self.ledger_file.flush()?;
         self.ledger_file.sync_all()?;
-        self.written = self.ledger.text().len();
         let _ = std::fs::remove_file(&self.snapshot_path);
         let _ = std::fs::remove_file(prev_path(&self.snapshot_path));
         Ok(self.ledger.records())
@@ -915,7 +898,12 @@ mod tests {
         for cmd in &commands {
             core.apply(cmd).unwrap();
         }
-        core.tick(commands.len()).unwrap()
+        let report = core.tick(commands.len()).unwrap();
+        assert!(
+            core.ledger.text().is_empty(),
+            "the core holds no ledger bytes between ticks"
+        );
+        report
     }
 
     /// An uninterrupted `0..ticks` run, sealed; returns the ledger bytes.

@@ -73,13 +73,24 @@ use rebudget_market::FaultPlan;
 pub const FORMAT_VERSION: u32 = 1;
 
 const HEADER_PREFIX: &str = "rebudget-checkpoint";
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a's initial state: the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// 64-bit FNV-1a over a byte slice.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Folds `bytes` into a running FNV-1a state. The state after N bytes
+/// *is* the hash of those N bytes, so
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)` and
+/// `fnv1a(b) == fnv1a_extend(FNV_OFFSET, b)`: a hash chain over a growing
+/// file costs O(new bytes) per link, never a rehash of the prefix.
+#[must_use]
+pub fn fnv1a_extend(state: u64, bytes: &[u8]) -> u64 {
+    let mut hash = state;
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);
@@ -87,8 +98,21 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn f64_hex(v: f64) -> String {
+/// An `f64` as the 16-hex-digit rendering of its IEEE-754 bits — the
+/// bit-exact value encoding of every durable format in the workspace.
+#[must_use]
+pub fn f64_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
+}
+
+/// `values` as space-separated [`f64_hex`] words.
+#[must_use]
+pub fn hex_list(values: &[f64]) -> String {
+    values
+        .iter()
+        .map(|&v| f64_hex(v))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// Errors from snapshot parsing, validation, and I/O.
@@ -733,14 +757,7 @@ impl SimCheckpoint {
         counters.render(&mut body);
         for (q, record) in quanta.iter().enumerate() {
             body.push_str(&format!("[quantum {q}]\n"));
-            body.push_str("alloc=");
-            for (i, &v) in record.allocation.iter().enumerate() {
-                if i > 0 {
-                    body.push(' ');
-                }
-                body.push_str(&f64_hex(v));
-            }
-            body.push('\n');
+            body.push_str(&format!("alloc={}\n", hex_list(&record.allocation)));
             body.push_str(&format!("eff={}\n", f64_hex(record.efficiency)));
         }
         seal("sim", &body)
@@ -994,8 +1011,7 @@ impl SweepCheckpoint {
         body.push_str(&format!("cores={}\n", self.meta.cores));
         body.push_str(&format!("base_budget={}\n", f64_hex(self.meta.base_budget)));
         body.push_str(&format!("normalize={}\n", u8::from(self.meta.normalize)));
-        let words: Vec<String> = self.meta.steps.iter().map(|&s| f64_hex(s)).collect();
-        body.push_str(&format!("steps={}\n", words.join(" ")));
+        body.push_str(&format!("steps={}\n", hex_list(&self.meta.steps)));
         if let Some(oracle) = self.oracle {
             body.push_str("[oracle]\n");
             body.push_str(&format!("value={}\n", f64_hex(oracle)));
@@ -1390,6 +1406,30 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn fnv1a_extend_is_split_invariant() {
+        let bytes = b"rebudget-ledger v1\n[quantum 0]\nchain=0123456789abcdef\n";
+        let whole = fnv1a(bytes);
+        assert_eq!(fnv1a_extend(FNV_OFFSET, bytes), whole);
+        for cut in 0..=bytes.len() {
+            let (a, b) = bytes.split_at(cut);
+            assert_eq!(fnv1a_extend(fnv1a(a), b), whole, "split at {cut}");
+            for cut2 in cut..=bytes.len() {
+                let (b, c) = bytes[cut..].split_at(cut2 - cut);
+                let state = fnv1a_extend(fnv1a_extend(fnv1a(a), b), c);
+                assert_eq!(state, whole, "splits at {cut} and {cut2}");
+            }
+        }
+    }
+
+    #[test]
+    fn hex_helpers_are_bit_exact() {
+        assert_eq!(f64_hex(1.0), "3ff0000000000000");
+        assert_eq!(f64_hex(-0.0), "8000000000000000");
+        assert_eq!(hex_list(&[]), "");
+        assert_eq!(hex_list(&[1.0, 2.0]), "3ff0000000000000 4000000000000000");
     }
 
     #[test]

@@ -110,6 +110,31 @@ pub fn record(event: Event) {
     global().journal.record(event);
 }
 
+/// The one lock every unit test that touches the process-wide enabled
+/// switch holds, so parallel tests never see each other's toggles.
+#[cfg(test)]
+pub(crate) mod switch {
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    static GATE: Mutex<()> = Mutex::new(());
+
+    /// Holds the switch for the guard's lifetime, leaving it off.
+    pub(crate) fn hold() -> MutexGuard<'static, ()> {
+        let guard = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+        crate::set_enabled(false);
+        guard
+    }
+
+    /// Runs `f` with telemetry on, holding the switch; off again after.
+    pub(crate) fn with_enabled<R>(f: impl FnOnce() -> R) -> R {
+        let _held = hold();
+        crate::set_enabled(true);
+        let r = f();
+        crate::set_enabled(false);
+        r
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -117,9 +142,7 @@ mod tests {
 
     #[test]
     fn disabled_by_default_and_toggles() {
-        // Other tests may flip the switch concurrently; serialize through
-        // the journal lock by only asserting the local round trip.
-        set_enabled(false);
+        let _held = switch::hold();
         assert!(!enabled());
         set_enabled(true);
         assert!(enabled());

@@ -131,23 +131,11 @@ macro_rules! span {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-
-    // Span tests share the process-global enabled switch with the rest of
-    // the suite; serialise them so concurrent toggles don't interleave.
-    fn with_enabled<R>(f: impl FnOnce() -> R) -> R {
-        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _g = GATE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        crate::set_enabled(true);
-        let r = f();
-        crate::set_enabled(false);
-        r
-    }
+    use crate::switch::with_enabled;
 
     #[test]
     fn disabled_spans_are_inert() {
-        crate::set_enabled(false);
+        let _held = crate::switch::hold();
         let g = span("nothing");
         assert!(g.path().is_none());
         let c = g.child("also-nothing");
