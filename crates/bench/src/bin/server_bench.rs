@@ -34,18 +34,10 @@ use std::time::Instant;
 use rebudget_bench::exit_on_error;
 use rebudget_bench::export::{write_server_json, ServerBenchSummary};
 use rebudget_market::equilibrium::{EquilibriumOptions, WarmStart};
-use rebudget_market::{SolverKind, SparseMarket, SynthSpec};
+use rebudget_market::{splitmix64, SolverKind, SparseMarket, SynthSpec};
 
 /// The fixed resource count, matching the scalability bench's sparse arm.
 const RESOURCES: usize = 64;
-
-/// SplitMix64 — the workspace's standalone seeded hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Applies tick `t`'s deterministic churn: roughly `churn_percent` of
 /// players get their budget rescaled into `[0.5, 1.5)` of the base.

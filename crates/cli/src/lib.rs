@@ -34,7 +34,8 @@ use rebudget_market::{
 };
 use rebudget_scenario::{run_scenario, Scenario, ScenarioError};
 use rebudget_sim::analytic::build_market;
-use rebudget_sim::checkpoint::{fnv1a, SweepCheckpoint, SweepMeta};
+use rebudget_sim::checkpoint::{SweepCheckpoint, SweepMeta};
+use rebudget_sim::durable::{self, fnv1a};
 use rebudget_sim::{
     run_simulation_recoverable, DramConfig, RecoveryOptions, SimOptions, SimResult, SystemConfig,
 };
@@ -621,8 +622,9 @@ fn dispatch(args: &[String], notes: &mut Vec<String>) -> Result<String, CliError
                 let save_path = checkpoint.clone().or_else(|| resume.clone());
                 let mut cp = match &resume {
                     Some(path) => {
-                        let (loaded, used_prev) = SweepCheckpoint::load_with_fallback(path)
-                            .map_err(|e| checkpoint_err(e.to_string()))?;
+                        let (loaded, used_prev) =
+                            durable::load_with_fallback(path, SweepCheckpoint::load)
+                                .map_err(|e| checkpoint_err(e.to_string()))?;
                         meta.ensure_matches(&loaded.meta)
                             .map_err(|e| checkpoint_err(e.to_string()))?;
                         if used_prev {

@@ -209,8 +209,8 @@ impl FaultPlan {
     /// order-independent and reproducible.
     fn decision(&self, tag: u64, interval: u64, i: u64) -> f64 {
         let mut h = self.seed ^ tag;
-        h = splitmix(h ^ interval.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        h = splitmix(h ^ i.wrapping_mul(0xbf58_476d_1ce4_e5b9));
+        h = splitmix64(h ^ interval.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        h = splitmix64(h ^ i.wrapping_mul(0xbf58_476d_1ce4_e5b9));
         let mut rng = StdRng::seed_from_u64(h);
         rng.random_range(0.0..1.0)
     }
@@ -290,9 +290,9 @@ impl FaultPlan {
                     });
                 }
                 if perturbs {
-                    let mut salt = splitmix(self.seed ^ 0x009d_5f04);
-                    salt = splitmix(salt ^ interval);
-                    salt = splitmix(salt ^ i as u64);
+                    let mut salt = splitmix64(self.seed ^ 0x009d_5f04);
+                    salt = splitmix64(salt ^ interval);
+                    salt = splitmix64(salt ^ i as u64);
                     utility = Arc::new(NoisyUtility {
                         inner: utility,
                         sigma: self.noise_sigma,
@@ -412,14 +412,17 @@ impl FaultedMarket {
 /// so the simulator can perturb monitor-derived curves with the same
 /// seeding discipline (pure function, bit-identical across runs).
 pub fn gaussian_sample(salt: u64, index: u64) -> f64 {
-    let k = splitmix(splitmix(salt) ^ index);
-    let (u1, u2) = (unit(splitmix(k ^ 1)), unit(splitmix(k ^ 2)));
+    let k = splitmix64(splitmix64(salt) ^ index);
+    let (u1, u2) = (unit(splitmix64(k ^ 1)), unit(splitmix64(k ^ 2)));
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// One SplitMix64 scramble step — the workhorse of the stateless noise
-/// (shared with the synthetic market generator in [`crate::sparse`]).
-pub(crate) fn splitmix(x: u64) -> u64 {
+/// One SplitMix64 scramble step — the workspace's one cheap
+/// deterministic mixer: the stateless noise here, the synthetic market
+/// generator in [`crate::sparse`], the daemon's seeded workloads and the
+/// server bench's churn all hash with it.
+#[must_use]
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -430,9 +433,9 @@ pub(crate) fn splitmix(x: u64) -> u64 {
 /// inputs give equal keys, which keeps noisy utilities `Sync`-safe and
 /// the whole pipeline bit-deterministic.
 fn point_key(salt: u64, r: &[f64]) -> u64 {
-    let mut h = splitmix(salt);
+    let mut h = splitmix64(salt);
     for &v in r {
-        h = splitmix(h ^ v.to_bits());
+        h = splitmix64(h ^ v.to_bits());
     }
     h
 }
@@ -465,13 +468,13 @@ impl Utility for NoisyUtility {
         let mut out = u;
         if self.sigma > 0.0 {
             // Box–Muller from two hash-derived uniforms.
-            let (u1, u2) = (unit(splitmix(k0 ^ 1)), unit(splitmix(k0 ^ 2)));
+            let (u1, u2) = (unit(splitmix64(k0 ^ 1)), unit(splitmix64(k0 ^ 2)));
             let g = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
             out *= 1.0 + self.sigma * g;
         }
-        if self.spike_probability > 0.0 && unit(splitmix(k0 ^ 3)) <= self.spike_probability {
+        if self.spike_probability > 0.0 && unit(splitmix64(k0 ^ 3)) <= self.spike_probability {
             // Direction of the outlier is itself a coin flip.
-            if splitmix(k0 ^ 4) & 1 == 0 {
+            if splitmix64(k0 ^ 4) & 1 == 0 {
                 out *= self.spike_magnitude;
             } else {
                 out /= self.spike_magnitude;
@@ -563,7 +566,7 @@ mod tests {
         // make `parse(display(p)) == p` hold for every in-grammar plan.
         let unit = |h: u64| (h >> 11) as f64 / (1u64 << 53) as f64;
         for k in 0..200u64 {
-            let s = |t: u64| splitmix(k.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ t);
+            let s = |t: u64| splitmix64(k.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ t);
             let plan = FaultPlan {
                 seed: s(1),
                 noise_sigma: unit(s(2)),

@@ -90,7 +90,7 @@ pub use deadline::{
 };
 pub use equilibrium::{RecoveryAction, SolveReport, SolverKind, WarmStart};
 pub use error::MarketError;
-pub use faults::{FaultPlan, FaultedMarket};
+pub use faults::{splitmix64, FaultPlan, FaultedMarket};
 pub use par::ParallelPolicy;
 pub use player::{Market, Player};
 pub use resource::ResourceSpace;

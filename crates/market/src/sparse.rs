@@ -21,7 +21,7 @@
 //! and solves are bit-identical under every [`crate::ParallelPolicy`].
 
 use crate::equilibrium::{EquilibriumOptions, SolveReport, SolverKind};
-use crate::faults::splitmix;
+use crate::faults::splitmix64;
 use crate::utility::LinearUtility;
 use crate::{Market, MarketError, Player, ResourceSpace, Result};
 use std::sync::Arc;
@@ -584,14 +584,14 @@ struct Stream(u64);
 
 impl Stream {
     fn new(seed: u64, key: u64) -> Self {
-        Stream(splitmix(
-            seed ^ splitmix(key.wrapping_add(0x9e37_79b9_7f4a_7c15)),
+        Stream(splitmix64(
+            seed ^ splitmix64(key.wrapping_add(0x9e37_79b9_7f4a_7c15)),
         ))
     }
 
     fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        splitmix(self.0)
+        splitmix64(self.0)
     }
 
     /// Uniform in `[0, 1)`.

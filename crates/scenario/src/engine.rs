@@ -395,7 +395,7 @@ fn resume_check(scenario: &Scenario, reference: &SimResult) -> Result<(), String
         "rebudget-scenario-{name}-{}-{tag}.ckpt",
         std::process::id()
     ));
-    let prev = ckpt.with_extension("ckpt.prev");
+    let prev = rebudget_sim::durable::prev_path(&ckpt);
     let _ = std::fs::remove_file(&ckpt);
     let _ = std::fs::remove_file(&prev);
 
@@ -550,7 +550,7 @@ effects = [{ depart = 3 }]
         let outcome = run_scenario(&s).unwrap();
         // After quantum 1, player 3's allocation rows are zero in the
         // ledger (8 players × 2 resources, row-major).
-        let zero16 = rebudget_sim::checkpoint::f64_hex(0.0);
+        let zero16 = "0".repeat(16);
         let mut saw_departed = false;
         for line in outcome.ledger.lines() {
             if let Some(rest) = line.strip_prefix("alloc=") {

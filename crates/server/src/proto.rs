@@ -24,6 +24,7 @@
 //! `timeout`. Parsing reuses the telemetry crate's dependency-free JSON
 //! reader, so the workspace still builds offline with zero new deps.
 
+use rebudget_telemetry::push_json_str;
 use rebudget_telemetry::schema::{parse_json, Json};
 
 /// Longest accepted player id.
@@ -89,36 +90,25 @@ impl Request {
     /// client.
     #[must_use]
     pub fn to_line(&self) -> String {
-        let interests_json = |interests: &[(u32, f64)]| {
+        let mut out = format!("{{\"cmd\":\"{}\"", self.cmd());
+        if let Request::Arrive { id, .. } | Request::Update { id, .. } | Request::Depart { id } =
+            self
+        {
+            out.push_str(",\"id\":");
+            push_json_str(&mut out, id);
+        }
+        if let Request::Arrive { budget, .. } = self {
+            out.push_str(&format!(",\"budget\":{}", json_f64(*budget)));
+        }
+        if let Request::Arrive { interests, .. } | Request::Update { interests, .. } = self {
             let items: Vec<String> = interests
                 .iter()
                 .map(|&(c, w)| format!("[{c},{}]", json_f64(w)))
                 .collect();
-            format!("[{}]", items.join(","))
-        };
-        match self {
-            Request::Arrive {
-                id,
-                budget,
-                interests,
-            } => format!(
-                "{{\"cmd\":\"arrive\",\"id\":\"{}\",\"budget\":{},\"interests\":{}}}",
-                json_escape(id),
-                json_f64(*budget),
-                interests_json(interests)
-            ),
-            Request::Update { id, interests } => format!(
-                "{{\"cmd\":\"update\",\"id\":\"{}\",\"interests\":{}}}",
-                json_escape(id),
-                interests_json(interests)
-            ),
-            Request::Depart { id } => {
-                format!("{{\"cmd\":\"depart\",\"id\":\"{}\"}}", json_escape(id))
-            }
-            Request::Tick => "{\"cmd\":\"tick\"}".to_string(),
-            Request::Stats => "{\"cmd\":\"stats\"}".to_string(),
-            Request::Shutdown => "{\"cmd\":\"shutdown\"}".to_string(),
+            out.push_str(&format!(",\"interests\":[{}]", items.join(",")));
         }
+        out.push('}');
+        out
     }
 }
 
@@ -244,24 +234,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     }
 }
 
-/// JSON string escaping for response/request rendering.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// JSON float: finite values via the shortest round-trip `{x}` form,
 /// non-finite as `null` (JSON has no NaN/Infinity).
 #[must_use]
@@ -291,11 +263,12 @@ pub fn ok_response(fields: &[(&str, String)]) -> String {
 /// a human-readable `error` detail.
 #[must_use]
 pub fn err_response(reason: &str, detail: &str) -> String {
-    format!(
-        "{{\"ok\":false,\"reason\":\"{}\",\"error\":\"{}\"}}",
-        json_escape(reason),
-        json_escape(detail)
-    )
+    let mut out = String::from("{\"ok\":false,\"reason\":");
+    push_json_str(&mut out, reason);
+    out.push_str(",\"error\":");
+    push_json_str(&mut out, detail);
+    out.push('}');
+    out
 }
 
 #[cfg(test)]

@@ -13,15 +13,9 @@
 //! and (sometimes) refreshes its utility mid-life. All attributes
 //! (budget, interest set, weights) are hashed from `(seed, k)` alone.
 
-use crate::proto::Request;
+use rebudget_market::splitmix64;
 
-/// SplitMix64 — the workspace's standard cheap deterministic mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use crate::proto::Request;
 
 /// A seeded churn schedule over a fixed resource space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -31,6 +31,7 @@ pub mod config;
 pub mod critical_path;
 pub mod dram;
 pub mod dram_sim;
+pub mod durable;
 pub mod groups;
 pub mod machine;
 pub mod monitor;

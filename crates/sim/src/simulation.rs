@@ -15,6 +15,7 @@ use rebudget_telemetry as telemetry;
 use crate::checkpoint::{CheckpointError, QuantumRecord, SimCheckpoint, SimCounters, SimMeta};
 use crate::config::SystemConfig;
 use crate::dram::DramConfig;
+use crate::durable;
 use crate::machine::Machine;
 use crate::monitor::CoreMonitor;
 use crate::utility_model::{
@@ -603,7 +604,7 @@ pub fn run_simulation_hooked(
     // Load and validate the snapshot we are resuming from, if any.
     let (mut records, mut c, used_prev_generation) = match &recovery.resume {
         Some(path) => {
-            let (cp, used_prev) = SimCheckpoint::load_with_fallback(path)?;
+            let (cp, used_prev) = durable::load_with_fallback(path, SimCheckpoint::load)?;
             meta.ensure_matches(&cp.meta)?;
             if cp.quanta.len() > opts.quanta {
                 return Err(SimError::Checkpoint(CheckpointError::ConfigMismatch {

@@ -128,7 +128,10 @@ impl Event {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted, escaped JSON string — the one JSON
+/// string escaper in the workspace (journal events and the server's wire
+/// protocol both render with it).
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -48,7 +48,7 @@ pub mod span;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-pub use journal::{Event, Journal};
+pub use journal::{push_json_str, Event, Journal};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use span::SpanGuard;
 
