@@ -234,16 +234,22 @@ pub(crate) fn drive(
     }
 }
 
-/// One entry's multiplicative step weight. The next bid row is
+/// One entry's multiplicative step weight, specialised at compile time
+/// to one utility family and to γ = 1 or not. The next bid row is
 /// `B_i · w_ij / Σ_j w_ij`:
 ///
-/// * linear, `w = b · (v·C/p̂)^γ` — at γ = 1 this is proportional
-///   response (`w` is the utility the entry currently earns); smaller γ
-///   is the entropic-mirror-descent damped step. Fixed point: the
-///   bang-per-buck `v_j·C_j/p̂_j` is equal across the support — the
-///   Eisenberg–Gale first-order condition.
+/// * linear (`LEONTIEF = false`), `w = b · (v·C/p̂)^γ` — at γ = 1 this is
+///   proportional response (`w` is the utility the entry currently
+///   earns); smaller γ is the entropic-mirror-descent damped step. Fixed
+///   point: the bang-per-buck `v_j·C_j/p̂_j` is equal across the support
+///   — the Eisenberg–Gale first-order condition.
 /// * Leontief, `w = b^(1−γ) · (a·p̂/C)^γ` — fixed point `b ∝ a_j·p_j`,
 ///   the Leontief equilibrium spending profile.
+///
+/// `UNIT` is γ = 1, which drops the `powf` calls. Each arm is the f64
+/// expression the generic step (kept in the tests as
+/// `reference_step_weight`) evaluates for that case, in the same order,
+/// so results are bit-identical to it.
 ///
 /// `ratio` is the per-good factor precomputed by [`good_ratios`] — it
 /// carries the division (`C/p̂` or `p̂/C`), so the per-entry hot path is
@@ -252,25 +258,19 @@ pub(crate) fn drive(
 /// Multiplicative updates keep funded entries strictly positive, so this
 /// only triggers for structurally unfunded goods (all interested players
 /// broke).
-#[inline]
-fn step_weight(kind: SparseUtilityKind, gamma: f64, bid: f64, weight: f64, ratio: f64) -> f64 {
-    match kind {
-        SparseUtilityKind::Linear => {
-            let q = weight * ratio;
-            if gamma == 1.0 {
-                bid * q
-            } else {
-                bid * q.powf(gamma)
-            }
-        }
-        SparseUtilityKind::Leontief => {
-            let s = weight * ratio;
-            if gamma == 1.0 {
-                s
-            } else {
-                bid.powf(1.0 - gamma) * s.powf(gamma)
-            }
-        }
+#[inline(always)]
+fn step_weight<const LEONTIEF: bool, const UNIT: bool>(
+    gamma: f64,
+    bid: f64,
+    weight: f64,
+    ratio: f64,
+) -> f64 {
+    let q = weight * ratio;
+    match (LEONTIEF, UNIT) {
+        (false, true) => bid * q,
+        (false, false) => bid * q.powf(gamma),
+        (true, true) => q,
+        (true, false) => bid.powf(1.0 - gamma) * q.powf(gamma),
     }
 }
 
@@ -290,13 +290,202 @@ fn good_ratios(kind: SparseUtilityKind, capacities: &[f64], money: &[f64], out: 
     }
 }
 
+/// The read-only inputs of one sweep, shared by every block.
+struct SweepInputs<'a> {
+    row_ptr: &'a [usize],
+    cols: &'a [u32],
+    weights: &'a [f64],
+    budgets: &'a [f64],
+    /// This sweep's [`good_ratios`].
+    ratios: &'a [f64],
+    gamma: f64,
+    damping: f64,
+}
+
+/// One block's body of a sweep, specialised by [`step_weight`]'s flags.
+type BlockBody = fn(&SweepInputs<'_>, usize, &mut [f64], &mut [f64]);
+
+/// Sweeps the players of block `b`. `band` holds their CSR bid values and
+/// `aux` is the block's scratch: `m` partial column sums, the sanitized
+/// row count, then room for one row's step weights.
+///
+/// Per player, pass 1 stores each entry's step weight in the scratch and
+/// totals them; pass 2 writes `scale · weight` (damped if `damping < 1`)
+/// and accumulates the partial column sums. A row whose total is not
+/// finite is kept and counted; one whose total is not positive (zero
+/// budget, or every good unfunded) is kept silently.
+fn sweep_block<const LEONTIEF: bool, const UNIT: bool>(
+    s: &SweepInputs<'_>,
+    b: usize,
+    band: &mut [f64],
+    aux: &mut [f64],
+) {
+    let m = s.ratios.len();
+    let (sums, rest) = aux.split_at_mut(m);
+    let (sanitized, steps) = rest.split_at_mut(1);
+    sums.fill(0.0);
+    sanitized[0] = 0.0;
+    let n = s.budgets.len();
+    let (p_lo, p_hi) = ((b * BLOCK_PLAYERS).min(n), ((b + 1) * BLOCK_PLAYERS).min(n));
+    let (base, end) = (s.row_ptr[p_lo], s.row_ptr[p_hi]);
+    let keep = 1.0 - s.damping;
+    // Each row is split off the front of the block's slices: the row loop
+    // then carries no offset arithmetic and few bounds checks.
+    let (mut band, mut cols, mut weights) = (band, &s.cols[base..end], &s.weights[base..end]);
+    for (&budget, bounds) in s.budgets[p_lo..p_hi]
+        .iter()
+        .zip(s.row_ptr[p_lo..=p_hi].windows(2))
+    {
+        let len = bounds[1] - bounds[0];
+        let (row, rest) = std::mem::take(&mut band).split_at_mut(len);
+        band = rest;
+        let (row_cols, rest) = cols.split_at(len);
+        cols = rest;
+        let (row_weights, rest) = weights.split_at(len);
+        weights = rest;
+        let row_steps = &mut steps[..len];
+        // Pass 1: each entry's step weight from the old row, and their
+        // total.
+        let mut w_sum = 0.0;
+        for (((step, &bid), &c), &w) in row_steps
+            .iter_mut()
+            .zip(row.iter())
+            .zip(row_cols)
+            .zip(row_weights)
+        {
+            *step = step_weight::<LEONTIEF, UNIT>(s.gamma, bid, w, s.ratios[c as usize]);
+            w_sum += *step;
+        }
+        if !(w_sum.is_finite() && w_sum > 0.0) {
+            // Keep the old row; it still carries money.
+            if !w_sum.is_finite() {
+                sanitized[0] += 1.0;
+            }
+            for (&bid, &c) in row.iter().zip(row_cols) {
+                sums[c as usize] += bid;
+            }
+            continue;
+        }
+        // Pass 2: write the (damped) step and accumulate this block's
+        // partial column sums.
+        let scale = budget / w_sum;
+        let entries = row.iter_mut().zip(row_cols).zip(row_steps.iter());
+        if s.damping < 1.0 {
+            for ((bid, &c), &step) in entries {
+                let next = keep * *bid + s.damping * (scale * step);
+                *bid = next;
+                sums[c as usize] += next;
+            }
+        } else {
+            for ((bid, &c), &step) in entries {
+                let next = scale * step;
+                *bid = next;
+                sums[c as usize] += next;
+            }
+        }
+    }
+}
+
+/// The sparse sweep kernel: one market's CSR structure, its fixed
+/// player blocks and their reused scratch.
+struct Kernel<'a> {
+    market: &'a SparseMarket,
+    gamma: f64,
+    body: BlockBody,
+    /// `block_ptr[b]` is the CSR value offset where block `b` begins.
+    block_ptr: Vec<usize>,
+    /// Per-block scratch, `stride` values each (see [`sweep_block`]).
+    aux: Vec<f64>,
+    stride: usize,
+    /// Per-good step factors, recomputed serially each sweep (m
+    /// divisions) and shared read-only by every block.
+    ratios: Vec<f64>,
+    threads: usize,
+}
+
+impl<'a> Kernel<'a> {
+    fn new(market: &'a SparseMarket, gamma: f64, parallel: crate::ParallelPolicy) -> Self {
+        let (n, m) = (market.players(), market.resources());
+        let row_ptr = market.interests().row_ptr();
+        let blocks = n.div_ceil(BLOCK_PLAYERS);
+        let block_ptr: Vec<usize> = (0..=blocks)
+            .map(|b| row_ptr[(b * BLOCK_PLAYERS).min(n)])
+            .collect();
+        let longest = row_ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        let stride = m + 1 + longest;
+        // The arm is chosen once per solve, so the entry loops carry no
+        // per-entry `match` on the utility family or γ.
+        let body: BlockBody = match (market.kind(), gamma == 1.0) {
+            (SparseUtilityKind::Linear, true) => sweep_block::<false, true>,
+            (SparseUtilityKind::Linear, false) => sweep_block::<false, false>,
+            (SparseUtilityKind::Leontief, true) => sweep_block::<true, true>,
+            (SparseUtilityKind::Leontief, false) => sweep_block::<true, false>,
+        };
+        Self {
+            market,
+            gamma,
+            body,
+            block_ptr,
+            aux: vec![0.0; blocks * stride],
+            stride,
+            ratios: vec![0.0; m],
+            // Blocks are coarse work items (thousands of players each),
+            // so even a fan-out of 2 amortizes thread cost.
+            threads: parallel.resolved_threads_coarse(blocks),
+        }
+    }
+
+    /// One sweep, as [`drive`] specifies it.
+    fn sweep(
+        &mut self,
+        vals: &mut [f64],
+        money: &[f64],
+        damping: f64,
+        new_money: &mut [f64],
+    ) -> u64 {
+        let market = self.market;
+        let interests = market.interests();
+        good_ratios(market.kind(), market.capacities(), money, &mut self.ratios);
+        let inputs = SweepInputs {
+            row_ptr: interests.row_ptr(),
+            cols: interests.cols(),
+            weights: interests.vals(),
+            budgets: market.budgets(),
+            ratios: &self.ratios,
+            gamma: self.gamma,
+            damping,
+        };
+        let body = self.body;
+        par::for_each_block(
+            self.threads,
+            vals,
+            &self.block_ptr,
+            &mut self.aux,
+            self.stride,
+            |b, band, aux| body(&inputs, b, band, aux),
+        );
+        // Serial reduce in block order: deterministic for any thread
+        // count because the blocks themselves are fixed.
+        let m = self.ratios.len();
+        new_money.fill(0.0);
+        let mut sanitized = 0u64;
+        for chunk in self.aux.chunks_exact(self.stride) {
+            for (sum, &part) in new_money.iter_mut().zip(&chunk[..m]) {
+                *sum += part;
+            }
+            sanitized += chunk[m] as u64;
+        }
+        sanitized
+    }
+}
+
 /// Solves a sparse market with the multiplicative dynamics at step `γ`
 /// (γ = 1 is proportional response; γ < 1 is mirror descent).
 ///
 /// Per iteration this makes two passes over each player's own CSR row
-/// (one to total the step weights, one to write the damped step and
-/// accumulate the block's partial column sums) — `O(nnz)` work, zero
-/// allocation, and bit-identical results under every thread count.
+/// (one to compute and total the step weights, one to write the damped
+/// step and accumulate the block's partial column sums) — `O(nnz)` work,
+/// zero allocation, and bit-identical results under every thread count.
 pub(crate) fn solve_sparse(
     market: &SparseMarket,
     options: &EquilibriumOptions,
@@ -320,28 +509,27 @@ pub(crate) fn solve_sparse(
     // preserve (a zero bid can never revive, so never start at zero).
     // (A value-proportional warm start was tried and saves ~1 iteration:
     // the cost is the slow geometric tail, not the initial transient.)
+    // Warm start: usable seed rows (CSR value layout) replace the equal
+    // split, rescaled to each player's current budget. Exact-zero seed
+    // entries (underflow in the previous converged run) are lifted to a
+    // tiny positive floor — a zero can never revive under the
+    // multiplicative step; unusable rows keep the cold start.
     let mut vals = vec![0.0; interests.nnz()];
+    let warm = options
+        .warm_start
+        .as_deref()
+        .filter(|warm| warm.bids.len() == vals.len());
     for i in 0..n {
         let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-        if hi > lo {
+        let seeded = warm.is_some_and(|warm| {
+            crate::equilibrium::warm_overlay_multiplicative(
+                &mut vals[lo..hi],
+                &warm.bids[lo..hi],
+                budgets[i],
+            )
+        });
+        if !seeded && hi > lo {
             vals[lo..hi].fill(budgets[i] / (hi - lo) as f64);
-        }
-    }
-    // Warm start: overlay usable seed rows (CSR value layout) over the
-    // equal split, rescaled to each player's current budget. Exact-zero
-    // seed entries (underflow in the previous converged run) are lifted
-    // to a tiny positive floor — a zero can never revive under the
-    // multiplicative step; unusable rows keep the cold start.
-    if let Some(warm) = options.warm_start.as_deref() {
-        if warm.bids.len() == vals.len() {
-            for i in 0..n {
-                let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-                crate::equilibrium::warm_overlay_multiplicative(
-                    &mut vals[lo..hi],
-                    &warm.bids[lo..hi],
-                    budgets[i],
-                );
-            }
         }
     }
     let mut init_money = vec![0.0; m];
@@ -349,96 +537,13 @@ pub(crate) fn solve_sparse(
         init_money[c as usize] += b;
     }
 
-    // Fixed player blocks: the parallel unit of work. `block_ptr[b]` is
-    // the CSR value offset where block `b` begins; per-block scratch
-    // carries `m` partial column sums plus a sanitized-row count.
-    let blocks = n.div_ceil(BLOCK_PLAYERS);
-    let block_ptr: Vec<usize> = (0..=blocks)
-        .map(|b| row_ptr[(b * BLOCK_PLAYERS).min(n)])
-        .collect();
-    let stride = m + 1;
-    let mut aux = vec![0.0; blocks * stride];
-    // Persistent per-good step factors: recomputed serially each sweep
-    // (m divisions), shared read-only by every block.
-    let mut ratios = vec![0.0; m];
-    // Blocks are coarse work items (thousands of players each), so even a
-    // fan-out of 2 amortizes thread cost.
-    let threads = options.parallel.resolved_threads_coarse(blocks);
-
+    let mut kernel = Kernel::new(market, gamma, options.parallel);
     let mut run = drive(
         capacities,
         vals,
         init_money,
         options,
-        |vals, money, damping, new_money| {
-            good_ratios(kind, capacities, money, &mut ratios);
-            let ratios = &ratios;
-            par::for_each_block(
-                threads,
-                vals,
-                &block_ptr,
-                &mut aux,
-                stride,
-                |b, band, aux| {
-                    aux.fill(0.0);
-                    let p_lo = (b * BLOCK_PLAYERS).min(n);
-                    let p_hi = ((b + 1) * BLOCK_PLAYERS).min(n);
-                    let base = row_ptr[p_lo];
-                    for i in p_lo..p_hi {
-                        let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-                        let row = &mut band[lo - base..hi - base];
-                        let row_cols = &cols[lo..hi];
-                        let row_weights = &weights[lo..hi];
-                        // Pass 1: total the step weights from the old row.
-                        let mut w_sum = 0.0;
-                        for ((&b, &c), &w) in row.iter().zip(row_cols).zip(row_weights) {
-                            w_sum += step_weight(kind, gamma, b, w, ratios[c as usize]);
-                        }
-                        if !w_sum.is_finite() {
-                            // Keep the old row; it still carries money.
-                            aux[m] += 1.0;
-                            for (&b, &c) in row.iter().zip(row_cols) {
-                                aux[c as usize] += b;
-                            }
-                            continue;
-                        }
-                        if w_sum <= 0.0 {
-                            // No positive step weight (zero budget or all
-                            // goods unfunded): keep the old row silently.
-                            for (&b, &c) in row.iter().zip(row_cols) {
-                                aux[c as usize] += b;
-                            }
-                            continue;
-                        }
-                        // Pass 2: write the damped step and accumulate
-                        // this block's partial column sums.
-                        let scale = budgets[i] / w_sum;
-                        for ((b, &c), &w) in row.iter_mut().zip(row_cols).zip(row_weights) {
-                            let c = c as usize;
-                            let target = scale * step_weight(kind, gamma, *b, w, ratios[c]);
-                            let next = if damping < 1.0 {
-                                (1.0 - damping) * *b + damping * target
-                            } else {
-                                target
-                            };
-                            *b = next;
-                            aux[c] += next;
-                        }
-                    }
-                },
-            );
-            // Serial reduce in block order: deterministic for any thread
-            // count because the blocks themselves are fixed.
-            new_money.fill(0.0);
-            let mut sanitized = 0u64;
-            for chunk in aux.chunks_exact(stride) {
-                for (sum, &part) in new_money.iter_mut().zip(chunk) {
-                    *sum += part;
-                }
-                sanitized += chunk[m] as u64;
-            }
-            sanitized
-        },
+        |vals, money, damping, new_money| kernel.sweep(vals, money, damping, new_money),
     );
 
     // Final utilities at the proportional allocation `x_ij = b_ij·C_j/p̂_j`.
@@ -503,6 +608,195 @@ mod tests {
     use super::*;
     use crate::sparse::{SparseBids, SynthSpec};
     use crate::ParallelPolicy;
+
+    /// The unspecialised step weight the kernel replaced: one `match` on
+    /// the utility family and one γ = 1 test per entry.
+    fn reference_step_weight(
+        kind: SparseUtilityKind,
+        gamma: f64,
+        bid: f64,
+        weight: f64,
+        ratio: f64,
+    ) -> f64 {
+        match kind {
+            SparseUtilityKind::Linear => {
+                let q = weight * ratio;
+                if gamma == 1.0 {
+                    bid * q
+                } else {
+                    bid * q.powf(gamma)
+                }
+            }
+            SparseUtilityKind::Leontief => {
+                let s = weight * ratio;
+                if gamma == 1.0 {
+                    s
+                } else {
+                    bid.powf(1.0 - gamma) * s.powf(gamma)
+                }
+            }
+        }
+    }
+
+    /// The generic sweep the specialised kernel replaced, kept as the
+    /// reference it must match bit for bit: per-entry dispatch, the
+    /// damping test inside the entry loop, and the step weight evaluated
+    /// again in pass 2.
+    fn reference_sweep(
+        market: &SparseMarket,
+        gamma: f64,
+        vals: &mut [f64],
+        money: &[f64],
+        damping: f64,
+        new_money: &mut [f64],
+    ) -> u64 {
+        let (n, m) = (market.players(), market.resources());
+        let (row_ptr, cols, weights) = (
+            market.interests().row_ptr(),
+            market.interests().cols(),
+            market.interests().vals(),
+        );
+        let (budgets, kind) = (market.budgets(), market.kind());
+        let blocks = n.div_ceil(BLOCK_PLAYERS);
+        let block_ptr: Vec<usize> = (0..=blocks)
+            .map(|b| row_ptr[(b * BLOCK_PLAYERS).min(n)])
+            .collect();
+        let stride = m + 1;
+        let mut aux = vec![0.0; blocks * stride];
+        let mut ratios = vec![0.0; m];
+        good_ratios(kind, market.capacities(), money, &mut ratios);
+        let ratios = &ratios;
+        par::for_each_block(1, vals, &block_ptr, &mut aux, stride, |b, band, aux| {
+            aux.fill(0.0);
+            let p_lo = (b * BLOCK_PLAYERS).min(n);
+            let p_hi = ((b + 1) * BLOCK_PLAYERS).min(n);
+            let base = row_ptr[p_lo];
+            for i in p_lo..p_hi {
+                let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+                let row = &mut band[lo - base..hi - base];
+                let row_cols = &cols[lo..hi];
+                let row_weights = &weights[lo..hi];
+                let mut w_sum = 0.0;
+                for ((&b, &c), &w) in row.iter().zip(row_cols).zip(row_weights) {
+                    w_sum += reference_step_weight(kind, gamma, b, w, ratios[c as usize]);
+                }
+                if !w_sum.is_finite() {
+                    aux[m] += 1.0;
+                    for (&b, &c) in row.iter().zip(row_cols) {
+                        aux[c as usize] += b;
+                    }
+                    continue;
+                }
+                if w_sum <= 0.0 {
+                    for (&b, &c) in row.iter().zip(row_cols) {
+                        aux[c as usize] += b;
+                    }
+                    continue;
+                }
+                let scale = budgets[i] / w_sum;
+                for ((b, &c), &w) in row.iter_mut().zip(row_cols).zip(row_weights) {
+                    let c = c as usize;
+                    let target = scale * reference_step_weight(kind, gamma, *b, w, ratios[c]);
+                    let next = if damping < 1.0 {
+                        (1.0 - damping) * *b + damping * target
+                    } else {
+                        target
+                    };
+                    *b = next;
+                    aux[c] += next;
+                }
+            }
+        });
+        new_money.fill(0.0);
+        let mut sanitized = 0u64;
+        for chunk in aux.chunks_exact(stride) {
+            for (sum, &part) in new_money.iter_mut().zip(chunk) {
+                *sum += part;
+            }
+            sanitized += chunk[m] as u64;
+        }
+        sanitized
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// A seeded market of `kind` spanning two blocks, plus three edge
+    /// rows: one whose step overflows to a non-finite total (moved to row
+    /// 17, inside the first block), one with a zero budget (second to
+    /// last) and one interested in all `m ≥ 100` goods (last).
+    fn kernel_market(kind: SparseUtilityKind, seed: u64) -> SparseMarket {
+        let m = 120;
+        let mut spec = SynthSpec::new(BLOCK_PLAYERS + 300, m, seed);
+        spec.kind = kind;
+        let synth = spec.generate().unwrap();
+        let mut rows: Vec<Vec<(usize, f64)>> = (0..synth.players())
+            .map(|i| {
+                let s = synth.interests();
+                s.row_cols(i)
+                    .iter()
+                    .zip(s.row_vals(i))
+                    .map(|(&c, &w)| (c as usize, w))
+                    .collect()
+            })
+            .collect();
+        let mut budgets = synth.budgets().to_vec();
+        rows.push(vec![(3, f64::MAX), (7, f64::MAX)]);
+        budgets.push(f64::MAX);
+        rows.push(vec![(0, 1.0), (5, 2.0)]);
+        budgets.push(0.0);
+        rows.push((0..m).map(|c| (c, 0.2 + (c % 7) as f64 * 0.1)).collect());
+        budgets.push(3.0);
+        rows.swap(17, synth.players());
+        budgets.swap(17, synth.players());
+        let interests = SparseBids::from_rows(m, rows).unwrap();
+        SparseMarket::new(vec![1.0; m], budgets, interests, kind).unwrap()
+    }
+
+    #[test]
+    fn specialised_kernel_matches_the_generic_sweep_bit_for_bit() {
+        for kind in [SparseUtilityKind::Linear, SparseUtilityKind::Leontief] {
+            for (seed, gamma) in [(3, 1.0), (4, 0.7)] {
+                let market = kernel_market(kind, seed);
+                for damping in [1.0, 0.5] {
+                    let what = format!("{kind:?} γ={gamma} damping={damping}");
+                    let mut kernel = Kernel::new(&market, gamma, ParallelPolicy::Threads(2));
+                    let mut vals = vec![0.0; market.nnz()];
+                    let row_ptr = market.interests().row_ptr();
+                    for i in 0..market.players() {
+                        let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+                        vals[lo..hi].fill(market.budgets()[i] / (hi - lo) as f64);
+                    }
+                    let mut reference_vals = vals.clone();
+                    let mut money = market.interests().with_vals(vals.clone()).column_sums();
+                    let (mut next, mut reference_next) = (money.clone(), money.clone());
+                    let mut sanitized_total = 0;
+                    for iteration in 0..6 {
+                        let sanitized = kernel.sweep(&mut vals, &money, damping, &mut next);
+                        let reference = reference_sweep(
+                            &market,
+                            gamma,
+                            &mut reference_vals,
+                            &money,
+                            damping,
+                            &mut reference_next,
+                        );
+                        assert_eq!(sanitized, reference, "{what}, iteration {iteration}");
+                        assert!(same_bits(&vals, &reference_vals), "{what}: vals");
+                        assert!(same_bits(&next, &reference_next), "{what}: money");
+                        sanitized_total += sanitized;
+                        money.clone_from(&next);
+                    }
+                    assert!(sanitized_total > 0, "{what}: the overflowing row is kept");
+                    let broke = market.players() - 2;
+                    assert!(vals[row_ptr[broke]..row_ptr[broke + 1]]
+                        .iter()
+                        .all(|&v| v == 0.0));
+                }
+            }
+        }
+    }
 
     fn tight() -> EquilibriumOptions {
         let mut opts = EquilibriumOptions::large_scale();

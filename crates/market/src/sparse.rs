@@ -55,7 +55,24 @@ impl SparseBids {
     /// [`MarketError::InvalidValue`] for an out-of-range column, a
     /// duplicate column, or a non-finite/negative value.
     pub fn from_rows(resources: usize, rows: Vec<Vec<(usize, f64)>>) -> Result<Self> {
-        if rows.is_empty() {
+        Self::from_row_iter(resources, rows)
+    }
+
+    /// [`SparseBids::from_rows`] over rows streamed from any source, in
+    /// one pass with no per-row allocation: a row already sorted by column
+    /// is taken as it is, any other is sorted first. Validation and
+    /// errors are those of `from_rows`.
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseBids::from_rows`].
+    pub fn from_row_iter<R>(resources: usize, rows: R) -> Result<Self>
+    where
+        R: IntoIterator,
+        R::Item: IntoIterator<Item = (usize, f64)>,
+    {
+        let mut rows = rows.into_iter().peekable();
+        if rows.peek().is_none() {
             return Err(MarketError::Empty { what: "players" });
         }
         if resources == 0 {
@@ -67,14 +84,19 @@ impl SparseBids {
                 value: resources as f64,
             });
         }
-        let n = rows.len();
-        let nnz: usize = rows.iter().map(Vec::len).sum();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut cols = Vec::with_capacity(nnz);
-        let mut vals = Vec::with_capacity(nnz);
+        let players = rows.size_hint().0;
+        let mut row_ptr = Vec::with_capacity(players + 1);
+        let mut cols = Vec::with_capacity(players);
+        let mut vals = Vec::with_capacity(players);
+        let mut row = Vec::new();
         row_ptr.push(0);
-        for mut row in rows {
-            row.sort_by_key(|&(c, _)| c);
+        for entries in rows {
+            row.clear();
+            row.extend(entries);
+            if !row.is_sorted_by_key(|&(c, _)| c) {
+                row.sort_by_key(|&(c, _)| c);
+            }
+            let start = cols.len();
             for &(c, v) in &row {
                 if c >= resources {
                     return Err(MarketError::InvalidValue {
@@ -82,7 +104,7 @@ impl SparseBids {
                         value: c as f64,
                     });
                 }
-                if cols.len() > *row_ptr.last().unwrap_or(&0) && cols.last() == Some(&(c as u32)) {
+                if cols.len() > start && cols.last() == Some(&(c as u32)) {
                     return Err(MarketError::InvalidValue {
                         what: "duplicate resource index",
                         value: c as f64,
@@ -100,7 +122,7 @@ impl SparseBids {
             row_ptr.push(cols.len());
         }
         Ok(Self {
-            n,
+            n: row_ptr.len() - 1,
             m: resources,
             row_ptr,
             cols,
@@ -641,6 +663,41 @@ mod tests {
         assert!(SparseBids::from_rows(2, vec![vec![(1, 1.0), (1, 2.0)]]).is_err());
         assert!(SparseBids::from_rows(2, vec![vec![(0, f64::NAN)]]).is_err());
         assert!(SparseBids::from_rows(2, vec![vec![(0, -1.0)]]).is_err());
+    }
+
+    #[test]
+    fn streamed_rows_match_collected_rows() {
+        // Sorted, unsorted, empty and single-entry rows, streamed from
+        // borrowed slices with no intermediate `Vec<Vec<_>>`.
+        let rows: Vec<Vec<(usize, f64)>> = vec![
+            vec![(0, 1.0), (2, 2.0)],
+            vec![],
+            vec![(2, 4.0), (0, 5.0), (1, 6.0)],
+            vec![(1, 3.0)],
+        ];
+        let streamed =
+            SparseBids::from_row_iter(3, rows.iter().map(|row| row.iter().map(|&(c, w)| (c, w))))
+                .unwrap();
+        assert_eq!(streamed, SparseBids::from_rows(3, rows).unwrap());
+        assert_eq!(streamed.row_cols(2), &[0, 1, 2]);
+        // The same rejections, in the same order.
+        let empty: [[(usize, f64); 0]; 0] = [];
+        assert_eq!(
+            SparseBids::from_row_iter(0, empty).unwrap_err(),
+            SparseBids::from_rows(0, vec![]).unwrap_err()
+        );
+        for bad in [
+            vec![(2, 1.0)],
+            vec![(1, 1.0), (1, 2.0)],
+            vec![(1, 1.0), (0, f64::NAN)],
+            vec![(0, -1.0)],
+        ] {
+            // Debug, not `==`: the NaN case must compare equal.
+            assert_eq!(
+                format!("{:?}", SparseBids::from_row_iter(2, [bad.iter().copied()])),
+                format!("{:?}", SparseBids::from_rows(2, vec![bad]))
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   back to the snapshot's `T` records and re-runs tick `T`, which is
 //!   deterministic (same players, same warm seeds, same options) and so
 //!   reproduces the truncated record **byte for byte**.
-//! * killed mid-snapshot: [`durable::write_atomic`]'s tmp/rename/`.prev`
+//! * killed mid-snapshot: [`durable::write_atomic_with`]'s tmp/rename/`.prev`
 //!   rotation guarantees a parseable generation survives; if only
 //!   `.prev` does, that is an older tick and the ledger is truncated
 //!   accordingly.
@@ -45,10 +45,12 @@ use std::path::{Path, PathBuf};
 use rebudget_market::equilibrium::{EquilibriumOptions, WarmStart};
 use rebudget_market::{
     solve_sparse_with_retry, solve_with_retry, RetryPolicy, SolverKind, SparseBids, SparseMarket,
-    SparseUtilityKind,
+    SparseOutcome, SparseUtilityKind,
 };
 use rebudget_scenario::{read_valid_prefix, Ledger, LedgerMeta};
-use rebudget_sim::durable::{self, fnv1a, prev_path, Document, Trailer, Writer};
+use rebudget_sim::durable::{
+    self, fnv1a_f64_words, fnv1a_joined, prev_path, Document, Trailer, Writer,
+};
 
 use crate::{ServerError, ServerResult};
 
@@ -56,6 +58,8 @@ const SNAPSHOT_HEADER: &str = "rebudget-server-snapshot v1";
 /// The snapshot's trailer: `[seal]`, then the FNV-1a of every byte
 /// before the `fnv1a=` line.
 const SNAPSHOT_SEAL: Trailer = Trailer::Through("seal");
+/// Bytes of snapshot text written to the file at a time.
+const SNAPSHOT_CHUNK: usize = 64 * 1024;
 
 /// Static configuration of the market the daemon serves.
 #[derive(Debug, Clone)]
@@ -413,13 +417,33 @@ impl ServerCore {
     /// snapshot write failures. Non-convergence is **not** an error —
     /// it feeds the degradation counter.
     pub fn tick(&mut self, admitted: usize) -> ServerResult<TickReport> {
+        // Commit point 1: the ledger record (crash before/inside this
+        // write re-runs the tick from the previous snapshot).
+        let report = self.record(admitted)?;
+        self.tick += 1;
+        if self.config.commit_delay_ms > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(
+                self.config.commit_delay_ms,
+            ));
+        }
+        // Commit point 2: the snapshot (crash between the two replays
+        // this tick deterministically and reproduces the record bytes).
+        // The solve's buffers are gone by now.
+        self.write_snapshot()?;
+        Ok(report)
+    }
+
+    /// Solves the current market and appends and writes its ledger
+    /// record.
+    fn record(&mut self, admitted: usize) -> ServerResult<TickReport> {
         let m = self.config.capacities.len();
         let n = self.players.len();
-        let (solved, prices, alloc, utilities) = if n == 0 {
-            (None, vec![0.0; m], Vec::new(), Vec::new())
+        let (market, solved, prices, alloc, utilities) = if n == 0 {
+            (None, None, vec![0.0; m], Vec::new(), Vec::new())
         } else {
-            let (outcome, report) = self.solve()?;
-            (Some(report), outcome.0, outcome.1, outcome.2)
+            let (market, warm) = self.market()?;
+            let (outcome, report) = self.solve(&market, warm)?;
+            (Some(market), Some(report), outcome.0, outcome.1, outcome.2)
         };
         let converged = solved.as_ref().is_none_or(|r| r.0);
         let iterations = solved.as_ref().map_or(0, |r| r.1);
@@ -444,8 +468,6 @@ impl ServerCore {
             (alloc, utilities)
         };
         let efficiency: f64 = utilities.iter().sum();
-        let budgets: Vec<f64> = self.players.values().map(|p| p.budget).collect();
-        let ids: Vec<&str> = self.players.keys().map(String::as_str).collect();
         let report = TickReport {
             tick: self.tick,
             players: n,
@@ -456,90 +478,118 @@ impl ServerCore {
             residual,
             efficiency,
         };
-        // Commit point 1: the ledger record (crash before/inside this
-        // write re-runs the tick from the previous snapshot).
-        let mut alloc_words = Writer::default();
-        alloc_words.f64_words(&alloc);
-        let alloc_fnv = alloc_words.hash();
+        // The two digests are folded straight from their bytes: the ids
+        // joined by `;`, and the allocation as `f64_words` would write it.
+        let ids_fnv = fnv1a_joined(self.players.keys().map(String::as_str), ";");
+        let alloc_fnv = fnv1a_f64_words(alloc.iter().copied());
+        let budgets = market.as_ref().map_or(&[][..], SparseMarket::budgets);
         self.ledger.append_section(self.tick as usize, |w| {
             w.kv("players", n);
             w.kv("admitted", admitted);
             w.bool("converged", converged);
             w.bool("fallback", fallback);
             w.kv("iterations", iterations);
-            w.hex("ids_fnv", fnv1a(ids.join(";").as_bytes()));
-            w.f64_list("budgets", &budgets);
+            w.hex("ids_fnv", ids_fnv);
+            w.f64_list("budgets", budgets);
             w.f64_list("prices", &prices);
             w.hex("alloc_fnv", alloc_fnv);
             w.f64("eff", efficiency);
         });
         self.ledger.write_pending(&mut self.ledger_file)?;
         self.ledger_file.flush()?;
-        self.tick += 1;
-        if self.config.commit_delay_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(
-                self.config.commit_delay_ms,
-            ));
-        }
-        // Commit point 2: the snapshot (crash between the two replays
-        // this tick deterministically and reproduces the record bytes).
-        self.write_snapshot()?;
         Ok(report)
     }
 
-    /// Solves the current market warm-started from the stored bids.
-    /// Returns `((prices, alloc, utilities), (converged, iterations,
-    /// residual))` where `alloc` is row-major over each player's
-    /// interest set.
-    #[allow(clippy::type_complexity)]
-    fn solve(&mut self) -> ServerResult<((Vec<f64>, Vec<f64>, Vec<f64>), (bool, u64, f64))> {
-        let m = self.config.capacities.len();
-        let rows: Vec<Vec<(usize, f64)>> = self
-            .players
-            .values()
-            .map(|p| p.interests.iter().map(|&(c, w)| (c as usize, w)).collect())
-            .collect();
-        let interests = SparseBids::from_rows(m, rows)?;
-        let budgets: Vec<f64> = self.players.values().map(|p| p.budget).collect();
+    /// The live players' market, rows in id order, and the first-order
+    /// engines' warm seed over its CSR values, built in one pass over the
+    /// player table. A row's seed is its stored bids when it has a
+    /// converged prior solve, else the equal split (== the cold start);
+    /// per-row usability is the solver's problem.
+    fn market(&self) -> ServerResult<(SparseMarket, Vec<f64>)> {
+        let mut budgets = Vec::with_capacity(self.players.len());
+        let mut warm = Vec::new();
+        let interests = SparseBids::from_row_iter(
+            self.config.capacities.len(),
+            self.players.values().map(|rec| {
+                budgets.push(rec.budget);
+                match &rec.bids {
+                    Some(bids) if bids.len() == rec.interests.len() => {
+                        warm.extend_from_slice(bids);
+                    }
+                    _ => {
+                        let k = rec.interests.len() as f64;
+                        warm.extend(rec.interests.iter().map(|_| rec.budget / k));
+                    }
+                }
+                rec.interests.iter().map(|&(c, w)| (c as usize, w))
+            }),
+        )?;
         let market = SparseMarket::new(
             self.config.capacities.clone(),
-            budgets.clone(),
+            budgets,
             interests,
             SparseUtilityKind::Linear,
         )?;
+        Ok((market, warm))
+    }
+
+    /// Solves `market` (the live players') from the sparse `warm` seed;
+    /// the Jacobi arm builds its own dense seed instead. Returns `((prices, alloc, utilities), (converged, iterations,
+    /// residual))` where `alloc` is row-major over each player's
+    /// interest set.
+    #[allow(clippy::type_complexity)]
+    fn solve(
+        &mut self,
+        market: &SparseMarket,
+        warm: Vec<f64>,
+    ) -> ServerResult<((Vec<f64>, Vec<f64>, Vec<f64>), (bool, u64, f64))> {
         if self.config.solver == SolverKind::Jacobi {
-            return self.solve_dense(&market, &budgets);
-        }
-        // Warm seed over the CSR values: stored bids where the player
-        // has a converged prior solve, equal split (== the cold start)
-        // elsewhere. Per-row usability is the solver's problem.
-        let mut warm = Vec::with_capacity(market.nnz());
-        for rec in self.players.values() {
-            match &rec.bids {
-                Some(bids) if bids.len() == rec.interests.len() => warm.extend_from_slice(bids),
-                _ => {
-                    let k = rec.interests.len() as f64;
-                    warm.extend(rec.interests.iter().map(|_| rec.budget / k));
-                }
-            }
+            return self.solve_dense(market);
         }
         let options = self
             .config
             .options
             .clone()
             .with_warm_start(WarmStart { bids: warm }.shared());
-        let (out, retry) = solve_sparse_with_retry(&market, &options, &self.config.retry)?;
+        let (out, retry) = solve_sparse_with_retry(market, &options, &self.config.retry)?;
+        let SparseOutcome {
+            bids,
+            prices,
+            utilities,
+            iterations,
+            report,
+            ..
+        } = out;
         if retry.converged {
             for (rec, i) in self.players.values_mut().zip(0..) {
-                rec.bids = Some(out.bids.row_vals(i).to_vec());
+                let row = bids.row_vals(i);
+                match &mut rec.bids {
+                    Some(stored) => {
+                        stored.clear();
+                        stored.extend_from_slice(row);
+                    }
+                    None => rec.bids = Some(row.to_vec()),
+                }
             }
         }
-        let alloc: Vec<f64> = (0..out.bids.players())
-            .flat_map(|i| out.allocation_of(i).into_iter().map(|(_, x)| x))
+        // `SparseOutcome::allocation_of` for every row at once:
+        // `x_ij = b_ij / p_j`, zero where the price is zero.
+        let alloc = bids
+            .vals()
+            .iter()
+            .zip(bids.cols())
+            .map(|(&b, &c)| {
+                let p = prices[c as usize];
+                if p > 0.0 {
+                    b / p
+                } else {
+                    0.0
+                }
+            })
             .collect();
         Ok((
-            (out.prices.clone(), alloc, out.utilities.clone()),
-            (retry.converged, out.iterations, out.report.residual),
+            (prices, alloc, utilities),
+            (retry.converged, iterations, report.residual),
         ))
     }
 
@@ -549,7 +599,6 @@ impl ServerCore {
     fn solve_dense(
         &mut self,
         market: &SparseMarket,
-        budgets: &[f64],
     ) -> ServerResult<((Vec<f64>, Vec<f64>, Vec<f64>), (bool, u64, f64))> {
         let m = self.config.capacities.len();
         let n = self.players.len();
@@ -575,7 +624,8 @@ impl ServerCore {
             }
             options = options.with_warm_start(WarmStart { bids: warm }.shared());
         }
-        let (out, retry) = solve_with_retry(&dense, budgets, &options, &self.config.retry)?;
+        let (out, retry) =
+            solve_with_retry(&dense, market.budgets(), &options, &self.config.retry)?;
         if retry.converged {
             let bids = out.bids.as_slice();
             for (i, rec) in self.players.values_mut().enumerate() {
@@ -650,14 +700,17 @@ impl ServerCore {
     }
 
     fn write_snapshot(&self) -> ServerResult<()> {
-        durable::write_atomic(&self.snapshot_path, &self.encode_snapshot()).map_err(|e| {
-            ServerError::Snapshot {
+        durable::write_atomic_with(&self.snapshot_path, |file| self.encode_snapshot(file)).map_err(
+            |e| ServerError::Snapshot {
                 reason: e.to_string(),
-            }
-        })
+            },
+        )
     }
 
-    fn encode_snapshot(&self) -> String {
+    /// Streams the snapshot into `out` in chunks of about
+    /// [`SNAPSHOT_CHUNK`] bytes: the text is never held whole, so the
+    /// buffer stays in cache and off the tick's peak memory.
+    fn encode_snapshot(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
         let mut w = Writer::default();
         w.line(SNAPSHOT_HEADER);
         w.section("config");
@@ -668,22 +721,23 @@ impl ServerCore {
         w.bool("degraded", self.degraded);
         w.kv("failures", self.consecutive_failures);
         w.kv("players", self.players.len());
-        for (k, (id, rec)) in self.players.iter().enumerate() {
-            w.section(format_args!("player {k}"));
-            w.kv("id", id);
+        for (k, (id, rec)) in (0..).zip(&self.players) {
+            w.indexed_section("player", k);
+            w.str("id", id);
             w.f64("budget", rec.budget);
-            w.key("interests");
-            for (i, &(c, weight)) in rec.interests.iter().enumerate() {
-                w.word(format_args!("{}{c}:", if i > 0 { " " } else { "" }));
-                w.f64_words(&[weight]);
-            }
-            w.end();
+            w.indexed_f64_list(
+                "interests",
+                rec.interests.iter().map(|&(c, v)| (u64::from(c), v)),
+            );
             if let Some(bids) = &rec.bids {
                 w.f64_list("bids", bids);
             }
+            if w.text().len() >= SNAPSHOT_CHUNK {
+                w.drain_to(out)?;
+            }
         }
         w.seal(SNAPSHOT_SEAL);
-        w.finish()
+        w.drain_to(out)
     }
 }
 
@@ -787,6 +841,7 @@ mod tests {
     use super::*;
     use crate::workload::WorkloadSpec;
     use rebudget_market::equilibrium::EquilibriumOptions;
+    use rebudget_sim::durable::fnv1a;
 
     fn config(solver: SolverKind) -> ServerConfig {
         ServerConfig {

@@ -12,7 +12,8 @@
 //! [`Writer`] writes that grammar and carries the running hash;
 //! [`lines`]/[`read_lines`] scan it back with the hash before each line;
 //! [`Document`] checks a [`Trailer`] and hands out borrowed [`Section`]s;
-//! [`write_atomic`] and [`load_with_fallback`] keep a `.prev` generation.
+//! [`write_atomic`]/[`write_atomic_with`] and [`load_with_fallback`] keep
+//! a `.prev` generation.
 
 use std::fmt::{self, Display, Write as _};
 use std::fs;
@@ -129,14 +130,63 @@ pub fn parse_f64(word: &str) -> Option<f64> {
     parse_hex(word).map(f64::from_bits)
 }
 
+/// `v`'s 16 lowercase hex digits, eight at a time: each half's nibbles
+/// are spread one per byte, most significant first, then shifted into
+/// `'0'..='9'` or `'a'..='f'` without a branch or a table.
+fn hex_digits(v: u64) -> [u8; 16] {
+    fn eight(half: u64) -> [u8; 8] {
+        let x = (half | half << 16) & 0x0000_ffff_0000_ffff;
+        let x = (x | x << 8) & 0x00ff_00ff_00ff_00ff;
+        let x = (x | x << 4) & 0x0f0f_0f0f_0f0f_0f0f;
+        // 0x01 in each byte whose nibble is 10 or more.
+        let letters = ((x + 0x0606_0606_0606_0606) >> 4) & 0x0101_0101_0101_0101;
+        (x + 0x3030_3030_3030_3030 + letters * (b'a' - b'0' - 10) as u64).to_be_bytes()
+    }
+    let mut digits = [0u8; 16];
+    digits[..8].copy_from_slice(&eight(v >> 32));
+    digits[8..].copy_from_slice(&eight(v & 0xffff_ffff));
+    digits
+}
+
+/// FNV-1a of `parts` joined by `separator`, computed without joining
+/// them.
+#[must_use]
+pub fn fnv1a_joined<'a>(parts: impl IntoIterator<Item = &'a str>, separator: &str) -> u64 {
+    parts
+        .into_iter()
+        .enumerate()
+        .fold(FNV_OFFSET, |hash, (i, part)| {
+            let hash = if i > 0 {
+                fnv1a_extend(hash, separator.as_bytes())
+            } else {
+                hash
+            };
+            fnv1a_extend(hash, part.as_bytes())
+        })
+}
+
+/// FNV-1a of `values` rendered as [`Writer::f64_words`] renders them,
+/// computed without rendering them into a buffer.
+#[must_use]
+pub fn fnv1a_f64_words(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut word = [b' '; 17];
+    let mut hash = FNV_OFFSET;
+    for (i, v) in values.into_iter().enumerate() {
+        word[1..].copy_from_slice(&hex_digits(v.to_bits()));
+        hash = fnv1a_extend(hash, &word[usize::from(i == 0)..]);
+    }
+    hash
+}
+
 /// Formats durable text into one buffer, allocating nothing per value,
-/// and hashes it lazily.
+/// and folds every byte into the running hash as it is written: the hash
+/// chain is latency-bound, so it runs alongside the formatting rather
+/// than in a second pass over the text.
 #[derive(Debug, Clone)]
 pub struct Writer {
     buf: String,
-    /// FNV-1a state over every drained byte plus `buf[..hashed]`.
+    /// FNV-1a state over every byte written, drained or not.
     state: u64,
-    hashed: usize,
 }
 
 impl Default for Writer {
@@ -152,36 +202,72 @@ impl Writer {
         Self {
             buf: String::new(),
             state,
-            hashed: 0,
         }
+    }
+
+    /// Appends `text` and folds it into the hash.
+    fn push(&mut self, text: &str) {
+        self.state = fnv1a_extend(self.state, text.as_bytes());
+        self.buf.push_str(text);
+    }
+
+    /// Appends ASCII `bytes` (digits, so the UTF-8 check always passes)
+    /// and folds them into the hash.
+    fn push_ascii(&mut self, bytes: &[u8]) {
+        if let Ok(text) = std::str::from_utf8(bytes) {
+            self.push(text);
+        }
+    }
+
+    /// Folds the bytes written since `start` by `write!`, which bypasses
+    /// [`Writer::push`], into the hash.
+    fn fold_from(&mut self, start: usize) {
+        self.state = fnv1a_extend(self.state, &self.buf.as_bytes()[start..]);
     }
 
     /// Appends `value`'s `Display` form.
     pub fn word(&mut self, value: impl Display) {
+        let start = self.buf.len();
         let _ = write!(self.buf, "{value}");
+        self.fold_from(start);
+    }
+
+    /// Appends `v` in decimal, as [`Writer::word`] would, without going
+    /// through `fmt`.
+    fn uint_word(&mut self, v: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = v;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        self.push_ascii(&digits[at..]);
     }
 
     /// Appends `values` as space-separated bits words.
     pub fn f64_words(&mut self, values: &[f64]) {
-        for (i, v) in values.iter().enumerate() {
+        for (i, &v) in values.iter().enumerate() {
             if i > 0 {
-                self.buf.push(' ');
+                self.push(" ");
             }
-            for shift in (0..16).rev() {
-                let nibble = (v.to_bits() >> (4 * shift)) as usize & 0xf;
-                self.buf.push(char::from(HEX_DIGITS[nibble]));
-            }
+            self.push_ascii(&hex_digits(v.to_bits()));
         }
     }
 
     /// Writes `text` as a whole line.
     pub fn line(&mut self, text: impl Display) {
-        let _ = writeln!(self.buf, "{text}");
+        self.word(text);
+        self.end();
     }
 
     /// Ends the current line.
     pub fn end(&mut self) {
-        self.buf.push('\n');
+        self.push("\n");
     }
 
     /// Writes `[name]`.
@@ -189,11 +275,21 @@ impl Writer {
         self.line(format_args!("[{name}]"));
     }
 
+    /// Writes `[name index]`, as `section(format_args!("{name} {index}"))`
+    /// would, without going through `fmt`.
+    pub fn indexed_section(&mut self, name: &str, index: u64) {
+        self.push("[");
+        self.push(name);
+        self.push(" ");
+        self.uint_word(index);
+        self.push("]\n");
+    }
+
     /// Starts a `key=` line for the caller to [`Writer::end`].
     pub fn key(&mut self, key: &str) {
         debug_assert!(!key.is_empty() && !key.contains(['=', '\n', '[']));
-        self.buf.push_str(key);
-        self.buf.push('=');
+        self.push(key);
+        self.push("=");
     }
 
     /// `key=value` in `value`'s `Display` form.
@@ -209,6 +305,33 @@ impl Writer {
             !self.buf[start..].contains('\n'),
             "`{key}` value has a newline"
         );
+        self.end();
+    }
+
+    /// `key=value` for a value that must not hold a newline; the same
+    /// bytes as [`Writer::kv`], without going through `fmt`.
+    ///
+    /// # Panics
+    ///
+    /// If `value` holds a newline, which would break the grammar.
+    pub fn str(&mut self, key: &str, value: &str) {
+        assert!(!value.contains('\n'), "`{key}` value has a newline");
+        self.key(key);
+        self.push(value);
+        self.end();
+    }
+
+    /// `key=` and space-separated `index:bits` words.
+    pub fn indexed_f64_list(&mut self, key: &str, items: impl IntoIterator<Item = (u64, f64)>) {
+        self.key(key);
+        for (i, (index, v)) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.push(" ");
+            }
+            self.uint_word(index);
+            self.push(":");
+            self.push_ascii(&hex_digits(v.to_bits()));
+        }
         self.end();
     }
 
@@ -246,9 +369,8 @@ impl Writer {
     }
 
     /// FNV-1a of every byte written so far, drained or not.
-    pub fn hash(&mut self) -> u64 {
-        self.state = fnv1a_extend(self.state, &self.buf.as_bytes()[self.hashed..]);
-        self.hashed = self.buf.len();
+    #[must_use]
+    pub fn hash(&self) -> u64 {
         self.state
     }
 
@@ -271,10 +393,8 @@ impl Writer {
     ///
     /// Whatever `out.write_all` returns.
     pub fn drain_to(&mut self, out: &mut impl Write) -> std::io::Result<()> {
-        self.hash();
         out.write_all(self.buf.as_bytes())?;
         self.buf.clear();
-        self.hashed = 0;
         Ok(())
     }
 }
@@ -625,10 +745,26 @@ pub fn prev_path(path: &Path) -> PathBuf {
 ///
 /// [`Error::Io`] naming the file an operation failed on.
 pub fn write_atomic(path: &Path, contents: &str) -> Result<(), Error> {
+    write_atomic_with(path, |file| file.write_all(contents.as_bytes()))
+}
+
+/// [`write_atomic`] for contents that `write` streams into the temp file,
+/// so a large file never has to be held whole in memory.
+///
+/// # Errors
+///
+/// [`Error::Io`] naming the file an operation, `write` included, failed
+/// on.
+pub fn write_atomic_with(
+    path: &Path,
+    write: impl FnOnce(&mut fs::File) -> std::io::Result<()>,
+) -> Result<(), Error> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    fs::write(&tmp, contents).map_err(|e| io_err(&tmp, &e))?;
+    fs::File::create(&tmp)
+        .and_then(|mut file| write(&mut file))
+        .map_err(|e| io_err(&tmp, &e))?;
     if path.exists() {
         let prev = prev_path(path);
         if prev.exists() {
@@ -727,6 +863,50 @@ mod tests {
         ] {
             assert_eq!(parse_f64(bad), None, "{bad}");
         }
+    }
+
+    #[test]
+    fn hex_digits_match_fmt() {
+        let mut v = 0x0123_4567_89ab_cdefu64;
+        for edge in [0, 9, 10, 15, 16, 0xa0, 0x9f, u64::MAX, 1 << 63] {
+            assert_eq!(hex_digits(edge), format!("{edge:016x}").as_bytes());
+        }
+        for _ in 0..10_000 {
+            // xorshift64: every nibble value lands in every position.
+            v ^= v << 13;
+            v ^= v >> 7;
+            v ^= v << 17;
+            assert_eq!(hex_digits(v), format!("{v:016x}").as_bytes());
+        }
+    }
+
+    #[test]
+    fn fmt_free_paths_write_the_fmt_bytes() {
+        let values = [1.0, -0.0, f64::NAN, 1e-310, f64::INFINITY];
+        let (mut fast, mut slow) = (Writer::default(), Writer::default());
+        for v in [0, 7, 10, 4_096, u64::MAX] {
+            fast.indexed_section("player", v);
+            slow.section(format_args!("player {v}"));
+        }
+        fast.str("id", "p42");
+        slow.kv("id", "p42");
+        fast.indexed_f64_list("interests", [(3, 0.5), (63, 2.0)]);
+        slow.key("interests");
+        slow.word("3:");
+        slow.f64_words(&[0.5]);
+        slow.word(" 63:");
+        slow.f64_words(&[2.0]);
+        slow.end();
+        fast.indexed_f64_list("none", []);
+        slow.kv("none", "");
+        assert_eq!(fast.text(), slow.text());
+        let mut words = Writer::default();
+        words.f64_words(&values);
+        assert_eq!(fnv1a_f64_words(values), words.hash());
+        assert_eq!(fnv1a_f64_words([]), FNV_OFFSET);
+        let ids = ["p1", "p10", "", "p2"];
+        assert_eq!(fnv1a_joined(ids, ";"), fnv1a(ids.join(";").as_bytes()));
+        assert_eq!(fnv1a_joined([], ";"), fnv1a(b""));
     }
 
     #[test]
@@ -875,8 +1055,13 @@ mod tests {
         let path = dir.join("file");
         write_atomic(&path, "one").unwrap();
         assert!(!prev_path(&path).exists());
-        write_atomic(&path, "two").unwrap();
+        write_atomic_with(&path, |file| {
+            file.write_all(b"t")?;
+            file.write_all(b"wo")
+        })
+        .unwrap();
         assert_eq!(read(&prev_path(&path)).unwrap(), "one");
+        assert_eq!(read(&path).unwrap(), "two");
         // A loader that rejects the live generation's contents.
         let reject_two = |p: &Path| match read(p)? {
             t if t == "two" => Err(format_err(0, "rejected".into())),
