@@ -1,13 +1,18 @@
-//! The first-order sweep kernel at the daemon's serve-churn shape, in
-//! nanoseconds per nonzero per sweep.
+//! The first-order sweep kernel, in nanoseconds per nonzero per sweep,
+//! on two row shapes.
 //!
-//! The market mirrors one `rebudget serve` tick of the serve-churn
-//! workload: 11 800 players with 1–6 interests each over 64 goods,
-//! weights in `[0.1, 10.1)`, budgets in `[50, 150)`, capacity 100. Each
-//! arm is solved cold once (untimed) to get a converged seed. Then 1% of
-//! budgets are rescaled and 1% of seed rows are reset to the equal split,
-//! as the daemon's churn does, and the warm-started re-solve to the
-//! online tolerance 1e-4 is what gets timed.
+//! * `churn` mirrors one `rebudget serve` tick of the serve-churn
+//!   workload: 11 800 players with 1–6 interests each over 64 goods,
+//!   weights in `[0.1, 10.1)`, budgets in `[50, 150)`, capacity 100 —
+//!   short rows of random length, cache-resident.
+//! * `long` is `SynthSpec`'s default shape (4–32 interests, mean ≈ 8)
+//!   at 20 000 players over 64 goods, the row shape of the scalability
+//!   bench's roofline.
+//!
+//! Each arm is solved cold once (untimed) to get a converged seed. Then
+//! 1% of budgets are rescaled and 1% of seed rows are reset to the equal
+//! split, as the daemon's churn does, and the warm-started re-solve to
+//! the online tolerance 1e-4 is what gets timed.
 //!
 //! A solve also pays per-solve set-up (initial bids, warm overlay,
 //! final utilities), so the per-sweep cost is the difference between the
@@ -23,9 +28,12 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rebudget_market::equilibrium::{EquilibriumOptions, WarmStart};
-use rebudget_market::{splitmix64, SolverKind, SparseBids, SparseMarket, SparseUtilityKind};
+use rebudget_market::{
+    splitmix64, SolverKind, SparseBids, SparseMarket, SparseUtilityKind, SynthSpec,
+};
 
 const PLAYERS: usize = 11_800;
+const LONG_PLAYERS: usize = 20_000;
 const RESOURCES: usize = 64;
 const TOLERANCE: f64 = 1e-4;
 
@@ -118,48 +126,53 @@ fn bench_sweep(c: &mut Criterion) {
         .and_then(|s| s.parse().ok())
         .filter(|&n: &usize| n > 0)
         .unwrap_or(15);
-    let base = churn_market(7101);
+    let long = SynthSpec::new(LONG_PLAYERS, RESOURCES, 7101)
+        .generate()
+        .expect("valid market");
     let mut group = c.benchmark_group("sweep");
-    for (label, solver) in [
-        ("propresp", SolverKind::ProportionalResponse),
-        ("mirror", SolverKind::MirrorDescent),
-    ] {
-        let mut options = EquilibriumOptions::large_scale().with_solver(solver);
-        options.price_tolerance = TOLERANCE;
-        let seed = base.solve(&options).expect("cold solve");
-        assert!(seed.converged(), "{label}: the seed solve converges");
-        let market = churned(&base);
-        let warm = options
-            .clone()
-            .with_warm_start(arrivals(&market, WarmStart::from_sparse(&seed)).shared());
-        let full = market.solve(&warm).expect("warm solve");
-        assert!(full.converged(), "{label}: the warm solve converges");
-        let sweeps = full.iterations;
-        let mut one = warm.clone();
-        one.max_iterations = 1;
-        let solve = |opts: &EquilibriumOptions| black_box(market.solve(opts).expect("solve"));
+    for (shape, base) in [("churn", churn_market(7101)), ("long", long)] {
+        for (solver_label, solver) in [
+            ("propresp", SolverKind::ProportionalResponse),
+            ("mirror", SolverKind::MirrorDescent),
+        ] {
+            let label = format!("{shape}/{solver_label}");
+            let mut options = EquilibriumOptions::large_scale().with_solver(solver);
+            options.price_tolerance = TOLERANCE;
+            let seed = base.solve(&options).expect("cold solve");
+            assert!(seed.converged(), "{label}: the seed solve converges");
+            let market = churned(&base);
+            let warm = options
+                .clone()
+                .with_warm_start(arrivals(&market, WarmStart::from_sparse(&seed)).shared());
+            let full = market.solve(&warm).expect("warm solve");
+            assert!(full.converged(), "{label}: the warm solve converges");
+            let sweeps = full.iterations;
+            let mut one = warm.clone();
+            one.max_iterations = 1;
+            let solve = |opts: &EquilibriumOptions| black_box(market.solve(opts).expect("solve"));
 
-        group.bench_function(format!("{label}/warm_solve_{sweeps}_sweeps"), |b| {
-            b.iter(|| solve(&warm))
-        });
-        group.bench_function(format!("{label}/warm_solve_1_sweep"), |b| {
-            b.iter(|| solve(&one))
-        });
-        let t_full = fastest(samples, || {
-            solve(&warm);
-        });
-        let t_one = fastest(samples, || {
-            solve(&one);
-        });
-        let nnz = market.nnz() as f64;
-        let per_sweep = (t_full - t_one) / (sweeps.saturating_sub(1).max(1)) as f64;
-        println!(
-            "sweep/{label}: {:.2} ns/nnz per sweep ({:.1} µs per sweep, {} sweeps, {} nnz)",
-            per_sweep / nnz * 1e9,
-            per_sweep * 1e6,
-            sweeps,
-            market.nnz()
-        );
+            group.bench_function(format!("{label}/warm_solve_{sweeps}_sweeps"), |b| {
+                b.iter(|| solve(&warm))
+            });
+            group.bench_function(format!("{label}/warm_solve_1_sweep"), |b| {
+                b.iter(|| solve(&one))
+            });
+            let t_full = fastest(samples, || {
+                solve(&warm);
+            });
+            let t_one = fastest(samples, || {
+                solve(&one);
+            });
+            let nnz = market.nnz() as f64;
+            let per_sweep = (t_full - t_one) / (sweeps.saturating_sub(1).max(1)) as f64;
+            println!(
+                "sweep/{label}: {:.2} ns/nnz per sweep ({:.1} µs per sweep, {} sweeps, {} nnz)",
+                per_sweep / nnz * 1e9,
+                per_sweep * 1e6,
+                sweeps,
+                market.nnz()
+            );
+        }
     }
     group.finish();
 }

@@ -290,12 +290,78 @@ fn good_ratios(kind: SparseUtilityKind, capacities: &[f64], money: &[f64], out: 
     }
 }
 
+/// Each block's rows in the order the step pass visits them: a stable
+/// counting sort of the block's rows by length, cut into runs of one
+/// length. Built once per solve. Random interest counts make a row's
+/// entry loop stop after a trip count the CPU cannot predict; within a
+/// run every row has the same length, so the loops of the short widths
+/// are fixed-size and fully unrolled.
+struct RowGroups {
+    /// Block-local row indices (`i − b·BLOCK_PLAYERS`), block after
+    /// block, ascending in length and in id order within a length.
+    order: Vec<u32>,
+    /// The runs of one length, block after block in ascending length.
+    /// Rows without entries have nothing to step and get no run.
+    runs: Vec<RowRun>,
+    /// `run_ptr[b]..run_ptr[b + 1]` are block `b`'s runs.
+    run_ptr: Vec<usize>,
+}
+
+/// `order[start..end]` are one block's rows of `len` entries.
+struct RowRun {
+    len: usize,
+    start: usize,
+    end: usize,
+}
+
+impl RowGroups {
+    fn new(row_ptr: &[usize]) -> Self {
+        let n = row_ptr.len() - 1;
+        let mut order = vec![0u32; n];
+        let mut runs = Vec::new();
+        let mut run_ptr = vec![0];
+        let mut count = Vec::new();
+        for p_lo in (0..n).step_by(BLOCK_PLAYERS) {
+            let rows = &row_ptr[p_lo..=(p_lo + BLOCK_PLAYERS).min(n)];
+            let lens = || rows.windows(2).map(|w| w[1] - w[0]);
+            // Counting sort: `count[len]` becomes the first slot of the
+            // rows of that length, then advances as they are placed.
+            count.clear();
+            count.resize(lens().max().unwrap_or(0) + 1, 0);
+            for len in lens() {
+                count[len] += 1;
+            }
+            let mut start = p_lo;
+            for (len, slot) in count.iter_mut().enumerate() {
+                let end = start + *slot;
+                if len > 0 && end > start {
+                    runs.push(RowRun { len, start, end });
+                }
+                *slot = start;
+                start = end;
+            }
+            for (r, len) in lens().enumerate() {
+                // A block holds BLOCK_PLAYERS rows, so `r` fits in u32.
+                order[count[len]] = r as u32;
+                count[len] += 1;
+            }
+            run_ptr.push(runs.len());
+        }
+        Self {
+            order,
+            runs,
+            run_ptr,
+        }
+    }
+}
+
 /// The read-only inputs of one sweep, shared by every block.
 struct SweepInputs<'a> {
     row_ptr: &'a [usize],
     cols: &'a [u32],
     weights: &'a [f64],
     budgets: &'a [f64],
+    groups: &'a RowGroups,
     /// This sweep's [`good_ratios`].
     ratios: &'a [f64],
     gamma: f64,
@@ -305,49 +371,39 @@ struct SweepInputs<'a> {
 /// One block's body of a sweep, specialised by [`step_weight`]'s flags.
 type BlockBody = fn(&SweepInputs<'_>, usize, &mut [f64], &mut [f64]);
 
-/// Sweeps the players of block `b`. `band` holds their CSR bid values and
-/// `aux` is the block's scratch: `m` partial column sums, the sanitized
-/// row count, then room for one row's step weights.
+/// Steps the block's rows `rows` (block-local indices, all of
+/// `steps.len()` entries) in place and returns how many it had to keep
+/// because their step total was not finite. `band` holds the block's
+/// CSR bid values, `band[0]` being entry `base`.
 ///
-/// Per player, pass 1 stores each entry's step weight in the scratch and
-/// totals them; pass 2 writes `scale · weight` (damped if `damping < 1`)
-/// and accumulates the partial column sums. A row whose total is not
-/// finite is kept and counted; one whose total is not positive (zero
-/// budget, or every good unfunded) is kept silently.
-fn sweep_block<const LEONTIEF: bool, const UNIT: bool>(
+/// Per row, each entry's step weight from the old row goes into `steps`
+/// and is totalled left to right; the row becomes `scale · weight`
+/// (damped if `damping < 1`). A row whose total is not finite is kept
+/// and counted; one whose total is not positive (zero budget, or every
+/// good unfunded) is kept silently.
+///
+/// Inlined into [`step_run`], where `steps` is an array, so every entry
+/// loop has a trip count known at compile time.
+#[inline(always)]
+fn step_rows<const LEONTIEF: bool, const UNIT: bool>(
     s: &SweepInputs<'_>,
-    b: usize,
+    p_lo: usize,
+    base: usize,
+    rows: &[u32],
     band: &mut [f64],
-    aux: &mut [f64],
-) {
-    let m = s.ratios.len();
-    let (sums, rest) = aux.split_at_mut(m);
-    let (sanitized, steps) = rest.split_at_mut(1);
-    sums.fill(0.0);
-    sanitized[0] = 0.0;
-    let n = s.budgets.len();
-    let (p_lo, p_hi) = ((b * BLOCK_PLAYERS).min(n), ((b + 1) * BLOCK_PLAYERS).min(n));
-    let (base, end) = (s.row_ptr[p_lo], s.row_ptr[p_hi]);
+    steps: &mut [f64],
+) -> u64 {
+    let len = steps.len();
     let keep = 1.0 - s.damping;
-    // Each row is split off the front of the block's slices: the row loop
-    // then carries no offset arithmetic and few bounds checks.
-    let (mut band, mut cols, mut weights) = (band, &s.cols[base..end], &s.weights[base..end]);
-    for (&budget, bounds) in s.budgets[p_lo..p_hi]
-        .iter()
-        .zip(s.row_ptr[p_lo..=p_hi].windows(2))
-    {
-        let len = bounds[1] - bounds[0];
-        let (row, rest) = std::mem::take(&mut band).split_at_mut(len);
-        band = rest;
-        let (row_cols, rest) = cols.split_at(len);
-        cols = rest;
-        let (row_weights, rest) = weights.split_at(len);
-        weights = rest;
-        let row_steps = &mut steps[..len];
-        // Pass 1: each entry's step weight from the old row, and their
-        // total.
+    let mut sanitized = 0;
+    for &r in rows {
+        let i = p_lo + r as usize;
+        let lo = s.row_ptr[i];
+        let row = &mut band[lo - base..lo - base + len];
+        let row_cols = &s.cols[lo..lo + len];
+        let row_weights = &s.weights[lo..lo + len];
         let mut w_sum = 0.0;
-        for (((step, &bid), &c), &w) in row_steps
+        for (((step, &bid), &c), &w) in steps
             .iter_mut()
             .zip(row.iter())
             .zip(row_cols)
@@ -358,42 +414,87 @@ fn sweep_block<const LEONTIEF: bool, const UNIT: bool>(
         }
         if !(w_sum.is_finite() && w_sum > 0.0) {
             // Keep the old row; it still carries money.
-            if !w_sum.is_finite() {
-                sanitized[0] += 1.0;
-            }
-            for (&bid, &c) in row.iter().zip(row_cols) {
-                sums[c as usize] += bid;
-            }
+            sanitized += u64::from(!w_sum.is_finite());
             continue;
         }
-        // Pass 2: write the (damped) step and accumulate this block's
-        // partial column sums.
-        let scale = budget / w_sum;
-        let entries = row.iter_mut().zip(row_cols).zip(row_steps.iter());
+        let scale = s.budgets[i] / w_sum;
         if s.damping < 1.0 {
-            for ((bid, &c), &step) in entries {
-                let next = keep * *bid + s.damping * (scale * step);
-                *bid = next;
-                sums[c as usize] += next;
+            for (bid, &step) in row.iter_mut().zip(steps.iter()) {
+                *bid = keep * *bid + s.damping * (scale * step);
             }
         } else {
-            for ((bid, &c), &step) in entries {
-                let next = scale * step;
-                *bid = next;
-                sums[c as usize] += next;
+            for (bid, &step) in row.iter_mut().zip(steps.iter()) {
+                *bid = scale * step;
             }
         }
+    }
+    sanitized
+}
+
+/// [`step_rows`] for one run of rows of exactly `L` entries.
+fn step_run<const LEONTIEF: bool, const UNIT: bool, const L: usize>(
+    s: &SweepInputs<'_>,
+    p_lo: usize,
+    base: usize,
+    rows: &[u32],
+    band: &mut [f64],
+) -> u64 {
+    step_rows::<LEONTIEF, UNIT>(s, p_lo, base, rows, band, &mut [0.0; L])
+}
+
+/// Sweeps the players of block `b`. `band` holds their CSR bid values and
+/// `aux` is the block's scratch: `m` partial column sums, the sanitized
+/// row count, then room for one long row's step weights.
+///
+/// The step pass visits the block's rows grouped by length
+/// ([`RowGroups`]): runs of 1–8 entries go through a body specialised to
+/// that width, longer ones through the slice body. The column-sum pass
+/// then adds every value of the block into its partial sums in storage
+/// order — the same f64 additions in the same order as a row-by-row
+/// sweep, so the sums are bit-identical to one.
+fn sweep_block<const LEONTIEF: bool, const UNIT: bool>(
+    s: &SweepInputs<'_>,
+    b: usize,
+    band: &mut [f64],
+    aux: &mut [f64],
+) {
+    let m = s.ratios.len();
+    let (sums, rest) = aux.split_at_mut(m);
+    let (sanitized, steps) = rest.split_at_mut(1);
+    let p_lo = b * BLOCK_PLAYERS;
+    let base = s.row_ptr[p_lo];
+    let groups = s.groups;
+    let mut kept = 0;
+    for run in &groups.runs[groups.run_ptr[b]..groups.run_ptr[b + 1]] {
+        let rows = &groups.order[run.start..run.end];
+        kept += match run.len {
+            1 => step_run::<LEONTIEF, UNIT, 1>(s, p_lo, base, rows, band),
+            2 => step_run::<LEONTIEF, UNIT, 2>(s, p_lo, base, rows, band),
+            3 => step_run::<LEONTIEF, UNIT, 3>(s, p_lo, base, rows, band),
+            4 => step_run::<LEONTIEF, UNIT, 4>(s, p_lo, base, rows, band),
+            5 => step_run::<LEONTIEF, UNIT, 5>(s, p_lo, base, rows, band),
+            6 => step_run::<LEONTIEF, UNIT, 6>(s, p_lo, base, rows, band),
+            7 => step_run::<LEONTIEF, UNIT, 7>(s, p_lo, base, rows, band),
+            8 => step_run::<LEONTIEF, UNIT, 8>(s, p_lo, base, rows, band),
+            len => step_rows::<LEONTIEF, UNIT>(s, p_lo, base, rows, band, &mut steps[..len]),
+        };
+    }
+    sanitized[0] = kept as f64;
+    sums.fill(0.0);
+    for (&bid, &c) in band.iter().zip(&s.cols[base..base + band.len()]) {
+        sums[c as usize] += bid;
     }
 }
 
 /// The sparse sweep kernel: one market's CSR structure, its fixed
-/// player blocks and their reused scratch.
+/// player blocks, their rows grouped by length and their reused scratch.
 struct Kernel<'a> {
     market: &'a SparseMarket,
     gamma: f64,
     body: BlockBody,
     /// `block_ptr[b]` is the CSR value offset where block `b` begins.
     block_ptr: Vec<usize>,
+    groups: RowGroups,
     /// Per-block scratch, `stride` values each (see [`sweep_block`]).
     aux: Vec<f64>,
     stride: usize,
@@ -426,6 +527,7 @@ impl<'a> Kernel<'a> {
             gamma,
             body,
             block_ptr,
+            groups: RowGroups::new(row_ptr),
             aux: vec![0.0; blocks * stride],
             stride,
             ratios: vec![0.0; m],
@@ -451,6 +553,7 @@ impl<'a> Kernel<'a> {
             cols: interests.cols(),
             weights: interests.vals(),
             budgets: market.budgets(),
+            groups: &self.groups,
             ratios: &self.ratios,
             gamma: self.gamma,
             damping,
@@ -482,10 +585,11 @@ impl<'a> Kernel<'a> {
 /// Solves a sparse market with the multiplicative dynamics at step `γ`
 /// (γ = 1 is proportional response; γ < 1 is mirror descent).
 ///
-/// Per iteration this makes two passes over each player's own CSR row
-/// (one to compute and total the step weights, one to write the damped
-/// step and accumulate the block's partial column sums) — `O(nnz)` work,
-/// zero allocation, and bit-identical results under every thread count.
+/// Per iteration each block makes a step pass over its players' CSR
+/// rows, grouped by row length, that writes each row's damped step in
+/// place, then a column-sum pass over its values in storage order into
+/// the block's partial column sums — `O(nnz)` work, zero allocation, and
+/// bit-identical results under every thread count.
 pub(crate) fn solve_sparse(
     market: &SparseMarket,
     options: &EquilibriumOptions,
@@ -607,7 +711,7 @@ pub(crate) fn solve_sparse(
 mod tests {
     use super::*;
     use crate::sparse::{SparseBids, SynthSpec};
-    use crate::ParallelPolicy;
+    use crate::{splitmix64, ParallelPolicy};
 
     /// The unspecialised step weight the kernel replaced: one `match` on
     /// the utility family and one γ = 1 test per entry.
@@ -639,9 +743,10 @@ mod tests {
     }
 
     /// The generic sweep the specialised kernel replaced, kept as the
-    /// reference it must match bit for bit: per-entry dispatch, the
-    /// damping test inside the entry loop, and the step weight evaluated
-    /// again in pass 2.
+    /// reference it must match bit for bit: rows in id order, each
+    /// stepped and added into the column sums before the next, per-entry
+    /// dispatch, the damping test inside the entry loop, and the step
+    /// weight evaluated again in pass 2.
     fn reference_sweep(
         market: &SparseMarket,
         gamma: f64,
@@ -754,47 +859,144 @@ mod tests {
         SparseMarket::new(vec![1.0; m], budgets, interests, kind).unwrap()
     }
 
+    /// Six sweeps of the kernel against [`reference_sweep`] from the equal
+    /// split, at damping 1 and 0.5, comparing every `vals` and `money` bit
+    /// and the sanitized counts. The market's row 17 overflows to a
+    /// non-finite total and its second-to-last player has a zero budget.
+    fn assert_kernel_matches_reference(market: &SparseMarket, gamma: f64) {
+        for damping in [1.0, 0.5] {
+            let what = format!("{:?} γ={gamma} damping={damping}", market.kind());
+            let mut kernel = Kernel::new(market, gamma, ParallelPolicy::Threads(2));
+            let mut vals = vec![0.0; market.nnz()];
+            let row_ptr = market.interests().row_ptr();
+            for i in 0..market.players() {
+                let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+                vals[lo..hi].fill(market.budgets()[i] / (hi - lo) as f64);
+            }
+            let mut reference_vals = vals.clone();
+            let mut money = market.interests().with_vals(vals.clone()).column_sums();
+            let (mut next, mut reference_next) = (money.clone(), money.clone());
+            let mut sanitized_total = 0;
+            for iteration in 0..6 {
+                let sanitized = kernel.sweep(&mut vals, &money, damping, &mut next);
+                let reference = reference_sweep(
+                    market,
+                    gamma,
+                    &mut reference_vals,
+                    &money,
+                    damping,
+                    &mut reference_next,
+                );
+                assert_eq!(sanitized, reference, "{what}, iteration {iteration}");
+                assert!(same_bits(&vals, &reference_vals), "{what}: vals");
+                assert!(same_bits(&next, &reference_next), "{what}: money");
+                sanitized_total += sanitized;
+                money.clone_from(&next);
+            }
+            assert!(sanitized_total > 0, "{what}: the overflowing row is kept");
+            let broke = market.players() - 2;
+            assert!(vals[row_ptr[broke]..row_ptr[broke + 1]]
+                .iter()
+                .all(|&v| v == 0.0));
+        }
+    }
+
     #[test]
     fn specialised_kernel_matches_the_generic_sweep_bit_for_bit() {
         for kind in [SparseUtilityKind::Linear, SparseUtilityKind::Leontief] {
             for (seed, gamma) in [(3, 1.0), (4, 0.7)] {
-                let market = kernel_market(kind, seed);
-                for damping in [1.0, 0.5] {
-                    let what = format!("{kind:?} γ={gamma} damping={damping}");
-                    let mut kernel = Kernel::new(&market, gamma, ParallelPolicy::Threads(2));
-                    let mut vals = vec![0.0; market.nnz()];
-                    let row_ptr = market.interests().row_ptr();
-                    for i in 0..market.players() {
-                        let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-                        vals[lo..hi].fill(market.budgets()[i] / (hi - lo) as f64);
-                    }
-                    let mut reference_vals = vals.clone();
-                    let mut money = market.interests().with_vals(vals.clone()).column_sums();
-                    let (mut next, mut reference_next) = (money.clone(), money.clone());
-                    let mut sanitized_total = 0;
-                    for iteration in 0..6 {
-                        let sanitized = kernel.sweep(&mut vals, &money, damping, &mut next);
-                        let reference = reference_sweep(
-                            &market,
-                            gamma,
-                            &mut reference_vals,
-                            &money,
-                            damping,
-                            &mut reference_next,
-                        );
-                        assert_eq!(sanitized, reference, "{what}, iteration {iteration}");
-                        assert!(same_bits(&vals, &reference_vals), "{what}: vals");
-                        assert!(same_bits(&next, &reference_next), "{what}: money");
-                        sanitized_total += sanitized;
-                        money.clone_from(&next);
-                    }
-                    assert!(sanitized_total > 0, "{what}: the overflowing row is kept");
-                    let broke = market.players() - 2;
-                    assert!(vals[row_ptr[broke]..row_ptr[broke + 1]]
-                        .iter()
-                        .all(|&v| v == 0.0));
-                }
+                assert_kernel_matches_reference(&kernel_market(kind, seed), gamma);
             }
+        }
+    }
+
+    /// A seeded market of `kind` over two blocks whose row lengths are
+    /// 0–12 in shuffled id order, every length present in every block,
+    /// with `kernel_market`'s overflowing row at 17 and a zero-budget
+    /// player second to last.
+    fn mixed_length_market(kind: SparseUtilityKind, seed: u64) -> SparseMarket {
+        let (n, m) = (BLOCK_PLAYERS + 300, 16);
+        let hash = |i: usize, salt: u64| splitmix64(seed ^ splitmix64(i as u64) ^ salt);
+        let mut rows: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|i| {
+                let len = (hash(i, 1) % 13) as usize;
+                let first = (hash(i, 2) % m as u64) as usize;
+                (0..len)
+                    .map(|k| {
+                        let c = (first + k) % m;
+                        (c, 0.1 + (hash(i, 100 + k as u64) % 1_000) as f64 / 100.0)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut budgets: Vec<f64> = (0..n)
+            .map(|i| 1.0 + (hash(i, 3) % 1_000) as f64 / 10.0)
+            .collect();
+        rows[17] = vec![(3, f64::MAX), (7, f64::MAX)];
+        budgets[17] = f64::MAX;
+        rows[n - 2] = vec![(0, 1.0), (5, 2.0)];
+        budgets[n - 2] = 0.0;
+        let interests = SparseBids::from_rows(m, rows).unwrap();
+        SparseMarket::new(vec![1.0; m], budgets, interests, kind).unwrap()
+    }
+
+    #[test]
+    fn grouped_kernel_matches_the_generic_sweep_on_every_row_length() {
+        for kind in [SparseUtilityKind::Linear, SparseUtilityKind::Leontief] {
+            for (seed, gamma) in [(5, 1.0), (6, 0.7)] {
+                let market = mixed_length_market(kind, seed);
+                let row_ptr = market.interests().row_ptr();
+                for p_lo in [0, BLOCK_PLAYERS] {
+                    let p_hi = (p_lo + BLOCK_PLAYERS).min(market.players());
+                    let mut lens: Vec<usize> =
+                        (p_lo..p_hi).map(|i| row_ptr[i + 1] - row_ptr[i]).collect();
+                    lens.sort_unstable();
+                    lens.dedup();
+                    assert_eq!(lens, (0..=12).collect::<Vec<_>>(), "block at {p_lo}");
+                }
+                assert_kernel_matches_reference(&market, gamma);
+            }
+        }
+    }
+
+    #[test]
+    fn row_groups_sort_each_block_by_length_then_id() {
+        let market = mixed_length_market(SparseUtilityKind::Linear, 5);
+        let row_ptr = market.interests().row_ptr();
+        let groups = RowGroups::new(row_ptr);
+        let n = market.players();
+        assert_eq!(groups.run_ptr.len(), n.div_ceil(BLOCK_PLAYERS) + 1);
+        for (b, p_lo) in (0..n).step_by(BLOCK_PLAYERS).enumerate() {
+            let p_hi = (p_lo + BLOCK_PLAYERS).min(n);
+            let len = |r: u32| row_ptr[p_lo + r as usize + 1] - row_ptr[p_lo + r as usize];
+            let order = &groups.order[p_lo..p_hi];
+            let mut sorted = order.to_vec();
+            sorted.sort_unstable();
+            assert!(
+                sorted.iter().copied().eq(0..(p_hi - p_lo) as u32),
+                "block {b}: a permutation of its rows"
+            );
+            assert!(
+                order
+                    .windows(2)
+                    .all(|w| (len(w[0]), w[0]) < (len(w[1]), w[1])),
+                "block {b}: ascending in length, then in id"
+            );
+            // The runs tile the block's rows that have entries, one run
+            // per length.
+            let runs = &groups.runs[groups.run_ptr[b]..groups.run_ptr[b + 1]];
+            let first = order.iter().take_while(|&&r| len(r) == 0).count();
+            let mut at = p_lo + first;
+            for run in runs {
+                assert_eq!(run.start, at, "block {b}: runs are contiguous");
+                assert!(run.end > run.start);
+                assert!(groups.order[run.start..run.end]
+                    .iter()
+                    .all(|&r| len(r) == run.len));
+                at = run.end;
+            }
+            assert_eq!(at, p_hi, "block {b}: the runs reach the block's end");
+            assert!(runs.windows(2).all(|w| w[0].len < w[1].len));
         }
     }
 
