@@ -30,7 +30,6 @@ pub mod stack;
 pub mod talus;
 pub mod ucp;
 pub mod umon;
-pub mod way_partition;
 
 pub use config::{CacheConfig, CacheError};
 pub use miss_curve::MissCurve;

@@ -14,7 +14,11 @@
 //! rebudget synth <PLAYERS> <RESOURCES>   solve a synthetic sparse market
 //! rebudget theory <MUR> <MBR>            evaluate the Theorem 1/2 bounds
 //! rebudget scenario <list|check|run|audit> declarative adversarial scenarios
+//! rebudget serve --state-dir=DIR ...     run the online market daemon
 //! ```
+//!
+//! [`run`] dispatches on the first argument to one function per
+//! subcommand, which pulls out only the flags it reads.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -29,7 +33,7 @@ use rebudget_core::sweep::{sweep_oracle, sweep_point, sweep_steps, SweepPoint};
 use rebudget_core::theory::{ef_lower_bound, poa_lower_bound};
 use rebudget_market::equilibrium::EquilibriumOptions;
 use rebudget_market::{
-    DeadlineBudget, FaultPlan, ParallelPolicy, RetryPolicy, SolverKind, SparseUtilityKind,
+    DeadlineBudget, FaultPlan, Market, ParallelPolicy, RetryPolicy, SolverKind, SparseUtilityKind,
     SynthSpec,
 };
 use rebudget_scenario::{run_scenario, Scenario, ScenarioError};
@@ -102,13 +106,15 @@ rebudget — market-based multicore resource allocation (ReBudget, ASPLOS'16)
 USAGE:
     rebudget apps
     rebudget workloads <CATEGORY> <CORES> [SEED]
-    rebudget solve <CATEGORY|bbpc> <CORES> [MECHANISM] [STEP]
+    rebudget solve <CATEGORY|bbpc> <CORES> [MECHANISM] [STEP] [--solver=NAME]
+                   [--deadline-ms=N] [--solve-iters=N] [--retries=N]
     rebudget sweep <CATEGORY|bbpc> <CORES> [--checkpoint=PATH] [--resume=PATH]
     rebudget simulate <CATEGORY|bbpc> <CORES> [QUANTA] [--seed=N] [--faults=SPEC]
                       [--mechanism=NAME] [--checkpoint=PATH] [--checkpoint-every=N]
-                      [--resume=PATH] [--deadline-ms=N] [--solve-iters=N] [--retries=N]
-    rebudget synth <PLAYERS> <RESOURCES> [--seed=N] [--tol=X] [--solve-iters=N]
-                   [--leontief]
+                      [--resume=PATH] [--solver=NAME] [--deadline-ms=N]
+                      [--solve-iters=N] [--retries=N]
+    rebudget synth <PLAYERS> <RESOURCES> [--seed=N] [--tol=X] [--leontief]
+                   [--solver=NAME] [--deadline-ms=N] [--solve-iters=N]
     rebudget theory <MUR> <MBR>
     rebudget scenario list <DIR|FILE>...
     rebudget scenario check <DIR|FILE>...
@@ -122,18 +128,18 @@ USAGE:
 
 CATEGORY:   CPBN | CCPP | CPBB | BBNN | BBPN | BBCN (case-insensitive)
 MECHANISM:  equalshare | equalbudget | balanced | rebudget | maxefficiency
-SOLVER:     every market-backed subcommand accepts --solver=NAME selecting
+SOLVER:     solve, simulate, synth and serve accept --solver=NAME selecting
             the equilibrium engine: jacobi (dense best-response, the
             paper's engine, the default), propresp (first-order
             proportional response), mirror (first-order entropic mirror
             descent). synth is sparse-only: it defaults to propresp and
-            rejects jacobi.
+            rejects jacobi; serve also defaults to propresp.
 FAULTS:     comma-separated spec injecting telemetry/solver faults, e.g.
             --faults=noise=0.1,drop=0.05,liars=2 — keys: noise, spike,
             spike-mag, stale, stale-depth, drop, nan, liars, liar-factor,
             seed (defaults to --seed)
 RECOVERY:   --checkpoint writes an atomic snapshot every --checkpoint-every
-            quanta (default 1; sweep: every point); --resume replays a
+            quanta (default 1; sweep snapshots every point); --resume replays a
             snapshot and continues. simulate snapshots cover one mechanism,
             so --checkpoint/--resume require --mechanism.
 DEADLINES:  --solve-iters bounds each equilibrium solve's iterations,
@@ -166,7 +172,8 @@ OBSERVING:  every subcommand also accepts --trace=PATH (write a JSONL
             --metrics (append a counters/gauges/histograms section), and
             --profile (append per-span wall-clock timings). Tracing never
             changes allocations: a traced run is bit-identical to an
-            untraced one.
+            untraced one. Any other flag a subcommand does not read is a
+            usage error.
 ";
 
 /// Solver-robustness knobs shared by all market-backed mechanisms.
@@ -178,11 +185,6 @@ pub struct SolverKnobs {
     pub retry: Option<RetryPolicy>,
     /// Equilibrium engine for the inner solves (`--solver=`).
     pub solver: SolverKind,
-}
-
-/// Parses a mechanism name (with an optional ReBudget step).
-pub fn parse_mechanism(name: &str, step: Option<f64>) -> Result<Box<dyn Mechanism>, CliError> {
-    parse_mechanism_with(name, step, SolverKnobs::default())
 }
 
 /// Parses a mechanism name and installs deadline/retry solver knobs.
@@ -244,8 +246,27 @@ fn system_for(cores: usize) -> (SystemConfig, DramConfig) {
     (sys, DramConfig::ddr3_1600())
 }
 
+/// The bundle for `category` (seed 1) and its market on a `cores`-core
+/// system.
+fn bundle_market(category: &str, cores: usize) -> Result<(Bundle, Market), CliError> {
+    let bundle = parse_bundle(category, cores, 1)?;
+    let (sys, dram) = system_for(cores);
+    let market = build_market(&bundle, &sys, &dram, 100.0).map_err(|e| err(e.to_string()))?;
+    Ok((bundle, market))
+}
+
 fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, CliError> {
     s.parse().map_err(|_| err(format!("invalid {what}: '{s}'")))
+}
+
+/// Parses the positional argument at `index`; a missing one is a usage
+/// error.
+fn positional<T: std::str::FromStr>(
+    args: &[String],
+    index: usize,
+    what: &str,
+) -> Result<T, CliError> {
+    parse(args.get(index).ok_or_else(|| err(USAGE))?, what)
 }
 
 /// Removes a bare boolean `--name` switch from `args`; true if present.
@@ -278,6 +299,71 @@ fn extract_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, Cl
     }
     Ok(None)
 }
+
+/// Removes `--name` from `args` like [`extract_flag`] and parses its value
+/// as `what`.
+fn flag<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    name: &str,
+    what: &str,
+) -> Result<Option<T>, CliError> {
+    extract_flag(args, name)?
+        .map(|s| parse(&s, what))
+        .transpose()
+}
+
+/// Rejects the first `--flag` left in `args`: one `command` does not read.
+fn reject_unread_flags(command: &str, args: &[String]) -> Result<(), CliError> {
+    match args.iter().find(|a| a.starts_with("--")) {
+        Some(flag) => Err(err(format!("unexpected {command} argument '{flag}'"))),
+        None => Ok(()),
+    }
+}
+
+/// Removes the solver flags from `args`: `--deadline-ms`, `--solve-iters`,
+/// `--retries` (only if `retries`) and `--solver` (`default` if absent).
+fn solver_knobs(
+    args: &mut Vec<String>,
+    default: SolverKind,
+    retries: bool,
+) -> Result<SolverKnobs, CliError> {
+    let deadline_ms: Option<u64> = flag(args, "deadline-ms", "deadline (ms)")?;
+    let solve_iters: Option<usize> = flag(args, "solve-iters", "solve iteration budget")?;
+    let retries: Option<usize> = if retries {
+        flag(args, "retries", "retry count")?
+    } else {
+        None
+    };
+    let solver = match extract_flag(args, "solver")? {
+        Some(name) => SolverKind::parse(&name).ok_or_else(|| {
+            err(format!(
+                "unknown solver '{name}' (expected jacobi | propresp | mirror)"
+            ))
+        })?,
+        None => default,
+    };
+    Ok(SolverKnobs {
+        // `checked` rejects zero budgets (they admit no work) as a
+        // usage error before any solve runs.
+        deadline: DeadlineBudget::checked(deadline_ms, solve_iters)
+            .map_err(|e| err(e.to_string()))?,
+        retry: retries.map(|n| RetryPolicy::with_attempts(n.saturating_add(1))),
+        solver,
+    })
+}
+
+/// Removes `--tol` from `args`; it must be a positive number.
+fn tolerance(args: &mut Vec<String>) -> Result<Option<f64>, CliError> {
+    let tol: Option<f64> = flag(args, "tol", "tolerance")?;
+    if tol.is_some_and(|t| !(t.is_finite() && t > 0.0)) {
+        return Err(err("--tol must be a positive number"));
+    }
+    Ok(tol)
+}
+
+/// Note for a resume that fell back to the rotated previous snapshot.
+const PREV_GENERATION_NOTE: &str = "resume used the rotated .prev snapshot generation \
+                                    (live snapshot failed validation)";
 
 /// Expands scenario arguments: a directory contributes every `*.toml`
 /// directly inside it (sorted by name, so CI matrices are order-stable);
@@ -451,52 +537,222 @@ profile (wall-clock per span):
 }
 
 fn dispatch(args: &[String], notes: &mut Vec<String>) -> Result<String, CliError> {
+    let rest = args.get(1..).unwrap_or_default().to_vec();
+    match args.first().map(String::as_str) {
+        Some("apps") => apps(&rest),
+        Some("workloads") => workloads(&rest),
+        Some("solve") => solve(rest),
+        Some("sweep") => sweep(rest, notes),
+        Some("simulate") => simulate(rest, notes),
+        Some("synth") => synth(rest, notes),
+        Some("theory") => theory(&rest),
+        Some("scenario") => scenario(rest),
+        Some("serve") => serve(rest),
+        Some("help" | "--help" | "-h") | None => Ok(USAGE.to_string()),
+        Some(other) => Err(err(format!("unknown command '{other}'\n\n{USAGE}"))),
+    }
+}
+
+fn apps(args: &[String]) -> Result<String, CliError> {
+    reject_unread_flags("apps", args)?;
     let mut out = String::new();
-    let mut args = args.to_vec();
-    let seed: Option<u64> = extract_flag(&mut args, "seed")?
-        .map(|s| parse(&s, "seed"))
-        .transpose()?;
-    let mechanism_flag: Option<String> = extract_flag(&mut args, "mechanism")?;
-    let checkpoint: Option<PathBuf> = extract_flag(&mut args, "checkpoint")?.map(PathBuf::from);
-    let checkpoint_every: usize = extract_flag(&mut args, "checkpoint-every")?
-        .map(|s| parse(&s, "checkpoint interval"))
+    writeln!(
+        out,
+        "{:<12} {:<14} {:<6} {:>10} {:>11} {:>9}",
+        "name", "suite", "class", "cache-gain", "power-gain", "activity"
+    )
+    .expect("writing to String cannot fail");
+    for app in all_apps() {
+        let s = sensitivity(app, &PerfEnv::paper(), &Envelope::paper());
+        writeln!(
+            out,
+            "{:<12} {:<14} {:<6} {:>10.3} {:>11.3} {:>9.2}",
+            app.name,
+            format!("{:?}", app.suite),
+            app.class.letter(),
+            s.cache_gain,
+            s.power_gain,
+            app.activity
+        )
+        .expect("writing to String cannot fail");
+    }
+    Ok(out)
+}
+
+fn workloads(args: &[String]) -> Result<String, CliError> {
+    reject_unread_flags("workloads", args)?;
+    let category = args.first().ok_or_else(|| err(USAGE))?;
+    let cores: usize = positional(args, 1, "core count")?;
+    let seed: u64 = args
+        .get(2)
+        .map(|s| parse(s, "seed"))
         .transpose()?
         .unwrap_or(1);
+    let cat = Category::from_name(category)
+        .ok_or_else(|| err(format!("unknown category '{category}'")))?;
+    let mut out = String::new();
+    for index in 0..5 {
+        let b = generate_bundle(cat, cores, index, seed).map_err(|e| err(e.to_string()))?;
+        writeln!(out, "{}: {}", b.label(), b.app_names().join(" "))
+            .expect("writing to String cannot fail");
+    }
+    Ok(out)
+}
+
+fn solve(mut args: Vec<String>) -> Result<String, CliError> {
+    let knobs = solver_knobs(&mut args, SolverKind::default(), true)?;
+    reject_unread_flags("solve", &args)?;
+    let category = args.first().ok_or_else(|| err(USAGE))?;
+    let cores: usize = positional(&args, 1, "core count")?;
+    let step: Option<f64> = args.get(3).map(|s| parse(s, "step")).transpose()?;
+    let mech = parse_mechanism_with(args.get(2).map_or("rebudget", String::as_str), step, knobs)?;
+    let (bundle, market) = bundle_market(category, cores)?;
+    let o = mech.allocate(&market).map_err(|e| err(e.to_string()))?;
+    let mut out = String::new();
+    writeln!(out, "bundle      {}", bundle.label()).expect("infallible");
+    writeln!(out, "mechanism   {}", o.mechanism).expect("infallible");
+    writeln!(
+        out,
+        "efficiency  {:.4} (weighted speedup, max {})",
+        o.efficiency, cores
+    )
+    .expect("infallible");
+    writeln!(out, "envy-free   {:.4}", o.envy_freeness).expect("infallible");
+    if let (Some(mur), Some(mbr)) = (o.mur, o.mbr) {
+        writeln!(
+            out,
+            "MUR         {mur:.4}  (PoA floor {:.4})",
+            poa_lower_bound(mur)
+        )
+        .expect("infallible");
+        writeln!(
+            out,
+            "MBR         {mbr:.4}  (EF floor {:.4})",
+            ef_lower_bound(mbr)
+        )
+        .expect("infallible");
+        writeln!(
+            out,
+            "rounds      {} ({} iterations)",
+            o.equilibrium_rounds, o.total_iterations
+        )
+        .expect("infallible");
+    }
+    Ok(out)
+}
+
+fn sweep(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, CliError> {
+    let checkpoint: Option<PathBuf> = extract_flag(&mut args, "checkpoint")?.map(PathBuf::from);
+    let resume: Option<PathBuf> = extract_flag(&mut args, "resume")?.map(PathBuf::from);
+    reject_unread_flags("sweep", &args)?;
+    let category = args.first().ok_or_else(|| err(USAGE))?;
+    let cores: usize = positional(&args, 1, "core count")?;
+    if cores == 0 {
+        return Err(err("core count must be at least 1"));
+    }
+    let (_, market) = bundle_market(category, cores)?;
+    let steps = [0.0, 5.0, 10.0, 20.0, 40.0, 80.0];
+    let pts: Vec<SweepPoint> = if checkpoint.is_some() || resume.is_some() {
+        // Durable sweep: one snapshot per completed point, so a
+        // killed sweep resumes at the point boundary. Per-point
+        // values are a pure function of the inputs, so reused and
+        // recomputed points are bit-identical.
+        let meta = SweepMeta {
+            category: category.to_ascii_lowercase(),
+            cores,
+            base_budget: 100.0,
+            normalize: true,
+            steps: steps.to_vec(),
+        };
+        let mut cp = match &resume {
+            Some(path) => {
+                let (loaded, used_prev) = durable::load_with_fallback(path, SweepCheckpoint::load)
+                    .map_err(|e| checkpoint_err(e.to_string()))?;
+                meta.ensure_matches(&loaded.meta)
+                    .map_err(|e| checkpoint_err(e.to_string()))?;
+                if used_prev {
+                    notes.push(PREV_GENERATION_NOTE.to_string());
+                }
+                let done = steps.len() - loaded.missing().len();
+                notes.push(format!(
+                    "resumed sweep: {done} of {} points reused from snapshot",
+                    steps.len()
+                ));
+                loaded
+            }
+            None => SweepCheckpoint::new(meta),
+        };
+        let save_path = checkpoint.or(resume);
+        let save = |cp: &SweepCheckpoint| match &save_path {
+            Some(path) => cp.save(path).map_err(|e| checkpoint_err(e.to_string())),
+            None => Ok(()),
+        };
+        if cp.oracle.is_none() {
+            cp.oracle =
+                Some(sweep_oracle(&market, ParallelPolicy::Auto).map_err(|e| err(e.to_string()))?);
+            save(&cp)?;
+        }
+        for k in cp.missing() {
+            let p = sweep_point(&market, 100.0, steps[k], cp.oracle, ParallelPolicy::Auto)
+                .map_err(|e| err(e.to_string()))?;
+            cp.points[k] = Some(p);
+            save(&cp)?;
+        }
+        cp.points.into_iter().flatten().collect()
+    } else {
+        sweep_steps(&market, 100.0, &steps, true).map_err(|e| err(e.to_string()))?
+    };
+    let mut out = String::new();
+    writeln!(
+        out,
+        "{:>6} {:>10} {:>10} {:>8} {:>8} {:>10} {:>5} {:>6} {:>6} {:>4} {:>6} {:>4}",
+        "step",
+        "eff/OPT",
+        "envy-free",
+        "MUR",
+        "MBR",
+        "EF-floor",
+        "conv",
+        "rounds",
+        "iters",
+        "rec",
+        "retry",
+        "t/o"
+    )
+    .expect("infallible");
+    for p in pts {
+        writeln!(
+            out,
+            "{:>6.0} {:>10.3} {:>10.3} {:>8.3} {:>8.3} {:>10.3} {:>5} {:>6} {:>6} {:>4} {:>6} {:>4}",
+            p.step,
+            p.normalized_efficiency.unwrap_or(f64::NAN),
+            p.envy_freeness,
+            p.mur,
+            p.mbr,
+            p.ef_floor,
+            if p.solve.converged { "yes" } else { "NO" },
+            p.solve.rounds,
+            p.solve.iterations,
+            p.solve.recoveries,
+            p.solve.retries,
+            p.solve.timed_out
+        )
+        .expect("infallible");
+    }
+    Ok(out)
+}
+
+fn simulate(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, CliError> {
+    let seed: Option<u64> = flag(&mut args, "seed", "seed")?;
+    let mechanism_flag: Option<String> = extract_flag(&mut args, "mechanism")?;
+    let checkpoint: Option<PathBuf> = extract_flag(&mut args, "checkpoint")?.map(PathBuf::from);
+    let checkpoint_every: usize =
+        flag(&mut args, "checkpoint-every", "checkpoint interval")?.unwrap_or(1);
     if checkpoint_every == 0 {
         return Err(err("--checkpoint-every must be at least 1"));
     }
     let resume: Option<PathBuf> = extract_flag(&mut args, "resume")?.map(PathBuf::from);
-    let deadline_ms: Option<u64> = extract_flag(&mut args, "deadline-ms")?
-        .map(|s| parse(&s, "deadline (ms)"))
-        .transpose()?;
-    let solve_iters: Option<usize> = extract_flag(&mut args, "solve-iters")?
-        .map(|s| parse(&s, "solve iteration budget"))
-        .transpose()?;
-    let retries: Option<usize> = extract_flag(&mut args, "retries")?
-        .map(|s| parse(&s, "retry count"))
-        .transpose()?;
-    let solver_flag: Option<String> = extract_flag(&mut args, "solver")?;
-    let ledger_dir: Option<PathBuf> = extract_flag(&mut args, "ledger")?.map(PathBuf::from);
-    let leontief = extract_switch(&mut args, "leontief");
-    let tol: Option<f64> = extract_flag(&mut args, "tol")?
-        .map(|s| parse(&s, "tolerance"))
-        .transpose()?;
-    let solver = match &solver_flag {
-        Some(name) => SolverKind::parse(name).ok_or_else(|| {
-            err(format!(
-                "unknown solver '{name}' (expected jacobi | propresp | mirror)"
-            ))
-        })?,
-        None => SolverKind::default(),
-    };
-    let knobs = SolverKnobs {
-        // `checked` rejects zero budgets (they admit no work) as a
-        // usage error before any solve runs.
-        deadline: DeadlineBudget::checked(deadline_ms, solve_iters)
-            .map_err(|e| err(e.to_string()))?,
-        retry: retries.map(|n| RetryPolicy::with_attempts(n.saturating_add(1))),
-        solver,
-    };
+    let knobs = solver_knobs(&mut args, SolverKind::default(), true)?;
     let faults: Option<FaultPlan> = match extract_flag(&mut args, "faults")? {
         Some(spec) => {
             let plan = FaultPlan::parse(&spec)
@@ -510,643 +766,411 @@ fn dispatch(args: &[String], notes: &mut Vec<String>) -> Result<String, CliError
         }
         None => None,
     };
-    match args.first().map(String::as_str) {
-        Some("apps") => {
-            writeln!(
-                out,
-                "{:<12} {:<14} {:<6} {:>10} {:>11} {:>9}",
-                "name", "suite", "class", "cache-gain", "power-gain", "activity"
-            )
-            .expect("writing to String cannot fail");
-            for app in all_apps() {
-                let s = sensitivity(app, &PerfEnv::paper(), &Envelope::paper());
-                writeln!(
-                    out,
-                    "{:<12} {:<14} {:<6} {:>10.3} {:>11.3} {:>9.2}",
-                    app.name,
-                    format!("{:?}", app.suite),
-                    app.class.letter(),
-                    s.cache_gain,
-                    s.power_gain,
-                    app.activity
-                )
-                .expect("writing to String cannot fail");
-            }
-            Ok(out)
+    reject_unread_flags("simulate", &args)?;
+    let category = args.first().ok_or_else(|| err(USAGE))?;
+    let cores: usize = positional(&args, 1, "core count")?;
+    if cores == 0 {
+        return Err(err("core count must be at least 1"));
+    }
+    let quanta: usize = args
+        .get(2)
+        .map(|s| parse(s, "quanta"))
+        .transpose()?
+        .unwrap_or(5);
+    if quanta == 0 {
+        return Err(err("quanta must be at least 1"));
+    }
+    let bundle = parse_bundle(category, cores, 1)?;
+    let (sys, dram) = system_for(cores);
+    let injecting = faults.as_ref().is_some_and(FaultPlan::is_active);
+    let opts = SimOptions {
+        quanta,
+        accesses_per_quantum: 10_000,
+        budget: 100.0,
+        use_monitors: true,
+        seed: seed.unwrap_or(1),
+        faults,
+        ..SimOptions::default()
+    };
+    if (checkpoint.is_some() || resume.is_some()) && mechanism_flag.is_none() {
+        return Err(err(
+            "--checkpoint/--resume snapshot a single mechanism's run; \
+             pick one with --mechanism",
+        ));
+    }
+    let recovery = RecoveryOptions {
+        checkpoint,
+        checkpoint_every,
+        resume,
+    };
+    let bounded = knobs.deadline.is_bounded() || knobs.retry.is_some();
+    let mech_names: Vec<&str> = match &mechanism_flag {
+        Some(name) => vec![name.as_str()],
+        None => vec!["equalshare", "equalbudget", "rebudget", "maxefficiency"],
+    };
+    let mut out = String::new();
+    write!(
+        out,
+        "{:<14} {:>14} {:>10}",
+        "mechanism", "weighted-speedup", "envy-free"
+    )
+    .expect("infallible");
+    if injecting {
+        write!(
+            out,
+            " {:>9} {:>9} {:>10}",
+            "degraded", "fallback", "recoveries"
+        )
+        .expect("infallible");
+    }
+    if bounded {
+        write!(out, " {:>7} {:>8}", "retries", "timeouts").expect("infallible");
+    }
+    writeln!(out).expect("infallible");
+    let mut fingerprint = None;
+    for mech_name in &mech_names {
+        let mech = parse_mechanism_with(mech_name, Some(40.0), knobs)?;
+        let r = run_simulation_recoverable(&sys, &dram, &bundle, mech.as_ref(), &opts, &recovery)
+            .map_err(|e| sim_err(&e))?;
+        if r.replayed_quanta > 0 {
+            notes.push(format!(
+                "{}: resumed — replayed {} of {} quanta from snapshot",
+                r.mechanism, r.replayed_quanta, quanta
+            ));
         }
-        Some("workloads") => {
-            let category = args.get(1).ok_or_else(|| err(USAGE))?;
-            let cores: usize = parse(args.get(2).ok_or_else(|| err(USAGE))?, "core count")?;
-            let seed: u64 = args
-                .get(3)
-                .map(|s| parse(s, "seed"))
-                .transpose()?
-                .unwrap_or(1);
-            let cat = Category::from_name(category)
-                .ok_or_else(|| err(format!("unknown category '{category}'")))?;
-            for index in 0..5 {
-                let b = generate_bundle(cat, cores, index, seed).map_err(|e| err(e.to_string()))?;
-                writeln!(out, "{}: {}", b.label(), b.app_names().join(" "))
-                    .expect("writing to String cannot fail");
-            }
-            Ok(out)
+        if r.used_prev_generation {
+            notes.push(PREV_GENERATION_NOTE.to_string());
         }
-        Some("solve") => {
-            let category = args.get(1).ok_or_else(|| err(USAGE))?;
-            let cores: usize = parse(args.get(2).ok_or_else(|| err(USAGE))?, "core count")?;
-            let step: Option<f64> = args.get(4).map(|s| parse(s, "step")).transpose()?;
-            let mech = parse_mechanism_with(
-                args.get(3).map(String::as_str).unwrap_or("rebudget"),
-                step,
-                knobs,
-            )?;
-            let bundle = parse_bundle(category, cores, 1)?;
-            let (sys, dram) = system_for(cores);
-            let market =
-                build_market(&bundle, &sys, &dram, 100.0).map_err(|e| err(e.to_string()))?;
-            let o = mech.allocate(&market).map_err(|e| err(e.to_string()))?;
-            writeln!(out, "bundle      {}", bundle.label()).expect("infallible");
-            writeln!(out, "mechanism   {}", o.mechanism).expect("infallible");
-            writeln!(
-                out,
-                "efficiency  {:.4} (weighted speedup, max {})",
-                o.efficiency, cores
-            )
-            .expect("infallible");
-            writeln!(out, "envy-free   {:.4}", o.envy_freeness).expect("infallible");
-            if let (Some(mur), Some(mbr)) = (o.mur, o.mbr) {
-                writeln!(
-                    out,
-                    "MUR         {mur:.4}  (PoA floor {:.4})",
-                    poa_lower_bound(mur)
-                )
-                .expect("infallible");
-                writeln!(
-                    out,
-                    "MBR         {mbr:.4}  (EF floor {:.4})",
-                    ef_lower_bound(mbr)
-                )
-                .expect("infallible");
-                writeln!(
-                    out,
-                    "rounds      {} ({} iterations)",
-                    o.equilibrium_rounds, o.total_iterations
-                )
-                .expect("infallible");
-            }
-            Ok(out)
-        }
-        Some("sweep") => {
-            let category = args.get(1).ok_or_else(|| err(USAGE))?;
-            let cores: usize = parse(args.get(2).ok_or_else(|| err(USAGE))?, "core count")?;
-            if cores == 0 {
-                return Err(err("core count must be at least 1"));
-            }
-            let bundle = parse_bundle(category, cores, 1)?;
-            let (sys, dram) = system_for(cores);
-            let market =
-                build_market(&bundle, &sys, &dram, 100.0).map_err(|e| err(e.to_string()))?;
-            let steps = [0.0, 5.0, 10.0, 20.0, 40.0, 80.0];
-            let pts: Vec<SweepPoint> = if checkpoint.is_some() || resume.is_some() {
-                // Durable sweep: one snapshot per completed point, so a
-                // killed sweep resumes at the point boundary. Per-point
-                // values are a pure function of the inputs, so reused and
-                // recomputed points are bit-identical.
-                let meta = SweepMeta {
-                    category: category.to_ascii_lowercase(),
-                    cores,
-                    base_budget: 100.0,
-                    normalize: true,
-                    steps: steps.to_vec(),
-                };
-                let save_path = checkpoint.clone().or_else(|| resume.clone());
-                let mut cp = match &resume {
-                    Some(path) => {
-                        let (loaded, used_prev) =
-                            durable::load_with_fallback(path, SweepCheckpoint::load)
-                                .map_err(|e| checkpoint_err(e.to_string()))?;
-                        meta.ensure_matches(&loaded.meta)
-                            .map_err(|e| checkpoint_err(e.to_string()))?;
-                        if used_prev {
-                            notes.push(
-                                "resume used the rotated .prev snapshot generation \
-                                 (live snapshot failed validation)"
-                                    .to_string(),
-                            );
-                        }
-                        let done = steps.len() - loaded.missing().len();
-                        notes.push(format!(
-                            "resumed sweep: {done} of {} points reused from snapshot",
-                            steps.len()
-                        ));
-                        loaded
-                    }
-                    None => SweepCheckpoint::new(meta),
-                };
-                if cp.oracle.is_none() {
-                    cp.oracle = Some(
-                        sweep_oracle(&market, ParallelPolicy::Auto)
-                            .map_err(|e| err(e.to_string()))?,
-                    );
-                    if let Some(path) = &save_path {
-                        cp.save(path).map_err(|e| checkpoint_err(e.to_string()))?;
-                    }
-                }
-                for k in cp.missing() {
-                    let p = sweep_point(&market, 100.0, steps[k], cp.oracle, ParallelPolicy::Auto)
-                        .map_err(|e| err(e.to_string()))?;
-                    cp.points[k] = Some(p);
-                    if let Some(path) = &save_path {
-                        cp.save(path).map_err(|e| checkpoint_err(e.to_string()))?;
-                    }
-                }
-                cp.points.into_iter().flatten().collect()
-            } else {
-                sweep_steps(&market, 100.0, &steps, true).map_err(|e| err(e.to_string()))?
-            };
-            writeln!(
-                out,
-                "{:>6} {:>10} {:>10} {:>8} {:>8} {:>10} {:>5} {:>6} {:>6} {:>4} {:>6} {:>4}",
-                "step",
-                "eff/OPT",
-                "envy-free",
-                "MUR",
-                "MBR",
-                "EF-floor",
-                "conv",
-                "rounds",
-                "iters",
-                "rec",
-                "retry",
-                "t/o"
-            )
-            .expect("infallible");
-            for p in pts {
-                writeln!(
-                    out,
-                    "{:>6.0} {:>10.3} {:>10.3} {:>8.3} {:>8.3} {:>10.3} {:>5} {:>6} {:>6} {:>4} {:>6} {:>4}",
-                    p.step,
-                    p.normalized_efficiency.unwrap_or(f64::NAN),
-                    p.envy_freeness,
-                    p.mur,
-                    p.mbr,
-                    p.ef_floor,
-                    if p.solve.converged { "yes" } else { "NO" },
-                    p.solve.rounds,
-                    p.solve.iterations,
-                    p.solve.recoveries,
-                    p.solve.retries,
-                    p.solve.timed_out
-                )
-                .expect("infallible");
-            }
-            Ok(out)
-        }
-        Some("simulate") => {
-            let category = args.get(1).ok_or_else(|| err(USAGE))?;
-            let cores: usize = parse(args.get(2).ok_or_else(|| err(USAGE))?, "core count")?;
-            if cores == 0 {
-                return Err(err("core count must be at least 1"));
-            }
-            let quanta: usize = args
-                .get(3)
-                .map(|s| parse(s, "quanta"))
-                .transpose()?
-                .unwrap_or(5);
-            if quanta == 0 {
-                return Err(err("quanta must be at least 1"));
-            }
-            let bundle = parse_bundle(category, cores, 1)?;
-            let (sys, dram) = system_for(cores);
-            let injecting = faults.as_ref().is_some_and(FaultPlan::is_active);
-            let opts = SimOptions {
-                quanta,
-                accesses_per_quantum: 10_000,
-                budget: 100.0,
-                use_monitors: true,
-                seed: seed.unwrap_or(1),
-                faults,
-                ..SimOptions::default()
-            };
-            if (checkpoint.is_some() || resume.is_some()) && mechanism_flag.is_none() {
-                return Err(err(
-                    "--checkpoint/--resume snapshot a single mechanism's run; \
-                     pick one with --mechanism",
-                ));
-            }
-            let recovery = RecoveryOptions {
-                checkpoint,
-                checkpoint_every,
-                resume,
-            };
-            let bounded = knobs.deadline.is_bounded() || knobs.retry.is_some();
-            let mech_names: Vec<&str> = match &mechanism_flag {
-                Some(name) => vec![name.as_str()],
-                None => vec!["equalshare", "equalbudget", "rebudget", "maxefficiency"],
-            };
+        write!(
+            out,
+            "{:<14} {:>14.3} {:>10.3}",
+            r.mechanism, r.efficiency, r.envy_freeness
+        )
+        .expect("infallible");
+        if injecting {
             write!(
                 out,
-                "{:<14} {:>14} {:>10}",
-                "mechanism", "weighted-speedup", "envy-free"
+                " {:>9} {:>9} {:>10}",
+                r.degraded_quanta, r.fallback_quanta, r.solver_recoveries
             )
             .expect("infallible");
-            if injecting {
-                write!(
-                    out,
-                    " {:>9} {:>9} {:>10}",
-                    "degraded", "fallback", "recoveries"
-                )
-                .expect("infallible");
-            }
-            if bounded {
-                write!(out, " {:>7} {:>8}", "retries", "timeouts").expect("infallible");
-            }
-            writeln!(out).expect("infallible");
-            let mut fingerprint = None;
-            for mech_name in &mech_names {
-                let mech = parse_mechanism_with(mech_name, Some(40.0), knobs)?;
-                let r = run_simulation_recoverable(
-                    &sys,
-                    &dram,
-                    &bundle,
-                    mech.as_ref(),
-                    &opts,
-                    &recovery,
-                )
-                .map_err(|e| sim_err(&e))?;
-                if r.replayed_quanta > 0 {
-                    notes.push(format!(
-                        "{}: resumed — replayed {} of {} quanta from snapshot",
-                        r.mechanism, r.replayed_quanta, quanta
-                    ));
-                }
-                if r.used_prev_generation {
-                    notes.push(
-                        "resume used the rotated .prev snapshot generation \
-                         (live snapshot failed validation)"
-                            .to_string(),
-                    );
-                }
-                write!(
-                    out,
-                    "{:<14} {:>14.3} {:>10.3}",
-                    r.mechanism, r.efficiency, r.envy_freeness
-                )
-                .expect("infallible");
-                if injecting {
-                    write!(
-                        out,
-                        " {:>9} {:>9} {:>10}",
-                        r.degraded_quanta, r.fallback_quanta, r.solver_recoveries
-                    )
-                    .expect("infallible");
-                }
-                if bounded {
-                    write!(out, " {:>7} {:>8}", r.retried_solves, r.timed_out_solves)
-                        .expect("infallible");
-                }
-                writeln!(out).expect("infallible");
-                fingerprint = Some(result_fingerprint(&r));
-            }
-            if mech_names.len() == 1 {
-                if let Some(fp) = fingerprint {
-                    // Bit-exact digest of the run's final state; identical
-                    // between an uninterrupted run and a killed-and-resumed
-                    // one. CI diffs this line.
-                    writeln!(out, "fingerprint {fp:016x}").expect("infallible");
-                }
-            }
-            Ok(out)
         }
-        Some("synth") => {
-            let players: usize = parse(args.get(1).ok_or_else(|| err(USAGE))?, "player count")?;
-            let resources: usize = parse(args.get(2).ok_or_else(|| err(USAGE))?, "resource count")?;
-            if players == 0 || resources == 0 {
-                return Err(err("player and resource counts must be at least 1"));
-            }
-            // Sparse-only path: the dense Jacobi engine would need an
-            // n×m bid matrix, which defeats the point at 10⁶ players.
-            let solver = match solver {
-                SolverKind::Jacobi if solver_flag.is_some() => {
-                    return Err(err(
-                        "synth markets are sparse; pick --solver=propresp or --solver=mirror",
-                    ));
-                }
-                SolverKind::Jacobi => SolverKind::ProportionalResponse,
-                first_order => first_order,
-            };
-            let mut spec = SynthSpec::new(players, resources, seed.unwrap_or(1));
-            if leontief {
-                spec.kind = SparseUtilityKind::Leontief;
-            }
-            let market = spec.generate().map_err(|e| err(e.to_string()))?;
-            let mut opts = EquilibriumOptions::large_scale().with_solver(solver);
-            opts.deadline = knobs.deadline;
-            if let Some(t) = tol {
-                if !(t.is_finite() && t > 0.0) {
-                    return Err(err("--tol must be a positive number"));
-                }
-                opts.price_tolerance = t;
-            }
-            let started = std::time::Instant::now();
-            let o = market.solve(&opts).map_err(|e| err(e.to_string()))?;
-            // Wall-clock goes to stderr: stdout stays byte-stable across
-            // machines (and across --trace on/off).
-            notes.push(format!(
-                "solved in {:.3}s ({} iterations)",
-                started.elapsed().as_secs_f64(),
-                o.iterations
-            ));
-            writeln!(out, "players     {players}").expect("infallible");
-            writeln!(out, "resources   {resources}").expect("infallible");
-            writeln!(out, "nnz         {}", market.nnz()).expect("infallible");
-            writeln!(out, "kind        {}", market.kind().label()).expect("infallible");
-            writeln!(out, "solver      {}", solver.label()).expect("infallible");
-            writeln!(out, "iterations  {}", o.iterations).expect("infallible");
-            writeln!(
-                out,
-                "converged   {}",
-                if o.converged() { "yes" } else { "NO" }
-            )
-            .expect("infallible");
-            writeln!(out, "residual    {:.3e}", o.report.residual).expect("infallible");
-            writeln!(out, "efficiency  {:.4}", o.efficiency()).expect("infallible");
-            Ok(out)
+        if bounded {
+            write!(out, " {:>7} {:>8}", r.retried_solves, r.timed_out_solves).expect("infallible");
         }
-        Some("scenario") => {
-            let sub = args.get(1).map(String::as_str).ok_or_else(|| err(USAGE))?;
-            let rest = &args[2..];
-            match sub {
-                "list" => {
-                    let paths = scenario_paths(rest)?;
-                    writeln!(
-                        out,
-                        "{:<28} {:<9} {:<14} {:>5} {:>7} {:>6} {:>10}",
-                        "scenario",
-                        "workload",
-                        "mechanism",
-                        "cores",
-                        "quanta",
-                        "events",
-                        "properties"
-                    )
-                    .expect("infallible");
-                    for path in &paths {
-                        let s = load_scenario(path)?;
-                        writeln!(
-                            out,
-                            "{:<28} {:<9} {:<14} {:>5} {:>7} {:>6} {:>10}",
-                            s.name,
-                            s.workload,
-                            s.mechanism,
-                            s.cores,
-                            s.total_quanta(),
-                            s.events.len(),
-                            s.properties.len()
-                        )
-                        .expect("infallible");
-                    }
-                    Ok(out)
-                }
-                "check" => {
-                    let paths = scenario_paths(rest)?;
-                    for path in &paths {
-                        let s = load_scenario(path)?;
-                        writeln!(out, "ok {:<28} {}", s.name, path.display()).expect("infallible");
-                    }
-                    writeln!(out, "{} scenario(s) valid", paths.len()).expect("infallible");
-                    Ok(out)
-                }
-                "run" => {
-                    let paths = scenario_paths(rest)?;
-                    let mut violations: Vec<String> = Vec::new();
-                    writeln!(
-                        out,
-                        "{:<28} {:>10} {:>10} {:>6} {:>10}",
-                        "scenario", "efficiency", "envy-free", "events", "properties"
-                    )
-                    .expect("infallible");
-                    for path in &paths {
-                        let s = load_scenario(path)?;
-                        let outcome = run_scenario(&s).map_err(|e| scenario_err(path, &e))?;
-                        if let Some(dir) = &ledger_dir {
-                            std::fs::create_dir_all(dir).map_err(|e| {
-                                err(format!("cannot create '{}': {e}", dir.display()))
-                            })?;
-                            let lp = dir.join(format!("{}.ledger", s.name));
-                            // Ledgers are immutable artifacts: the
-                            // collision with an existing one is a named
-                            // error, not an overwrite.
-                            use std::io::Write as _;
-                            rebudget_scenario::create_new_ledger_file(&lp)
-                                .map_err(|e| {
-                                    err(format!("cannot write ledger '{}': {e}", lp.display()))
-                                })
-                                .and_then(|mut f| {
-                                    f.write_all(outcome.ledger.as_bytes()).map_err(|e| {
-                                        err(format!("cannot write ledger '{}': {e}", lp.display()))
-                                    })
-                                })?;
-                        }
-                        let passed = outcome.reports.iter().filter(|r| r.passed).count();
-                        writeln!(
-                            out,
-                            "{:<28} {:>10.3} {:>10.3} {:>6} {:>7}/{:<2}",
-                            outcome.name,
-                            outcome.result.efficiency,
-                            outcome.result.envy_freeness,
-                            outcome.fired.len(),
-                            passed,
-                            outcome.reports.len()
-                        )
-                        .expect("infallible");
-                        for report in outcome.violations() {
-                            violations.push(format!(
-                                "{}: property '{}' violated: {}",
-                                outcome.name, report.property, report.detail
-                            ));
-                        }
-                    }
-                    if violations.is_empty() {
-                        Ok(out)
-                    } else {
-                        Err(property_err(format!(
-                            "{} scenario property violation(s):\n  {}",
-                            violations.len(),
-                            violations.join("\n  ")
-                        )))
-                    }
-                }
-                "audit" => {
-                    if rest.is_empty() {
-                        return Err(err("scenario audit needs at least one ledger file"));
-                    }
-                    for arg in rest {
-                        let text = std::fs::read_to_string(arg)
-                            .map_err(|e| err(format!("cannot read '{arg}': {e}")))?;
-                        let summary = rebudget_scenario::ledger::verify(&text)
-                            .map_err(|e| property_err(format!("{arg}: {e}")))?;
-                        writeln!(
-                            out,
-                            "ok {:<28} {} record(s), fnv1a {:016x}",
-                            summary.scenario, summary.records, summary.fnv1a
-                        )
-                        .expect("infallible");
-                    }
-                    Ok(out)
-                }
-                other => Err(err(format!(
-                    "unknown scenario subcommand '{other}' (list | check | run | audit)"
-                ))),
-            }
-        }
-        Some("serve") => {
-            let mut rest: Vec<String> = args[1..].to_vec();
-            let socket: Option<PathBuf> = extract_flag(&mut rest, "socket")?.map(PathBuf::from);
-            let tcp: Option<String> = extract_flag(&mut rest, "tcp")?;
-            let state_dir: PathBuf = extract_flag(&mut rest, "state-dir")?
-                .map(PathBuf::from)
-                .ok_or_else(|| err("serve needs --state-dir=DIR for its ledger and snapshot"))?;
-            let resources: usize = extract_flag(&mut rest, "resources")?
-                .map(|s| parse(&s, "resource count"))
-                .transpose()?
-                .unwrap_or(16);
-            let capacity: f64 = extract_flag(&mut rest, "capacity")?
-                .map(|s| parse(&s, "capacity"))
-                .transpose()?
-                .unwrap_or(100.0);
-            let tick_ms: Option<u64> = extract_flag(&mut rest, "tick-ms")?
-                .map(|s| parse(&s, "tick interval (ms)"))
-                .transpose()?;
-            let max_ticks: Option<u64> = extract_flag(&mut rest, "max-ticks")?
-                .map(|s| parse(&s, "tick limit"))
-                .transpose()?;
-            let queue_cap: usize = extract_flag(&mut rest, "queue-cap")?
-                .map(|s| parse(&s, "admission queue bound"))
-                .transpose()?
-                .unwrap_or(1024);
-            let frame_cap: usize = extract_flag(&mut rest, "frame-cap")?
-                .map(|s| parse(&s, "frame byte cap"))
-                .transpose()?
-                .unwrap_or(64 * 1024);
-            let read_timeout_ms: u64 = extract_flag(&mut rest, "read-timeout-ms")?
-                .map(|s| parse(&s, "read timeout (ms)"))
-                .transpose()?
-                .unwrap_or(5_000);
-            let fallback_after: usize = extract_flag(&mut rest, "fallback-after")?
-                .map(|s| parse(&s, "fallback threshold"))
-                .transpose()?
-                .unwrap_or(3);
-            let commit_delay_ms: u64 = extract_flag(&mut rest, "commit-delay-ms")?
-                .map(|s| parse(&s, "commit delay (ms)"))
-                .transpose()?
-                .unwrap_or(0);
-            // Online re-solves run at a looser tolerance than the batch
-            // pipeline's 1e-6 default: at 1e-4 the warm start converges
-            // in a fraction of the cold iterations (see the server
-            // bench), while at 1e-6 the slow geometric tail dominates
-            // both arms and the advantage vanishes. (`--tol` itself is
-            // a global flag, extracted with the other solver knobs.)
-            let tol = tol.unwrap_or(1e-4);
-            if !tol.is_finite() || tol <= 0.0 {
-                return Err(err("--tol must be a positive number"));
-            }
-            if let Some(extra) = rest.first() {
-                return Err(err(format!("unexpected serve argument '{extra}'")));
-            }
-            let endpoint = match (&socket, &tcp) {
-                (Some(p), None) => rebudget_server::Endpoint::Unix(p.clone()),
-                (None, Some(a)) => rebudget_server::Endpoint::Tcp(a.clone()),
-                (None, None) => return Err(err("serve needs --socket=PATH or --tcp=ADDR")),
-                (Some(_), Some(_)) => return Err(err("serve takes --socket or --tcp, not both")),
-            };
-            // The daemon defaults to the sparse first-order engine — the
-            // dense paper engine only on an explicit --solver=jacobi.
-            let solver = if solver_flag.is_some() {
-                knobs.solver
-            } else {
-                SolverKind::ProportionalResponse
-            };
-            let mut options = EquilibriumOptions::large_scale().with_solver(solver);
-            options.deadline = knobs.deadline;
-            options.price_tolerance = tol;
-            let config = rebudget_server::ServerConfig {
-                capacities: vec![capacity; resources],
-                solver,
-                options,
-                retry: knobs.retry.unwrap_or_default(),
-                fallback_after,
-                seed: seed.unwrap_or(0),
-                commit_delay_ms,
-            };
-            let dconfig = rebudget_server::DaemonConfig {
-                queue_cap,
-                frame_cap,
-                read_timeout: std::time::Duration::from_millis(read_timeout_ms),
-                tick_interval: tick_ms.map(std::time::Duration::from_millis),
-                max_ticks,
-            };
-            let core = rebudget_server::ServerCore::open(config, &state_dir)
-                .map_err(|e| server_err(&e))?;
-            let daemon = rebudget_server::Daemon::new(core, dconfig);
-            let listener =
-                rebudget_server::Listener::bind(&endpoint).map_err(|e| server_err(&e))?;
-            // Readiness goes straight to stderr: notes only print after
-            // the (long-running) serve loop returns, and stdout stays
-            // reserved for the final summary.
-            eprintln!(
-                "serving on {} at tick {} ({} player(s){})",
-                listener.local_addr,
-                daemon.core().tick_index(),
-                daemon.core().players(),
-                if daemon.core().recovered_from_prev() {
-                    ", recovered from .prev snapshot"
-                } else {
-                    ""
-                },
-            );
-            let summary = daemon.serve(listener).map_err(|e| server_err(&e))?;
-            let s = summary.stats;
-            writeln!(
-                out,
-                "sealed {} record(s) after {} tick(s)",
-                summary.records, summary.ticks
-            )
-            .expect("infallible");
-            writeln!(
-                out,
-                "requests {} = accepted {} + rejected {} + shed {} + malformed {} + control {}",
-                s.requests, s.accepted, s.rejected, s.shed, s.malformed, s.control
-            )
-            .expect("infallible");
-            writeln!(
-                out,
-                "oversized {} slowloris {} disconnects {} fallback-ticks {}",
-                s.oversized, s.slowloris, s.disconnects, s.fallback_ticks
-            )
-            .expect("infallible");
-            Ok(out)
-        }
-        Some("theory") => {
-            let mur: f64 = parse(args.get(1).ok_or_else(|| err(USAGE))?, "MUR")?;
-            let mbr: f64 = parse(args.get(2).ok_or_else(|| err(USAGE))?, "MBR")?;
-            writeln!(
-                out,
-                "PoA >= {:.4}  (Theorem 1 at MUR {mur:.3})",
-                poa_lower_bound(mur)
-            )
-            .expect("infallible");
-            writeln!(
-                out,
-                "EF  >= {:.4}  (Theorem 2 at MBR {mbr:.3})",
-                ef_lower_bound(mbr)
-            )
-            .expect("infallible");
-            Ok(out)
-        }
-        Some("help") | Some("--help") | Some("-h") | None => Ok(USAGE.to_string()),
-        Some(other) => Err(err(format!("unknown command '{other}'\n\n{USAGE}"))),
+        writeln!(out).expect("infallible");
+        fingerprint = Some(result_fingerprint(&r));
     }
+    if mech_names.len() == 1 {
+        if let Some(fp) = fingerprint {
+            // Bit-exact digest of the run's final state; identical
+            // between an uninterrupted run and a killed-and-resumed
+            // one. CI diffs this line.
+            writeln!(out, "fingerprint {fp:016x}").expect("infallible");
+        }
+    }
+    Ok(out)
+}
+
+fn synth(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, CliError> {
+    let seed: Option<u64> = flag(&mut args, "seed", "seed")?;
+    let leontief = extract_switch(&mut args, "leontief");
+    let tol = tolerance(&mut args)?;
+    // Sparse-only path: the dense Jacobi engine would need an n×m bid
+    // matrix, which defeats the point at 10⁶ players. Nor is there a
+    // retry ladder around the single solve.
+    let knobs = solver_knobs(&mut args, SolverKind::ProportionalResponse, false)?;
+    reject_unread_flags("synth", &args)?;
+    let players: usize = positional(&args, 0, "player count")?;
+    let resources: usize = positional(&args, 1, "resource count")?;
+    if players == 0 || resources == 0 {
+        return Err(err("player and resource counts must be at least 1"));
+    }
+    let solver = knobs.solver;
+    if solver == SolverKind::Jacobi {
+        return Err(err(
+            "synth markets are sparse; pick --solver=propresp or --solver=mirror",
+        ));
+    }
+    let mut spec = SynthSpec::new(players, resources, seed.unwrap_or(1));
+    if leontief {
+        spec.kind = SparseUtilityKind::Leontief;
+    }
+    let market = spec.generate().map_err(|e| err(e.to_string()))?;
+    let mut opts = EquilibriumOptions::large_scale().with_solver(solver);
+    opts.deadline = knobs.deadline;
+    if let Some(t) = tol {
+        opts.price_tolerance = t;
+    }
+    let started = std::time::Instant::now();
+    let o = market.solve(&opts).map_err(|e| err(e.to_string()))?;
+    // Wall-clock goes to stderr: stdout stays byte-stable across
+    // machines (and across --trace on/off).
+    notes.push(format!(
+        "solved in {:.3}s ({} iterations)",
+        started.elapsed().as_secs_f64(),
+        o.iterations
+    ));
+    let mut out = String::new();
+    writeln!(out, "players     {players}").expect("infallible");
+    writeln!(out, "resources   {resources}").expect("infallible");
+    writeln!(out, "nnz         {}", market.nnz()).expect("infallible");
+    writeln!(out, "kind        {}", market.kind().label()).expect("infallible");
+    writeln!(out, "solver      {}", solver.label()).expect("infallible");
+    writeln!(out, "iterations  {}", o.iterations).expect("infallible");
+    writeln!(
+        out,
+        "converged   {}",
+        if o.converged() { "yes" } else { "NO" }
+    )
+    .expect("infallible");
+    writeln!(out, "residual    {:.3e}", o.report.residual).expect("infallible");
+    writeln!(out, "efficiency  {:.4}", o.efficiency()).expect("infallible");
+    Ok(out)
+}
+
+fn theory(args: &[String]) -> Result<String, CliError> {
+    reject_unread_flags("theory", args)?;
+    let mur: f64 = positional(args, 0, "MUR")?;
+    let mbr: f64 = positional(args, 1, "MBR")?;
+    let mut out = String::new();
+    writeln!(
+        out,
+        "PoA >= {:.4}  (Theorem 1 at MUR {mur:.3})",
+        poa_lower_bound(mur)
+    )
+    .expect("infallible");
+    writeln!(
+        out,
+        "EF  >= {:.4}  (Theorem 2 at MBR {mbr:.3})",
+        ef_lower_bound(mbr)
+    )
+    .expect("infallible");
+    Ok(out)
+}
+
+fn scenario(mut args: Vec<String>) -> Result<String, CliError> {
+    let sub = args.first().cloned().ok_or_else(|| err(USAGE))?;
+    let ledger_dir: Option<PathBuf> = match sub.as_str() {
+        "run" => extract_flag(&mut args, "ledger")?.map(PathBuf::from),
+        "list" | "check" | "audit" => None,
+        other => {
+            return Err(err(format!(
+                "unknown scenario subcommand '{other}' (list | check | run | audit)"
+            )))
+        }
+    };
+    reject_unread_flags(&format!("scenario {sub}"), &args)?;
+    let rest = &args[1..];
+    let mut out = String::new();
+    match sub.as_str() {
+        "list" => {
+            let paths = scenario_paths(rest)?;
+            writeln!(
+                out,
+                "{:<28} {:<9} {:<14} {:>5} {:>7} {:>6} {:>10}",
+                "scenario", "workload", "mechanism", "cores", "quanta", "events", "properties"
+            )
+            .expect("infallible");
+            for path in &paths {
+                let s = load_scenario(path)?;
+                writeln!(
+                    out,
+                    "{:<28} {:<9} {:<14} {:>5} {:>7} {:>6} {:>10}",
+                    s.name,
+                    s.workload,
+                    s.mechanism,
+                    s.cores,
+                    s.total_quanta(),
+                    s.events.len(),
+                    s.properties.len()
+                )
+                .expect("infallible");
+            }
+        }
+        "check" => {
+            let paths = scenario_paths(rest)?;
+            for path in &paths {
+                let s = load_scenario(path)?;
+                writeln!(out, "ok {:<28} {}", s.name, path.display()).expect("infallible");
+            }
+            writeln!(out, "{} scenario(s) valid", paths.len()).expect("infallible");
+        }
+        "run" => return scenario_run(rest, ledger_dir.as_deref()),
+        _ => {
+            if rest.is_empty() {
+                return Err(err("scenario audit needs at least one ledger file"));
+            }
+            for arg in rest {
+                let text = std::fs::read_to_string(arg)
+                    .map_err(|e| err(format!("cannot read '{arg}': {e}")))?;
+                let summary = rebudget_scenario::ledger::verify(&text)
+                    .map_err(|e| property_err(format!("{arg}: {e}")))?;
+                writeln!(
+                    out,
+                    "ok {:<28} {} record(s), fnv1a {:016x}",
+                    summary.scenario, summary.records, summary.fnv1a
+                )
+                .expect("infallible");
+            }
+        }
+    }
+    Ok(out)
+}
+
+fn scenario_run(args: &[String], ledger_dir: Option<&Path>) -> Result<String, CliError> {
+    let paths = scenario_paths(args)?;
+    let mut violations: Vec<String> = Vec::new();
+    let mut out = String::new();
+    writeln!(
+        out,
+        "{:<28} {:>10} {:>10} {:>6} {:>10}",
+        "scenario", "efficiency", "envy-free", "events", "properties"
+    )
+    .expect("infallible");
+    for path in &paths {
+        let s = load_scenario(path)?;
+        let outcome = run_scenario(&s).map_err(|e| scenario_err(path, &e))?;
+        if let Some(dir) = ledger_dir {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| err(format!("cannot create '{}': {e}", dir.display())))?;
+            let lp = dir.join(format!("{}.ledger", s.name));
+            // Ledgers are immutable artifacts: the collision with an
+            // existing one is a named error, not an overwrite.
+            use std::io::Write as _;
+            let write_err = |e: &dyn std::fmt::Display| {
+                err(format!("cannot write ledger '{}': {e}", lp.display()))
+            };
+            rebudget_scenario::create_new_ledger_file(&lp)
+                .map_err(|e| write_err(&e))?
+                .write_all(outcome.ledger.as_bytes())
+                .map_err(|e| write_err(&e))?;
+        }
+        let passed = outcome.reports.iter().filter(|r| r.passed).count();
+        writeln!(
+            out,
+            "{:<28} {:>10.3} {:>10.3} {:>6} {:>7}/{:<2}",
+            outcome.name,
+            outcome.result.efficiency,
+            outcome.result.envy_freeness,
+            outcome.fired.len(),
+            passed,
+            outcome.reports.len()
+        )
+        .expect("infallible");
+        for report in outcome.violations() {
+            violations.push(format!(
+                "{}: property '{}' violated: {}",
+                outcome.name, report.property, report.detail
+            ));
+        }
+    }
+    if violations.is_empty() {
+        Ok(out)
+    } else {
+        Err(property_err(format!(
+            "{} scenario property violation(s):\n  {}",
+            violations.len(),
+            violations.join("\n  ")
+        )))
+    }
+}
+
+fn serve(mut args: Vec<String>) -> Result<String, CliError> {
+    let socket: Option<PathBuf> = extract_flag(&mut args, "socket")?.map(PathBuf::from);
+    let tcp: Option<String> = extract_flag(&mut args, "tcp")?;
+    let state_dir: PathBuf = extract_flag(&mut args, "state-dir")?
+        .map(PathBuf::from)
+        .ok_or_else(|| err("serve needs --state-dir=DIR for its ledger and snapshot"))?;
+    let resources: usize = flag(&mut args, "resources", "resource count")?.unwrap_or(16);
+    let capacity: f64 = flag(&mut args, "capacity", "capacity")?.unwrap_or(100.0);
+    let tick_ms: Option<u64> = flag(&mut args, "tick-ms", "tick interval (ms)")?;
+    let max_ticks: Option<u64> = flag(&mut args, "max-ticks", "tick limit")?;
+    let queue_cap: usize = flag(&mut args, "queue-cap", "admission queue bound")?.unwrap_or(1024);
+    let frame_cap: usize = flag(&mut args, "frame-cap", "frame byte cap")?.unwrap_or(64 * 1024);
+    let read_timeout_ms: u64 =
+        flag(&mut args, "read-timeout-ms", "read timeout (ms)")?.unwrap_or(5_000);
+    let fallback_after: usize =
+        flag(&mut args, "fallback-after", "fallback threshold")?.unwrap_or(3);
+    let commit_delay_ms: u64 =
+        flag(&mut args, "commit-delay-ms", "commit delay (ms)")?.unwrap_or(0);
+    let seed: u64 = flag(&mut args, "seed", "seed")?.unwrap_or(0);
+    // Online re-solves run at a looser tolerance than the batch
+    // pipeline's 1e-6 default: at 1e-4 the warm start converges in a
+    // fraction of the cold iterations (see the server bench), while at
+    // 1e-6 the slow geometric tail dominates both arms and the
+    // advantage vanishes.
+    let tol = tolerance(&mut args)?.unwrap_or(1e-4);
+    // The daemon defaults to the sparse first-order engine — the dense
+    // paper engine only on an explicit --solver=jacobi.
+    let knobs = solver_knobs(&mut args, SolverKind::ProportionalResponse, true)?;
+    if let Some(extra) = args.first() {
+        return Err(err(format!("unexpected serve argument '{extra}'")));
+    }
+    let endpoint = match (socket, tcp) {
+        (Some(p), None) => rebudget_server::Endpoint::Unix(p),
+        (None, Some(a)) => rebudget_server::Endpoint::Tcp(a),
+        (None, None) => return Err(err("serve needs --socket=PATH or --tcp=ADDR")),
+        (Some(_), Some(_)) => return Err(err("serve takes --socket or --tcp, not both")),
+    };
+    let mut options = EquilibriumOptions::large_scale().with_solver(knobs.solver);
+    options.deadline = knobs.deadline;
+    options.price_tolerance = tol;
+    let config = rebudget_server::ServerConfig {
+        capacities: vec![capacity; resources],
+        solver: knobs.solver,
+        options,
+        retry: knobs.retry.unwrap_or_default(),
+        fallback_after,
+        seed,
+        commit_delay_ms,
+    };
+    let dconfig = rebudget_server::DaemonConfig {
+        queue_cap,
+        frame_cap,
+        read_timeout: std::time::Duration::from_millis(read_timeout_ms),
+        tick_interval: tick_ms.map(std::time::Duration::from_millis),
+        max_ticks,
+    };
+    let core = rebudget_server::ServerCore::open(config, &state_dir).map_err(|e| server_err(&e))?;
+    let daemon = rebudget_server::Daemon::new(core, dconfig);
+    let listener = rebudget_server::Listener::bind(&endpoint).map_err(|e| server_err(&e))?;
+    // Readiness goes straight to stderr: notes only print after the
+    // (long-running) serve loop returns, and stdout stays reserved for
+    // the final summary.
+    eprintln!(
+        "serving on {} at tick {} ({} player(s){})",
+        listener.local_addr,
+        daemon.core().tick_index(),
+        daemon.core().players(),
+        if daemon.core().recovered_from_prev() {
+            ", recovered from .prev snapshot"
+        } else {
+            ""
+        },
+    );
+    let summary = daemon.serve(listener).map_err(|e| server_err(&e))?;
+    let s = summary.stats;
+    let mut out = String::new();
+    writeln!(
+        out,
+        "sealed {} record(s) after {} tick(s)",
+        summary.records, summary.ticks
+    )
+    .expect("infallible");
+    writeln!(
+        out,
+        "requests {} = accepted {} + rejected {} + shed {} + malformed {} + control {}",
+        s.requests, s.accepted, s.rejected, s.shed, s.malformed, s.control
+    )
+    .expect("infallible");
+    writeln!(
+        out,
+        "oversized {} slowloris {} disconnects {} fallback-ticks {}",
+        s.oversized, s.slowloris, s.disconnects, s.fallback_ticks
+    )
+    .expect("infallible");
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1251,9 +1275,10 @@ mod tests {
 
     #[test]
     fn mechanism_parsing() {
-        assert!(parse_mechanism("balanced", None).is_ok());
-        assert!(parse_mechanism("REBUDGET", Some(40.0)).is_ok());
-        assert!(parse_mechanism("magic", None).is_err());
+        let knobs = SolverKnobs::default();
+        assert!(parse_mechanism_with("balanced", None, knobs).is_ok());
+        assert!(parse_mechanism_with("REBUDGET", Some(40.0), knobs).is_ok());
+        assert!(parse_mechanism_with("magic", None, knobs).is_err());
     }
 
     #[test]
@@ -1320,6 +1345,30 @@ mod tests {
                 "{bad:?}"
             );
         }
+    }
+
+    #[test]
+    fn unused_flags_are_usage_errors() {
+        let dir = scenario_dir("unused", SCENARIO_MINIMAL);
+        let dir_s = dir.display().to_string();
+        for (args, flag) in [
+            (vec!["sweep", "bbpc", "8", "--solver=mirror"], "--solver"),
+            (
+                vec!["sweep", "bbpc", "8", "--checkpoint-every=2"],
+                "--checkpoint-every",
+            ),
+            (vec!["synth", "50", "4", "--retries=2"], "--retries"),
+            (vec!["solve", "bbpc", "8", "--seed=3"], "--seed"),
+            (vec!["theory", "1", "1", "--faults=noise=0.1"], "--faults"),
+            (vec!["apps", "--ledger=x"], "--ledger"),
+            (vec!["scenario", "check", &dir_s, "--ledger=x"], "--ledger"),
+        ] {
+            let e = run_err(&args);
+            assert_eq!(e.code, EXIT_USAGE, "{args:?}: {}", e.message);
+            assert!(e.message.contains(flag), "{args:?}: {}", e.message);
+            assert!(!e.message.contains('\n'), "{args:?}: {}", e.message);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -42,7 +42,6 @@
 //! ```
 
 pub mod ep;
-pub mod linearized;
 pub mod mechanisms;
 pub mod sweep;
 pub mod theory;

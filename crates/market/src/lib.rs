@@ -59,7 +59,6 @@
 //! # }
 //! ```
 
-pub mod agents;
 pub mod allocation;
 pub mod bidding;
 pub mod bids;

@@ -110,11 +110,6 @@ impl Market {
         &self.players
     }
 
-    /// Mutable access to the players (e.g. for budget re-assignment).
-    pub fn players_mut(&mut self) -> &mut [Player] {
-        &mut self.players
-    }
-
     /// Number of players `N`.
     pub fn len(&self) -> usize {
         self.players.len()

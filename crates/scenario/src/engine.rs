@@ -16,7 +16,7 @@ use rebudget_sim::{
 use rebudget_workloads::{generate_bundle, paper_bbpc_8core, Bundle, Category};
 
 use crate::effect::Effect;
-use crate::ledger::{self, Ledger, LedgerMeta, LedgerRecord};
+use crate::ledger::{Ledger, LedgerMeta, LedgerRecord};
 use crate::model::Scenario;
 use crate::properties::{FinalAudit, Property, PropertyContext, PropertyReport};
 use crate::trigger::{MetricSnapshot, TriggerState};
@@ -438,21 +438,11 @@ fn resume_check(scenario: &Scenario, reference: &SimResult) -> Result<(), String
     }
 }
 
-/// Verifies a ledger file on disk (header, chains, seal).
-///
-/// # Errors
-///
-/// [`ScenarioError::Io`] if unreadable, [`ScenarioError::Ledger`] with
-/// the offending line if invalid.
-pub fn verify_ledger_file(path: &std::path::Path) -> Result<ledger::LedgerSummary, ScenarioError> {
-    let text = std::fs::read_to_string(path)?;
-    ledger::verify(&text)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::ledger;
 
     fn quiet(extra: &str) -> Scenario {
         Scenario::parse(&format!(

@@ -28,9 +28,7 @@
 pub mod analytic;
 pub mod checkpoint;
 pub mod config;
-pub mod critical_path;
 pub mod dram;
-pub mod dram_sim;
 pub mod durable;
 pub mod groups;
 pub mod machine;

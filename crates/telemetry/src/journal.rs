@@ -34,7 +34,6 @@ pub const TRACE_VERSION: u64 = 1;
 #[derive(Debug, Clone, PartialEq)]
 enum Value {
     U64(u64),
-    I64(i64),
     F64(f64),
     Bool(bool),
     Str(String),
@@ -65,13 +64,6 @@ impl Event {
     #[must_use]
     pub fn field_u64(mut self, key: &'static str, value: u64) -> Self {
         self.fields.push((key, Value::U64(value)));
-        self
-    }
-
-    /// Adds a signed integer field.
-    #[must_use]
-    pub fn field_i64(mut self, key: &'static str, value: i64) -> Self {
-        self.fields.push((key, Value::I64(value)));
         self
     }
 
@@ -160,7 +152,6 @@ fn push_f64(out: &mut String, v: f64) {
 fn push_value(out: &mut String, value: &Value) {
     match value {
         Value::U64(v) => out.push_str(&v.to_string()),
-        Value::I64(v) => out.push_str(&v.to_string()),
         Value::F64(v) => push_f64(out, *v),
         Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
         Value::Str(v) => push_json_str(out, v),

@@ -1,11 +1,10 @@
 //! Integration tests for the extension modules: EP on multicore markets,
-//! application-granularity groups, the distributed agent architecture, and
-//! the uncoordinated (UCP) baseline on real bundles.
+//! application-granularity groups, and the uncoordinated (UCP) baseline on
+//! real bundles.
 
 use rebudget_core::ep::ElasticitiesProportional;
 use rebudget_core::mechanisms::{EqualBudget, MaxEfficiency, Mechanism, ReBudget};
 use rebudget_core::uncoordinated::Uncoordinated;
-use rebudget_market::agents::{agents_from_market, distributed_equilibrium, Auctioneer};
 use rebudget_sim::analytic::build_market;
 use rebudget_sim::groups::{build_group_market, MultithreadedBundle, ThreadGroup};
 use rebudget_sim::{DramConfig, SystemConfig};
@@ -108,30 +107,4 @@ fn group_market_runs_every_mechanism() {
     // The 4-thread group should command several regions under any
     // market outcome given swim's appetite.
     assert!(eq.allocation.get(0, 0) > 1.0);
-}
-
-#[test]
-fn distributed_agents_reach_the_same_outcome_on_a_real_bundle() {
-    let (sys, dram) = setup();
-    let market = build_market(&paper_bbpc_8core(), &sys, &dram, 100.0).expect("market builds");
-    let central = EqualBudget::new(100.0).allocate(&market).expect("runs");
-    let auctioneer = Auctioneer::new(market.resources().clone());
-    let mut agents = agents_from_market(&market);
-    let dist = distributed_equilibrium(&auctioneer, &mut agents, 30, 0.01).expect("runs");
-    assert!(dist.converged);
-    let dist_eff: f64 = market
-        .players()
-        .iter()
-        .enumerate()
-        .map(|(i, p)| p.utility_of(dist.allocation.row(i)))
-        .sum();
-    assert!(
-        (dist_eff - central.efficiency).abs() / central.efficiency < 0.05,
-        "distributed {} vs centralized {}",
-        dist_eff,
-        central.efficiency
-    );
-    // Warm start across quanta: the second solve is near-instant.
-    let warm = distributed_equilibrium(&auctioneer, &mut agents, 30, 0.01).expect("runs");
-    assert!(warm.iterations <= 2, "warm iterations {}", warm.iterations);
 }
