@@ -49,26 +49,32 @@ pub fn paper_mechanisms_with(policy: ParallelPolicy) -> Vec<Box<dyn Mechanism>> 
     ]
 }
 
-/// Parses a CLI/harness policy spec: `auto`, `serial`, or a thread count
-/// (e.g. `4`). Anything unparseable falls back to `Auto`.
-pub fn parse_policy(spec: &str) -> ParallelPolicy {
+/// Parses a CLI/harness policy spec: `auto`, `serial`, or a positive
+/// thread count (e.g. `4`; `1` means `serial`), case-insensitively.
+/// `None` for anything else.
+pub fn parse_policy(spec: &str) -> Option<ParallelPolicy> {
     match spec.to_ascii_lowercase().as_str() {
-        "serial" | "1" => ParallelPolicy::Serial,
-        "auto" | "" => ParallelPolicy::Auto,
+        "serial" | "1" => Some(ParallelPolicy::Serial),
+        "auto" => Some(ParallelPolicy::Auto),
         s => s
             .parse::<usize>()
-            .map(ParallelPolicy::Threads)
-            .unwrap_or(ParallelPolicy::Auto),
+            .ok()
+            .filter(|&n| n > 0)
+            .map(ParallelPolicy::Threads),
     }
 }
 
 /// Positional CLI argument `n` parsed as a [`ParallelPolicy`]
-/// (default `Auto`).
+/// (default `Auto` when absent). An unparseable spec is a usage error:
+/// one `error:` line on stderr and exit status 2.
 pub fn policy_arg(n: usize) -> ParallelPolicy {
-    std::env::args()
-        .nth(n)
-        .map(|s| parse_policy(&s))
-        .unwrap_or(ParallelPolicy::Auto)
+    let Some(spec) = std::env::args().nth(n) else {
+        return ParallelPolicy::Auto;
+    };
+    parse_policy(&spec).unwrap_or_else(|| {
+        eprintln!("error: bad policy '{spec}' (expected auto, serial or a positive thread count)");
+        std::process::exit(2);
+    })
 }
 
 /// One mechanism's result on one bundle.
@@ -275,10 +281,12 @@ mod tests {
 
     #[test]
     fn policy_spec_parsing() {
-        assert_eq!(parse_policy("serial"), ParallelPolicy::Serial);
-        assert_eq!(parse_policy("Auto"), ParallelPolicy::Auto);
-        assert_eq!(parse_policy("4"), ParallelPolicy::Threads(4));
-        assert_eq!(parse_policy("bogus"), ParallelPolicy::Auto);
+        assert_eq!(parse_policy("serial"), Some(ParallelPolicy::Serial));
+        assert_eq!(parse_policy("Auto"), Some(ParallelPolicy::Auto));
+        assert_eq!(parse_policy("4"), Some(ParallelPolicy::Threads(4)));
+        for bogus in ["bogus", "seriall", "0", "-2", ""] {
+            assert_eq!(parse_policy(bogus), None, "{bogus:?}");
+        }
     }
 
     #[test]

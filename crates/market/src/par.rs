@@ -1,4 +1,5 @@
-//! Parallel execution policy for the equilibrium engine and the oracle.
+//! Parallel execution policy for the equilibrium engine and the oracle,
+//! and the workspace's only threading code.
 //!
 //! Every parallel-capable loop in this workspace is written so that the
 //! *values* it computes are a pure function of its inputs, independent of
@@ -7,9 +8,15 @@
 //! choice based on problem size — and results are bit-identical across all
 //! three (asserted by the `parallel_determinism` integration tests).
 //!
-//! With the `parallel` cargo feature disabled the policy type still exists
-//! (so option structs keep their shape) but every policy resolves to
-//! single-threaded execution and the rayon dependency disappears.
+//! The loops below split their index space into contiguous bands, one per
+//! worker, run each band on its own scoped thread (`std::thread::scope`)
+//! and reassemble results in index order. There is no work stealing: the
+//! fan-outs here are near-uniform, and a band's worker creates its scratch
+//! once for the whole band. Threads are spawned per call, not pooled;
+//! every call site amortizes the spawn over milliseconds of per-band work,
+//! and a single-worker call never spawns at all.
+
+use std::ops::Range;
 
 /// How a parallel-capable loop executes. Purely an execution knob: the
 /// computed values are identical under every variant.
@@ -37,24 +44,12 @@ pub const AUTO_MIN_FANOUT: usize = 32;
 impl ParallelPolicy {
     /// Number of worker threads this policy yields for a loop of
     /// `work_items` independent items. Always at least 1; never more than
-    /// `work_items`. With the `parallel` feature disabled, always 1.
+    /// `work_items`.
     pub fn resolved_threads(self, work_items: usize) -> usize {
-        #[cfg(not(feature = "parallel"))]
-        {
-            let _ = work_items;
+        if self == ParallelPolicy::Auto && work_items < AUTO_MIN_FANOUT {
             1
-        }
-        #[cfg(feature = "parallel")]
-        match self {
-            ParallelPolicy::Serial => 1,
-            ParallelPolicy::Threads(n) => n.clamp(1, work_items.max(1)),
-            ParallelPolicy::Auto => {
-                if work_items >= AUTO_MIN_FANOUT {
-                    rayon::current_num_threads().clamp(1, work_items)
-                } else {
-                    1
-                }
-            }
+        } else {
+            self.resolved_threads_coarse(work_items)
         }
     }
 
@@ -70,12 +65,6 @@ impl ParallelPolicy {
     /// each — where even a fan-out of 2 amortizes thread cost. `Auto`
     /// parallelizes whenever there are at least 2 items.
     pub fn resolved_threads_coarse(self, work_items: usize) -> usize {
-        #[cfg(not(feature = "parallel"))]
-        {
-            let _ = work_items;
-            1
-        }
-        #[cfg(feature = "parallel")]
         match self {
             ParallelPolicy::Serial => 1,
             ParallelPolicy::Threads(n) => n.clamp(1, work_items.max(1)),
@@ -85,18 +74,57 @@ impl ParallelPolicy {
 }
 
 /// The worker-thread count [`ParallelPolicy::Auto`] resolves to when it
-/// parallelizes: honors an enclosing rayon pool / `RAYON_NUM_THREADS`,
-/// falling back to the machine's available parallelism. Always 1 with the
-/// `parallel` feature disabled.
+/// parallelizes: the `RAYON_NUM_THREADS` environment variable if it holds
+/// a positive integer, else the machine's available parallelism. The
+/// variable is read on every call, so a process may change it between
+/// phases.
 pub fn max_threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        rayon::current_num_threads().max(1)
+    std::env::var("RAYON_NUM_THREADS")
+        .ok()
+        .and_then(|s| s.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
+        .unwrap_or(1)
+}
+
+/// Splits `0..len` into `min(threads, len)` contiguous bands (at least
+/// one), carves each band's share of the caller's buffers with `split`
+/// (called on this thread, in band order), and runs `run(band, share)`
+/// for every band. With more than one band each runs on its own scoped
+/// thread. Returns the bands' results in band order.
+fn in_bands<P: Send, R: Send>(
+    threads: usize,
+    len: usize,
+    mut split: impl FnMut(Range<usize>) -> P,
+    run: impl Fn(Range<usize>, P) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.clamp(1, len.max(1));
+    let band = |t: usize| t * len / workers..(t + 1) * len / workers;
+    if workers == 1 {
+        return vec![run(0..len, split(0..len))];
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
+    let run = &run;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|t| {
+                let share = split(band(t));
+                scope.spawn(move || run(band(t), share))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
+}
+
+/// Cuts the first `n` elements (or all, if fewer) off `rest`, leaving the
+/// tail in `rest`.
+fn take_front<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let rest_all = std::mem::take(rest);
+    let (head, tail) = rest_all.split_at_mut(n.min(rest_all.len()));
+    *rest = tail;
+    head
 }
 
 /// Applies `f` to every `row_len`-sized chunk of `data` (in index order),
@@ -114,25 +142,19 @@ pub(crate) fn for_each_row<S>(
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, usize, &mut [f64]) + Sync,
 ) {
-    #[cfg(feature = "parallel")]
-    if threads > 1 {
-        use rayon::prelude::*;
-        // Pool construction can fail if the OS refuses threads; degrade to
-        // the serial path below rather than panic — results are identical.
-        if let Ok(pool) = rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-            pool.install(|| {
-                data.par_chunks_mut(row_len)
-                    .enumerate()
-                    .for_each_init(&init, |scratch, (i, row)| f(scratch, i, row));
-            });
-            return;
-        }
-    }
-    let _ = threads;
-    let mut scratch = init();
-    for (i, row) in data.chunks_mut(row_len).enumerate() {
-        f(&mut scratch, i, row);
-    }
+    let rows = data.len().div_ceil(row_len);
+    let mut rest = data;
+    in_bands(
+        threads,
+        rows,
+        |band| take_front(&mut rest, band.len() * row_len),
+        |band, share| {
+            let mut scratch = init();
+            for (i, row) in band.zip(share.chunks_mut(row_len)) {
+                f(&mut scratch, i, row);
+            }
+        },
+    );
 }
 
 /// Applies `f` to every block of an irregularly-partitioned buffer, in
@@ -148,9 +170,8 @@ pub(crate) fn for_each_row<S>(
 ///
 /// This is the sparse counterpart of [`for_each_row`]: the first-order
 /// solvers partition players into fixed-size blocks whose CSR rows have
-/// irregular byte extents, which the uniform-chunk rayon shim cannot
-/// split — so the banding is done here directly with scoped threads (the
-/// same scheme the shim uses internally).
+/// irregular extents, so a band's share of `vals` is cut at block
+/// boundaries rather than at a fixed stride.
 pub(crate) fn for_each_block(
     threads: usize,
     vals: &mut [f64],
@@ -163,47 +184,28 @@ pub(crate) fn for_each_block(
     debug_assert_eq!(block_ptr.first().copied().unwrap_or(0), 0);
     debug_assert_eq!(block_ptr.last().copied().unwrap_or(0), vals.len());
     debug_assert_eq!(aux.len(), blocks * aux_stride);
-    #[cfg(feature = "parallel")]
-    {
-        let workers = threads.clamp(1, blocks.max(1));
-        if workers > 1 {
-            let f = &f;
-            std::thread::scope(|scope| {
-                let mut vals_rest = vals;
-                let mut aux_rest = aux;
-                let mut val_off = 0usize;
-                for t in 0..workers {
-                    let lo = t * blocks / workers;
-                    let hi = (t + 1) * blocks / workers;
-                    let (vals_band, vr) = vals_rest.split_at_mut(block_ptr[hi] - val_off);
-                    vals_rest = vr;
-                    let (aux_band, ar) = aux_rest.split_at_mut((hi - lo) * aux_stride);
-                    aux_rest = ar;
-                    let band_ptr = &block_ptr[lo..=hi];
-                    scope.spawn(move || {
-                        let base = band_ptr[0];
-                        for (k, b) in (lo..hi).enumerate() {
-                            let (vs, au) = (
-                                &mut vals_band[band_ptr[k] - base..band_ptr[k + 1] - base],
-                                &mut aux_band[k * aux_stride..(k + 1) * aux_stride],
-                            );
-                            f(b, vs, au);
-                        }
-                    });
-                    val_off = block_ptr[hi];
-                }
-            });
-            return;
-        }
-    }
-    let _ = threads;
-    for b in 0..blocks {
-        f(
-            b,
-            &mut vals[block_ptr[b]..block_ptr[b + 1]],
-            &mut aux[b * aux_stride..(b + 1) * aux_stride],
-        );
-    }
+    let (mut vals_rest, mut aux_rest) = (vals, aux);
+    in_bands(
+        threads,
+        blocks,
+        |band| {
+            let vals_len = block_ptr[band.end] - block_ptr[band.start];
+            (
+                take_front(&mut vals_rest, vals_len),
+                take_front(&mut aux_rest, band.len() * aux_stride),
+            )
+        },
+        |band, (vals_band, aux_band)| {
+            let base = block_ptr[band.start];
+            for (k, b) in band.enumerate() {
+                f(
+                    b,
+                    &mut vals_band[block_ptr[b] - base..block_ptr[b + 1] - base],
+                    &mut aux_band[k * aux_stride..(k + 1) * aux_stride],
+                );
+            }
+        },
+    );
 }
 
 /// Evaluates `f(i)` for `i` in `0..len` across `threads` workers,
@@ -212,16 +214,13 @@ pub(crate) fn for_each_block(
 /// Public so downstream crates (core's sweep, sim's market builder) can
 /// fan out coarse work items under the same policy machinery.
 pub fn map_indexed<R: Send>(threads: usize, len: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    #[cfg(feature = "parallel")]
-    if threads > 1 {
-        use rayon::prelude::*;
-        // Degrade to serial on pool-construction failure (identical results).
-        if let Ok(pool) = rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-            return pool.install(|| (0..len).into_par_iter().map(&f).collect());
-        }
-    }
-    let _ = threads;
-    (0..len).map(f).collect()
+    let bands = in_bands(
+        threads,
+        len,
+        |_| (),
+        |band, ()| band.map(&f).collect::<Vec<_>>(),
+    );
+    bands.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -238,16 +237,8 @@ mod tests {
     #[test]
     fn threads_policy_clamps_to_fanout() {
         assert_eq!(ParallelPolicy::Threads(0).resolved_threads(3), 1);
-        #[cfg(feature = "parallel")]
-        {
-            assert_eq!(ParallelPolicy::Threads(8).resolved_threads(3), 3);
-            assert_eq!(ParallelPolicy::Threads(4).resolved_threads(100), 4);
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            assert_eq!(ParallelPolicy::Threads(8).resolved_threads(3), 1);
-            assert_eq!(ParallelPolicy::Threads(4).resolved_threads(100), 1);
-        }
+        assert_eq!(ParallelPolicy::Threads(8).resolved_threads(3), 3);
+        assert_eq!(ParallelPolicy::Threads(4).resolved_threads(100), 4);
     }
 
     #[test]
@@ -328,5 +319,25 @@ mod tests {
         let parallel = map_indexed(4, 100, |i| i * i);
         assert_eq!(serial, parallel);
         assert_eq!(serial[7], 49);
+        // The bands cover `0..len` exactly, contiguous and in order, for
+        // fewer, as many and more workers than items.
+        for len in [0, 1, 3, 10, 16] {
+            for threads in [1, 3, 4, 10] {
+                assert_eq!(
+                    map_indexed(threads, len, |i| i),
+                    (0..len).collect::<Vec<_>>(),
+                    "len {len}, threads {threads}"
+                );
+                let bands = in_bands(threads, len, |_| (), |band, ()| band);
+                assert_eq!(bands.len(), threads.clamp(1, len.max(1)));
+                let mut covered = 0;
+                for band in &bands {
+                    assert_eq!(band.start, covered, "len {len}, threads {threads}");
+                    assert!(len == 0 || !band.is_empty());
+                    covered = band.end;
+                }
+                assert_eq!(covered, len);
+            }
+        }
     }
 }

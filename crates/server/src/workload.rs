@@ -13,6 +13,8 @@
 //! and (sometimes) refreshes its utility mid-life. All attributes
 //! (budget, interest set, weights) are hashed from `(seed, k)` alone.
 
+use std::ops::Range;
+
 use rebudget_market::splitmix64;
 
 use crate::proto::Request;
@@ -80,6 +82,12 @@ impl WorkloadSpec {
         self.initial_players + (tick as usize).saturating_mul(self.arrivals_per_tick)
     }
 
+    /// Indices of the players arriving in ticks `from..=to`.
+    fn arriving(&self, from: u64, to: u64) -> Range<usize> {
+        let first = if from == 0 { 0 } else { self.horizon(from - 1) };
+        first..self.horizon(to)
+    }
+
     /// Whether player `k` is live during tick `tick` (arrived, not yet
     /// departed) — from the schedule alone.
     #[must_use]
@@ -124,26 +132,28 @@ impl WorkloadSpec {
     /// The admission commands for tick `tick`, in a fixed order:
     /// departures (ascending index), then arrivals (ascending index),
     /// then utility updates (ascending index). Pure in `(self, tick)`.
+    ///
+    /// Lifetimes are at most `2 * mean_lifetime` ticks, so only players
+    /// that arrived in the last `2 * mean_lifetime` ticks can depart or
+    /// update now: the cost is O(players in that window), not O(tick).
     #[must_use]
     pub fn commands_for_tick(&self, tick: u64) -> Vec<Request> {
         let mut commands = Vec::new();
-        let horizon = self.horizon(tick);
-        for k in 0..horizon {
+        let window = self.arriving(tick.saturating_sub(2 * self.mean_lifetime.max(1)), tick);
+        for k in window.clone() {
             if tick > 0 && self.departure(k) == tick {
                 commands.push(Request::Depart { id: self.id(k) });
             }
         }
-        for k in 0..horizon {
-            if self.arrival(k) == tick {
-                commands.push(Request::Arrive {
-                    id: self.id(k),
-                    budget: self.budget(k),
-                    interests: self.interests(k, 0),
-                });
-            }
+        for k in self.arriving(tick, tick) {
+            commands.push(Request::Arrive {
+                id: self.id(k),
+                budget: self.budget(k),
+                interests: self.interests(k, 0),
+            });
         }
         if self.update_percent > 0 && tick > 0 {
-            for k in 0..horizon {
+            for k in window {
                 // Updates only for players live both this tick and last
                 // (an arrival this tick already carries fresh weights).
                 if self.live(k, tick)
@@ -219,6 +229,65 @@ mod tests {
         assert_eq!(arrivals, spec.initial_players + 39 * spec.arrivals_per_tick);
         assert!(departures > 0, "lifetimes expire within 40 ticks");
         assert!(updates > 0, "10% refresh fires within 40 ticks");
+    }
+
+    /// The generator before the lifetime window: every player index ever
+    /// scheduled is scanned on every call.
+    fn full_scan_commands(spec: &WorkloadSpec, tick: u64) -> Vec<Request> {
+        let mut commands = Vec::new();
+        let horizon = spec.horizon(tick);
+        for k in 0..horizon {
+            if tick > 0 && spec.departure(k) == tick {
+                commands.push(Request::Depart { id: spec.id(k) });
+            }
+        }
+        for k in 0..horizon {
+            if spec.arrival(k) == tick {
+                commands.push(Request::Arrive {
+                    id: spec.id(k),
+                    budget: spec.budget(k),
+                    interests: spec.interests(k, 0),
+                });
+            }
+        }
+        if spec.update_percent > 0 && tick > 0 {
+            for k in 0..horizon {
+                if spec.live(k, tick)
+                    && spec.live(k, tick.saturating_sub(1))
+                    && spec.arrival(k) < tick
+                    && spec.hash(k as u64, 400 + tick) % 100 < spec.update_percent
+                {
+                    commands.push(Request::Update {
+                        id: spec.id(k),
+                        interests: spec.interests(k, tick),
+                    });
+                }
+            }
+        }
+        commands
+    }
+
+    #[test]
+    fn lifetime_window_matches_the_full_scan() {
+        // `small` and the shape of the serve-churn benchmark (1% updates,
+        // mean lifetime 100), the latter also with no arrivals after tick 0.
+        let churn = |seed, arrivals_per_tick| WorkloadSpec {
+            seed,
+            initial_players: 200,
+            resources: 64,
+            arrivals_per_tick,
+            mean_lifetime: 100,
+            update_percent: 1,
+        };
+        for spec in [WorkloadSpec::small(5, 16), churn(7, 2), churn(9, 0)] {
+            for t in 0..3000 {
+                assert_eq!(
+                    spec.commands_for_tick(t),
+                    full_scan_commands(&spec, t),
+                    "{spec:?} tick {t}"
+                );
+            }
+        }
     }
 
     #[test]

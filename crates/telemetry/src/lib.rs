@@ -10,8 +10,8 @@
 //!
 //! * [`metrics`] — a [`metrics::MetricsRegistry`] of named counters,
 //!   gauges, and mergeable log-scale histograms. All mutation is lock-free
-//!   (atomics), so the `parallel` feature's Jacobi fan-out can record
-//!   contention-free; only name registration takes a lock.
+//!   (atomics), so the threaded Jacobi fan-out can record contention-free;
+//!   only name registration takes a lock.
 //! * [`span`] — hierarchical wall-clock span timers
 //!   (`span!("quantum").child("solve")`). Durations aggregate into
 //!   registry histograms keyed by the span path.

@@ -3,8 +3,8 @@
 //! resumed from its latest snapshot must produce bit-identical results to
 //! an uninterrupted run; corrupt snapshots must be rejected with typed
 //! errors (never a panic) and the rotated `.prev` generation must take
-//! over; and all of it must hold under both feature configurations (the
-//! suite runs with and without the `parallel` feature in CI).
+//! over; and all of it must hold under every thread count (CI runs the
+//! suite with `RAYON_NUM_THREADS` unset and set to 1).
 
 use std::path::PathBuf;
 

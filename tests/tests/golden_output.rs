@@ -6,10 +6,9 @@
 //! the rendered numbers, column layout, or fingerprints fails loudly and
 //! has to be re-blessed by regenerating the file.
 //!
-//! The same files are checked in both feature configurations (default
-//! and `--no-default-features`): the parallel fan-out is bit-identical
-//! to the serial path by construction, so one set of goldens covers
-//! both. The `--mechanism=rebudget` goldens end in a `fingerprint` line
+//! The same files hold under every thread count: the parallel fan-out
+//! is bit-identical to the serial path by construction, so one set of
+//! goldens covers any `RAYON_NUM_THREADS`. The `--mechanism=rebudget` goldens end in a `fingerprint` line
 //! — an FNV-1a digest over the run's full bit patterns — which upgrades
 //! the textual diff to a bit-exactness proof for the allocations.
 
