@@ -15,12 +15,13 @@
 
 use std::sync::Arc;
 
-use rebudget_bench::{exit_on_error, policy_arg, system_for, PAPER_BUDGET};
+use rebudget_bench::{exit_on_error, policy_arg, PAPER_BUDGET};
 use rebudget_core::mechanisms::{EqualBudget, MaxEfficiency, Mechanism, ReBudget};
 use rebudget_core::sweep::sweep_steps_with;
 use rebudget_market::equilibrium::EquilibriumOptions;
 use rebudget_market::{Market, Player, ResourceSpace, Utility};
 use rebudget_sim::analytic::{build_market, resource_space};
+use rebudget_sim::system_for;
 use rebudget_sim::utility_model::app_utility_grid_with;
 use rebudget_workloads::paper_bbpc_8core;
 

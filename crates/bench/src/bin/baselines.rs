@@ -12,11 +12,12 @@
 //! Usage: `baselines [cores] [bundles_per_category] [seed]`
 //! (defaults: 8, 2, 1).
 
-use rebudget_bench::{exit_on_error, system_for, PAPER_BUDGET};
+use rebudget_bench::{exit_on_error, PAPER_BUDGET};
 use rebudget_core::ep::ElasticitiesProportional;
 use rebudget_core::mechanisms::{EqualBudget, EqualShare, MaxEfficiency, Mechanism, ReBudget};
 use rebudget_core::uncoordinated::Uncoordinated;
 use rebudget_sim::analytic::build_market;
+use rebudget_sim::system_for;
 use rebudget_workloads::{generate_bundle, Category};
 
 fn main() {

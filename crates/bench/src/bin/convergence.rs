@@ -10,11 +10,11 @@
 //! (defaults: 64, 10, 1, auto; policy: `auto`, `serial`, or a thread
 //! count for the per-player best-response fan-out).
 
-use rebudget_bench::system_for;
 use rebudget_bench::{
     exit_on_error, paper_mechanisms, paper_mechanisms_with, policy_arg, PAPER_BUDGET,
 };
 use rebudget_sim::analytic::build_market_with;
+use rebudget_sim::system_for;
 use rebudget_workloads::{generate_bundle, Category};
 
 fn main() {

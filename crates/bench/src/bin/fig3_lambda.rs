@@ -7,9 +7,10 @@
 //! shows the over-budgeted *swim* rising and budget-starved apps
 //! requesting money.
 
-use rebudget_bench::{exit_on_error, system_for, PAPER_BUDGET};
+use rebudget_bench::{exit_on_error, PAPER_BUDGET};
 use rebudget_core::mechanisms::{EqualBudget, Mechanism, ReBudget};
 use rebudget_sim::analytic::build_market;
+use rebudget_sim::system_for;
 use rebudget_workloads::paper_bbpc_8core;
 
 fn main() {

@@ -10,9 +10,10 @@
 
 use rebudget_bench::{
     evaluate_bundle_analytic, fraction_at_least, median_envy_freeness, sort_by_equal_share,
-    system_for, worst_envy_freeness,
+    worst_envy_freeness,
 };
 use rebudget_core::theory::ef_lower_bound;
+use rebudget_sim::system_for;
 use rebudget_workloads::{generate_bundle, Category};
 
 fn main() {

@@ -9,10 +9,10 @@
 //! the trace-driven execution model — real shared-cache contention —
 //! instead of the analytic one).
 
-use rebudget_bench::{paper_mechanisms, system_for, PAPER_BUDGET};
+use rebudget_bench::{paper_mechanisms, PAPER_BUDGET};
 use rebudget_core::mechanisms::MaxEfficiency;
 use rebudget_sim::simulation::ExecutionModel;
-use rebudget_sim::{run_simulation, SimOptions};
+use rebudget_sim::{run_simulation, system_for, SimOptions};
 use rebudget_workloads::{generate_bundle, Category};
 
 fn main() {

@@ -23,12 +23,12 @@
 
 use std::time::Instant;
 
-use rebudget_bench::{exit_on_error, system_for, PAPER_BUDGET};
+use rebudget_bench::{exit_on_error, PAPER_BUDGET};
 use rebudget_core::mechanisms::{EqualBudget, Mechanism, ReBudget};
 use rebudget_market::{metrics, FaultPlan};
 use rebudget_sim::analytic::build_market;
 use rebudget_sim::simulation::run_simulation_recoverable;
-use rebudget_sim::{run_simulation, RecoveryOptions, SimOptions};
+use rebudget_sim::{run_simulation, system_for, RecoveryOptions, SimOptions};
 use rebudget_workloads::paper_bbpc_8core;
 
 /// The base (intensity 1.0) fault plan the sweep scales.

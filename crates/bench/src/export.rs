@@ -211,7 +211,8 @@ pub fn write_fig4_csv(path: &Path, results: &[BundleResult]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{evaluate_bundle_analytic, system_for};
+    use crate::evaluate_bundle_analytic;
+    use rebudget_sim::system_for;
     use rebudget_workloads::paper_bbpc_8core;
 
     #[test]

@@ -214,23 +214,24 @@ pub fn median_envy_freeness(results: &[BundleResult], mechanism: &str) -> f64 {
     efs[efs.len() / 2]
 }
 
-/// Parses positional CLI argument `n` as a number, with a default.
+/// Positional CLI argument `n` parsed as a `T` (`default` when absent).
+/// An unparseable argument is a usage error: one `error:` line on stderr
+/// and exit status 2.
 pub fn arg_or<T: std::str::FromStr>(n: usize, default: T) -> T {
-    std::env::args()
-        .nth(n)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    let arg = std::env::args().nth(n);
+    parse_arg(arg.as_deref(), default).unwrap_or_else(|| {
+        eprintln!("error: bad argument {n} '{}'", arg.unwrap_or_default());
+        std::process::exit(2);
+    })
 }
 
-/// Builds the system/DRAM pair for a core count (8 and 64 use the paper
-/// configurations; anything else uses the scaled config).
-pub fn system_for(cores: usize) -> (SystemConfig, DramConfig) {
-    let sys = match cores {
-        8 => SystemConfig::paper_8core(),
-        64 => SystemConfig::paper_64core(),
-        n => SystemConfig::scaled(n),
-    };
-    (sys, DramConfig::ddr3_1600())
+/// `arg` parsed as a `T`: `default` when absent, `None` when it does not
+/// parse.
+fn parse_arg<T: std::str::FromStr>(arg: Option<&str>, default: T) -> Option<T> {
+    match arg {
+        None => Some(default),
+        Some(s) => s.parse().ok(),
+    }
 }
 
 /// Converts a [`MarketError`] chain into a process exit with a message —
@@ -248,6 +249,7 @@ pub fn exit_on_error<T>(result: std::result::Result<T, MarketError>) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rebudget_sim::system_for;
     use rebudget_workloads::paper_bbpc_8core;
 
     #[test]
@@ -287,6 +289,17 @@ mod tests {
         for bogus in ["bogus", "seriall", "0", "-2", ""] {
             assert_eq!(parse_policy(bogus), None, "{bogus:?}");
         }
+    }
+
+    #[test]
+    fn positional_argument_parsing() {
+        assert_eq!(parse_arg(None, 21usize), Some(21));
+        assert_eq!(parse_arg(Some("7"), 21usize), Some(7));
+        assert_eq!(parse_arg(Some("1e-4"), 1e-6), Some(1e-4));
+        for bogus in ["2l", "", "-3", "1.5"] {
+            assert_eq!(parse_arg(Some(bogus), 21usize), None, "{bogus:?}");
+        }
+        assert_eq!(parse_arg(Some("fast"), 1e-6), None);
     }
 
     #[test]

@@ -26,9 +26,7 @@ use std::path::{Path, PathBuf};
 use rebudget_apps::classify::{sensitivity, Envelope};
 use rebudget_apps::perf::PerfEnv;
 use rebudget_apps::spec::all_apps;
-use rebudget_core::mechanisms::{
-    Balanced, EqualBudget, EqualShare, MaxEfficiency, Mechanism, ReBudget,
-};
+use rebudget_core::mechanisms::{by_name, Mechanism};
 use rebudget_core::sweep::{sweep_oracle, sweep_point, sweep_steps, SweepPoint};
 use rebudget_core::theory::{ef_lower_bound, poa_lower_bound};
 use rebudget_market::equilibrium::EquilibriumOptions;
@@ -41,10 +39,10 @@ use rebudget_sim::analytic::build_market;
 use rebudget_sim::checkpoint::{SweepCheckpoint, SweepMeta};
 use rebudget_sim::durable::{self, fnv1a};
 use rebudget_sim::{
-    run_simulation_recoverable, DramConfig, RecoveryOptions, SimOptions, SimResult, SystemConfig,
+    run_simulation_recoverable, system_for, RecoveryOptions, SimOptions, SimResult,
 };
 use rebudget_telemetry as telemetry;
-use rebudget_workloads::{generate_bundle, paper_bbpc_8core, Bundle, Category};
+use rebudget_workloads::{bundle_by_name, generate_bundle, Bundle, Category};
 
 pub mod exit;
 
@@ -128,6 +126,9 @@ USAGE:
 
 CATEGORY:   CPBN | CCPP | CPBB | BBNN | BBPN | BBCN (case-insensitive)
 MECHANISM:  equalshare | equalbudget | balanced | rebudget | maxefficiency
+            (case-insensitive)
+STEP:       ReBudget's first-round budget cut (default 20); a positive,
+            finite number, or a usage error
 SOLVER:     solve, simulate, synth and serve accept --solver=NAME selecting
             the equilibrium engine: jacobi (dense best-response, the
             paper's engine, the default), propresp (first-order
@@ -176,80 +177,21 @@ OBSERVING:  every subcommand also accepts --trace=PATH (write a JSONL
             usage error.
 ";
 
-/// Solver-robustness knobs shared by all market-backed mechanisms.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolverKnobs {
-    /// Per-solve deadline (wall clock and/or iterations).
-    pub deadline: DeadlineBudget,
-    /// Optional bounded retry ladder.
-    pub retry: Option<RetryPolicy>,
-    /// Equilibrium engine for the inner solves (`--solver=`).
-    pub solver: SolverKind,
-}
-
-/// Parses a mechanism name and installs deadline/retry solver knobs.
-pub fn parse_mechanism_with(
+/// The mechanism `name` names, in any letter case, with budget 100 (see
+/// [`by_name`]).
+fn mechanism(
     name: &str,
     step: Option<f64>,
-    knobs: SolverKnobs,
+    options: &EquilibriumOptions,
+    retry: Option<RetryPolicy>,
 ) -> Result<Box<dyn Mechanism>, CliError> {
-    match name.to_ascii_lowercase().as_str() {
-        "equalshare" => Ok(Box::new(EqualShare)),
-        "equalbudget" => {
-            let mut m = EqualBudget::new(100.0);
-            m.options.deadline = knobs.deadline;
-            m.options.solver = knobs.solver;
-            m.retry = knobs.retry;
-            Ok(Box::new(m))
-        }
-        "balanced" => {
-            let mut m = Balanced::new(100.0);
-            m.options.deadline = knobs.deadline;
-            m.options.solver = knobs.solver;
-            m.retry = knobs.retry;
-            Ok(Box::new(m))
-        }
-        "rebudget" => {
-            let mut m = ReBudget::with_step(100.0, step.unwrap_or(20.0));
-            m.options.deadline = knobs.deadline;
-            m.options.solver = knobs.solver;
-            m.retry = knobs.retry;
-            Ok(Box::new(m))
-        }
-        "maxefficiency" => {
-            let mut m = MaxEfficiency::default();
-            m.options.deadline = knobs.deadline;
-            Ok(Box::new(m))
-        }
-        other => Err(err(format!("unknown mechanism '{other}'"))),
-    }
-}
-
-fn parse_bundle(category: &str, cores: usize, seed: u64) -> Result<Bundle, CliError> {
-    if category.eq_ignore_ascii_case("bbpc") {
-        if cores != 8 {
-            return Err(err("the paper's bbpc case-study bundle is 8-core"));
-        }
-        return Ok(paper_bbpc_8core());
-    }
-    let cat = Category::from_name(category)
-        .ok_or_else(|| err(format!("unknown category '{category}'")))?;
-    generate_bundle(cat, cores, 0, seed).map_err(|e| err(e.to_string()))
-}
-
-fn system_for(cores: usize) -> (SystemConfig, DramConfig) {
-    let sys = match cores {
-        8 => SystemConfig::paper_8core(),
-        64 => SystemConfig::paper_64core(),
-        n => SystemConfig::scaled(n),
-    };
-    (sys, DramConfig::ddr3_1600())
+    by_name(&name.to_ascii_lowercase(), 100.0, step, options, retry).map_err(err)
 }
 
 /// The bundle for `category` (seed 1) and its market on a `cores`-core
 /// system.
 fn bundle_market(category: &str, cores: usize) -> Result<(Bundle, Market), CliError> {
-    let bundle = parse_bundle(category, cores, 1)?;
+    let bundle = bundle_by_name(category, cores, 1).map_err(|e| err(e.to_string()))?;
     let (sys, dram) = system_for(cores);
     let market = build_market(&bundle, &sys, &dram, 100.0).map_err(|e| err(e.to_string()))?;
     Ok((bundle, market))
@@ -320,13 +262,14 @@ fn reject_unread_flags(command: &str, args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// Removes the solver flags from `args`: `--deadline-ms`, `--solve-iters`,
-/// `--retries` (only if `retries`) and `--solver` (`default` if absent).
+/// Removes the solver flags from `args` and applies them to `base`:
+/// `--deadline-ms`, `--solve-iters` and `--solver` (`base`'s if absent).
+/// Only if `retries`, `--retries` gives the returned retry ladder.
 fn solver_knobs(
     args: &mut Vec<String>,
-    default: SolverKind,
+    mut base: EquilibriumOptions,
     retries: bool,
-) -> Result<SolverKnobs, CliError> {
+) -> Result<(EquilibriumOptions, Option<RetryPolicy>), CliError> {
     let deadline_ms: Option<u64> = flag(args, "deadline-ms", "deadline (ms)")?;
     let solve_iters: Option<usize> = flag(args, "solve-iters", "solve iteration budget")?;
     let retries: Option<usize> = if retries {
@@ -334,22 +277,19 @@ fn solver_knobs(
     } else {
         None
     };
-    let solver = match extract_flag(args, "solver")? {
-        Some(name) => SolverKind::parse(&name).ok_or_else(|| {
+    if let Some(name) = extract_flag(args, "solver")? {
+        base.solver = SolverKind::parse(&name).ok_or_else(|| {
             err(format!(
                 "unknown solver '{name}' (expected jacobi | propresp | mirror)"
             ))
-        })?,
-        None => default,
-    };
-    Ok(SolverKnobs {
-        // `checked` rejects zero budgets (they admit no work) as a
-        // usage error before any solve runs.
-        deadline: DeadlineBudget::checked(deadline_ms, solve_iters)
-            .map_err(|e| err(e.to_string()))?,
-        retry: retries.map(|n| RetryPolicy::with_attempts(n.saturating_add(1))),
-        solver,
-    })
+        })?;
+    }
+    // `checked` rejects zero budgets (they admit no work) as a usage
+    // error before any solve runs.
+    base.deadline =
+        DeadlineBudget::checked(deadline_ms, solve_iters).map_err(|e| err(e.to_string()))?;
+    let retry = retries.map(|n| RetryPolicy::with_attempts(n.saturating_add(1)));
+    Ok((base, retry))
 }
 
 /// Removes `--tol` from `args`; it must be a positive number.
@@ -600,12 +540,13 @@ fn workloads(args: &[String]) -> Result<String, CliError> {
 }
 
 fn solve(mut args: Vec<String>) -> Result<String, CliError> {
-    let knobs = solver_knobs(&mut args, SolverKind::default(), true)?;
+    let (options, retry) = solver_knobs(&mut args, EquilibriumOptions::default(), true)?;
     reject_unread_flags("solve", &args)?;
     let category = args.first().ok_or_else(|| err(USAGE))?;
     let cores: usize = positional(&args, 1, "core count")?;
     let step: Option<f64> = args.get(3).map(|s| parse(s, "step")).transpose()?;
-    let mech = parse_mechanism_with(args.get(2).map_or("rebudget", String::as_str), step, knobs)?;
+    let name = args.get(2).map_or("rebudget", String::as_str);
+    let mech = mechanism(name, step, &options, retry)?;
     let (bundle, market) = bundle_market(category, cores)?;
     let o = mech.allocate(&market).map_err(|e| err(e.to_string()))?;
     let mut out = String::new();
@@ -752,7 +693,7 @@ fn simulate(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, Cl
         return Err(err("--checkpoint-every must be at least 1"));
     }
     let resume: Option<PathBuf> = extract_flag(&mut args, "resume")?.map(PathBuf::from);
-    let knobs = solver_knobs(&mut args, SolverKind::default(), true)?;
+    let (options, retry) = solver_knobs(&mut args, EquilibriumOptions::default(), true)?;
     let faults: Option<FaultPlan> = match extract_flag(&mut args, "faults")? {
         Some(spec) => {
             let plan = FaultPlan::parse(&spec)
@@ -780,7 +721,7 @@ fn simulate(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, Cl
     if quanta == 0 {
         return Err(err("quanta must be at least 1"));
     }
-    let bundle = parse_bundle(category, cores, 1)?;
+    let bundle = bundle_by_name(category, cores, 1).map_err(|e| err(e.to_string()))?;
     let (sys, dram) = system_for(cores);
     let injecting = faults.as_ref().is_some_and(FaultPlan::is_active);
     let opts = SimOptions {
@@ -803,7 +744,7 @@ fn simulate(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, Cl
         checkpoint_every,
         resume,
     };
-    let bounded = knobs.deadline.is_bounded() || knobs.retry.is_some();
+    let bounded = options.deadline.is_bounded() || retry.is_some();
     let mech_names: Vec<&str> = match &mechanism_flag {
         Some(name) => vec![name.as_str()],
         None => vec!["equalshare", "equalbudget", "rebudget", "maxefficiency"],
@@ -829,7 +770,7 @@ fn simulate(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, Cl
     writeln!(out).expect("infallible");
     let mut fingerprint = None;
     for mech_name in &mech_names {
-        let mech = parse_mechanism_with(mech_name, Some(40.0), knobs)?;
+        let mech = mechanism(mech_name, Some(40.0), &options, retry)?;
         let r = run_simulation_recoverable(&sys, &dram, &bundle, mech.as_ref(), &opts, &recovery)
             .map_err(|e| sim_err(&e))?;
         if r.replayed_quanta > 0 {
@@ -879,15 +820,14 @@ fn synth(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, CliEr
     // Sparse-only path: the dense Jacobi engine would need an n×m bid
     // matrix, which defeats the point at 10⁶ players. Nor is there a
     // retry ladder around the single solve.
-    let knobs = solver_knobs(&mut args, SolverKind::ProportionalResponse, false)?;
+    let (mut opts, _) = solver_knobs(&mut args, EquilibriumOptions::large_scale(), false)?;
     reject_unread_flags("synth", &args)?;
     let players: usize = positional(&args, 0, "player count")?;
     let resources: usize = positional(&args, 1, "resource count")?;
     if players == 0 || resources == 0 {
         return Err(err("player and resource counts must be at least 1"));
     }
-    let solver = knobs.solver;
-    if solver == SolverKind::Jacobi {
+    if opts.solver == SolverKind::Jacobi {
         return Err(err(
             "synth markets are sparse; pick --solver=propresp or --solver=mirror",
         ));
@@ -897,8 +837,6 @@ fn synth(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, CliEr
         spec.kind = SparseUtilityKind::Leontief;
     }
     let market = spec.generate().map_err(|e| err(e.to_string()))?;
-    let mut opts = EquilibriumOptions::large_scale().with_solver(solver);
-    opts.deadline = knobs.deadline;
     if let Some(t) = tol {
         opts.price_tolerance = t;
     }
@@ -916,7 +854,7 @@ fn synth(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, CliEr
     writeln!(out, "resources   {resources}").expect("infallible");
     writeln!(out, "nnz         {}", market.nnz()).expect("infallible");
     writeln!(out, "kind        {}", market.kind().label()).expect("infallible");
-    writeln!(out, "solver      {}", solver.label()).expect("infallible");
+    writeln!(out, "solver      {}", opts.solver.label()).expect("infallible");
     writeln!(out, "iterations  {}", o.iterations).expect("infallible");
     writeln!(
         out,
@@ -1103,7 +1041,7 @@ fn serve(mut args: Vec<String>) -> Result<String, CliError> {
     let tol = tolerance(&mut args)?.unwrap_or(1e-4);
     // The daemon defaults to the sparse first-order engine — the dense
     // paper engine only on an explicit --solver=jacobi.
-    let knobs = solver_knobs(&mut args, SolverKind::ProportionalResponse, true)?;
+    let (mut options, retry) = solver_knobs(&mut args, EquilibriumOptions::large_scale(), true)?;
     if let Some(extra) = args.first() {
         return Err(err(format!("unexpected serve argument '{extra}'")));
     }
@@ -1113,14 +1051,12 @@ fn serve(mut args: Vec<String>) -> Result<String, CliError> {
         (None, None) => return Err(err("serve needs --socket=PATH or --tcp=ADDR")),
         (Some(_), Some(_)) => return Err(err("serve takes --socket or --tcp, not both")),
     };
-    let mut options = EquilibriumOptions::large_scale().with_solver(knobs.solver);
-    options.deadline = knobs.deadline;
     options.price_tolerance = tol;
     let config = rebudget_server::ServerConfig {
         capacities: vec![capacity; resources],
-        solver: knobs.solver,
+        solver: options.solver,
         options,
-        retry: knobs.retry.unwrap_or_default(),
+        retry: retry.unwrap_or_default(),
         fallback_after,
         seed,
         commit_delay_ms,
@@ -1275,10 +1211,12 @@ mod tests {
 
     #[test]
     fn mechanism_parsing() {
-        let knobs = SolverKnobs::default();
-        assert!(parse_mechanism_with("balanced", None, knobs).is_ok());
-        assert!(parse_mechanism_with("REBUDGET", Some(40.0), knobs).is_ok());
-        assert!(parse_mechanism_with("magic", None, knobs).is_err());
+        let options = EquilibriumOptions::default();
+        assert!(by_name("balanced", 100.0, None, &options, None).is_ok());
+        assert!(by_name("rebudget", 100.0, Some(40.0), &options, None).is_ok());
+        assert!(by_name("REBUDGET", 100.0, Some(40.0), &options, None).is_err());
+        assert!(mechanism("REBUDGET", Some(40.0), &options, None).is_ok());
+        assert!(by_name("magic", 100.0, None, &options, None).is_err());
     }
 
     #[test]
@@ -1369,6 +1307,20 @@ mod tests {
             assert!(!e.message.contains('\n'), "{args:?}: {}", e.message);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bad_rebudget_steps_are_usage_errors() {
+        for step in ["nan", "inf", "-5", "0"] {
+            let e = run_err(&["solve", "cpbn", "8", "rebudget", step]);
+            assert_eq!(e.code, EXIT_USAGE, "{step}: {}", e.message);
+            assert!(
+                e.message.contains("step must be positive and finite"),
+                "{step}: {}",
+                e.message
+            );
+            assert!(!e.message.contains('\n'), "{step}: {}", e.message);
+        }
     }
 
     #[test]

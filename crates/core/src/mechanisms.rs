@@ -15,12 +15,11 @@
 
 use rebudget_telemetry as telemetry;
 
-use rebudget_market::equilibrium::{EquilibriumOptions, EquilibriumOutcome};
+use rebudget_market::equilibrium::EquilibriumOptions;
 use rebudget_market::metrics;
 use rebudget_market::optimal::{max_efficiency, OptimalOptions};
 use rebudget_market::{
     solve_with_retry, AllocationMatrix, Market, MarketError, ParallelPolicy, Result, RetryPolicy,
-    SolverKind,
 };
 
 use crate::theory::min_mbr_for_ef;
@@ -135,28 +134,6 @@ fn outcome_from_allocation(
     }
 }
 
-/// Runs one equilibrium solve, through the retry ladder when one is
-/// configured. Returns the outcome plus `(extra_attempts, timed_out)`
-/// accounting for [`MechanismOutcome`].
-fn solve_once(
-    market: &Market,
-    budgets: &[f64],
-    options: &EquilibriumOptions,
-    retry: Option<&RetryPolicy>,
-) -> Result<(EquilibriumOutcome, u64, u64)> {
-    match retry {
-        Some(policy) => {
-            let (eq, report) = solve_with_retry(market, budgets, options, policy)?;
-            Ok((eq, report.retries(), report.timed_out_attempts))
-        }
-        None => {
-            let eq = market.equilibrium_with_budgets(budgets, options)?;
-            let timed_out = u64::from(eq.report.timed_out);
-            Ok((eq, 0, timed_out))
-        }
-    }
-}
-
 /// Resources equally partitioned among all players — no market (§6).
 #[derive(Debug, Clone, Default)]
 pub struct EqualShare;
@@ -200,20 +177,6 @@ impl EqualBudget {
     #[must_use]
     pub fn with_parallel(mut self, policy: ParallelPolicy) -> Self {
         self.options.parallel = policy;
-        self
-    }
-
-    /// Selects the equilibrium engine for the inner solves.
-    #[must_use]
-    pub fn with_solver(mut self, solver: SolverKind) -> Self {
-        self.options.solver = solver;
-        self
-    }
-
-    /// Installs a bounded retry ladder for failed solves.
-    #[must_use]
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
         self
     }
 }
@@ -271,20 +234,6 @@ impl Balanced {
     #[must_use]
     pub fn with_parallel(mut self, policy: ParallelPolicy) -> Self {
         self.options.parallel = policy;
-        self
-    }
-
-    /// Selects the equilibrium engine for the inner solves.
-    #[must_use]
-    pub fn with_solver(mut self, solver: SolverKind) -> Self {
-        self.options.solver = solver;
-        self
-    }
-
-    /// Installs a bounded retry ladder for failed solves.
-    #[must_use]
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
         self
     }
 
@@ -425,20 +374,6 @@ impl ReBudget {
         self
     }
 
-    /// Selects the equilibrium engine for the inner solves.
-    #[must_use]
-    pub fn with_solver(mut self, solver: SolverKind) -> Self {
-        self.options.solver = solver;
-        self
-    }
-
-    /// Installs a bounded retry ladder for failed solves.
-    #[must_use]
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
     /// The guaranteed Market Budget Range of this configuration:
     /// `1 − 2·step₀/B` (or the explicit floor if set).
     pub fn guaranteed_mbr(&self) -> f64 {
@@ -469,13 +404,18 @@ impl Mechanism for ReBudget {
         let mut timeouts = 0u64;
         let mut worst_residual = 0.0_f64;
 
-        let (mut eq, r, t) = solve_once(market, &budgets, &self.options, self.retry.as_ref())?;
+        let solve = |budgets: &[f64]| {
+            solve_with_retry(&self.options, self.retry.as_ref(), |o| {
+                market.equilibrium_with_budgets(budgets, o)
+            })
+        };
+        let (mut eq, retry) = solve(&budgets)?;
         rounds += 1;
         total_iterations += eq.iterations;
         all_converged &= eq.converged();
         recoveries += eq.report.recovery.len() as u64;
-        retries += r;
-        timeouts += t;
+        retries += retry.retries();
+        timeouts += retry.timed_out_attempts;
         worst_residual = worst_residual.max(eq.report.residual);
         if telemetry::enabled() {
             telemetry::record(
@@ -514,13 +454,13 @@ impl Mechanism for ReBudget {
             }
             step *= 0.5;
 
-            let (next_eq, r, t) = solve_once(market, &budgets, &self.options, self.retry.as_ref())?;
+            let (next_eq, retry) = solve(&budgets)?;
             rounds += 1;
             total_iterations += next_eq.iterations;
             all_converged &= next_eq.converged();
             recoveries += next_eq.report.recovery.len() as u64;
-            retries += r;
-            timeouts += t;
+            retries += retry.retries();
+            timeouts += retry.timed_out_attempts;
             worst_residual = worst_residual.max(next_eq.report.residual);
             if telemetry::enabled() {
                 telemetry::record(
@@ -645,14 +585,16 @@ fn run_market(
     options: &EquilibriumOptions,
     retry: Option<&RetryPolicy>,
 ) -> Result<MechanismOutcome> {
-    let (eq, retries, timeouts) = solve_once(market, &budgets, options, retry)?;
+    let (eq, retry) = solve_with_retry(options, retry, |o| {
+        market.equilibrium_with_budgets(&budgets, o)
+    })?;
     let iterations = eq.iterations;
     let converged = eq.converged();
     let recoveries = eq.report.recovery.len() as u64;
     let mut out = finish(name, market, budgets, eq, 1, iterations, converged);
     out.solver_recoveries = recoveries;
-    out.retry_attempts = retries;
-    out.timed_out_solves = timeouts;
+    out.retry_attempts = retry.retries();
+    out.timed_out_solves = retry.timed_out_attempts;
     Ok(out)
 }
 
@@ -688,6 +630,63 @@ impl Mechanism for MaxEfficiency {
     }
 }
 
+/// The lowercase names [`by_name`] accepts, one per mechanism of §6.
+pub const NAMES: [&str; 5] = [
+    "equalshare",
+    "equalbudget",
+    "balanced",
+    "rebudget",
+    "maxefficiency",
+];
+
+/// The mechanism called `name` (one of [`NAMES`], exact lowercase) with
+/// per-player budget `budget`. The market mechanisms solve under
+/// `options` and `retry`; [`MaxEfficiency`] takes only the deadline.
+/// ReBudget's first-round cut is `step`, or 20 when it is `None`.
+///
+/// # Errors
+///
+/// A message for an unknown name, or for a `step` that is given but not
+/// positive and finite.
+pub fn by_name(
+    name: &str,
+    budget: f64,
+    step: Option<f64>,
+    options: &EquilibriumOptions,
+    retry: Option<RetryPolicy>,
+) -> std::result::Result<Box<dyn Mechanism>, String> {
+    if let Some(step) = step.filter(|s| !(s.is_finite() && *s > 0.0)) {
+        return Err(format!(
+            "ReBudget step must be positive and finite, got {step}"
+        ));
+    }
+    let options = options.clone();
+    Ok(match name {
+        "equalshare" => Box::new(EqualShare),
+        "equalbudget" => Box::new(EqualBudget {
+            budget,
+            options,
+            retry,
+        }),
+        "balanced" => Box::new(Balanced {
+            base_budget: budget,
+            options,
+            retry,
+        }),
+        "rebudget" => Box::new(ReBudget {
+            options,
+            retry,
+            ..ReBudget::with_step(budget, step.unwrap_or(20.0))
+        }),
+        "maxefficiency" => {
+            let mut m = MaxEfficiency::default();
+            m.options.deadline = options.deadline;
+            Box::new(m)
+        }
+        other => return Err(format!("unknown mechanism '{other}'")),
+    })
+}
+
 /// Runs several mechanisms on the same market and collects their outcomes.
 ///
 /// # Errors
@@ -702,7 +701,7 @@ pub fn compare(market: &Market, mechanisms: &[&dyn Mechanism]) -> Result<Vec<Mec
 mod tests {
     use super::*;
     use rebudget_market::utility::SeparableUtility;
-    use rebudget_market::{Player, ResourceSpace};
+    use rebudget_market::{Player, ResourceSpace, SolverKind};
     use std::sync::Arc;
 
     const CAPS: [f64; 2] = [16.0, 80.0];
@@ -760,19 +759,17 @@ mod tests {
         // carries the worst solve residual in the unified semantics.
         let market = bbpc_market();
         let jac = EqualBudget::new(100.0).allocate(&market).unwrap();
-        let pr = EqualBudget::new(100.0)
-            .with_solver(SolverKind::ProportionalResponse)
-            .allocate(&market)
-            .unwrap();
+        let mut pr = EqualBudget::new(100.0);
+        pr.options.solver = SolverKind::ProportionalResponse;
+        let pr = pr.allocate(&market).unwrap();
         assert!(pr.converged);
         assert!(pr.allocation.is_exhaustive(&CAPS, 1e-6));
         assert!(pr.worst_residual.is_finite() && pr.worst_residual >= 0.0);
         assert!(jac.worst_residual.is_finite());
         // Multi-round ReBudget tracks the max over every round's solve.
-        let rb = ReBudget::with_step(100.0, 40.0)
-            .with_solver(SolverKind::MirrorDescent)
-            .allocate(&market)
-            .unwrap();
+        let mut rb = ReBudget::with_step(100.0, 40.0);
+        rb.options.solver = SolverKind::MirrorDescent;
+        let rb = rb.allocate(&market).unwrap();
         assert!(rb.equilibrium_rounds >= 1);
         assert!(rb.worst_residual.is_finite() && rb.worst_residual >= 0.0);
     }

@@ -33,9 +33,8 @@ use std::time::{Duration, Instant};
 
 use rebudget_telemetry as telemetry;
 
-use crate::equilibrium::{EquilibriumOptions, EquilibriumOutcome};
-use crate::sparse::{SparseMarket, SparseOutcome};
-use crate::{Market, MarketError, Result};
+use crate::equilibrium::{EquilibriumOptions, SolveReport};
+use crate::{MarketError, Result};
 
 /// A wall-clock and/or iteration budget for one solve.
 ///
@@ -223,10 +222,8 @@ impl RetryPolicy {
     /// The options for 0-based attempt `k` of the ladder: attempt 0 runs
     /// `base` unchanged, attempt 1 tightens the bidding tolerances, and
     /// attempts ≥ 2 relax the price tolerance geometrically; every rung's
-    /// deadline is scaled by `backoff^k`. Public so callers that drive
-    /// their own solve loop (e.g. the online server's per-tick sparse
-    /// solves) reuse the exact ladder semantics of [`solve_with_retry`].
-    pub fn options_for_attempt(&self, base: &EquilibriumOptions, k: usize) -> EquilibriumOptions {
+    /// deadline is scaled by `backoff^k`.
+    fn options_for_attempt(&self, base: &EquilibriumOptions, k: usize) -> EquilibriumOptions {
         let mut opts = base.clone();
         opts.deadline = base.deadline.scaled(self.backoff.max(1.0).powi(k as i32));
         match k {
@@ -265,43 +262,57 @@ impl RetryReport {
     }
 }
 
-/// Solves `market` under `budgets`, retrying along the
-/// [`RetryPolicy`] ladder until a solve converges within its deadline.
+/// Runs `solve`, retrying along the [`RetryPolicy`] ladder until a solve
+/// converges within its deadline. `solve` is called with each rung's
+/// options, so the one ladder drives the dense engine
+/// ([`crate::Market::equilibrium_with_budgets`]), the sparse one
+/// ([`crate::SparseMarket::solve`]) or any other solve whose outcome
+/// carries a [`SolveReport`].
 ///
 /// Returns the first converged, in-budget outcome; if every rung fails,
 /// the lowest-residual outcome seen is returned (best-effort), with the
 /// [`RetryReport`] recording how hard the ladder had to work. The caller
 /// owns any further fallback (e.g. `EqualShare` via the simulator's
-/// degradation path).
+/// degradation path). With no policy, `solve` runs once on `options`
+/// and no `retry_attempt` event is recorded.
 ///
 /// # Errors
 ///
-/// Propagates [`crate::MarketError`]s from degenerate inputs; running out
-/// of rungs is *not* an error.
-pub fn solve_with_retry(
-    market: &Market,
-    budgets: &[f64],
+/// Propagates the [`crate::MarketError`]s `solve` returns for degenerate
+/// inputs; running out of rungs is *not* an error.
+pub fn solve_with_retry<O: AsRef<SolveReport>>(
     options: &EquilibriumOptions,
-    policy: &RetryPolicy,
-) -> Result<(EquilibriumOutcome, RetryReport)> {
+    policy: Option<&RetryPolicy>,
+    mut solve: impl FnMut(&EquilibriumOptions) -> Result<O>,
+) -> Result<(O, RetryReport)> {
+    let Some(policy) = policy else {
+        let out = solve(options)?;
+        let report = out.as_ref();
+        let retry = RetryReport {
+            attempts: 1,
+            timed_out_attempts: u64::from(report.timed_out),
+            converged: report.converged,
+        };
+        return Ok((out, retry));
+    };
     let attempts = policy.max_attempts.max(1);
     let mut report = RetryReport::default();
-    let mut best: Option<EquilibriumOutcome> = None;
+    let mut best: Option<O> = None;
     for k in 0..attempts {
-        let opts = policy.options_for_attempt(options, k);
-        let out = market.equilibrium_with_budgets(budgets, &opts)?;
+        let out = solve(&policy.options_for_attempt(options, k))?;
+        let solved = out.as_ref();
         report.attempts = (k + 1) as u64;
-        if out.report.timed_out {
+        if solved.timed_out {
             report.timed_out_attempts += 1;
         }
-        let done = out.converged() && !out.report.timed_out;
+        let done = solved.converged && !solved.timed_out;
         if telemetry::enabled() {
             telemetry::record(
                 telemetry::Event::new("retry_attempt")
                     .field_u64("attempt", report.attempts)
-                    .field_bool("converged", out.converged())
-                    .field_bool("timed_out", out.report.timed_out)
-                    .field_f64("residual", out.report.residual),
+                    .field_bool("converged", solved.converged)
+                    .field_bool("timed_out", solved.timed_out)
+                    .field_f64("residual", solved.residual),
             );
             if k > 0 {
                 telemetry::global()
@@ -312,7 +323,7 @@ pub fn solve_with_retry(
         }
         let better = match &best {
             None => true,
-            Some(b) => out.report.residual < b.report.residual,
+            Some(b) => solved.residual < b.as_ref().residual,
         };
         if better {
             best = Some(out);
@@ -323,69 +334,7 @@ pub fn solve_with_retry(
     }
     #[allow(clippy::expect_used)] // attempts >= 1, so a solve always ran
     let outcome = best.expect("at least one attempt");
-    report.converged = outcome.converged();
-    Ok((outcome, report))
-}
-
-/// The retry ladder of [`solve_with_retry`] for sparse markets: identical
-/// rung semantics (same [`RetryPolicy::options_for_attempt`] options per
-/// attempt), driving [`SparseMarket::solve`] instead of the dense engine.
-///
-/// Returns the first converged, in-budget outcome; if every rung fails,
-/// the lowest-residual outcome seen is returned best-effort with the
-/// [`RetryReport`] describing the ladder. The caller owns any further
-/// fallback (the online server degrades to `EqualShare`).
-///
-/// # Errors
-///
-/// Propagates [`crate::MarketError`]s from degenerate inputs (including
-/// [`MarketError::UnsupportedSolver`] for the Jacobi engine, which cannot
-/// run sparse); running out of rungs is *not* an error.
-pub fn solve_sparse_with_retry(
-    market: &SparseMarket,
-    options: &EquilibriumOptions,
-    policy: &RetryPolicy,
-) -> Result<(SparseOutcome, RetryReport)> {
-    let attempts = policy.max_attempts.max(1);
-    let mut report = RetryReport::default();
-    let mut best: Option<SparseOutcome> = None;
-    for k in 0..attempts {
-        let opts = policy.options_for_attempt(options, k);
-        let out = market.solve(&opts)?;
-        report.attempts = (k + 1) as u64;
-        if out.report.timed_out {
-            report.timed_out_attempts += 1;
-        }
-        let done = out.converged() && !out.report.timed_out;
-        if telemetry::enabled() {
-            telemetry::record(
-                telemetry::Event::new("retry_attempt")
-                    .field_u64("attempt", report.attempts)
-                    .field_bool("converged", out.converged())
-                    .field_bool("timed_out", out.report.timed_out)
-                    .field_f64("residual", out.report.residual),
-            );
-            if k > 0 {
-                telemetry::global()
-                    .registry
-                    .counter("solver.retries")
-                    .incr();
-            }
-        }
-        let better = match &best {
-            None => true,
-            Some(b) => out.report.residual < b.report.residual,
-        };
-        if better {
-            best = Some(out);
-        }
-        if done {
-            break;
-        }
-    }
-    #[allow(clippy::expect_used)] // attempts >= 1, so a solve always ran
-    let outcome = best.expect("at least one attempt");
-    report.converged = outcome.converged();
+    report.converged = outcome.as_ref().converged;
     Ok((outcome, report))
 }
 
@@ -393,9 +342,11 @@ pub fn solve_sparse_with_retry(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::equilibrium::EquilibriumOutcome;
+    use crate::sparse::SynthSpec;
     use crate::utility::SeparableUtility;
-    use crate::{Player, ResourceSpace};
-    use std::sync::Arc;
+    use crate::{Market, Player, ResourceSpace};
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
     fn market() -> Market {
         let caps = [16.0, 80.0];
@@ -415,6 +366,20 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// Held by every test that runs a ladder, so the one that switches
+    /// telemetry on sees only its own events.
+    static LADDER: Mutex<()> = Mutex::new(());
+
+    fn ladder() -> MutexGuard<'static, ()> {
+        LADDER.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The dense solve of `m` at equal budgets, as `solve_with_retry`
+    /// takes it.
+    fn dense(m: &Market) -> impl FnMut(&EquilibriumOptions) -> Result<EquilibriumOutcome> + '_ {
+        move |o| m.equilibrium_with_budgets(&[100.0, 100.0], o)
     }
 
     fn opts_with(deadline: DeadlineBudget) -> EquilibriumOptions {
@@ -521,6 +486,7 @@ mod tests {
 
     #[test]
     fn retry_ladder_recovers_from_starved_first_attempt() {
+        let _ladder = ladder();
         let m = market();
         // First attempt gets 1 iteration; back-off doubles it each rung.
         let opts = opts_with(DeadlineBudget::iterations(1).unwrap());
@@ -529,19 +495,66 @@ mod tests {
             backoff: 4.0,
             ..RetryPolicy::default()
         };
-        let (out, report) = solve_with_retry(&m, &[100.0, 100.0], &opts, &policy).unwrap();
+        let (out, report) = solve_with_retry(&opts, Some(&policy), dense(&m)).unwrap();
         assert!(report.attempts > 1, "first rung must time out");
         assert!(report.timed_out_attempts >= 1);
         assert!(report.converged, "a later rung converges: {report:?}");
         assert!(out.converged());
+
+        // The same ladder drives a sparse first-order solve.
+        let sparse = SynthSpec::new(60, 8, 11).generate().unwrap();
+        let sparse_opts = EquilibriumOptions {
+            deadline: DeadlineBudget::iterations(1).unwrap(),
+            ..EquilibriumOptions::large_scale()
+        };
+        let sparse_policy = RetryPolicy {
+            max_attempts: 2,
+            backoff: 10_000.0,
+            ..RetryPolicy::default()
+        };
+        let (out, report) =
+            solve_with_retry(&sparse_opts, Some(&sparse_policy), |o| sparse.solve(o)).unwrap();
+        assert_eq!(report.attempts, 2, "first sparse rung must time out");
+        assert_eq!(report.timed_out_attempts, 1);
+        assert!(report.converged && out.converged(), "{report:?}");
+
+        // No policy: one plain solve, bit-identical to calling the engine
+        // directly, with no `retry_attempt` event.
+        let journal = &telemetry::global().journal;
+        journal.reset();
+        telemetry::set_enabled(true);
+        let run = solve_with_retry(&opts, None, dense(&m));
+        telemetry::set_enabled(false);
+        let (out, report) = run.unwrap();
+        assert!(
+            !journal
+                .lines()
+                .iter()
+                .any(|l| l.contains("\"retry_attempt\"")),
+            "a plain solve records no retry_attempt"
+        );
+        let plain = m.equilibrium_with_budgets(&[100.0, 100.0], &opts).unwrap();
+        assert_eq!(
+            report,
+            RetryReport {
+                attempts: 1,
+                timed_out_attempts: 1,
+                converged: false,
+            }
+        );
+        assert_eq!(out.report, plain.report);
+        for (x, y) in out.prices.iter().zip(&plain.prices) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
     }
 
     #[test]
     fn clean_solve_takes_one_attempt() {
+        let _ladder = ladder();
         let m = market();
         let opts = EquilibriumOptions::default();
-        let (out, report) =
-            solve_with_retry(&m, &[100.0, 100.0], &opts, &RetryPolicy::default()).unwrap();
+        let policy = RetryPolicy::default();
+        let (out, report) = solve_with_retry(&opts, Some(&policy), dense(&m)).unwrap();
         assert_eq!(report.attempts, 1);
         assert_eq!(report.retries(), 0);
         assert_eq!(report.timed_out_attempts, 0);
@@ -550,6 +563,7 @@ mod tests {
 
     #[test]
     fn exhausted_ladder_returns_best_effort() {
+        let _ladder = ladder();
         let m = market();
         let opts = opts_with(DeadlineBudget::iterations(1).unwrap());
         // No back-off: every rung is starved.
@@ -558,7 +572,7 @@ mod tests {
             backoff: 1.0,
             ..RetryPolicy::default()
         };
-        let (out, report) = solve_with_retry(&m, &[100.0, 100.0], &opts, &policy).unwrap();
+        let (out, report) = solve_with_retry(&opts, Some(&policy), dense(&m)).unwrap();
         assert_eq!(report.attempts, 3);
         assert_eq!(report.timed_out_attempts, 3);
         assert!(!report.converged);
@@ -569,10 +583,11 @@ mod tests {
 
     #[test]
     fn ladder_is_deterministic_with_iteration_budgets() {
+        let _ladder = ladder();
         let m = market();
         let opts = opts_with(DeadlineBudget::iterations(2).unwrap());
         let policy = RetryPolicy::with_attempts(4);
-        let run = || solve_with_retry(&m, &[100.0, 100.0], &opts, &policy).unwrap();
+        let run = || solve_with_retry(&opts, Some(&policy), dense(&m)).unwrap();
         let (a, ra) = run();
         let (b, rb) = run();
         assert_eq!(ra, rb);

@@ -472,6 +472,12 @@ impl EquilibriumOutcome {
     }
 }
 
+impl AsRef<SolveReport> for EquilibriumOutcome {
+    fn as_ref(&self) -> &SolveReport {
+        &self.report
+    }
+}
+
 /// Records `action` in the solve's recovery trace and, when telemetry is
 /// enabled, mirrors it into the journal. Called only from the solvers'
 /// serial post-sweep sections, so the event order is deterministic.
@@ -513,13 +519,7 @@ fn find_equilibrium_jacobi(
     let capacities = market.resources().capacities();
 
     let _solve_span = telemetry::span!("solve");
-    if telemetry::enabled() {
-        telemetry::record(
-            telemetry::Event::new("solve_start")
-                .field_u64("players", n as u64)
-                .field_u64("resources", m as u64),
-        );
-    }
+    crate::first_order::emit_solve_start(n, m);
 
     let mut bids = BidMatrix::equal_split(budgets, m)?;
     // Warm start: overlay usable seed rows over the equal-split baseline,
@@ -746,28 +746,7 @@ fn find_equilibrium_jacobi(
         recovery,
         timed_out,
     };
-    if telemetry::enabled() {
-        telemetry::record(
-            telemetry::Event::new("solve_end")
-                .field_u64("iterations", iterations)
-                .field_bool("converged", converged)
-                .field_f64("residual", residual)
-                .field_bool("timed_out", timed_out),
-        );
-        let registry = &telemetry::global().registry;
-        registry.counter("solver.solves").incr();
-        registry.counter("solver.iterations").add(iterations);
-        registry
-            .counter("solver.recoveries")
-            .add(report.recovery.len() as u64);
-        if timed_out {
-            registry.counter("solver.timeouts").incr();
-        }
-        registry
-            .histogram("solver.iterations_per_solve")
-            .record(iterations);
-        registry.gauge("solver.last_residual").set(residual);
-    }
+    crate::first_order::emit_solve_end(&report);
     Ok(EquilibriumOutcome {
         bids,
         prices,

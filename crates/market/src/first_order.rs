@@ -47,7 +47,7 @@ pub(crate) struct FirstOrderRun {
     pub(crate) price_history: Vec<Vec<f64>>,
 }
 
-/// Emits the `solve_start` event (same schema as the dense engine).
+/// Emits the `solve_start` event; every engine, Jacobi included, calls it.
 pub(crate) fn emit_solve_start(players: usize, resources: usize) {
     if telemetry::enabled() {
         telemetry::record(
@@ -58,8 +58,8 @@ pub(crate) fn emit_solve_start(players: usize, resources: usize) {
     }
 }
 
-/// Emits the `solve_end` event and updates the `solver.*` metrics (same
-/// schema and counters as the dense engine).
+/// Emits the `solve_end` event and updates the `solver.*` metrics; every
+/// engine, Jacobi included, calls it.
 pub(crate) fn emit_solve_end(report: &SolveReport) {
     if telemetry::enabled() {
         telemetry::record(

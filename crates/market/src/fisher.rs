@@ -21,7 +21,7 @@
 //! `Market::equilibrium` with `ProportionalResponse`/`MirrorDescent`
 //! runs here and flows through the identical
 //! `SolveReport`/deadline/telemetry plumbing as Jacobi (via
-//! [`crate::first_order::drive`]).
+//! the private `first_order::drive`).
 
 use rebudget_telemetry as telemetry;
 

@@ -84,9 +84,7 @@ pub mod utility;
 
 pub use allocation::AllocationMatrix;
 pub use bids::BidMatrix;
-pub use deadline::{
-    solve_sparse_with_retry, solve_with_retry, DeadlineBudget, RetryPolicy, RetryReport,
-};
+pub use deadline::{solve_with_retry, DeadlineBudget, RetryPolicy, RetryReport};
 pub use equilibrium::{RecoveryAction, SolveReport, SolverKind, WarmStart};
 pub use error::MarketError;
 pub use faults::{splitmix64, FaultPlan, FaultedMarket};

@@ -21,7 +21,7 @@
 //!
 //! Shares everything with [`crate::proportional_response`]: `O(nnz)`
 //! allocation-free iterations, deadline/guardrail/telemetry plumbing from
-//! [`crate::first_order`], and the workspace residual semantics
+//! the private `first_order` module, and the workspace residual semantics
 //! ([`crate::residual`]).
 
 use crate::equilibrium::EquilibriumOptions;

@@ -21,7 +21,7 @@
 //! resource) interests, not `N·M` — with no allocation in the inner loop,
 //! which is what makes `10⁶`-player markets tractable (see the
 //! scalability bench and EXPERIMENTS.md). The solve is driven by
-//! [`crate::first_order`], so deadline budgets, damping/restart
+//! the private `first_order` module, so deadline budgets, damping/restart
 //! guardrails, the telemetry schema, and the residual semantics
 //! ([`crate::residual`]) are exactly those of the dense engine.
 //!

@@ -427,6 +427,12 @@ pub struct SparseOutcome {
     pub price_history: Vec<Vec<f64>>,
 }
 
+impl AsRef<SolveReport> for SparseOutcome {
+    fn as_ref(&self) -> &SolveReport {
+        &self.report
+    }
+}
+
 impl SparseOutcome {
     /// System efficiency `Σ_i U_i` at the final allocation.
     pub fn efficiency(&self) -> f64 {

@@ -4,16 +4,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rebudget_core::mechanisms::{
-    Balanced, EqualBudget, EqualShare, MaxEfficiency, Mechanism, ReBudget,
-};
+use rebudget_core::mechanisms::{MaxEfficiency, Mechanism};
 use rebudget_market::{metrics, AllocationMatrix, Market};
 use rebudget_sim::simulation::ExecutionModel;
 use rebudget_sim::{
-    run_simulation_hooked, DramConfig, QuantumControls, QuantumHook, QuantumObservation,
-    RecoveryOptions, SimOptions, SimResult, SystemConfig,
+    run_simulation_hooked, system_for, QuantumControls, QuantumHook, QuantumObservation,
+    RecoveryOptions, SimOptions, SimResult,
 };
-use rebudget_workloads::{generate_bundle, paper_bbpc_8core, Bundle, Category};
+use rebudget_workloads::bundle_by_name;
 
 use crate::effect::Effect;
 use crate::ledger::{Ledger, LedgerMeta, LedgerRecord};
@@ -116,8 +114,16 @@ fn run_once(
     quanta_override: Option<usize>,
 ) -> Result<(SimResult, HookOutput), ScenarioError> {
     let (sys, dram) = system_for(scenario.cores);
-    let bundle = bundle_for(scenario)?;
-    let mechanism = mechanism_for(scenario);
+    let bundle =
+        bundle_by_name(&scenario.workload, scenario.cores, scenario.seed).map_err(|e| {
+            ScenarioError::Format {
+                line: 1,
+                reason: format!("workload generation failed: {e}"),
+            }
+        })?;
+    let mechanism = scenario
+        .build_mechanism()
+        .map_err(|reason| ScenarioError::Format { line: 1, reason })?;
     let opts = SimOptions {
         quanta: quanta_override.unwrap_or_else(|| scenario.total_quanta()),
         accesses_per_quantum: scenario.accesses_per_quantum,
@@ -149,39 +155,6 @@ fn run_once(
             audit: hook.audit,
         },
     ))
-}
-
-fn system_for(cores: usize) -> (SystemConfig, DramConfig) {
-    let sys = match cores {
-        8 => SystemConfig::paper_8core(),
-        64 => SystemConfig::paper_64core(),
-        n => SystemConfig::scaled(n),
-    };
-    (sys, DramConfig::ddr3_1600())
-}
-
-fn bundle_for(scenario: &Scenario) -> Result<Bundle, ScenarioError> {
-    if scenario.workload == "bbpc" {
-        return Ok(paper_bbpc_8core());
-    }
-    let cat = Category::from_name(&scenario.workload).expect("validated workload");
-    generate_bundle(cat, scenario.cores, 0, scenario.seed).map_err(|e| ScenarioError::Format {
-        line: 1,
-        reason: format!("workload generation failed: {e}"),
-    })
-}
-
-fn mechanism_for(scenario: &Scenario) -> Box<dyn Mechanism> {
-    match scenario.mechanism.as_str() {
-        "equalshare" => Box::new(EqualShare),
-        "equalbudget" => Box::new(EqualBudget::new(scenario.budget)),
-        "balanced" => Box::new(Balanced::new(scenario.budget)),
-        "maxefficiency" => Box::new(MaxEfficiency::default()),
-        _ => Box::new(ReBudget::with_step(
-            scenario.budget,
-            scenario.step.unwrap_or(20.0),
-        )),
-    }
 }
 
 /// The scenario engine's [`QuantumHook`]: evaluates triggers, applies
@@ -466,8 +439,8 @@ quanta = 4
         let s = quiet("");
         let outcome = run_scenario(&s).unwrap();
         let (sys, dram) = system_for(8);
-        let bundle = bundle_for(&s).unwrap();
-        let mechanism = mechanism_for(&s);
+        let bundle = bundle_by_name(&s.workload, s.cores, s.seed).unwrap();
+        let mechanism = s.build_mechanism().unwrap();
         let opts = SimOptions {
             quanta: 4,
             seed: 11,

@@ -2,8 +2,10 @@
 
 use std::path::Path;
 
+use rebudget_core::mechanisms::{by_name, Mechanism};
+use rebudget_market::equilibrium::EquilibriumOptions;
 use rebudget_market::FaultPlan;
-use rebudget_workloads::Category;
+use rebudget_workloads::{bundle_by_name, WorkloadError};
 
 use crate::effect::Effect;
 use crate::properties::Property;
@@ -199,6 +201,22 @@ impl Scenario {
         Ok(scenario)
     }
 
+    /// The scenario's mechanism, on default equilibrium options with no
+    /// retry ladder.
+    ///
+    /// # Errors
+    ///
+    /// An unknown mechanism name or a bad ReBudget step.
+    pub(crate) fn build_mechanism(&self) -> Result<Box<dyn Mechanism>, String> {
+        by_name(
+            &self.mechanism,
+            self.budget,
+            self.step,
+            &EquilibriumOptions::default(),
+            None,
+        )
+    }
+
     fn validate(&self, header_line: usize) -> Result<(), ScenarioError> {
         let fail = |line: usize, reason: String| Err(ScenarioError::Format { line, reason });
 
@@ -211,28 +229,16 @@ impl Scenario {
                 "a market scenario needs at least 2 cores".into(),
             );
         }
-        if self.workload == "bbpc" {
-            if self.cores != 8 {
-                return fail(
-                    header_line,
-                    "the paper's bbpc case-study bundle is 8-core".into(),
-                );
+        // A core count the generator cannot split is reported by the run.
+        match bundle_by_name(&self.workload, self.cores, self.seed) {
+            Err(WorkloadError::UnknownCategory { .. }) => {
+                return fail(header_line, format!("unknown workload '{}'", self.workload));
             }
-        } else if Category::from_name(&self.workload).is_none() {
-            return fail(header_line, format!("unknown workload '{}'", self.workload));
+            Err(e @ WorkloadError::BbpcNeeds8Cores) => return fail(header_line, e.to_string()),
+            _ => {}
         }
-        const MECHANISMS: [&str; 5] = [
-            "equalshare",
-            "equalbudget",
-            "balanced",
-            "rebudget",
-            "maxefficiency",
-        ];
-        if !MECHANISMS.contains(&self.mechanism.as_str()) {
-            return fail(
-                header_line,
-                format!("unknown mechanism '{}'", self.mechanism),
-            );
+        if let Err(reason) = self.build_mechanism() {
+            return fail(header_line, reason);
         }
         if !(self.budget.is_finite() && self.budget > 0.0) {
             return fail(header_line, "budget must be finite and positive".into());
@@ -581,6 +587,10 @@ kind = \"resume-identity\"
         expect_line(
             &MINIMAL.replace("seed = 7", "seed = 7\nbudget = -1.0"),
             "budget must be finite and positive",
+        );
+        expect_line(
+            &MINIMAL.replace("seed = 7", "seed = 7\nstep = -5.0"),
+            "step must be positive and finite",
         );
     }
 }

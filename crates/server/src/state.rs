@@ -44,8 +44,8 @@ use std::path::{Path, PathBuf};
 
 use rebudget_market::equilibrium::{EquilibriumOptions, WarmStart};
 use rebudget_market::{
-    solve_sparse_with_retry, solve_with_retry, RetryPolicy, SolverKind, SparseBids, SparseMarket,
-    SparseOutcome, SparseUtilityKind,
+    solve_with_retry, RetryPolicy, SolverKind, SparseBids, SparseMarket, SparseOutcome,
+    SparseUtilityKind,
 };
 use rebudget_scenario::{read_valid_prefix, Ledger, LedgerMeta};
 use rebudget_sim::durable::{
@@ -551,7 +551,8 @@ impl ServerCore {
             .options
             .clone()
             .with_warm_start(WarmStart { bids: warm }.shared());
-        let (out, retry) = solve_sparse_with_retry(market, &options, &self.config.retry)?;
+        let (out, retry) =
+            solve_with_retry(&options, Some(&self.config.retry), |o| market.solve(o))?;
         let SparseOutcome {
             bids,
             prices,
@@ -624,8 +625,9 @@ impl ServerCore {
             }
             options = options.with_warm_start(WarmStart { bids: warm }.shared());
         }
-        let (out, retry) =
-            solve_with_retry(&dense, market.budgets(), &options, &self.config.retry)?;
+        let (out, retry) = solve_with_retry(&options, Some(&self.config.retry), |o| {
+            dense.equilibrium_with_budgets(market.budgets(), o)
+        })?;
         if retry.converged {
             let bids = out.bids.as_slice();
             for (i, rec) in self.players.values_mut().enumerate() {

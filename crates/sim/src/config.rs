@@ -3,6 +3,8 @@
 use rebudget_cache::CacheConfig;
 use rebudget_power::{DvfsRange, PowerBudget};
 
+use crate::dram::DramConfig;
+
 /// Bytes in one *cache region* — the market's cache allocation granularity
 /// (§4.1.1: "we empirically set the allocation granularity to 128 kB").
 pub const CACHE_REGION_BYTES: f64 = 128.0 * 1024.0;
@@ -93,6 +95,17 @@ impl SystemConfig {
         let regions = self.free_regions_per_core as f64 + discretionary_regions.max(0.0);
         (regions * CACHE_REGION_BYTES).min(self.max_regions_per_core as f64 * CACHE_REGION_BYTES)
     }
+}
+
+/// The system and DRAM for a core count: the paper's configurations at 8
+/// and 64 cores, [`SystemConfig::scaled`] otherwise, always on DDR3-1600.
+pub fn system_for(cores: usize) -> (SystemConfig, DramConfig) {
+    let sys = match cores {
+        8 => SystemConfig::paper_8core(),
+        64 => SystemConfig::paper_64core(),
+        n => SystemConfig::scaled(n),
+    };
+    (sys, DramConfig::ddr3_1600())
 }
 
 /// One row of Table 1 (name, 8-core value, 64-core value) — everything the

@@ -38,7 +38,7 @@ pub mod trace_machine;
 pub mod utility_model;
 
 pub use checkpoint::{CheckpointError, SimCheckpoint, SweepCheckpoint};
-pub use config::SystemConfig;
+pub use config::{system_for, SystemConfig};
 pub use dram::DramConfig;
 pub use simulation::{
     run_simulation, run_simulation_hooked, run_simulation_recoverable, QuantumControls,

@@ -12,7 +12,7 @@
 //!   gauges, and mergeable log-scale histograms. All mutation is lock-free
 //!   (atomics), so the threaded Jacobi fan-out can record contention-free;
 //!   only name registration takes a lock.
-//! * [`span`] — hierarchical wall-clock span timers
+//! * [`mod@span`] — hierarchical wall-clock span timers
 //!   (`span!("quantum").child("solve")`). Durations aggregate into
 //!   registry histograms keyed by the span path.
 //! * [`journal`] — a structured JSONL event journal (per-iteration solver

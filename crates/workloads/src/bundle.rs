@@ -18,6 +18,14 @@ pub enum WorkloadError {
         /// The offending core count.
         cores: usize,
     },
+    /// The name is neither `bbpc` nor a [`Category`].
+    UnknownCategory {
+        /// The name as given.
+        name: String,
+    },
+    /// The paper's `bbpc` case-study bundle was asked for on other than
+    /// 8 cores.
+    BbpcNeeds8Cores,
 }
 
 impl fmt::Display for WorkloadError {
@@ -25,6 +33,10 @@ impl fmt::Display for WorkloadError {
         match self {
             WorkloadError::CoresNotDivisibleByFour { cores } => {
                 write!(f, "core count {cores} is not divisible by 4")
+            }
+            WorkloadError::UnknownCategory { name } => write!(f, "unknown category '{name}'"),
+            WorkloadError::BbpcNeeds8Cores => {
+                write!(f, "the paper's bbpc case-study bundle is 8-core")
             }
         }
     }

@@ -19,4 +19,4 @@ pub mod suite;
 
 pub use bundle::{generate_bundle, Bundle, WorkloadError};
 pub use category::Category;
-pub use suite::{full_suite, paper_bbpc_8core, BUNDLES_PER_CATEGORY};
+pub use suite::{bundle_by_name, full_suite, paper_bbpc_8core, BUNDLES_PER_CATEGORY};

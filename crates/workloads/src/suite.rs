@@ -42,6 +42,28 @@ pub fn paper_bbpc_8core() -> Bundle {
     }
 }
 
+/// The bundle a workload name means on `cores` cores: the paper's
+/// case-study bundle for `bbpc` (8 cores only), otherwise bundle 0 of the
+/// named [`Category`] drawn from `seed`. Names are case-insensitive.
+///
+/// # Errors
+///
+/// [`WorkloadError::UnknownCategory`] for any other name,
+/// [`WorkloadError::BbpcNeeds8Cores`], or a generation error from
+/// [`generate_bundle`].
+pub fn bundle_by_name(name: &str, cores: usize, seed: u64) -> Result<Bundle, WorkloadError> {
+    if name.eq_ignore_ascii_case("bbpc") {
+        return match cores {
+            8 => Ok(paper_bbpc_8core()),
+            _ => Err(WorkloadError::BbpcNeeds8Cores),
+        };
+    }
+    let category = Category::from_name(name).ok_or_else(|| WorkloadError::UnknownCategory {
+        name: name.to_string(),
+    })?;
+    generate_bundle(category, cores, 0, seed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

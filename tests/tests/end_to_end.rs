@@ -3,15 +3,67 @@
 //! orderings on real (synthetic-app) markets.
 
 use rebudget_core::mechanisms::{
-    Balanced, EqualBudget, EqualShare, MaxEfficiency, Mechanism, ReBudget,
+    by_name, Balanced, EqualBudget, EqualShare, MaxEfficiency, Mechanism, ReBudget, NAMES,
 };
 use rebudget_core::theory::ef_lower_bound;
+use rebudget_market::equilibrium::EquilibriumOptions;
+use rebudget_market::{DeadlineBudget, RetryPolicy, SolverKind};
 use rebudget_sim::analytic::build_market;
-use rebudget_sim::{DramConfig, SystemConfig};
+use rebudget_sim::{system_for, DramConfig, SystemConfig};
 use rebudget_workloads::{generate_bundle, paper_bbpc_8core, Category};
 
 fn setup() -> (SystemConfig, DramConfig) {
-    (SystemConfig::paper_8core(), DramConfig::ddr3_1600())
+    system_for(8)
+}
+
+#[test]
+fn catalogue_builds_each_mechanism_as_direct_construction_does() {
+    // `by_name` installs the solver, deadline and retry knobs once; each
+    // catalogue entry must run bit-identically to the mechanism built by
+    // hand with the same knobs. A 2-iteration deadline makes the retry
+    // ladder do work.
+    let (sys, dram) = setup();
+    let market = build_market(&paper_bbpc_8core(), &sys, &dram, 100.0).expect("market builds");
+    let options = EquilibriumOptions {
+        solver: SolverKind::MirrorDescent,
+        deadline: DeadlineBudget::iterations(2).expect("non-zero"),
+        ..EquilibriumOptions::default()
+    };
+    let retry = Some(RetryPolicy::with_attempts(3));
+    let mut oracle = MaxEfficiency::default();
+    oracle.options.deadline = options.deadline;
+    let direct: [Box<dyn Mechanism>; 5] = [
+        Box::new(EqualShare),
+        Box::new(EqualBudget {
+            budget: 100.0,
+            options: options.clone(),
+            retry,
+        }),
+        Box::new(Balanced {
+            base_budget: 100.0,
+            options: options.clone(),
+            retry,
+        }),
+        Box::new(ReBudget {
+            options: options.clone(),
+            retry,
+            ..ReBudget::with_step(100.0, 40.0)
+        }),
+        Box::new(oracle),
+    ];
+    for (name, direct) in NAMES.iter().zip(&direct) {
+        let built = by_name(name, 100.0, Some(40.0), &options, retry).expect("catalogue name");
+        let a = built.allocate(&market).expect("catalogue mechanism runs");
+        let b = direct.allocate(&market).expect("direct mechanism runs");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{name}");
+        // Every knob reached the mechanism: the market ones retried after
+        // a timed-out first rung, the oracle ran out of its deadline.
+        match *name {
+            "equalshare" => assert_eq!(a.timed_out_solves, 0),
+            "maxefficiency" => assert_eq!((a.retry_attempts, a.timed_out_solves), (0, 1)),
+            _ => assert!(a.retry_attempts > 0 && a.timed_out_solves > 0, "{name}"),
+        }
+    }
 }
 
 #[test]
