@@ -87,8 +87,8 @@ fn main() {
             convexify,
             eq.efficiency / opt.efficiency,
             rb.efficiency / opt.efficiency,
-            eq.converged,
-            rb.converged,
+            eq.solve.converged,
+            rb.solve.converged,
         );
     }
 
@@ -108,7 +108,7 @@ fn main() {
             "{thr:>10.2} {:>10.3} {:>10.3} {:>8}",
             out.efficiency / opt.efficiency,
             out.envy_freeness,
-            out.equilibrium_rounds
+            out.solve.rounds
         );
     }
 
@@ -126,7 +126,7 @@ fn main() {
         println!(
             "{tol:>10.3} {:>10.3} {:>10}",
             out.efficiency / opt.efficiency,
-            out.total_iterations
+            out.solve.iterations
         );
     }
 }

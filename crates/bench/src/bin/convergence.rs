@@ -43,10 +43,10 @@ fn main() {
             ));
             for (k, mech) in paper_mechanisms_with(policy).iter().enumerate() {
                 let out = exit_on_error(mech.allocate(&market));
-                if out.equilibrium_rounds > 0 {
-                    per_solve[k].push(out.total_iterations as f64 / out.equilibrium_rounds as f64);
-                    rounds[k].push(out.equilibrium_rounds as f64);
-                    if !out.converged {
+                if out.solve.rounds > 0 {
+                    per_solve[k].push(out.solve.iterations as f64 / out.solve.rounds as f64);
+                    rounds[k].push(out.solve.rounds as f64);
+                    if !out.solve.converged {
                         failsafe[k] += 1;
                     }
                 }

@@ -95,7 +95,7 @@ fn main() {
                 eff / clean_eff,
                 ef,
                 ef / clean_ef,
-                out.solver_recoveries
+                out.solve.recoveries
             );
         }
         println!();
@@ -155,7 +155,7 @@ fn main() {
                 r.envy_freeness / clean_ef,
                 r.degraded_quanta,
                 r.fallback_quanta,
-                r.solver_recoveries
+                r.solve.recoveries
             );
         }
         println!();

@@ -83,10 +83,10 @@ fn main() {
         let mut eq_iters = 0u64;
         let mut rb_rounds = 0u64;
         let (eq_min, eq_med) = time_ms(repeats, || {
-            eq_iters = exit_on_error(equal.allocate(&market)).total_iterations;
+            eq_iters = exit_on_error(equal.allocate(&market)).solve.iterations;
         });
         let (rb_min, rb_med) = time_ms(repeats, || {
-            rb_rounds = exit_on_error(rebudget.allocate(&market)).equilibrium_rounds;
+            rb_rounds = exit_on_error(rebudget.allocate(&market)).solve.rounds;
         });
         println!(
             "{n:>8} {threads:>8} {eq_min:>12.2} {eq_med:>12.2} {rb_min:>12.2} {rb_med:>12.2} {eq_iters:>10} {rb_rounds:>10}"

@@ -575,7 +575,7 @@ fn solve(mut args: Vec<String>) -> Result<String, CliError> {
         writeln!(
             out,
             "rounds      {} ({} iterations)",
-            o.equilibrium_rounds, o.total_iterations
+            o.solve.rounds, o.solve.iterations
         )
         .expect("infallible");
     }
@@ -792,12 +792,12 @@ fn simulate(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, Cl
             write!(
                 out,
                 " {:>9} {:>9} {:>10}",
-                r.degraded_quanta, r.fallback_quanta, r.solver_recoveries
+                r.degraded_quanta, r.fallback_quanta, r.solve.recoveries
             )
             .expect("infallible");
         }
         if bounded {
-            write!(out, " {:>7} {:>8}", r.retried_solves, r.timed_out_solves).expect("infallible");
+            write!(out, " {:>7} {:>8}", r.solve.retries, r.solve.timed_out).expect("infallible");
         }
         writeln!(out).expect("infallible");
         fingerprint = Some(result_fingerprint(&r));

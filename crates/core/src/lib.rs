@@ -50,6 +50,7 @@ pub mod uncoordinated;
 pub use ep::ElasticitiesProportional;
 pub use mechanisms::{
     Balanced, EqualBudget, EqualShare, MaxEfficiency, Mechanism, MechanismOutcome, ReBudget,
+    SolveSummary,
 };
 pub use theory::{ef_lower_bound, min_mbr_for_ef, poa_lower_bound};
 pub use uncoordinated::Uncoordinated;

@@ -15,14 +15,76 @@
 
 use rebudget_telemetry as telemetry;
 
-use rebudget_market::equilibrium::EquilibriumOptions;
+use rebudget_market::equilibrium::{EquilibriumOptions, EquilibriumOutcome};
 use rebudget_market::metrics;
 use rebudget_market::optimal::{max_efficiency, OptimalOptions};
 use rebudget_market::{
     solve_with_retry, AllocationMatrix, Market, MarketError, ParallelPolicy, Result, RetryPolicy,
+    RetryReport, SolveReport,
 };
 
 use crate::theory::min_mbr_for_ef;
+
+/// Solver health: the tally of one or more laddered equilibrium solves.
+///
+/// A mechanism outcome, a sweep point and a simulated run each carry one,
+/// so output can tell a certified equilibrium from a best-effort or
+/// deadline-clipped iterate. An empty tally counts as converged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SolveSummary {
+    /// Whether every equilibrium solve tallied converged. A `false` tally
+    /// is best-effort, *not* a certified equilibrium — plots should mark
+    /// it rather than silently report it as one.
+    pub converged: bool,
+    /// Equilibrium solves tallied (1 for EqualBudget, reassignment rounds
+    /// + 1 for ReBudget, 0 for non-market mechanisms).
+    pub rounds: u64,
+    /// Total bidding–pricing iterations across all solves.
+    pub iterations: u64,
+    /// Solver guardrail interventions
+    /// ([`rebudget_market::RecoveryAction`]) across all solves.
+    pub recoveries: u64,
+    /// Extra retry-ladder attempts spent beyond the first per solve.
+    pub retries: u64,
+    /// Solve attempts that hit their [`rebudget_market::DeadlineBudget`].
+    pub timed_out: u64,
+}
+
+impl Default for SolveSummary {
+    fn default() -> Self {
+        Self {
+            converged: true,
+            rounds: 0,
+            iterations: 0,
+            recoveries: 0,
+            retries: 0,
+            timed_out: 0,
+        }
+    }
+}
+
+impl SolveSummary {
+    /// Tallies one laddered solve: the returned outcome's `report` and the
+    /// ladder's `retry` report from [`solve_with_retry`].
+    pub fn record(&mut self, report: &SolveReport, retry: &RetryReport) {
+        self.converged &= report.converged;
+        self.rounds += 1;
+        self.iterations += report.iterations;
+        self.recoveries += report.recovery.len() as u64;
+        self.retries += retry.retries();
+        self.timed_out += retry.timed_out_attempts;
+    }
+
+    /// Adds another tally to this one.
+    pub fn add(&mut self, other: &SolveSummary) {
+        self.converged &= other.converged;
+        self.rounds += other.rounds;
+        self.iterations += other.iterations;
+        self.recoveries += other.recoveries;
+        self.retries += other.retries;
+        self.timed_out += other.timed_out;
+    }
+}
 
 /// The result of running an allocation mechanism on a market.
 #[derive(Debug, Clone)]
@@ -47,18 +109,9 @@ pub struct MechanismOutcome {
     pub mur: Option<f64>,
     /// Market Budget Range of the final budgets, if a market ran.
     pub mbr: Option<f64>,
-    /// Number of market-equilibrium solves (ReBudget re-converges once per
-    /// budget adjustment; single-shot markets report 1, oracles 0).
-    pub equilibrium_rounds: u64,
-    /// Total bidding–pricing iterations summed over all solves.
-    pub total_iterations: u64,
-    /// Whether every equilibrium solve met the price-convergence test
-    /// before the fail-safe. `true` for non-market mechanisms.
-    pub converged: bool,
-    /// Total solver guardrail interventions
-    /// ([`rebudget_market::RecoveryAction`]) summed over all equilibrium
-    /// solves — 0 for a fully clean run.
-    pub solver_recoveries: u64,
+    /// Health of every equilibrium solve behind this outcome (an empty,
+    /// converged tally for non-market mechanisms).
+    pub solve: SolveSummary,
     /// Number of ReBudget reassignment rounds that were rolled back
     /// because the realized efficiency fell below the Theorem-1 floor
     /// (always 0 for other mechanisms).
@@ -69,14 +122,6 @@ pub struct MechanismOutcome {
     /// allocation, but the theorem bounds tied to equilibrium need not
     /// hold.
     pub degraded: bool,
-    /// Solves that stopped because their
-    /// [`rebudget_market::DeadlineBudget`] ran out (0 with the default
-    /// unbounded deadline).
-    pub timed_out_solves: u64,
-    /// Extra solve attempts taken by the [`RetryPolicy`] ladder beyond
-    /// the first, summed over all equilibrium rounds (0 without a retry
-    /// policy).
-    pub retry_attempts: u64,
     /// Worst (largest) final solve residual across all equilibrium
     /// rounds, in the workspace-wide relative-excess-demand semantics of
     /// [`rebudget_market::SolveReport::residual`] — identical for every
@@ -95,11 +140,13 @@ pub trait Mechanism {
     ///
     /// Propagates [`MarketError`]s from degenerate inputs; a market that
     /// merely fails to converge is *not* an error (see
-    /// [`MechanismOutcome::converged`]).
+    /// [`MechanismOutcome::degraded`]).
     fn allocate(&self, market: &Market) -> Result<MechanismOutcome>;
 }
 
-fn outcome_from_allocation(
+/// The outcome of a mechanism that ran no market: utilities, efficiency
+/// and envy-freeness of `allocation`, with an empty solve tally.
+pub(crate) fn outcome_from_allocation(
     name: String,
     market: &Market,
     allocation: AllocationMatrix,
@@ -122,14 +169,9 @@ fn outcome_from_allocation(
         envy_freeness,
         mur: None,
         mbr: None,
-        equilibrium_rounds: 0,
-        total_iterations: 0,
-        converged: true,
-        solver_recoveries: 0,
+        solve: SolveSummary::default(),
         rolled_back_rounds: 0,
         degraded: false,
-        timed_out_solves: 0,
-        retry_attempts: 0,
         worst_residual: 0.0,
     }
 }
@@ -380,6 +422,31 @@ impl ReBudget {
         let geometric = 1.0 - 2.0 * self.initial_step / self.base_budget;
         self.budget_floor.unwrap_or(geometric).clamp(0.0, 1.0)
     }
+
+    /// One reassignment round's laddered equilibrium solve at `budgets`,
+    /// tallied into `solve` and `worst_residual`.
+    fn solve_round(
+        &self,
+        market: &Market,
+        budgets: &[f64],
+        solve: &mut SolveSummary,
+        worst_residual: &mut f64,
+    ) -> Result<EquilibriumOutcome> {
+        let (eq, retry) = solve_with_retry(&self.options, self.retry.as_ref(), |o| {
+            market.equilibrium_with_budgets(budgets, o)
+        })?;
+        solve.record(&eq.report, &retry);
+        *worst_residual = worst_residual.max(eq.report.residual);
+        if telemetry::enabled() {
+            telemetry::record(
+                telemetry::Event::new("rebudget_round")
+                    .field_u64("round", solve.rounds)
+                    .field_f64("efficiency", eq.efficiency())
+                    .field_f64s("budgets", budgets),
+            );
+        }
+        Ok(eq)
+    }
 }
 
 impl Mechanism for ReBudget {
@@ -395,36 +462,13 @@ impl Mechanism for ReBudget {
         let min_step = self.min_step_fraction * self.base_budget;
 
         let _rebudget_span = telemetry::span!("rebudget");
-        let mut rounds = 0u64;
-        let mut total_iterations = 0u64;
-        let mut all_converged = true;
-        let mut recoveries = 0u64;
+        let mut solve = SolveSummary::default();
         let mut rollbacks = 0u64;
-        let mut retries = 0u64;
-        let mut timeouts = 0u64;
+        // A rolled-back round's solve still counts toward the worst
+        // residual: the number describes every solve taken, not just the
+        // surviving equilibrium.
         let mut worst_residual = 0.0_f64;
-
-        let solve = |budgets: &[f64]| {
-            solve_with_retry(&self.options, self.retry.as_ref(), |o| {
-                market.equilibrium_with_budgets(budgets, o)
-            })
-        };
-        let (mut eq, retry) = solve(&budgets)?;
-        rounds += 1;
-        total_iterations += eq.iterations;
-        all_converged &= eq.converged();
-        recoveries += eq.report.recovery.len() as u64;
-        retries += retry.retries();
-        timeouts += retry.timed_out_attempts;
-        worst_residual = worst_residual.max(eq.report.residual);
-        if telemetry::enabled() {
-            telemetry::record(
-                telemetry::Event::new("rebudget_round")
-                    .field_u64("round", rounds)
-                    .field_f64("efficiency", eq.efficiency())
-                    .field_f64s("budgets", &budgets),
-            );
-        }
+        let mut eq = self.solve_round(market, &budgets, &mut solve, &mut worst_residual)?;
 
         loop {
             if step < min_step {
@@ -454,22 +498,7 @@ impl Mechanism for ReBudget {
             }
             step *= 0.5;
 
-            let (next_eq, retry) = solve(&budgets)?;
-            rounds += 1;
-            total_iterations += next_eq.iterations;
-            all_converged &= next_eq.converged();
-            recoveries += next_eq.report.recovery.len() as u64;
-            retries += retry.retries();
-            timeouts += retry.timed_out_attempts;
-            worst_residual = worst_residual.max(next_eq.report.residual);
-            if telemetry::enabled() {
-                telemetry::record(
-                    telemetry::Event::new("rebudget_round")
-                        .field_u64("round", rounds)
-                        .field_f64("efficiency", next_eq.efficiency())
-                        .field_f64s("budgets", &budgets),
-                );
-            }
+            let next_eq = self.solve_round(market, &budgets, &mut solve, &mut worst_residual)?;
 
             // Graceful degradation: a reassignment step must not push the
             // realized efficiency below the Theorem-1 floor for the *new*
@@ -485,7 +514,7 @@ impl Mechanism for ReBudget {
             if telemetry::enabled() {
                 telemetry::record(
                     telemetry::Event::new("floor_check")
-                        .field_u64("round", rounds)
+                        .field_u64("round", solve.rounds)
                         .field_f64("floor", theorem_floor)
                         .field_f64("efficiency", eff_new)
                         .field_f64("previous", eff_prev)
@@ -498,7 +527,7 @@ impl Mechanism for ReBudget {
                 if telemetry::enabled() {
                     telemetry::record(
                         telemetry::Event::new("rollback")
-                            .field_u64("round", rounds)
+                            .field_u64("round", solve.rounds)
                             .field_str("cause", "theorem1_floor")
                             .field_f64("efficiency", eff_new)
                             .field_f64("floor", theorem_floor * eff_prev),
@@ -516,29 +545,16 @@ impl Mechanism for ReBudget {
 
         if telemetry::enabled() {
             let registry = &telemetry::global().registry;
-            registry.counter("rebudget.rounds").add(rounds);
+            registry.counter("rebudget.rounds").add(solve.rounds);
             registry
                 .histogram("rebudget.rounds_per_allocate")
-                .record(rounds);
+                .record(solve.rounds);
         }
-        let mut out = finish(
-            self.name(),
-            market,
-            budgets,
-            eq,
-            rounds,
-            total_iterations,
-            all_converged,
-        );
-        out.solver_recoveries = recoveries;
-        out.rolled_back_rounds = rollbacks;
-        out.retry_attempts = retries;
-        out.timed_out_solves = timeouts;
-        // A rolled-back round's solve still counts toward the worst
-        // residual: the number describes every solve taken, not just the
-        // surviving equilibrium.
-        out.worst_residual = worst_residual;
-        Ok(out)
+        Ok(MechanismOutcome {
+            rolled_back_rounds: rollbacks,
+            worst_residual,
+            ..finish(self.name(), market, budgets, eq, solve)
+        })
     }
 }
 
@@ -546,16 +562,13 @@ fn finish(
     name: String,
     market: &Market,
     budgets: Vec<f64>,
-    eq: rebudget_market::equilibrium::EquilibriumOutcome,
-    rounds: u64,
-    total_iterations: u64,
-    converged: bool,
+    eq: EquilibriumOutcome,
+    solve: SolveSummary,
 ) -> MechanismOutcome {
     let efficiency = eq.efficiency();
     let envy_freeness = metrics::envy_freeness(market, &eq.allocation);
     let mur = metrics::mur(&eq.lambdas);
     let mbr = metrics::mbr(&budgets);
-    let eq_residual = eq.report.residual;
     MechanismOutcome {
         mechanism: name,
         allocation: eq.allocation,
@@ -566,15 +579,10 @@ fn finish(
         envy_freeness,
         mur: Some(mur),
         mbr: Some(mbr),
-        equilibrium_rounds: rounds,
-        total_iterations,
-        converged,
-        solver_recoveries: 0,
+        solve,
         rolled_back_rounds: 0,
-        degraded: !converged,
-        timed_out_solves: 0,
-        retry_attempts: 0,
-        worst_residual: eq_residual,
+        degraded: !solve.converged,
+        worst_residual: eq.report.residual,
     }
 }
 
@@ -588,14 +596,9 @@ fn run_market(
     let (eq, retry) = solve_with_retry(options, retry, |o| {
         market.equilibrium_with_budgets(&budgets, o)
     })?;
-    let iterations = eq.iterations;
-    let converged = eq.converged();
-    let recoveries = eq.report.recovery.len() as u64;
-    let mut out = finish(name, market, budgets, eq, 1, iterations, converged);
-    out.solver_recoveries = recoveries;
-    out.retry_attempts = retry.retries();
-    out.timed_out_solves = retry.timed_out_attempts;
-    Ok(out)
+    let mut solve = SolveSummary::default();
+    solve.record(&eq.report, &retry);
+    Ok(finish(name, market, budgets, eq, solve))
 }
 
 /// The welfare-maximizing oracle used as the normalizer in the paper's
@@ -622,10 +625,9 @@ impl Mechanism for MaxEfficiency {
 
     fn allocate(&self, market: &Market) -> Result<MechanismOutcome> {
         let out = max_efficiency(market, &self.options)?;
-        let timed_out = u64::from(out.timed_out);
         let mut outcome = outcome_from_allocation(self.name(), market, out.allocation);
-        outcome.timed_out_solves = timed_out;
-        outcome.degraded |= timed_out > 0;
+        outcome.solve.timed_out = u64::from(out.timed_out);
+        outcome.degraded = out.timed_out;
         Ok(outcome)
     }
 }
@@ -737,7 +739,7 @@ mod tests {
         assert!(out.allocation.is_exhaustive(&CAPS, 1e-12));
         assert!(out.envy_freeness >= 1.0 - 1e-9, "equal share is envy-free");
         assert!(out.mur.is_none());
-        assert_eq!(out.equilibrium_rounds, 0);
+        assert_eq!(out.solve.rounds, 0);
     }
 
     #[test]
@@ -747,8 +749,8 @@ mod tests {
         assert_eq!(out.budgets, vec![100.0; 4]);
         assert_eq!(out.mbr, Some(1.0));
         assert!(out.mur.unwrap() > 0.0 && out.mur.unwrap() <= 1.0);
-        assert_eq!(out.equilibrium_rounds, 1);
-        assert!(out.converged);
+        assert_eq!(out.solve.rounds, 1);
+        assert!(out.solve.converged);
         assert!(out.allocation.is_exhaustive(&CAPS, 1e-9));
     }
 
@@ -762,7 +764,7 @@ mod tests {
         let mut pr = EqualBudget::new(100.0);
         pr.options.solver = SolverKind::ProportionalResponse;
         let pr = pr.allocate(&market).unwrap();
-        assert!(pr.converged);
+        assert!(pr.solve.converged);
         assert!(pr.allocation.is_exhaustive(&CAPS, 1e-6));
         assert!(pr.worst_residual.is_finite() && pr.worst_residual >= 0.0);
         assert!(jac.worst_residual.is_finite());
@@ -770,7 +772,7 @@ mod tests {
         let mut rb = ReBudget::with_step(100.0, 40.0);
         rb.options.solver = SolverKind::MirrorDescent;
         let rb = rb.allocate(&market).unwrap();
-        assert!(rb.equilibrium_rounds >= 1);
+        assert!(rb.solve.rounds >= 1);
         assert!(rb.worst_residual.is_finite() && rb.worst_residual >= 0.0);
     }
 
@@ -816,7 +818,7 @@ mod tests {
         // sqrt utility everyone's potential is 1, so budgets equalize.
         assert!((budgets[0] - budgets[1]).abs() < 1e-9);
         let out = b.allocate(&market).unwrap();
-        assert_eq!(out.equilibrium_rounds, 1);
+        assert_eq!(out.solve.rounds, 1);
     }
 
     #[test]
@@ -844,7 +846,7 @@ mod tests {
             eq.efficiency
         );
         // And it needed more equilibrium rounds to get there.
-        assert!(rb.equilibrium_rounds > eq.equilibrium_rounds);
+        assert!(rb.solve.rounds > eq.solve.rounds);
     }
 
     #[test]

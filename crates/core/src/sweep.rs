@@ -19,42 +19,8 @@
 use rebudget_market::par::{self, ParallelPolicy};
 use rebudget_market::{Market, Result};
 
-use crate::mechanisms::{EqualBudget, MaxEfficiency, Mechanism, ReBudget};
+use crate::mechanisms::{EqualBudget, MaxEfficiency, Mechanism, ReBudget, SolveSummary};
 use crate::theory::ef_lower_bound;
-
-/// Solver health behind one sweep point.
-///
-/// A sweep point is the product of one or more equilibrium solves (one per
-/// ReBudget round). This summary aggregates their [`rebudget_market::SolveReport`]s
-/// so sweep output can distinguish a certified equilibrium from a
-/// best-effort or deadline-clipped iterate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SolveSummary {
-    /// Whether every equilibrium solve behind this point converged. A
-    /// `false` point is best-effort, *not* a certified equilibrium — plots
-    /// should mark it rather than silently report it as one.
-    pub converged: bool,
-    /// Equilibrium rounds run (1 for EqualBudget, reassignment rounds + 1
-    /// for ReBudget).
-    pub rounds: u64,
-    /// Total bidding–pricing iterations across all rounds.
-    pub iterations: u64,
-    /// Solver guardrail interventions (clamps/restarts) across all rounds.
-    pub recoveries: u64,
-    /// Extra retry-ladder attempts spent beyond the first solve per round.
-    pub retries: u64,
-    /// Solves that hit their [`rebudget_market::DeadlineBudget`].
-    pub timed_out: u64,
-}
-
-impl SolveSummary {
-    /// True when the point converged with no guardrail recoveries, no
-    /// retry-ladder attempts, and no deadline hits.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.converged && self.recoveries == 0 && self.retries == 0 && self.timed_out == 0
-    }
-}
 
 /// One point of a knob sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +39,8 @@ pub struct SweepPoint {
     pub mbr: f64,
     /// Worst-case envy-freeness floor from Theorem 2 at the measured MBR.
     pub ef_floor: f64,
-    /// Aggregated solver health behind this point.
+    /// Solver health behind this point: one solve for EqualBudget, one per
+    /// reassignment round for ReBudget.
     pub solve: SolveSummary,
 }
 
@@ -174,14 +141,7 @@ pub fn sweep_point(
         mur: out.mur.unwrap_or(1.0),
         mbr,
         ef_floor: ef_lower_bound(mbr),
-        solve: SolveSummary {
-            converged: out.converged,
-            rounds: out.equilibrium_rounds,
-            iterations: out.total_iterations,
-            recoveries: out.solver_recoveries,
-            retries: out.retry_attempts,
-            timed_out: out.timed_out_solves,
-        },
+        solve: out.solve,
     })
 }
 

@@ -13,7 +13,7 @@
 use rebudget_cache::ucp::ucp_lookahead;
 use rebudget_market::{AllocationMatrix, Market, MarketError, Result};
 
-use crate::mechanisms::{Mechanism, MechanismOutcome};
+use crate::mechanisms::{outcome_from_allocation, Mechanism, MechanismOutcome};
 
 /// UCP for the cache + an equal split of power, uncoordinated.
 #[derive(Debug, Clone, Default)]
@@ -66,34 +66,7 @@ impl Mechanism for Uncoordinated {
             allocation.set(i, 1, equal_power);
         }
 
-        let utilities: Vec<f64> = market
-            .players()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| p.utility_of(allocation.row(i)))
-            .collect();
-        let efficiency = utilities.iter().sum();
-        let envy_freeness = rebudget_market::metrics::envy_freeness(market, &allocation);
-        Ok(MechanismOutcome {
-            mechanism: self.name(),
-            allocation,
-            budgets: Vec::new(),
-            utilities,
-            lambdas: Vec::new(),
-            efficiency,
-            envy_freeness,
-            mur: None,
-            mbr: None,
-            equilibrium_rounds: 0,
-            total_iterations: 0,
-            converged: true,
-            solver_recoveries: 0,
-            rolled_back_rounds: 0,
-            degraded: false,
-            timed_out_solves: 0,
-            retry_attempts: 0,
-            worst_residual: 0.0,
-        })
+        Ok(outcome_from_allocation(self.name(), market, allocation))
     }
 }
 

@@ -204,10 +204,10 @@ impl Property {
                 )
             }
             Property::Converged => (
-                r.always_converged && r.degraded_quanta == 0 && r.fallback_quanta == 0,
+                r.solve.converged && r.degraded_quanta == 0 && r.fallback_quanta == 0,
                 format!(
                     "always_converged {}, degraded {}, fallback {}",
-                    r.always_converged, r.degraded_quanta, r.fallback_quanta
+                    r.solve.converged, r.degraded_quanta, r.fallback_quanta
                 ),
             ),
             Property::NoNan => {
@@ -255,6 +255,7 @@ impl Property {
 mod tests {
     use super::*;
     use crate::toml::parse;
+    use rebudget_core::mechanisms::SolveSummary;
 
     fn property(doc: &str) -> Result<Property, ScenarioError> {
         let root = parse(&format!("p = {doc}\n"))?;
@@ -270,13 +271,10 @@ mod tests {
             quanta: 10,
             avg_equilibrium_rounds: 2.0,
             avg_iterations: 40.0,
-            always_converged: true,
+            solve: SolveSummary::default(),
             efficiency_history: vec![6.0; 10],
             fallback_quanta: 0,
             degraded_quanta: 0,
-            solver_recoveries: 0,
-            retried_solves: 0,
-            timed_out_solves: 0,
             replayed_quanta: 0,
             used_prev_generation: false,
         }

@@ -96,7 +96,9 @@ impl ServerConfig {
     /// # Errors
     ///
     /// [`ServerError::Config`] for an empty or non-positive capacity
-    /// vector or a zero `fallback_after`.
+    /// vector, a zero `fallback_after`, or a `solver` that differs from
+    /// `options.solver` (the ledger would name one engine while the
+    /// other ran).
     pub fn validate(&self) -> ServerResult<()> {
         if self.capacities.is_empty() {
             return Err(ServerError::Config {
@@ -111,6 +113,15 @@ impl ServerConfig {
         if self.fallback_after == 0 {
             return Err(ServerError::Config {
                 reason: "fallback-after must be at least 1 tick".into(),
+            });
+        }
+        if self.solver != self.options.solver {
+            return Err(ServerError::Config {
+                reason: format!(
+                    "solver {} differs from the options' solver {}",
+                    self.solver.label(),
+                    self.options.solver.label()
+                ),
             });
         }
         Ok(())
@@ -849,7 +860,7 @@ mod tests {
         ServerConfig {
             capacities: vec![8.0; 6],
             solver,
-            options: EquilibriumOptions::large_scale(),
+            options: EquilibriumOptions::large_scale().with_solver(solver),
             retry: RetryPolicy::default(),
             fallback_after: 2,
             seed: 11,
@@ -1240,6 +1251,9 @@ mod tests {
         assert!(matches!(cfg.validate(), Err(ServerError::Config { .. })));
         let mut cfg = config(SolverKind::ProportionalResponse);
         cfg.fallback_after = 0;
+        assert!(matches!(cfg.validate(), Err(ServerError::Config { .. })));
+        let mut cfg = config(SolverKind::MirrorDescent);
+        cfg.options.solver = SolverKind::ProportionalResponse;
         assert!(matches!(cfg.validate(), Err(ServerError::Config { .. })));
     }
 }

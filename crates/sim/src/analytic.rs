@@ -56,7 +56,7 @@ pub fn resource_space(bundle: &Bundle, sys: &SystemConfig) -> Result<ResourceSpa
 ///     100.0,
 /// )?;
 /// let outcome = EqualBudget::new(100.0).allocate(&market)?;
-/// assert!(outcome.converged);
+/// assert!(outcome.solve.converged);
 /// # Ok(())
 /// # }
 /// ```
@@ -150,7 +150,7 @@ mod tests {
         let market = build_market(&bundle, &sys, &dram, 100.0).unwrap();
         assert_eq!(market.len(), 8);
         let out = EqualBudget::new(100.0).allocate(&market).unwrap();
-        assert!(out.converged, "BBPC market should converge");
+        assert!(out.solve.converged, "BBPC market should converge");
         assert!(out.efficiency > 0.0);
         // Weighted speedup cannot exceed N (utilities ≤ 1 each).
         assert!(out.efficiency <= 8.0 + 1e-6);

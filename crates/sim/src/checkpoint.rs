@@ -30,7 +30,8 @@
 use std::fmt;
 use std::path::Path;
 
-use rebudget_core::sweep::{SolveSummary, SweepPoint};
+use rebudget_core::mechanisms::SolveSummary;
+use rebudget_core::sweep::SweepPoint;
 use rebudget_market::FaultPlan;
 
 use crate::durable::{self, Document, Section, Trailer, Writer};
@@ -359,12 +360,9 @@ fn ensure_same_rendering(
 /// Aggregate run counters captured at the snapshot boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimCounters {
-    /// Equilibrium rounds across all recorded quanta.
-    pub total_rounds: u64,
-    /// Bidding–pricing iterations across all recorded quanta.
-    pub total_iterations: u64,
-    /// Whether every recorded quantum's solve converged.
-    pub always_converged: bool,
+    /// Health of every solve across all recorded quanta. A fallback
+    /// quantum clears `converged` without tallying a solve.
+    pub solve: SolveSummary,
     /// Consecutive failed quanta at the snapshot boundary (feeds the
     /// EqualShare fallback trigger).
     pub consecutive_failures: usize,
@@ -372,39 +370,35 @@ pub struct SimCounters {
     pub fallback_quanta: usize,
     /// Quanta whose solve failed or hit the fail-safe.
     pub degraded_quanta: usize,
-    /// Solver guardrail recoveries across all recorded quanta.
-    pub solver_recoveries: u64,
-    /// Retry-ladder attempts beyond the first solve.
-    pub retried_solves: u64,
-    /// Solves that hit their deadline budget.
-    pub timed_out_solves: u64,
 }
 
 impl SimCounters {
     fn render(&self, w: &mut Writer) {
         w.section("counters");
-        w.kv("total_rounds", self.total_rounds);
-        w.kv("total_iterations", self.total_iterations);
-        w.bool("always_converged", self.always_converged);
+        w.kv("total_rounds", self.solve.rounds);
+        w.kv("total_iterations", self.solve.iterations);
+        w.bool("always_converged", self.solve.converged);
         w.kv("consecutive_failures", self.consecutive_failures);
         w.kv("fallback_quanta", self.fallback_quanta);
         w.kv("degraded_quanta", self.degraded_quanta);
-        w.kv("solver_recoveries", self.solver_recoveries);
-        w.kv("retried_solves", self.retried_solves);
-        w.kv("timed_out_solves", self.timed_out_solves);
+        w.kv("solver_recoveries", self.solve.recoveries);
+        w.kv("retried_solves", self.solve.retries);
+        w.kv("timed_out_solves", self.solve.timed_out);
     }
 
     fn parse(section: &Section<'_>) -> Result<Self> {
         Ok(Self {
-            total_rounds: section.parse("total_rounds")?,
-            total_iterations: section.parse("total_iterations")?,
-            always_converged: section.bool("always_converged")?,
+            solve: SolveSummary {
+                rounds: section.parse("total_rounds")?,
+                iterations: section.parse("total_iterations")?,
+                converged: section.bool("always_converged")?,
+                recoveries: section.parse("solver_recoveries")?,
+                retries: section.parse("retried_solves")?,
+                timed_out: section.parse("timed_out_solves")?,
+            },
             consecutive_failures: section.parse("consecutive_failures")?,
             fallback_quanta: section.parse("fallback_quanta")?,
             degraded_quanta: section.parse("degraded_quanta")?,
-            solver_recoveries: section.parse("solver_recoveries")?,
-            retried_solves: section.parse("retried_solves")?,
-            timed_out_solves: section.parse("timed_out_solves")?,
         })
     }
 }
@@ -749,15 +743,17 @@ mod tests {
                 }),
             },
             counters: SimCounters {
-                total_rounds: 6,
-                total_iterations: 120,
-                always_converged: true,
+                solve: SolveSummary {
+                    converged: true,
+                    rounds: 6,
+                    iterations: 120,
+                    recoveries: 2,
+                    retries: 1,
+                    timed_out: 0,
+                },
                 consecutive_failures: 1,
                 fallback_quanta: 0,
                 degraded_quanta: 1,
-                solver_recoveries: 2,
-                retried_solves: 1,
-                timed_out_solves: 0,
             },
             quanta: vec![
                 QuantumRecord {
@@ -914,7 +910,7 @@ mod tests {
         cp.save(&path).unwrap();
         assert!(!prev_path(&path).exists(), "no prev after first save");
         let first = cp.clone();
-        cp.counters.total_rounds += 1;
+        cp.counters.solve.rounds += 1;
         cp.save(&path).unwrap();
         assert_eq!(SimCheckpoint::load(&path).unwrap(), cp);
         assert_eq!(SimCheckpoint::load(&prev_path(&path)).unwrap(), first);
@@ -929,7 +925,7 @@ mod tests {
         let mut cp = sample_sim();
         cp.save(&path).unwrap();
         let first = cp.clone();
-        cp.counters.total_rounds += 1;
+        cp.counters.solve.rounds += 1;
         cp.save(&path).unwrap();
         // Corrupt the live generation; the previous one must be served.
         let mut text = fs::read_to_string(&path).unwrap();

@@ -5,7 +5,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use rebudget_core::mechanisms::{EqualShare, Mechanism};
+use rebudget_core::mechanisms::{EqualShare, Mechanism, MechanismOutcome, SolveSummary};
 use rebudget_market::{metrics, AllocationMatrix, FaultPlan, Market, MarketError, Player, Utility};
 use rebudget_workloads::Bundle;
 
@@ -108,7 +108,7 @@ pub struct SimOptions {
     pub faults: Option<FaultPlan>,
     /// After this many consecutive quanta whose solve failed or hit the
     /// fail-safe, the next quantum falls back to [`EqualShare`] (logged and
-    /// counted), then the market is re-attempted.
+    /// counted), then the market is re-attempted. Only under a fault plan.
     pub max_consecutive_failures: usize,
 }
 
@@ -322,26 +322,21 @@ pub struct SimResult {
     pub avg_equilibrium_rounds: f64,
     /// Mean bidding–pricing iterations per quantum.
     pub avg_iterations: f64,
-    /// Whether every quantum's market converged before the fail-safe.
-    pub always_converged: bool,
+    /// Health of every solve across the run, replayed quanta included.
+    /// `converged` is also cleared by an EqualShare fallback quantum.
+    pub solve: SolveSummary,
     /// Instantaneous weighted speedup per quantum (the efficiency
     /// trajectory — useful for phase-change and warm-up studies).
     pub efficiency_history: Vec<f64>,
     /// Quanta that fell back to [`EqualShare`] after repeated solver
     /// failures (always 0 without a fault plan).
     pub fallback_quanta: usize,
-    /// Quanta whose solve failed outright or hit the iteration fail-safe
-    /// (best-effort allocations, counted toward the fallback trigger).
+    /// Quanta whose allocation is best-effort: the mechanism reported a
+    /// degraded outcome (a solve hit the iteration fail-safe or its
+    /// deadline), or, under a fault plan, the solve failed outright.
+    /// Counted with or without a fault plan; only under one does it feed
+    /// the EqualShare fallback trigger.
     pub degraded_quanta: usize,
-    /// Total solver recovery actions (damping, restarts, sanitizations)
-    /// across the run.
-    pub solver_recoveries: u64,
-    /// Retry-ladder attempts spent beyond the first solve (always 0
-    /// unless the mechanism carries a `RetryPolicy`).
-    pub retried_solves: u64,
-    /// Solves that hit their deadline budget (always 0 unless a
-    /// `DeadlineBudget` is configured).
-    pub timed_out_solves: u64,
     /// Quanta replayed from a checkpoint instead of solved (0 for a
     /// fresh run).
     pub replayed_quanta: usize,
@@ -462,6 +457,113 @@ fn expand_rows(
         }
     }
     Ok(full)
+}
+
+/// How a quantum's allocation was reached: the fields of its trace event
+/// and hook observation that a replayed quantum leaves neutral.
+struct Verdict {
+    degraded: bool,
+    fallback: bool,
+    converged: bool,
+    residual: f64,
+    mur: Option<f64>,
+    mbr: Option<f64>,
+}
+
+impl Verdict {
+    /// A replayed quantum: snapshots record no per-quantum solver health.
+    const REPLAYED: Self = Self {
+        degraded: false,
+        fallback: false,
+        converged: true,
+        residual: 0.0,
+        mur: None,
+        mbr: None,
+    };
+
+    fn of(out: &MechanismOutcome) -> Self {
+        Self {
+            degraded: out.degraded,
+            fallback: false,
+            converged: out.solve.converged,
+            residual: out.worst_residual,
+            mur: out.mur,
+            mbr: out.mbr,
+        }
+    }
+
+    fn fallback(degraded: bool) -> Self {
+        Self {
+            degraded,
+            fallback: true,
+            converged: false,
+            ..Self::REPLAYED
+        }
+    }
+}
+
+/// Allocates live quantum `q` over the active players of `market` and
+/// tallies its solve health into `c`. Without a fault plan, market errors
+/// propagate. With one, the market-level faults are injected, and a
+/// failed solve (or a run of `max_failures` degraded ones) falls back to
+/// [`EqualShare`] instead of aborting.
+fn live_allocation(
+    mechanism: &dyn Mechanism,
+    market: &Market,
+    kept: usize,
+    plan: Option<&FaultPlan>,
+    q: usize,
+    max_failures: usize,
+    c: &mut SimCounters,
+) -> Result<(AllocationMatrix, Verdict), SimError> {
+    let Some(plan) = plan else {
+        let out = mechanism.allocate(market)?;
+        c.solve.add(&out.solve);
+        c.degraded_quanta += usize::from(out.degraded);
+        let verdict = Verdict::of(&out);
+        return Ok((out.allocation, verdict));
+    };
+    // Noise and staleness were already injected at the curve / history
+    // level; zero them here so the market-level pass only adds drops,
+    // spikes, NaNs, and liars.
+    let market_plan = FaultPlan {
+        noise_sigma: 0.0,
+        stale_probability: 0.0,
+        ..plan.clone()
+    };
+    let faulted = market_plan.apply(market, q as u64)?;
+    if c.consecutive_failures >= max_failures.max(1) {
+        // Safe mode for this interval: equal shares, no market.
+        // Re-attempt the market next interval.
+        let out = EqualShare.allocate(market)?;
+        c.fallback_quanta += 1;
+        c.consecutive_failures = 0;
+        c.solve.converged = false;
+        return Ok((out.allocation, Verdict::fallback(false)));
+    }
+    match mechanism.allocate(&faulted.market) {
+        Ok(out) => {
+            c.solve.add(&out.solve);
+            if out.degraded {
+                c.degraded_quanta += 1;
+                c.consecutive_failures += 1;
+            } else {
+                c.consecutive_failures = 0;
+            }
+            let alloc = faulted.expand_allocation(&out.allocation, kept)?;
+            Ok((alloc, Verdict::of(&out)))
+        }
+        Err(_) => {
+            // The solve blew up outright: count the failure and take the
+            // safe path for this interval.
+            c.degraded_quanta += 1;
+            c.consecutive_failures += 1;
+            c.fallback_quanta += 1;
+            c.solve.converged = false;
+            let alloc = EqualShare.allocate(market)?.allocation;
+            Ok((alloc, Verdict::fallback(true)))
+        }
+    }
 }
 
 /// Runs a bundle under a mechanism for `opts.quanta` quanta and reports
@@ -615,26 +717,23 @@ pub fn run_simulation_hooked(
             }
             (cp.quanta, cp.counters, used_prev)
         }
-        None => (
-            Vec::new(),
-            SimCounters {
-                always_converged: true,
-                ..SimCounters::default()
-            },
-            false,
-        ),
+        None => (Vec::new(), SimCounters::default(), false),
     };
     let replayed_quanta = records.len();
 
     let mut efficiency_history = Vec::with_capacity(opts.quanta);
     let mut last: Option<(Market, AllocationMatrix)> = None;
     let mut grid_history: Vec<Vec<Arc<dyn Utility>>> = Vec::new();
-
-    // Replay the recorded quanta: monitors and machine are re-run
-    // deterministically with the recorded allocations; market solves are
-    // skipped. The recorded per-quantum efficiency doubles as a
-    // divergence check.
-    for (q, record) in records.iter().enumerate() {
+    // Per-quantum health state for the `degradation` trace event: the
+    // previous quantum's verdict, so transitions are emitted exactly once.
+    let mut health = "normal";
+    // Replayed quanta (those the snapshot recorded) re-run monitors and
+    // machine deterministically with the recorded allocations and skip the
+    // market solve; the recorded efficiency doubles as a divergence check.
+    // They open no span, emit no telemetry, and append no record.
+    for q in 0..opts.quanta {
+        let replayed = q < replayed_quanta;
+        let _quantum_span = (!replayed).then(|| telemetry::span!("quantum", q));
         let mut ctl = QuantumControls::neutral(n, plan.clone());
         hook.control(q, &mut ctl);
         ctl.validate(n)?;
@@ -656,11 +755,34 @@ pub fn run_simulation_hooked(
         );
         let (market, kept) = market_from_grids(bundle, sys, opts.budget, &grids, &ctl)?;
         grid_history.push(grids);
-        let mut alloc = AllocationMatrix::zeros(n, 2)?;
-        for i in 0..n {
-            alloc.set(i, 0, record.allocation[i * 2]);
-            alloc.set(i, 1, record.allocation[i * 2 + 1]);
-        }
+
+        // The one branch: where this quantum's allocation comes from.
+        let (alloc, alloc_kept, verdict) = if replayed {
+            let mut alloc = AllocationMatrix::zeros(n, 2)?;
+            for (i, row) in records[q].allocation.chunks_exact(2).enumerate() {
+                alloc.set_row(i, row);
+            }
+            // Restrict the recorded allocation to the active players so
+            // the final fairness verdict (and the hook's view) matches what
+            // a live run of this quantum stored.
+            let mut alloc_kept = AllocationMatrix::zeros(kept.len(), 2)?;
+            for (row, &i) in kept.iter().enumerate() {
+                alloc_kept.set_row(row, alloc.row(i));
+            }
+            (alloc, alloc_kept, Verdict::REPLAYED)
+        } else {
+            let (alloc_kept, verdict) = live_allocation(
+                mechanism,
+                &market,
+                kept.len(),
+                qplan.as_ref(),
+                q,
+                opts.max_consecutive_failures,
+                &mut c,
+            )?;
+            (expand_rows(&alloc_kept, &kept, n)?, alloc_kept, verdict)
+        };
+
         let regions: Vec<f64> = (0..n).map(|i| alloc.get(i, 0)).collect();
         let watts: Vec<f64> = (0..n).map(|i| alloc.get(i, 1)).collect();
         let stats = match &mut machine {
@@ -673,181 +795,34 @@ pub fn run_simulation_hooked(
             .zip(&alone_rates)
             .map(|(&instr, &alone)| (instr / crate::config::QUANTUM_SECONDS) / alone)
             .sum();
-        if quantum_eff.to_bits() != record.efficiency.to_bits() {
+        if replayed && quantum_eff.to_bits() != records[q].efficiency.to_bits() {
             return Err(SimError::Checkpoint(CheckpointError::ReplayDivergence {
                 quantum: q,
             }));
         }
         efficiency_history.push(quantum_eff);
-        // Restrict the recorded allocation to the active players so the
-        // final fairness verdict (and the hook's view) matches what a
-        // live run of this quantum stored.
-        let mut alloc_kept = AllocationMatrix::zeros(kept.len(), 2)?;
-        for (row, &i) in kept.iter().enumerate() {
-            alloc_kept.set(row, 0, alloc.get(i, 0));
-            alloc_kept.set(row, 1, alloc.get(i, 1));
-        }
-        if hook.observing() {
-            let envy = metrics::envy_freeness(&market, &alloc_kept);
-            hook.observe(&QuantumObservation {
-                quantum: q,
-                efficiency: quantum_eff,
-                envy_freeness: envy,
-                degraded: false,
-                fallback: false,
-                converged: true,
-                residual: 0.0,
-                mur: None,
-                mbr: None,
-                budgets: market.players().iter().map(|p| p.budget()).collect(),
-                allocation: record.allocation.clone(),
-                cumulative_degraded: c.degraded_quanta,
-                cumulative_fallback: c.fallback_quanta,
-                replayed: true,
-            });
-        }
-        last = Some((market, alloc_kept));
-    }
-
-    // Per-quantum health state for the `degradation` trace event: the
-    // previous quantum's verdict, so transitions are emitted exactly once.
-    let mut health = "normal";
-    for q in replayed_quanta..opts.quanta {
-        let _quantum_span = telemetry::span!("quantum", q);
-        let mut ctl = QuantumControls::neutral(n, plan.clone());
-        hook.control(q, &mut ctl);
-        ctl.validate(n)?;
-        let qplan = ctl.faults.clone().filter(FaultPlan::is_active);
-        let mut quantum_degraded = false;
-        let mut quantum_fallback = false;
-        let q_converged;
-        let mut q_residual = 0.0_f64;
-        let mut q_mur = None;
-        let mut q_mbr = None;
-        if opts.use_monitors {
-            for monitor in &mut monitors {
-                monitor.observe_quantum(opts.accesses_per_quantum);
-            }
-        }
-        let grids = quantum_grids(
-            bundle,
-            sys,
-            dram,
-            &monitors,
-            qplan.as_ref(),
-            opts,
-            q as u64,
-            &grid_history,
-        );
-        let (market, kept) = market_from_grids(bundle, sys, opts.budget, &grids, &ctl)?;
-        grid_history.push(grids);
-
-        let alloc_kept = if let Some(qplan) = &qplan {
-            // Noise and staleness were already injected at the curve /
-            // history level above; zero them here so the market-level pass
-            // only adds drops, spikes, NaNs, and liars.
-            let market_plan = FaultPlan {
-                noise_sigma: 0.0,
-                stale_probability: 0.0,
-                ..qplan.clone()
-            };
-            let faulted = market_plan.apply(&market, q as u64)?;
-            if c.consecutive_failures >= opts.max_consecutive_failures.max(1) {
-                // Safe mode for this interval: equal shares, no market.
-                // Re-attempt the market next interval.
-                let out = EqualShare.allocate(&market)?;
-                c.fallback_quanta += 1;
-                c.consecutive_failures = 0;
-                c.always_converged = false;
-                quantum_fallback = true;
-                q_converged = false;
-                out.allocation
-            } else {
-                match mechanism.allocate(&faulted.market) {
-                    Ok(out) => {
-                        c.total_rounds += out.equilibrium_rounds;
-                        c.total_iterations += out.total_iterations;
-                        c.solver_recoveries += out.solver_recoveries;
-                        c.retried_solves += out.retry_attempts;
-                        c.timed_out_solves += out.timed_out_solves;
-                        c.always_converged &= out.converged;
-                        q_converged = out.converged;
-                        q_residual = out.worst_residual;
-                        q_mur = out.mur;
-                        q_mbr = out.mbr;
-                        if out.degraded {
-                            c.degraded_quanta += 1;
-                            c.consecutive_failures += 1;
-                            quantum_degraded = true;
-                        } else {
-                            c.consecutive_failures = 0;
-                        }
-                        faulted.expand_allocation(&out.allocation, kept.len())?
-                    }
-                    Err(_) => {
-                        // The solve blew up outright: count the failure and
-                        // take the safe path for this interval.
-                        c.degraded_quanta += 1;
-                        c.consecutive_failures += 1;
-                        c.fallback_quanta += 1;
-                        c.always_converged = false;
-                        quantum_degraded = true;
-                        quantum_fallback = true;
-                        q_converged = false;
-                        EqualShare.allocate(&market)?.allocation
-                    }
-                }
-            }
-        } else {
-            let out = mechanism.allocate(&market)?;
-            c.total_rounds += out.equilibrium_rounds;
-            c.total_iterations += out.total_iterations;
-            c.solver_recoveries += out.solver_recoveries;
-            c.retried_solves += out.retry_attempts;
-            c.timed_out_solves += out.timed_out_solves;
-            c.always_converged &= out.converged;
-            quantum_degraded = out.degraded;
-            q_converged = out.converged;
-            q_residual = out.worst_residual;
-            q_mur = out.mur;
-            q_mbr = out.mbr;
-            out.allocation
-        };
-        let alloc = expand_rows(&alloc_kept, &kept, n)?;
-
-        let regions: Vec<f64> = (0..n).map(|i| alloc.get(i, 0)).collect();
-        let watts: Vec<f64> = (0..n).map(|i| alloc.get(i, 1)).collect();
-        let stats = match &mut machine {
-            Exec::Analytic(m) => m.run_quantum(&regions, &watts),
-            Exec::Trace(m) => m.run_quantum(&regions, &watts, opts.accesses_per_quantum),
-        };
-        let quantum_eff: f64 = stats
-            .instructions
-            .iter()
-            .zip(&alone_rates)
-            .map(|(&instr, &alone)| (instr / crate::config::QUANTUM_SECONDS) / alone)
-            .sum();
-        efficiency_history.push(quantum_eff);
-        if telemetry::enabled() {
+        // Row-major `cores × resources`, as records and observations hold it.
+        let allocation: Vec<f64> = (0..n).flat_map(|i| alloc.row(i)).copied().collect();
+        if !replayed && telemetry::enabled() {
             telemetry::record(
                 telemetry::Event::new("quantum")
                     .field_u64("quantum", q as u64)
                     .field_str("mechanism", &mechanism.name())
                     .field_f64("efficiency", quantum_eff)
-                    .field_bool("degraded", quantum_degraded)
-                    .field_bool("fallback", quantum_fallback),
+                    .field_bool("degraded", verdict.degraded)
+                    .field_bool("fallback", verdict.fallback),
             );
-            let rows: Vec<Vec<f64>> = (0..n)
-                .map(|i| vec![alloc.get(i, 0), alloc.get(i, 1)])
-                .collect();
             telemetry::record(
                 telemetry::Event::new("quantum_alloc")
                     .field_u64("quantum", q as u64)
-                    .field_rows("allocation", rows),
+                    .field_rows(
+                        "allocation",
+                        allocation.chunks(2).map(<[f64]>::to_vec).collect(),
+                    ),
             );
-            let now = if quantum_fallback {
+            let now = if verdict.fallback {
                 "fallback"
-            } else if quantum_degraded {
+            } else if verdict.degraded {
                 "degraded"
             } else {
                 "normal"
@@ -863,21 +838,16 @@ pub fn run_simulation_hooked(
             }
             let registry = &telemetry::global().registry;
             registry.counter("sim.quanta").incr();
-            if quantum_degraded {
+            if verdict.degraded {
                 registry.counter("sim.degraded_quanta").incr();
             }
-            if quantum_fallback {
+            if verdict.fallback {
                 registry.counter("sim.fallback_quanta").incr();
             }
         }
-        if let Some(path) = &recovery.checkpoint {
-            let mut allocation = Vec::with_capacity(n * 2);
-            for i in 0..n {
-                allocation.push(alloc.get(i, 0));
-                allocation.push(alloc.get(i, 1));
-            }
+        if let Some(path) = recovery.checkpoint.as_ref().filter(|_| !replayed) {
             records.push(QuantumRecord {
-                allocation,
+                allocation: allocation.clone(),
                 efficiency: quantum_eff,
             });
             let every = recovery.checkpoint_every.max(1);
@@ -887,26 +857,21 @@ pub fn run_simulation_hooked(
         }
         if hook.observing() {
             let envy = metrics::envy_freeness(&market, &alloc_kept);
-            let mut allocation = Vec::with_capacity(n * 2);
-            for i in 0..n {
-                allocation.push(alloc.get(i, 0));
-                allocation.push(alloc.get(i, 1));
-            }
             hook.observe(&QuantumObservation {
                 quantum: q,
                 efficiency: quantum_eff,
                 envy_freeness: envy,
-                degraded: quantum_degraded,
-                fallback: quantum_fallback,
-                converged: q_converged,
-                residual: q_residual,
-                mur: q_mur,
-                mbr: q_mbr,
+                degraded: verdict.degraded,
+                fallback: verdict.fallback,
+                converged: verdict.converged,
+                residual: verdict.residual,
+                mur: verdict.mur,
+                mbr: verdict.mbr,
                 budgets: market.players().iter().map(|p| p.budget()).collect(),
                 allocation,
                 cumulative_degraded: c.degraded_quanta,
                 cumulative_fallback: c.fallback_quanta,
-                replayed: false,
+                replayed,
             });
         }
         last = Some((market, alloc_kept));
@@ -941,15 +906,12 @@ pub fn run_simulation_hooked(
         envy_freeness,
         utilities,
         quanta: opts.quanta,
-        avg_equilibrium_rounds: c.total_rounds as f64 / opts.quanta as f64,
-        avg_iterations: c.total_iterations as f64 / opts.quanta as f64,
-        always_converged: c.always_converged,
+        avg_equilibrium_rounds: c.solve.rounds as f64 / opts.quanta as f64,
+        avg_iterations: c.solve.iterations as f64 / opts.quanta as f64,
+        solve: c.solve,
         efficiency_history,
         fallback_quanta: c.fallback_quanta,
         degraded_quanta: c.degraded_quanta,
-        solver_recoveries: c.solver_recoveries,
-        retried_solves: c.retried_solves,
-        timed_out_solves: c.timed_out_solves,
         replayed_quanta,
         used_prev_generation,
     })
@@ -1069,6 +1031,42 @@ mod tests {
             traced.efficiency,
             analytic.efficiency
         );
+    }
+
+    /// An observing hook that keeps each quantum's `degraded` flag.
+    struct DegradedFlags(Vec<bool>);
+
+    impl QuantumHook for DegradedFlags {
+        fn control(&mut self, _quantum: usize, _controls: &mut QuantumControls) {}
+        fn observe(&mut self, observation: &QuantumObservation) {
+            self.0.push(observation.degraded);
+        }
+    }
+
+    #[test]
+    fn unfaulted_degraded_quanta_are_counted() {
+        // Without a fault plan, a solve cut short by its deadline still
+        // degrades its quantum: the run's count must agree with the
+        // per-quantum flags the hook saw.
+        let sys = SystemConfig::paper_8core();
+        let dram = DramConfig::ddr3_1600();
+        let mut mech = ReBudget::with_step(100.0, 20.0);
+        mech.options.deadline = rebudget_market::DeadlineBudget::iterations(2).unwrap();
+        let mut hook = DegradedFlags(Vec::new());
+        let r = run_simulation_hooked(
+            &sys,
+            &dram,
+            &paper_bbpc_8core(),
+            &mech,
+            &fast_opts(),
+            &RecoveryOptions::default(),
+            &mut hook,
+        )
+        .unwrap();
+        let flagged = hook.0.iter().filter(|&&d| d).count();
+        assert!(flagged > 0, "a 2-iteration deadline degrades a quantum");
+        assert_eq!(r.degraded_quanta, flagged);
+        assert_eq!(r.fallback_quanta, 0, "fallback stays fault-plan-only");
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     println!(
         "outcome         degraded={} solver_recoveries={} rolled_back_rounds={}",
-        out.degraded, out.solver_recoveries, out.rolled_back_rounds
+        out.degraded, out.solve.recoveries, out.rolled_back_rounds
     );
     assert!(full.is_exhaustive(market.resources().capacities(), 1e-6));
     println!();

@@ -8,8 +8,9 @@
 
 use std::path::PathBuf;
 
-use rebudget_core::mechanisms::ReBudget;
-use rebudget_market::FaultPlan;
+use rebudget_core::mechanisms::{by_name, Mechanism, ReBudget};
+use rebudget_market::equilibrium::EquilibriumOptions;
+use rebudget_market::{DeadlineBudget, FaultPlan, RetryPolicy};
 use rebudget_sim::checkpoint::CheckpointError;
 use rebudget_sim::simulation::{
     run_simulation, run_simulation_recoverable, RecoveryOptions, SimError, SimOptions, SimResult,
@@ -80,11 +81,17 @@ fn assert_bit_identical(a: &SimResult, b: &SimResult, what: &str) {
     }
     assert_eq!(a.fallback_quanta, b.fallback_quanta, "{what}: fallbacks");
     assert_eq!(a.degraded_quanta, b.degraded_quanta, "{what}: degraded");
+    assert_eq!(a.solve, b.solve, "{what}: solve tally");
     assert_eq!(
-        a.solver_recoveries, b.solver_recoveries,
-        "{what}: recoveries"
+        a.avg_equilibrium_rounds.to_bits(),
+        b.avg_equilibrium_rounds.to_bits(),
+        "{what}: mean rounds"
     );
-    assert_eq!(a.always_converged, b.always_converged, "{what}: converged");
+    assert_eq!(
+        a.avg_iterations.to_bits(),
+        b.avg_iterations.to_bits(),
+        "{what}: mean iterations"
+    );
 }
 
 /// Kill-at-every-quantum: for each cut point `q`, emulate a crash right
@@ -95,21 +102,46 @@ fn assert_bit_identical(a: &SimResult, b: &SimResult, what: &str) {
 /// fault plan, counters, and allocations exactly.
 #[test]
 fn kill_at_every_quantum_resume_is_bit_identical() {
-    let (sys, dram) = system();
-    let bundle = bundle_24();
-    let opts = opts();
-    let mech = mechanism();
-    let dir = tmp_dir("every-quantum");
-
-    let reference = run_simulation(&sys, &dram, &bundle, &mech, &opts).expect("reference run");
+    let reference = kill_at_every_quantum(&mechanism(), "every-quantum");
     assert!(
         reference.fallback_quanta + reference.degraded_quanta > 0
-            || reference.solver_recoveries > 0
-            || !reference.always_converged
+            || reference.solve.recoveries > 0
+            || !reference.solve.converged
             || reference.efficiency > 0.0,
         "reference run completed"
     );
+}
 
+/// The same kill-and-resume sweep under an iteration deadline and a
+/// two-attempt retry ladder, so the snapshot must carry non-zero retry
+/// and timeout counts across the crash, not just the all-zero defaults.
+#[test]
+fn kill_at_every_quantum_resume_keeps_the_solve_tally() {
+    let options = EquilibriumOptions {
+        deadline: DeadlineBudget::iterations(3).expect("non-zero"),
+        ..EquilibriumOptions::default()
+    };
+    let retry = Some(RetryPolicy::with_attempts(2));
+    let mech = by_name("rebudget", 100.0, Some(40.0), &options, retry).expect("catalogue name");
+    let reference = kill_at_every_quantum(mech.as_ref(), "every-quantum-bounded");
+    let solve = reference.solve;
+    assert!(
+        solve.retries > 0 && solve.timed_out > 0 && !solve.converged,
+        "the deadline and ladder must do work: {solve:?}"
+    );
+    assert!(reference.degraded_quanta > 0, "{reference:?}");
+}
+
+/// Runs the faulted reference, then kills and resumes it after every
+/// quantum; each resumed run must match the reference bit for bit.
+/// Returns the reference.
+fn kill_at_every_quantum(mech: &dyn Mechanism, tag: &str) -> SimResult {
+    let (sys, dram) = system();
+    let bundle = bundle_24();
+    let opts = opts();
+    let dir = tmp_dir(tag);
+
+    let reference = run_simulation(&sys, &dram, &bundle, mech, &opts).expect("reference run");
     for cut in 1..QUANTA {
         let path = dir.join(format!("cut-{cut}.ckpt"));
         let mut partial = opts.clone();
@@ -118,7 +150,7 @@ fn kill_at_every_quantum_resume_is_bit_identical() {
             &sys,
             &dram,
             &bundle,
-            &mech,
+            mech,
             &partial,
             &RecoveryOptions {
                 checkpoint: Some(path.clone()),
@@ -132,7 +164,7 @@ fn kill_at_every_quantum_resume_is_bit_identical() {
             &sys,
             &dram,
             &bundle,
-            &mech,
+            mech,
             &opts,
             &RecoveryOptions {
                 resume: Some(path),
@@ -145,9 +177,10 @@ fn kill_at_every_quantum_resume_is_bit_identical() {
             !resumed.used_prev_generation,
             "cut at {cut}: live snapshot valid"
         );
-        assert_bit_identical(&resumed, &reference, &format!("cut at {cut}"));
+        assert_bit_identical(&resumed, &reference, &format!("{tag}, cut at {cut}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
+    reference
 }
 
 /// Checkpointing itself must not perturb the run: a fully checkpointed
@@ -496,7 +529,7 @@ fn counters_beyond_u32_round_trip_through_the_snapshot() {
     std::fs::write(&path, resealed).expect("write big counters");
 
     let cp = rebudget_sim::checkpoint::SimCheckpoint::load(&path).expect("valid snapshot");
-    assert_eq!(cp.counters.total_iterations, BIG);
+    assert_eq!(cp.counters.solve.iterations, BIG);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -9,7 +9,8 @@
 
 use std::path::{Path, PathBuf};
 
-use rebudget_core::sweep::{SolveSummary, SweepPoint};
+use rebudget_core::mechanisms::SolveSummary;
+use rebudget_core::sweep::SweepPoint;
 use rebudget_market::equilibrium::EquilibriumOptions;
 use rebudget_market::{FaultPlan, RetryPolicy, SolverKind};
 use rebudget_scenario::ledger::{verify, Ledger, LedgerMeta, LedgerRecord};
@@ -64,15 +65,17 @@ fn sim_checkpoint_fixture_is_byte_stable() {
             ),
         },
         counters: SimCounters {
-            total_rounds: 9,
-            total_iterations: 5_000_000_123,
-            always_converged: false,
+            solve: SolveSummary {
+                converged: false,
+                rounds: 9,
+                iterations: 5_000_000_123,
+                recoveries: 2,
+                retries: 1,
+                timed_out: 0,
+            },
             consecutive_failures: 1,
             fallback_quanta: 0,
             degraded_quanta: 1,
-            solver_recoveries: 2,
-            retried_solves: 1,
-            timed_out_solves: 0,
         },
         quanta: vec![
             QuantumRecord {

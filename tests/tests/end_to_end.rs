@@ -59,9 +59,9 @@ fn catalogue_builds_each_mechanism_as_direct_construction_does() {
         // Every knob reached the mechanism: the market ones retried after
         // a timed-out first rung, the oracle ran out of its deadline.
         match *name {
-            "equalshare" => assert_eq!(a.timed_out_solves, 0),
-            "maxefficiency" => assert_eq!((a.retry_attempts, a.timed_out_solves), (0, 1)),
-            _ => assert!(a.retry_attempts > 0 && a.timed_out_solves > 0, "{name}"),
+            "equalshare" => assert_eq!(a.solve.timed_out, 0),
+            "maxefficiency" => assert_eq!((a.solve.retries, a.solve.timed_out), (0, 1)),
+            _ => assert!(a.solve.retries > 0 && a.solve.timed_out > 0, "{name}"),
         }
     }
 }
@@ -173,10 +173,10 @@ fn markets_converge_within_failsafe() {
             let market = build_market(&bundle, &sys, &dram, 100.0).expect("market builds");
             let out = EqualBudget::new(100.0).allocate(&market).expect("runs");
             assert!(
-                out.total_iterations <= 30,
+                out.solve.iterations <= 30,
                 "{}: {} iterations",
                 bundle.label(),
-                out.total_iterations
+                out.solve.iterations
             );
         }
     }

@@ -124,7 +124,7 @@ fn outcomes_stay_well_defined_under_hostile_plans() {
         assert!(out.efficiency.is_finite(), "{case}: efficiency");
         // EF may be +∞ (nothing to envy) but never NaN.
         assert!(!out.envy_freeness.is_nan(), "{case}: envy-freeness NaN");
-        assert_eq!(out.degraded, !out.converged, "{case}: degraded flag");
+        assert_eq!(out.degraded, !out.solve.converged, "{case}: degraded flag");
     });
 }
 
@@ -149,7 +149,7 @@ fn theorem2_holds_or_degradation_is_visible_under_noise() {
             let out = EqualBudget::new(100.0)
                 .allocate(&faulted.market)
                 .unwrap_or_else(|e| panic!("{case}: mechanism failed: {e}"));
-            if out.degraded || out.solver_recoveries > 0 {
+            if out.degraded || out.solve.recoveries > 0 {
                 continue; // degradation visible; bound not claimed
             }
             clean_cases += 1;
@@ -233,10 +233,7 @@ fn rebudget_under_faults_keeps_finite_budgets_and_counts_rollbacks() {
             assert!(b.is_finite() && b > 0.0, "seed {seed}: budget {b}");
         }
         // Rollbacks, if any, are counted — never silent.
-        assert!(
-            out.rolled_back_rounds <= out.equilibrium_rounds,
-            "seed {seed}"
-        );
+        assert!(out.rolled_back_rounds <= out.solve.rounds, "seed {seed}");
     }
 }
 

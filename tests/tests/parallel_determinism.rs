@@ -102,7 +102,7 @@ fn mechanisms_bit_identical_across_policies() {
             .allocate(&market)
             .unwrap();
         assert_eq!(rb_s.efficiency.to_bits(), rb_p.efficiency.to_bits());
-        assert_eq!(rb_s.equilibrium_rounds, rb_p.equilibrium_rounds);
+        assert_eq!(rb_s.solve.rounds, rb_p.solve.rounds);
         for (a, b) in rb_s.budgets.iter().zip(&rb_p.budgets) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -219,6 +219,6 @@ fn faulted_simulation_bit_identical_serial_vs_threaded() {
         }
         assert_eq!(baseline.fallback_quanta, r.fallback_quanta);
         assert_eq!(baseline.degraded_quanta, r.degraded_quanta);
-        assert_eq!(baseline.solver_recoveries, r.solver_recoveries);
+        assert_eq!(baseline.solve.recoveries, r.solve.recoveries);
     }
 }
