@@ -1582,6 +1582,20 @@ kind = "no-nan"
         std::fs::write(&tampered, text.replacen("eff=", "eff=f", 1)).unwrap();
         let e = run_err(&["scenario", "audit", &tampered.display().to_string()]);
         assert_eq!(e.code, EXIT_PROPERTY);
+        // So do a copy with a line after the seal and one with its last
+        // byte (the seal's newline) cut.
+        let seal_line = text.lines().count();
+        for (name, copy, line) in [
+            ("appended", format!("{text}tampered=1\n"), seal_line + 1),
+            ("cut", text[..text.len() - 1].to_string(), seal_line),
+        ] {
+            let path = dir.join(format!("{name}.ledger"));
+            std::fs::write(&path, copy).unwrap();
+            let e = run_err(&["scenario", "audit", &path.display().to_string()]);
+            assert_eq!(e.code, EXIT_PROPERTY, "{name}: {}", e.message);
+            let at = format!("at line {line}:");
+            assert!(e.message.contains(&at), "{name}: {}", e.message);
+        }
 
         // Ledgers are immutable: a second run into the same directory
         // refuses to overwrite.

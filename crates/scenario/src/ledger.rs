@@ -7,8 +7,13 @@
 //! its own: each record ends with `chain=`, the FNV-1a of every byte
 //! before that line, so an edit or cut fails at the first record it
 //! touches; and the seal is `[seal]`, `records=N` and `fnv1a=`, the hash
-//! of every byte before it. Links and seals cost O(record); [`verify`]
-//! and [`valid_prefix`] are one O(file) pass.
+//! of every byte before it. Links and seals cost O(record). One scan
+//! reads a ledger: [`valid_prefix`] and [`read_valid_prefix`] return its
+//! longest chain-valid prefix in one O(file) pass, and [`verify`] is
+//! that pass plus whole-file checks (sealed, nothing after the seal, the
+//! seal's count matches). New ledger files are opened with
+//! [`create_new_ledger_file`] and an interrupted one is continued with
+//! [`Ledger::resume_at`].
 //!
 //! Because the whole pipeline is deterministic, re-running a scenario
 //! reproduces its ledger byte for byte — the `ledger-replay` property —
@@ -198,59 +203,6 @@ impl Ledger {
         self.out.drain_to(out)
     }
 
-    /// Writes the sealed ledger to a **new** file — an existing file is an
-    /// error, because ledgers are immutable audit artifacts, never
-    /// overwritten.
-    ///
-    /// # Errors
-    ///
-    /// [`ScenarioError::LedgerExists`] naming the offending path when the
-    /// file already exists; [`ScenarioError::Io`] for any other
-    /// filesystem failure.
-    pub fn write_new(&self, path: &Path) -> Result<(), ScenarioError> {
-        let mut f = create_new_ledger_file(path)?;
-        f.write_all(self.text().as_bytes())?;
-        f.sync_all()?;
-        Ok(())
-    }
-
-    /// Reconstructs an **unsealed** ledger from previously written text,
-    /// so an interrupted producer (the online server after a crash) can
-    /// keep appending where it left off.
-    ///
-    /// The text must be a fully chain-valid, unsealed ledger — i.e.
-    /// exactly the [`valid_prefix`] of itself. Callers recovering from a
-    /// torn tail should truncate to `valid_prefix(text)` first, or use
-    /// [`Ledger::resume_at`], which needs no text at all.
-    ///
-    /// # Errors
-    ///
-    /// [`ScenarioError::Ledger`] when the text is sealed, has a torn or
-    /// tampered tail, or lacks a valid header.
-    pub fn resume(text: &str) -> Result<Self, ScenarioError> {
-        let prefix = valid_prefix(text);
-        if prefix.sealed {
-            return Err(ScenarioError::Ledger {
-                line: text.lines().count(),
-                reason: "cannot resume a sealed ledger (the seal is final)".into(),
-            });
-        }
-        if prefix.header_bytes > 0 && prefix.bytes != text.len() {
-            return Err(ScenarioError::Ledger {
-                line: text[..prefix.bytes].lines().count() + 1,
-                reason: format!(
-                    "cannot resume: torn or tampered tail after byte {} \
-                     (truncate to the valid prefix first)",
-                    prefix.bytes
-                ),
-            });
-        }
-        let mut ledger = Self::resume_at(&prefix, prefix.records)?;
-        ledger.out = Writer::default();
-        ledger.out.word(text);
-        Ok(ledger)
-    }
-
     /// Continues a ledger cut to its first `records` valid records — the
     /// file truncated to [`LedgerPrefix::cut`]`(records)` — from the chain
     /// state its [`LedgerPrefix`] recorded, without the ledger's text.
@@ -346,63 +298,98 @@ impl LedgerPrefix {
     }
 }
 
-/// One pass of [`valid_prefix`]'s line rules over the codec's scanned
-/// lines, so a string and a file reader share it.
+/// One pass of the ledger's line rules over the codec's scanned lines:
+/// the only reader, behind [`valid_prefix`], [`read_valid_prefix`] and
+/// [`verify`], so a string and a file reader share it.
+#[derive(Default)]
 struct PrefixScan {
     prefix: LedgerPrefix,
-    /// Are we inside the header/meta section (before the first record)?
-    in_meta: bool,
+    /// Are we past the header/meta section (at or after the first record)?
+    in_records: bool,
+    /// The meta section's `scenario=` value.
+    scenario: String,
+    /// The seal's `records=` count, once one parses.
+    seal_records: Option<usize>,
+    /// The seal's digest, once it matches.
+    digest: u64,
+    /// Number of the last line taken.
+    last_line: usize,
+    /// The first offence against the line rules: its line and reason.
+    offence: Option<(usize, String)>,
 }
 
 impl PrefixScan {
-    fn new() -> Self {
-        Self {
-            prefix: LedgerPrefix::default(),
-            in_meta: true,
+    /// Scans `text` until the prefix is final.
+    fn over(text: &str) -> Self {
+        let mut scan = Self::default();
+        for line in durable::lines(text) {
+            if !scan.feed(line) {
+                break;
+            }
         }
+        scan
     }
 
     /// Takes the next line. Returns `false` once the prefix is final and
     /// further lines cannot change it.
     fn feed(&mut self, line: Line<'_>) -> bool {
+        let (n, content, hash) = (line.number, line.bytes, line.hash_before);
+        let lossy = String::from_utf8_lossy;
+        self.last_line = n;
+        if n == 1 && content != HEADER.as_bytes() {
+            let reason = format!("bad header '{}' (expected '{HEADER}')", lossy(content));
+            return self.offend(n, reason);
+        }
         if !line.complete {
             // Torn final line: everything before it already stands.
             return false;
         }
-        let content = line.bytes;
-        let p = &mut self.prefix;
-        if line.number == 1 {
-            if content != HEADER.as_bytes() {
-                return false;
-            }
-            self.mark_meta(&line);
-            return true;
-        }
-        if content == b"[seal]" || content.starts_with(b"records=") {
+        if let Some(rest) = content.strip_prefix(b"records=") {
             // Seal in progress; only a valid fnv1a line below completes it.
-            return true;
-        }
-        if let Some(rest) = content.strip_prefix(b"fnv1a=") {
-            if parse_hex(rest) == Some(line.hash_before) {
-                p.bytes = line.end;
-                p.sealed = true;
+            self.seal_records = std::str::from_utf8(rest).ok().and_then(|r| r.parse().ok());
+            if self.seal_records.is_none() {
+                self.offend(n, format!("malformed record count '{}'", lossy(rest)));
             }
-            return false;
-        }
-        if let Some(rest) = content.strip_prefix(b"chain=") {
-            if parse_hex(rest) != Some(line.hash_before) {
-                return false;
+        } else if let Some(rest) = content.strip_prefix(b"fnv1a=") {
+            return match parse_hex(rest) {
+                Some(want) if want == hash => {
+                    self.prefix.bytes = line.end;
+                    self.prefix.sealed = true;
+                    self.digest = want;
+                    false
+                }
+                Some(want) => self.offend(
+                    n,
+                    format!("seal mismatch: ledger hashes to {hash:016x}, seal says {want:016x}"),
+                ),
+                None => self.offend(n, format!("malformed seal hash '{}'", lossy(rest))),
+            };
+        } else if let Some(rest) = content.strip_prefix(b"chain=") {
+            let p = &mut self.prefix;
+            match parse_hex(rest) {
+                Some(want) if want == hash => {
+                    p.bytes = line.end;
+                    p.records += 1;
+                    p.record_ends.push(line.end);
+                    p.chains.push(line.hash_after);
+                }
+                Some(want) => {
+                    let reason = format!(
+                        "chain mismatch: record {} hashes to {hash:016x}, ledger says \
+                         {want:016x} (tampered or truncated upstream)",
+                        p.records
+                    );
+                    return self.offend(n, reason);
+                }
+                None => return self.offend(n, format!("malformed chain hash '{}'", lossy(rest))),
             }
-            p.bytes = line.end;
-            p.records += 1;
-            p.record_ends.push(line.end);
-            p.chains.push(line.hash_after);
-            return true;
-        }
-        if content.starts_with(b"[quantum ") {
-            self.in_meta = false;
-        } else if self.in_meta {
+        } else if content.starts_with(b"[quantum ") {
+            self.in_records = true;
+        } else if !self.in_records && content != b"[seal]" {
             // Meta lines carry no checksum; they stand with the header.
+            if let Some(name) = content.strip_prefix(b"scenario=") {
+                self.scenario = lossy(name).into_owned();
+            }
             self.mark_meta(&line);
         }
         // Record lines stay provisional until their chain validates.
@@ -419,19 +406,20 @@ impl PrefixScan {
             None => p.chains.push(line.hash_after),
         }
     }
+
+    /// Keeps the first offence; returns `false`, for the scans that stop
+    /// there.
+    fn offend(&mut self, line: usize, reason: String) -> bool {
+        self.offence.get_or_insert((line, reason));
+        false
+    }
 }
 
 /// Computes the [`LedgerPrefix`] of `text` in one pass. Never errors: a
 /// hopeless input simply yields a zero-byte prefix.
 #[must_use]
 pub fn valid_prefix(text: &str) -> LedgerPrefix {
-    let mut scan = PrefixScan::new();
-    for line in durable::lines(text) {
-        if !scan.feed(line) {
-            break;
-        }
-    }
-    scan.prefix
+    PrefixScan::over(text).prefix
 }
 
 /// [`valid_prefix`] of a ledger read line by line from `reader`, holding
@@ -441,7 +429,7 @@ pub fn valid_prefix(text: &str) -> LedgerPrefix {
 ///
 /// Whatever reading `reader` returns.
 pub fn read_valid_prefix(reader: impl BufRead) -> std::io::Result<LedgerPrefix> {
-    let mut scan = PrefixScan::new();
+    let mut scan = PrefixScan::default();
     durable::read_lines(reader, |line| scan.feed(line))?;
     Ok(scan.prefix)
 }
@@ -457,84 +445,41 @@ pub struct LedgerSummary {
     pub fnv1a: u64,
 }
 
-/// Verifies a ledger's header, every chain hash, and the seal, in one
-/// pass that carries the running hash from line to line.
+/// Verifies a whole ledger: its [`valid_prefix`] scan found no offence,
+/// ends in a seal, covers every byte of `text`, and holds as many
+/// records as the seal claims.
 ///
 /// Any truncation or in-place edit fails at the first record whose chain
-/// no longer matches the bytes before it.
+/// no longer matches the bytes before it; bytes after the seal fail at
+/// the first line after it.
 ///
 /// # Errors
 ///
 /// [`ScenarioError::Ledger`] with the 1-based line of the first offence.
 pub fn verify(text: &str) -> Result<LedgerSummary, ScenarioError> {
+    let scan = PrefixScan::over(text);
     let bad = |line: usize, reason: String| ScenarioError::Ledger { line, reason };
-    let mut scenario = String::new();
-    let mut records = 0usize;
-    let mut sealed_records: Option<usize> = None;
-    let mut seal_sum: Option<u64> = None;
-    let mut lines = 0usize;
-    for line in durable::lines(text) {
-        let content = &text[line.offset..line.offset + line.bytes.len()];
-        let (lineno, hash) = (line.number, line.hash_before);
-        lines = lineno;
-        if lineno == 1 {
-            if content != HEADER {
-                return Err(bad(
-                    1,
-                    format!("bad header '{content}' (expected '{HEADER}')"),
-                ));
-            }
-        } else if let Some(rest) = content.strip_prefix("scenario=") {
-            scenario = rest.to_string();
-        } else if content.starts_with("[quantum ") {
-            records += 1;
-        } else if let Some(rest) = content.strip_prefix("chain=") {
-            let want = parse_hex(rest)
-                .ok_or_else(|| bad(lineno, format!("malformed chain hash '{rest}'")))?;
-            if hash != want {
-                return Err(bad(
-                    lineno,
-                    format!(
-                        "chain mismatch: record {} hashes to {hash:016x}, ledger says \
-                         {want:016x} (tampered or truncated upstream)",
-                        records.saturating_sub(1)
-                    ),
-                ));
-            }
-        } else if let Some(rest) = content.strip_prefix("records=") {
-            sealed_records = Some(
-                rest.parse()
-                    .map_err(|_| bad(lineno, format!("malformed record count '{rest}'")))?,
-            );
-        } else if let Some(rest) = content.strip_prefix("fnv1a=") {
-            let want = parse_hex(rest)
-                .ok_or_else(|| bad(lineno, format!("malformed seal hash '{rest}'")))?;
-            if hash != want {
-                return Err(bad(
-                    lineno,
-                    format!("seal mismatch: ledger hashes to {hash:016x}, seal says {want:016x}"),
-                ));
-            }
-            seal_sum = Some(want);
-        }
+    let (p, last) = (&scan.prefix, scan.last_line.max(1));
+    if let Some((line, reason)) = scan.offence {
+        return Err(bad(line, reason));
     }
-    let Some(sum) = seal_sum else {
-        return Err(bad(
-            lines.max(1),
-            "ledger is not sealed (truncated?)".into(),
-        ));
-    };
-    match sealed_records {
-        Some(n) if n == records => Ok(LedgerSummary {
-            scenario,
-            records,
-            fnv1a: sum,
+    if !p.sealed {
+        return Err(bad(last, "ledger is not sealed (truncated?)".into()));
+    }
+    if p.bytes != text.len() {
+        return Err(bad(last + 1, "bytes after the seal".into()));
+    }
+    match scan.seal_records {
+        Some(n) if n == p.records => Ok(LedgerSummary {
+            scenario: scan.scenario,
+            records: n,
+            fnv1a: scan.digest,
         }),
         Some(n) => Err(bad(
-            lines.max(1),
-            format!("seal claims {n} records, ledger holds {records}"),
+            last,
+            format!("seal claims {n} records, ledger holds {}", p.records),
         )),
-        None => Err(bad(lines.max(1), "seal is missing its record count".into())),
+        None => Err(bad(last, "seal is missing its record count".into())),
     }
 }
 
@@ -619,24 +564,49 @@ mod tests {
             verify("nonsense\n").unwrap_err(),
             ScenarioError::Ledger { line: 1, .. }
         ));
+
+        // Bytes after the seal fail at the first line after it, and a seal
+        // whose final newline is cut is torn, so the ledger is unsealed.
+        let seal_line = text.lines().count();
+        let after = seal_line + 1;
+        for (variant, line, why) in [
+            (format!("{text}x"), after, "bytes after the seal"),
+            (
+                format!("{text}tampered=1\nmore junk\n"),
+                after,
+                "bytes after the seal",
+            ),
+            (text[..text.len() - 1].to_string(), seal_line, "not sealed"),
+        ] {
+            match verify(&variant).unwrap_err() {
+                ScenarioError::Ledger { line: at, reason } => {
+                    assert_eq!(at, line, "{reason}");
+                    assert!(reason.contains(why), "{reason}");
+                }
+                other => panic!("expected Ledger, got {other:?}"),
+            }
+        }
     }
 
     #[test]
-    fn write_new_collision_is_a_named_error() {
+    fn create_new_ledger_file_collision_is_a_named_error() {
         let dir = std::env::temp_dir().join(format!("rebudget-ledger-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("collision.ledger");
         let ledger = sample();
-        ledger.write_new(&path).unwrap();
-        // Regression: the second write used to surface a raw io::Error;
+        let mut file = create_new_ledger_file(&path).unwrap();
+        file.write_all(ledger.text().as_bytes()).unwrap();
+        drop(file);
+        // Regression: the second open used to surface a raw io::Error;
         // it must name the colliding path instead.
-        match ledger.write_new(&path).unwrap_err() {
+        match create_new_ledger_file(&path).unwrap_err() {
             ScenarioError::LedgerExists { path: p } => assert_eq!(p, path),
             other => panic!("expected LedgerExists, got {other}"),
         }
-        let msg = ledger.write_new(&path).unwrap_err().to_string();
+        let msg = create_new_ledger_file(&path).unwrap_err().to_string();
         assert!(msg.contains("collision.ledger"), "{msg}");
         assert!(msg.contains("immutable"), "{msg}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), ledger.text());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -736,14 +706,14 @@ mod tests {
         assert_eq!(tp.bytes, p.record_ends[0]);
         assert_eq!(tp.records, 1);
         // Truncating to any record count reproduces a resumable ledger.
-        let resumed = Ledger::resume(&clean[..tp.bytes]).unwrap();
+        let resumed = Ledger::resume_at(&tp, tp.records).unwrap();
         assert_eq!(resumed.records(), 1);
         // Header + meta only: still resumable with zero records.
         let meta_only = &clean[..p.header_bytes];
         let mp = valid_prefix(meta_only);
         assert_eq!(mp.bytes, meta_only.len());
         assert_eq!(mp.records, 0);
-        assert_eq!(Ledger::resume(meta_only).unwrap().records(), 0);
+        assert_eq!(Ledger::resume_at(&mp, 0).unwrap().records(), 0);
         // Garbage: zero-byte prefix.
         assert_eq!(valid_prefix("nonsense\n").bytes, 0);
         assert_eq!(valid_prefix("").bytes, 0);
@@ -785,11 +755,13 @@ mod tests {
         let mut before = Ledger::new(&meta);
         before.append(&record(0));
         before.append(&record(1));
-        let mut after = Ledger::resume(before.text()).unwrap();
+        let text = before.text();
+        let mut after = Ledger::resume_at(&valid_prefix(text), 2).unwrap();
         after.append(&record(2));
         after.seal();
-        assert_eq!(reference.text(), after.text());
-        verify(after.text()).unwrap();
+        let resumed = format!("{text}{}", after.text());
+        assert_eq!(reference.text(), resumed);
+        verify(&resumed).unwrap();
     }
 
     /// The whole-prefix `valid_prefix` the streaming scan replaced: it
@@ -928,6 +900,17 @@ mod tests {
         }
     }
 
+    /// Whether [`valid_prefix`] reads `text` as one whole sealed ledger:
+    /// sealed, covering every byte, with the seal's count matching.
+    fn whole_and_sealed(text: &str) -> bool {
+        let p = valid_prefix(text);
+        let claimed = text[..p.bytes]
+            .lines()
+            .rev()
+            .find_map(|l| l.strip_prefix("records="));
+        p.sealed && p.bytes == text.len() && claimed == Some(p.records.to_string().as_str())
+    }
+
     /// `Ok` summaries equal, or `Err`s on the same line.
     fn same_verdict(
         got: &Result<LedgerSummary, ScenarioError>,
@@ -984,6 +967,11 @@ mod tests {
         let unsealed = ledger.text().to_string();
         ledger.seal();
         let sealed = ledger.text().to_string();
+        let seal_block = |text: &str, records: usize| {
+            let head = format!("[seal]\nrecords={records}\n");
+            let digest = fnv1a(format!("{text}{head}").as_bytes());
+            format!("{head}fnv1a={digest:016x}\n")
+        };
         for text in [&unsealed, &sealed] {
             let mut variants: Vec<String> =
                 (0..=text.len()).map(|cut| text[..cut].into()).collect();
@@ -992,7 +980,18 @@ mod tests {
                 bytes[at] ^= 1; // ASCII stays ASCII, so the text stays UTF-8
                 String::from_utf8(bytes).unwrap()
             }));
-            for v in &variants {
+            let compared = variants.len();
+            // Appended suffixes: a byte, a line, and a seal block (a
+            // second one after the sealed text) claiming the right or a
+            // wrong record count.
+            let suffixes = [
+                "x".into(),
+                "x\n".into(),
+                seal_block(text, 4),
+                seal_block(text, 5),
+            ];
+            variants.extend(suffixes.iter().map(|s: &String| format!("{text}{s}")));
+            for (i, v) in variants.iter().enumerate() {
                 let want = reference_valid_prefix(v);
                 assert_eq!(valid_prefix(v), want, "valid_prefix of {v:?}");
                 assert_eq!(
@@ -1000,11 +999,22 @@ mod tests {
                     want,
                     "reader {v:?}"
                 );
-                let (got, want) = (verify(v), reference_verify(v));
-                assert!(
-                    same_verdict(&got, &want),
-                    "verify {v:?}: {got:?} vs {want:?}"
-                );
+                let got = verify(v);
+                assert_eq!(got.is_ok(), whole_and_sealed(v), "verify {v:?}: {got:?}");
+                if i >= compared {
+                    continue;
+                }
+                let want = reference_verify(v);
+                if *v == sealed[..sealed.len() - 1] {
+                    // The reference accepts a seal whose final newline is
+                    // cut; that line is torn, so the ledger is unsealed.
+                    assert!(want.is_ok() && got.is_err(), "{got:?} vs {want:?}");
+                } else {
+                    assert!(
+                        same_verdict(&got, &want),
+                        "verify {v:?}: {got:?} vs {want:?}"
+                    );
+                }
             }
         }
         // The chain states continue a cut ledger byte-identically.
@@ -1016,10 +1026,8 @@ mod tests {
             let mut resumed = Ledger::resume_at(&prefix, k).unwrap();
             assert!(resumed.text().is_empty());
             resumed.seal();
-            let mut whole = Ledger::resume(cut).unwrap();
-            whole.seal();
-            assert_eq!(format!("{cut}{}", resumed.text()), whole.text());
-            verify(whole.text()).unwrap();
+            let whole = format!("{cut}{}", resumed.text());
+            assert_eq!(verify(&whole).unwrap().records, k);
         }
         assert!(Ledger::resume_at(&prefix, prefix.records + 1).is_err());
     }
@@ -1039,12 +1047,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_rejects_sealed_and_torn_ledgers() {
-        let sealed = sample();
-        assert!(matches!(
-            Ledger::resume(sealed.text()).unwrap_err(),
-            ScenarioError::Ledger { .. }
-        ));
+    fn resume_at_rejects_torn_records_and_a_bad_header() {
         let unsealed = {
             let mut l = Ledger::new(&LedgerMeta {
                 scenario: "t".into(),
@@ -1072,14 +1075,16 @@ mod tests {
             });
             l
         };
-        // Torn tail: drop the last 3 bytes.
-        let torn = &unsealed.text()[..unsealed.text().len() - 3];
+        // Torn tail: drop the last 3 bytes. The torn record cannot be
+        // resumed after; the header before it can.
+        let torn = valid_prefix(&unsealed.text()[..unsealed.text().len() - 3]);
         assert!(matches!(
-            Ledger::resume(torn).unwrap_err(),
+            Ledger::resume_at(&torn, 1).unwrap_err(),
             ScenarioError::Ledger { .. }
         ));
+        assert_eq!(Ledger::resume_at(&torn, 0).unwrap().records(), 0);
         assert!(matches!(
-            Ledger::resume("junk\n").unwrap_err(),
+            Ledger::resume_at(&valid_prefix("junk\n"), 0).unwrap_err(),
             ScenarioError::Ledger { line: 1, .. }
         ));
     }

@@ -21,6 +21,10 @@
 //!   rotation guarantees a parseable generation survives; if only
 //!   `.prev` does, that is an older tick and the ledger is truncated
 //!   accordingly.
+//! * killed between the seal and the snapshot removal
+//!   ([`ServerCore::seal`]): the ledger is sealed, hence final, and a
+//!   snapshot is still beside it — recovery refuses the directory with
+//!   the same collision as a fresh start, and changes no file.
 //!
 //! No fsync is needed for these guarantees: a killed *process* loses
 //! nothing from the kernel page cache, so `write_all` suffices. (A
@@ -47,7 +51,7 @@ use rebudget_market::{
     solve_with_retry, RetryPolicy, SolverKind, SparseBids, SparseMarket, SparseOutcome,
     SparseUtilityKind,
 };
-use rebudget_scenario::{read_valid_prefix, Ledger, LedgerMeta};
+use rebudget_scenario::{read_valid_prefix, Ledger, LedgerMeta, ScenarioError};
 use rebudget_sim::durable::{
     self, fnv1a_f64_words, fnv1a_joined, prev_path, Document, Trailer, Writer,
 };
@@ -289,6 +293,12 @@ impl ServerCore {
                     ledger_path.display()
                 ),
             });
+        }
+        // A sealed ledger is final even with a snapshot left beside it (a
+        // kill between the seal and the snapshot removal): refuse it as
+        // the fresh path does, before any file changes.
+        if prefix.sealed {
+            return Err(ScenarioError::LedgerExists { path: ledger_path }.into());
         }
         // Try the live snapshot first, then the rotated .prev generation.
         // A generation is usable only if the ledger still holds at least
@@ -697,7 +707,9 @@ impl ServerCore {
     /// Seals the ledger and flushes it; called on graceful shutdown.
     /// The snapshot generations are removed afterwards: a sealed ledger
     /// is final, and a later `open` of the same directory will refuse
-    /// the collision rather than resume it.
+    /// the collision rather than resume it. A kill between the two steps
+    /// leaves a snapshot beside the sealed ledger; `open` refuses that
+    /// directory too, because recovery never cuts a seal.
     ///
     /// # Errors
     ///
@@ -1034,6 +1046,26 @@ mod tests {
             matches!(err, ServerError::Ledger(_)),
             "sealed ledger must collide, got: {err}"
         );
+    }
+
+    #[test]
+    fn sealed_ledger_beside_a_snapshot_refuses_reopen() {
+        // A kill between the seal and the snapshot removal leaves the
+        // pre-seal snapshot next to the sealed ledger.
+        let dir = temp_dir("sealed-snapshot");
+        let mut core = ServerCore::open(config(SolverKind::ProportionalResponse), &dir).unwrap();
+        drive(&mut core, 0);
+        let snapshot = std::fs::read(dir.join("server.snapshot")).unwrap();
+        core.seal().unwrap();
+        drop(core);
+        std::fs::write(dir.join("server.snapshot"), snapshot).unwrap();
+        let sealed = std::fs::read(dir.join("server.ledger")).unwrap();
+        let err = ServerCore::open(config(SolverKind::ProportionalResponse), &dir).unwrap_err();
+        assert!(
+            matches!(err, ServerError::Ledger(ScenarioError::LedgerExists { .. })),
+            "sealed ledger must collide, got: {err}"
+        );
+        assert_eq!(std::fs::read(dir.join("server.ledger")).unwrap(), sealed);
     }
 
     #[test]

@@ -236,13 +236,21 @@ pub struct QuantumObservation {
     /// Row-major `cores × resources` allocation enforced this quantum
     /// (zero rows for inactive/dropped players).
     pub allocation: Vec<f64>,
-    /// Cumulative degraded quanta so far (including this one).
+    /// Cumulative degraded quanta so far (including this one). On a
+    /// replayed quantum it is the checkpoint's total at the resume point,
+    /// not the running total an uninterrupted run saw at this quantum.
     pub cumulative_degraded: usize,
-    /// Cumulative fallback quanta so far (including this one).
+    /// Cumulative fallback quanta so far (including this one). On a
+    /// replayed quantum it is the checkpoint's total at the resume point,
+    /// as for [`QuantumObservation::cumulative_degraded`].
     pub cumulative_fallback: usize,
     /// `true` when this quantum was replayed from a checkpoint: solver
     /// health fields (`degraded`, `residual`, `mur`, …) are not recorded
-    /// in snapshots and carry their neutral values.
+    /// in snapshots and carry their neutral values, and the two
+    /// `cumulative_*` counts hold the checkpoint's totals. A hook that
+    /// must act the same on a resumed run reads neither; this is why a
+    /// scenario's `resume-identity` property requires time-only triggers
+    /// (`Scenario::is_time_only` in `rebudget-scenario`).
     pub replayed: bool,
 }
 
