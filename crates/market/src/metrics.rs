@@ -12,6 +12,8 @@
 //!   observed equilibrium this is an upper estimate of the true PoA and is
 //!   what the paper's Figures 4–5 plot).
 
+use std::borrow::Borrow;
+
 use crate::{AllocationMatrix, Market};
 
 /// System efficiency (social welfare): `Σ_i U_i(r_i)` (Definition 1).
@@ -66,14 +68,17 @@ pub fn envy_freeness(market: &Market, allocation: &AllocationMatrix) -> f64 {
 /// Market Utility Range (Definition 5): `MUR = min_i λ_i / max_i λ_i`.
 ///
 /// Returns 1.0 when all `λ_i` are zero (a degenerate but perfectly "even"
-/// market) and clamps to `[0, 1]`.
+/// market) and clamps to `[0, 1]`. The values may be borrowed from a
+/// slice or computed on the fly, so a caller need not collect them.
 ///
 /// ```
 /// use rebudget_market::metrics::mur;
 /// assert_eq!(mur(&[0.4, 1.0, 0.8]), 0.4);
 /// assert_eq!(mur(&[2.0, 2.0]), 1.0);
+/// // λ_i = u_i / B_i, computed as it is read.
+/// assert_eq!(mur([(2.0, 10.0), (6.0, 15.0)].map(|(u, b)| u / b)), 0.5);
 /// ```
-pub fn mur(lambdas: &[f64]) -> f64 {
+pub fn mur(lambdas: impl IntoIterator<Item = impl Borrow<f64>>) -> f64 {
     range_ratio(lambdas)
 }
 
@@ -86,14 +91,15 @@ pub fn mur(lambdas: &[f64]) -> f64 {
 /// use rebudget_market::metrics::mbr;
 /// assert_eq!(mbr(&[100.0, 61.25, 80.0]), 0.6125);
 /// ```
-pub fn mbr(budgets: &[f64]) -> f64 {
+pub fn mbr(budgets: impl IntoIterator<Item = impl Borrow<f64>>) -> f64 {
     range_ratio(budgets)
 }
 
-fn range_ratio(values: &[f64]) -> f64 {
+fn range_ratio(values: impl IntoIterator<Item = impl Borrow<f64>>) -> f64 {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
-    for &v in values {
+    for v in values {
+        let v = *v.borrow();
         lo = lo.min(v);
         hi = hi.max(v);
     }
@@ -180,11 +186,11 @@ mod tests {
 
     #[test]
     fn mur_and_mbr_behave() {
-        assert_eq!(mur(&[1.0, 1.0, 1.0]), 1.0);
-        assert_eq!(mur(&[0.5, 1.0]), 0.5);
-        assert_eq!(mur(&[0.0, 0.0]), 1.0);
-        assert_eq!(mbr(&[100.0, 60.0, 80.0]), 0.6);
-        assert_eq!(mbr(&[100.0]), 1.0);
+        assert_eq!(mur([1.0, 1.0, 1.0]), 1.0);
+        assert_eq!(mur([0.5, 1.0]), 0.5);
+        assert_eq!(mur([0.0, 0.0]), 1.0);
+        assert_eq!(mbr([100.0, 60.0, 80.0]), 0.6);
+        assert_eq!(mbr([100.0]), 1.0);
     }
 
     #[test]

@@ -39,7 +39,9 @@
 //! and the append-mode file. Each tick hashes and writes just its own
 //! record (O(record)), and recovery is one streaming pass over the file
 //! (O(file)) that validates every link and yields the chain state at the
-//! truncation point.
+//! truncation point. A record's size does not depend on the player
+//! count: the market's budgets and utilities enter it as the paper's
+//! two scalars, MBR and MUR, next to one price per good.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -48,7 +50,7 @@ use std::path::{Path, PathBuf};
 
 use rebudget_market::equilibrium::{EquilibriumOptions, WarmStart};
 use rebudget_market::{
-    solve_with_retry, RetryPolicy, SolverKind, SparseBids, SparseMarket, SparseOutcome,
+    metrics, solve_with_retry, RetryPolicy, SolverKind, SparseBids, SparseMarket, SparseOutcome,
     SparseUtilityKind,
 };
 use rebudget_scenario::{read_valid_prefix, Ledger, LedgerMeta, ScenarioError};
@@ -58,7 +60,7 @@ use rebudget_sim::durable::{
 
 use crate::{ServerError, ServerResult};
 
-const SNAPSHOT_HEADER: &str = "rebudget-server-snapshot v1";
+const SNAPSHOT_HEADER: &str = "rebudget-server-snapshot v2";
 /// The snapshot's trailer: `[seal]`, then the FNV-1a of every byte
 /// before the `fnv1a=` line.
 const SNAPSHOT_SEAL: Trailer = Trailer::Through("seal");
@@ -459,12 +461,12 @@ impl ServerCore {
     fn record(&mut self, admitted: usize) -> ServerResult<TickReport> {
         let m = self.config.capacities.len();
         let n = self.players.len();
-        let (market, solved, prices, alloc, utilities) = if n == 0 {
-            (None, None, vec![0.0; m], Vec::new(), Vec::new())
+        let (solved, prices, alloc, utilities) = if n == 0 {
+            (None, vec![0.0; m], Vec::new(), Vec::new())
         } else {
             let (market, warm) = self.market()?;
             let (outcome, report) = self.solve(&market, warm)?;
-            (Some(market), Some(report), outcome.0, outcome.1, outcome.2)
+            (Some(report), outcome.0, outcome.1, outcome.2)
         };
         let converged = solved.as_ref().is_none_or(|r| r.0);
         let iterations = solved.as_ref().map_or(0, |r| r.1);
@@ -503,7 +505,19 @@ impl ServerCore {
         // joined by `;`, and the allocation as `f64_words` would write it.
         let ids_fnv = fnv1a_joined(self.players.keys().map(String::as_str), ";");
         let alloc_fnv = fnv1a_f64_words(alloc.iter().copied());
-        let budgets = market.as_ref().map_or(&[][..], SparseMarket::budgets);
+        // The paper's two market scalars (Definitions 5-6) stand for the
+        // budgets and utilities at O(1) bytes. λ_i = u_i / B_i is each
+        // player's marginal utility of money at a linear price-taking
+        // equilibrium.
+        let budgets = || self.players.values().map(|rec| rec.budget);
+        let mbr = metrics::mbr(budgets());
+        let mur = metrics::mur(
+            utilities
+                .iter()
+                .zip(budgets())
+                .filter(|&(_, b)| b > 0.0)
+                .map(|(&u, b)| u / b),
+        );
         self.ledger.append_section(self.tick as usize, |w| {
             w.kv("players", n);
             w.kv("admitted", admitted);
@@ -511,7 +525,8 @@ impl ServerCore {
             w.bool("fallback", fallback);
             w.kv("iterations", iterations);
             w.hex("ids_fnv", ids_fnv);
-            w.f64_list("budgets", budgets);
+            w.f64("mbr", mbr);
+            w.f64("mur", mur);
             w.f64_list("prices", &prices);
             w.hex("alloc_fnv", alloc_fnv);
             w.f64("eff", efficiency);
@@ -555,8 +570,10 @@ impl ServerCore {
     }
 
     /// Solves `market` (the live players') from the sparse `warm` seed;
-    /// the Jacobi arm builds its own dense seed instead. Returns `((prices, alloc, utilities), (converged, iterations,
-    /// residual))` where `alloc` is row-major over each player's
+    /// the Jacobi arm builds its own dense seed instead.
+    ///
+    /// Returns `((prices, alloc, utilities), (converged, iterations,
+    /// residual))`, where `alloc` is row-major over each player's
     /// interest set.
     #[allow(clippy::type_complexity)]
     fn solve(
@@ -786,7 +803,11 @@ fn decode_snapshot(
     if doc.header() != SNAPSHOT_HEADER {
         return Err(bad(
             1,
-            format!("bad snapshot header (expected '{SNAPSHOT_HEADER}')"),
+            format!(
+                "snapshot header '{}' is not '{SNAPSHOT_HEADER}' (an older state \
+                 directory is not resumed)",
+                doc.header()
+            ),
         ));
     }
     let market = doc.section("config")?;
@@ -802,21 +823,29 @@ fn decode_snapshot(
         ));
     }
     let state = doc.section("state")?;
-    let mut players = BTreeMap::new();
+    // The writer emits players in id order, so the map is built in one
+    // bulk pass; strictly increasing ids also rule out duplicates.
+    let mut players: Vec<(&str, PlayerRec)> = Vec::new();
     for player in doc.sections().filter(|s| s.name.starts_with("player ")) {
         let fault = |reason: String| bad(player.line, reason);
         player.only(&["id", "budget", "interests", "bids"])?;
         let id = player.get("id")?;
+        if let Some(&(prev, _)) = players.last() {
+            if id <= prev {
+                return Err(fault(format!(
+                    "player '{id}' does not follow '{prev}' in id order"
+                )));
+            }
+        }
         let raw = player.get("interests")?;
-        let interests = raw
-            .split(' ')
-            .filter(|item| !item.is_empty())
-            .map(|item| {
-                let (c, w) = item.split_once(':')?;
-                Some((c.parse().ok()?, durable::parse_f64(w)?))
-            })
-            .collect::<Option<Vec<(u32, f64)>>>()
-            .ok_or_else(|| fault(format!("malformed interests '{raw}'")))?;
+        let mut interests = Vec::with_capacity(raw.split(' ').count());
+        for item in raw.split(' ').filter(|item| !item.is_empty()) {
+            let parsed = item
+                .split_once(':')
+                .and_then(|(c, w)| Some((c.parse().ok()?, durable::parse_f64(w)?)))
+                .ok_or_else(|| fault(format!("malformed interests '{raw}'")))?;
+            interests.push(parsed);
+        }
         let bids = match player.optional("bids")? {
             Some(_) => Some(player.f64_list("bids")?),
             None => None,
@@ -831,9 +860,7 @@ fn decode_snapshot(
             interests,
             bids,
         };
-        if players.insert(id.to_string(), rec).is_some() {
-            return Err(fault(format!("duplicate player '{id}' in snapshot")));
-        }
+        players.push((id, rec));
     }
     let declared: usize = state.parse("players")?;
     if declared != players.len() {
@@ -856,7 +883,10 @@ fn decode_snapshot(
         tick,
         degraded: state.bool("degraded")?,
         failures: state.parse("failures")?,
-        players,
+        players: players
+            .into_iter()
+            .map(|(id, rec)| (id.to_string(), rec))
+            .collect(),
     })
 }
 
@@ -892,7 +922,12 @@ mod tests {
 
     /// Applies tick `tick`'s workload commands, then commits the tick.
     fn drive(core: &mut ServerCore, tick: u64) -> TickReport {
-        let commands = spec().commands_for_tick(tick);
+        drive_with(core, &spec(), tick)
+    }
+
+    /// [`drive`] over the workload `spec`.
+    fn drive_with(core: &mut ServerCore, spec: &WorkloadSpec, tick: u64) -> TickReport {
+        let commands = spec.commands_for_tick(tick);
         for cmd in &commands {
             core.apply(cmd).unwrap();
         }
@@ -1166,6 +1201,16 @@ mod tests {
                     *b = b.replacen("tick=1\n", "tick=1\ntick=0\n", 1)
                 }),
             ),
+            (
+                "two players swapped",
+                reseal(&text, |b| {
+                    let first = b.find("[player 0]").unwrap();
+                    let second = b.find("[player 1]").unwrap();
+                    let end = b.find("[player 2]").unwrap();
+                    let swapped = format!("{}{}", &b[second..end], &b[first..second]);
+                    b.replace_range(first..end, &swapped);
+                }),
+            ),
         ];
         for (what, bad) in cases {
             assert_ne!(bad, text, "{what}: the edit must apply");
@@ -1174,6 +1219,158 @@ mod tests {
                 "{what} must be rejected"
             );
         }
+    }
+
+    /// Byte length of each record in the ledger file under `dir`.
+    fn record_lengths(dir: &Path) -> Vec<usize> {
+        let file = File::open(dir.join("server.ledger")).unwrap();
+        let prefix = read_valid_prefix(BufReader::new(file)).unwrap();
+        (0..prefix.records)
+            .map(|k| prefix.cut(k + 1) - prefix.cut(k))
+            .collect()
+    }
+
+    #[test]
+    fn record_size_is_independent_of_player_count() {
+        let largest = |initial_players: usize| {
+            let dir = temp_dir(&format!("record-size-{initial_players}"));
+            let spec = WorkloadSpec {
+                seed: 5,
+                initial_players,
+                resources: 64,
+                arrivals_per_tick: 20,
+                mean_lifetime: 20,
+                update_percent: 2,
+            };
+            let mut cfg = config(SolverKind::ProportionalResponse);
+            cfg.capacities = vec![100.0; spec.resources];
+            cfg.options.price_tolerance = 1e-4;
+            let mut core = ServerCore::open(cfg, &dir).unwrap();
+            for tick in 0..5 {
+                drive_with(&mut core, &spec, tick);
+            }
+            drop(core);
+            let largest = record_lengths(&dir).into_iter().max().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            largest
+        };
+        let (small, large) = (largest(200), largest(2_000));
+        assert!(small.abs_diff(large) <= 64, "{small} vs {large} bytes");
+        assert!(small.max(large) <= 2_000, "{small} and {large} bytes");
+    }
+
+    #[test]
+    fn record_carries_the_markets_mbr_and_mur() {
+        use crate::proto::Request;
+        let dir = temp_dir("mbr-mur");
+        let mut cfg = config(SolverKind::ProportionalResponse);
+        cfg.capacities = vec![8.0];
+        let mut core = ServerCore::open(cfg, &dir).unwrap();
+        for (id, budget, weight) in [("a", 10.0, 1.0), ("b", 30.0, 2.0)] {
+            core.apply(&Request::Arrive {
+                id: id.into(),
+                budget,
+                interests: vec![(0, weight)],
+            })
+            .unwrap();
+        }
+        assert!(core.tick(2).unwrap().converged);
+        drop(core);
+        let text = std::fs::read_to_string(dir.join("server.ledger")).unwrap();
+        let field = |key: &str| {
+            let lines: Vec<f64> = durable::lines(&text)
+                .filter_map(|line| {
+                    let line = std::str::from_utf8(line.bytes).unwrap();
+                    durable::parse_f64(line.strip_prefix(key)?.strip_prefix('=')?)
+                })
+                .collect();
+            assert_eq!(lines.len(), 1, "one `{key}=` line");
+            lines[0]
+        };
+        // Budgets 10 and 30; at the one price p, λ = weight / p.
+        assert_eq!(field("mbr"), 1.0 / 3.0);
+        assert!((field("mur") - 0.5).abs() < 1e-12, "{}", field("mur"));
+        assert!(!text.contains("budgets="));
+    }
+
+    #[test]
+    fn v1_state_directory_is_refused_unchanged() {
+        let dir = temp_dir("v1");
+        let cfg = config(SolverKind::ProportionalResponse);
+        let mut core = ServerCore::open(cfg.clone(), &dir).unwrap();
+        drive(&mut core, 0);
+        drive(&mut core, 1);
+        drop(core);
+        // Both snapshot generations as an older build wrote them.
+        let snapshot = dir.join("server.snapshot");
+        for path in [prev_path(&snapshot), snapshot] {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let old = reseal(&text, |b| {
+                *b = b.replacen(SNAPSHOT_HEADER, "rebudget-server-snapshot v1", 1)
+            });
+            std::fs::write(&path, old).unwrap();
+        }
+        let files = || {
+            let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    let bytes = std::fs::read(&path).unwrap();
+                    (path, bytes)
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = files();
+        let err = ServerCore::open(cfg, &dir).unwrap_err();
+        assert!(
+            matches!(err, ServerError::Snapshot { .. }),
+            "v1 snapshot must be refused, got: {err}"
+        );
+        assert!(
+            err.to_string().contains("rebudget-server-snapshot v1"),
+            "{err}"
+        );
+        assert_eq!(files(), before, "a refused directory keeps its bytes");
+    }
+
+    /// A long-uptime run: 10⁵ ticks of the small churn workload. Every
+    /// record stays within 5% of the largest of the first 10³ (the record
+    /// is O(1) bytes, not O(players) or O(ticks)), reopening resumes at
+    /// the last tick, and the sealed ledger verifies. It asserts no
+    /// timings: shared CI runners are too noisy for a time bound to mean
+    /// anything. Run it with `cargo test --release -p rebudget-server --
+    /// --ignored soak`.
+    #[test]
+    #[ignore = "long: 10^5 ticks, run in release"]
+    fn soak_keeps_records_flat_and_recovers() {
+        const TICKS: u64 = 100_000;
+        let dir = temp_dir("soak");
+        let spec = WorkloadSpec::small(17, 16);
+        let mut cfg = config(SolverKind::ProportionalResponse);
+        cfg.capacities = vec![8.0; spec.resources];
+        let mut core = ServerCore::open(cfg.clone(), &dir).unwrap();
+        for tick in 0..TICKS {
+            drive_with(&mut core, &spec, tick);
+        }
+        drop(core);
+        let lengths = record_lengths(&dir);
+        assert_eq!(lengths.len() as u64, TICKS);
+        let early = *lengths[..1_000].iter().max().unwrap();
+        let worst = lengths.iter().copied().max().unwrap();
+        assert!(
+            worst as f64 <= 1.05 * early as f64,
+            "largest record {worst} B against {early} B in the first 10^3 ticks"
+        );
+        let mut core = ServerCore::open(cfg, &dir).unwrap();
+        assert_eq!(core.tick_index(), TICKS);
+        core.seal().unwrap();
+        drop(core);
+        let text = std::fs::read_to_string(dir.join("server.ledger")).unwrap();
+        let summary = rebudget_scenario::ledger::verify(&text).unwrap();
+        assert_eq!(summary.records as u64, TICKS);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

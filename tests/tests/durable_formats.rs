@@ -382,8 +382,8 @@ fn mid_size_daemon_state_dir_is_byte_stable() {
     assert_eq!(
         (sha256_hex(&ledger), sha256_hex(&snapshot)),
         (
-            "2f23503f7e16a35a341f05a3bfcc578bfbc7239e371d5515e016701100ea54b3".to_string(),
-            "0a9190f587963453e85ea90bda53470da67a5da9e55732909fcb003fda945739".to_string()
+            "5435aa33d4cb7e0a9e7dc6cae41d76334d9c666b096f17353a4eb30b403f3723".to_string(),
+            "9fad66e35031c6ce51f049ccf07020052d21364810fa4a31a1b12aa30f391a14".to_string()
         )
     );
     let _ = std::fs::remove_dir_all(&dir);
