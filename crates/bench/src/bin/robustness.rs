@@ -210,7 +210,6 @@ fn checkpoint_overhead(
     }
     let recovery = RecoveryOptions {
         checkpoint: Some(dir.join("bench.ckpt")),
-        checkpoint_every: 1,
         resume: None,
     };
 

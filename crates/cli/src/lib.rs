@@ -36,8 +36,8 @@ use rebudget_market::{
 };
 use rebudget_scenario::{run_scenario, Scenario, ScenarioError};
 use rebudget_sim::analytic::build_market;
-use rebudget_sim::checkpoint::{SweepCheckpoint, SweepMeta};
-use rebudget_sim::durable::{self, fnv1a};
+use rebudget_sim::checkpoint::{write_point, SweepCheckpoint, SweepMeta, SWEEP_LOG};
+use rebudget_sim::durable::{self, fnv1a, LogFile};
 use rebudget_sim::{
     run_simulation_recoverable, system_for, RecoveryOptions, SimOptions, SimResult,
 };
@@ -108,9 +108,9 @@ USAGE:
                    [--deadline-ms=N] [--solve-iters=N] [--retries=N]
     rebudget sweep <CATEGORY|bbpc> <CORES> [--checkpoint=PATH] [--resume=PATH]
     rebudget simulate <CATEGORY|bbpc> <CORES> [QUANTA] [--seed=N] [--faults=SPEC]
-                      [--mechanism=NAME] [--checkpoint=PATH] [--checkpoint-every=N]
-                      [--resume=PATH] [--solver=NAME] [--deadline-ms=N]
-                      [--solve-iters=N] [--retries=N]
+                      [--mechanism=NAME] [--checkpoint=PATH] [--resume=PATH]
+                      [--solver=NAME] [--deadline-ms=N] [--solve-iters=N]
+                      [--retries=N]
     rebudget synth <PLAYERS> <RESOURCES> [--seed=N] [--tol=X] [--leontief]
                    [--solver=NAME] [--deadline-ms=N] [--solve-iters=N]
     rebudget theory <MUR> <MBR>
@@ -133,16 +133,17 @@ SOLVER:     solve, simulate, synth and serve accept --solver=NAME selecting
             the equilibrium engine: jacobi (dense best-response, the
             paper's engine, the default), propresp (first-order
             proportional response), mirror (first-order entropic mirror
-            descent). synth is sparse-only: it defaults to propresp and
-            rejects jacobi; serve also defaults to propresp.
+            descent). synth and serve are sparse-only: they default to
+            propresp and reject jacobi.
 FAULTS:     comma-separated spec injecting telemetry/solver faults, e.g.
             --faults=noise=0.1,drop=0.05,liars=2 — keys: noise, spike,
             spike-mag, stale, stale-depth, drop, nan, liars, liar-factor,
             seed (defaults to --seed)
-RECOVERY:   --checkpoint writes an atomic snapshot every --checkpoint-every
-            quanta (default 1; sweep snapshots every point); --resume replays a
-            snapshot and continues. simulate snapshots cover one mechanism,
-            so --checkpoint/--resume require --mechanism.
+RECOVERY:   --checkpoint appends every quantum (sweep: every point) to a
+            hash-chained log; --resume replays the log's valid records and
+            continues, after a torn or damaged tail too. simulate logs
+            cover one mechanism, so --checkpoint/--resume require
+            --mechanism.
 DEADLINES:  --solve-iters bounds each equilibrium solve's iterations,
             --deadline-ms bounds its wall-clock time (non-deterministic;
             prefer --solve-iters for reproducible runs), --retries enables
@@ -300,10 +301,6 @@ fn tolerance(args: &mut Vec<String>) -> Result<Option<f64>, CliError> {
     }
     Ok(tol)
 }
-
-/// Note for a resume that fell back to the rotated previous snapshot.
-const PREV_GENERATION_NOTE: &str = "resume used the rotated .prev snapshot generation \
-                                    (live snapshot failed validation)";
 
 /// Expands scenario arguments: a directory contributes every `*.toml`
 /// directly inside it (sorted by name, so CI matrices are order-stable);
@@ -593,11 +590,11 @@ fn sweep(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, CliEr
     }
     let (_, market) = bundle_market(category, cores)?;
     let steps = [0.0, 5.0, 10.0, 20.0, 40.0, 80.0];
-    let pts: Vec<SweepPoint> = if checkpoint.is_some() || resume.is_some() {
-        // Durable sweep: one snapshot per completed point, so a
-        // killed sweep resumes at the point boundary. Per-point
-        // values are a pure function of the inputs, so reused and
-        // recomputed points are bit-identical.
+    let pts: Vec<SweepPoint> = if let Some(path) = checkpoint.as_ref().or(resume.as_ref()) {
+        // Durable sweep: one log record per completed point, so a killed
+        // sweep resumes at the point boundary. Per-point values are a
+        // pure function of the inputs, so reused and recomputed points
+        // are bit-identical.
         let meta = SweepMeta {
             category: category.to_ascii_lowercase(),
             cores,
@@ -605,41 +602,44 @@ fn sweep(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, CliEr
             normalize: true,
             steps: steps.to_vec(),
         };
-        let mut cp = match &resume {
-            Some(path) => {
-                let (loaded, used_prev) = durable::load_with_fallback(path, SweepCheckpoint::load)
-                    .map_err(|e| checkpoint_err(e.to_string()))?;
-                meta.ensure_matches(&loaded.meta)
-                    .map_err(|e| checkpoint_err(e.to_string()))?;
-                if used_prev {
-                    notes.push(PREV_GENERATION_NOTE.to_string());
-                }
-                let done = steps.len() - loaded.missing().len();
-                notes.push(format!(
-                    "resumed sweep: {done} of {} points reused from snapshot",
-                    steps.len()
-                ));
-                loaded
+        let ckpt = |e: &dyn std::fmt::Display| checkpoint_err(e.to_string());
+        let (mut oracle, mut pts, mut log) = (None, Vec::new(), None);
+        if let Some(from) = &resume {
+            let cp = SweepCheckpoint::load(from).map_err(|e| ckpt(&e))?;
+            meta.ensure_matches(&cp.meta).map_err(|e| ckpt(&e))?;
+            notes.push(format!(
+                "resumed sweep: {} of {} points reused from the checkpoint",
+                cp.points.len(),
+                steps.len()
+            ));
+            // Logging into the resumed file continues it; any other file
+            // starts anew and gets the reused points first.
+            if from == path {
+                let cut = LogFile::resume(path, SWEEP_LOG, &cp.prefix, cp.points.len());
+                log = Some(cut.map_err(|e| ckpt(&e))?);
             }
-            None => SweepCheckpoint::new(meta),
-        };
-        let save_path = checkpoint.or(resume);
-        let save = |cp: &SweepCheckpoint| match &save_path {
-            Some(path) => cp.save(path).map_err(|e| checkpoint_err(e.to_string())),
-            None => Ok(()),
-        };
-        if cp.oracle.is_none() {
-            cp.oracle =
-                Some(sweep_oracle(&market, ParallelPolicy::Auto).map_err(|e| err(e.to_string()))?);
-            save(&cp)?;
+            (oracle, pts) = (cp.oracle, cp.points);
         }
-        for k in cp.missing() {
-            let p = sweep_point(&market, 100.0, steps[k], cp.oracle, ParallelPolicy::Auto)
-                .map_err(|e| err(e.to_string()))?;
-            cp.points[k] = Some(p);
-            save(&cp)?;
+        let mut log = match log {
+            Some(log) => log,
+            None => LogFile::create(path, SWEEP_LOG, |w| meta.render(w)).map_err(|e| ckpt(&e))?,
+        };
+        let oracle = match oracle {
+            Some(oracle) => oracle,
+            None => sweep_oracle(&market, ParallelPolicy::Auto).map_err(|e| err(e.to_string()))?,
+        };
+        for (k, &step) in steps.iter().enumerate() {
+            if k == pts.len() {
+                let p = sweep_point(&market, 100.0, step, Some(oracle), ParallelPolicy::Auto)
+                    .map_err(|e| err(e.to_string()))?;
+                pts.push(p);
+            }
+            if k >= log.records() {
+                log.append(k, |w| write_point(w, oracle, &pts[k]))
+                    .map_err(|e| ckpt(&e))?;
+            }
         }
-        cp.points.into_iter().flatten().collect()
+        pts
     } else {
         sweep_steps(&market, 100.0, &steps, true).map_err(|e| err(e.to_string()))?
     };
@@ -687,11 +687,6 @@ fn simulate(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, Cl
     let seed: Option<u64> = flag(&mut args, "seed", "seed")?;
     let mechanism_flag: Option<String> = extract_flag(&mut args, "mechanism")?;
     let checkpoint: Option<PathBuf> = extract_flag(&mut args, "checkpoint")?.map(PathBuf::from);
-    let checkpoint_every: usize =
-        flag(&mut args, "checkpoint-every", "checkpoint interval")?.unwrap_or(1);
-    if checkpoint_every == 0 {
-        return Err(err("--checkpoint-every must be at least 1"));
-    }
     let resume: Option<PathBuf> = extract_flag(&mut args, "resume")?.map(PathBuf::from);
     let (options, retry) = solver_knobs(&mut args, EquilibriumOptions::default(), true)?;
     let faults: Option<FaultPlan> = match extract_flag(&mut args, "faults")? {
@@ -739,11 +734,7 @@ fn simulate(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, Cl
              pick one with --mechanism",
         ));
     }
-    let recovery = RecoveryOptions {
-        checkpoint,
-        checkpoint_every,
-        resume,
-    };
+    let recovery = RecoveryOptions { checkpoint, resume };
     let bounded = options.deadline.is_bounded() || retry.is_some();
     let mech_names: Vec<&str> = match &mechanism_flag {
         Some(name) => vec![name.as_str()],
@@ -775,12 +766,9 @@ fn simulate(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, Cl
             .map_err(|e| sim_err(&e))?;
         if r.replayed_quanta > 0 {
             notes.push(format!(
-                "{}: resumed — replayed {} of {} quanta from snapshot",
+                "{}: resumed — replayed {} of {} quanta from the checkpoint",
                 r.mechanism, r.replayed_quanta, quanta
             ));
-        }
-        if r.used_prev_generation {
-            notes.push(PREV_GENERATION_NOTE.to_string());
         }
         write!(
             out,
@@ -979,7 +967,7 @@ fn scenario_run(args: &[String], ledger_dir: Option<&Path>) -> Result<String, Cl
             let write_err = |e: &dyn std::fmt::Display| {
                 err(format!("cannot write ledger '{}': {e}", lp.display()))
             };
-            rebudget_scenario::create_new_ledger_file(&lp)
+            durable::create_new_ledger_file(&lp)
                 .map_err(|e| write_err(&e))?
                 .write_all(outcome.ledger.as_bytes())
                 .map_err(|e| write_err(&e))?;
@@ -1039,8 +1027,8 @@ fn serve(mut args: Vec<String>) -> Result<String, CliError> {
     // 1e-6 the slow geometric tail dominates both arms and the
     // advantage vanishes.
     let tol = tolerance(&mut args)?.unwrap_or(1e-4);
-    // The daemon defaults to the sparse first-order engine — the dense
-    // paper engine only on an explicit --solver=jacobi.
+    // The daemon's market is sparse: it defaults to the first-order
+    // engine, and `ServerConfig::validate` refuses --solver=jacobi.
     let (mut options, retry) = solver_knobs(&mut args, EquilibriumOptions::large_scale(), true)?;
     if let Some(extra) = args.first() {
         return Err(err(format!("unexpected serve argument '{extra}'")));
@@ -1192,6 +1180,17 @@ mod tests {
     }
 
     #[test]
+    fn serve_rejects_the_dense_solver() {
+        let dir = std::env::temp_dir().join(format!("rebudget-cli-jacobi-{}", std::process::id()));
+        let socket = format!("--socket={}", dir.join("sock").display());
+        let state = format!("--state-dir={}", dir.display());
+        let e = run_err(&["serve", &socket, &state, "--solver=jacobi"]);
+        assert_eq!(e.code, EXIT_USAGE, "{}", e.message);
+        assert!(e.message.contains("sparse"), "{}", e.message);
+        assert!(!dir.exists(), "a refused serve creates no state");
+    }
+
+    #[test]
     fn solve_accepts_a_solver_flag() {
         let jac = run_ok(&["solve", "bbpc", "8", "equalbudget"]);
         let pr = run_ok(&["solve", "bbpc", "8", "equalbudget", "--solver=propresp"]);
@@ -1267,8 +1266,6 @@ mod tests {
             vec!["simulate", "bbpc", "0", "2"],
             vec!["simulate", "bbpc", "8", "0"],
             vec!["simulate", "bbpc", "8", "-3"],
-            vec!["simulate", "bbpc", "8", "2", "--checkpoint-every=0"],
-            vec!["simulate", "bbpc", "8", "2", "--checkpoint-every=few"],
             vec!["simulate", "bbpc", "8", "2", "--deadline-ms=soon"],
             vec!["simulate", "bbpc", "8", "2", "--solve-iters=0"],
             vec!["simulate", "bbpc", "8", "2", "--retries=many"],
@@ -1293,6 +1290,17 @@ mod tests {
             (vec!["sweep", "bbpc", "8", "--solver=mirror"], "--solver"),
             (
                 vec!["sweep", "bbpc", "8", "--checkpoint-every=2"],
+                "--checkpoint-every",
+            ),
+            (
+                vec![
+                    "simulate",
+                    "bbpc",
+                    "8",
+                    "2",
+                    "--mechanism=rebudget",
+                    "--checkpoint-every=1",
+                ],
                 "--checkpoint-every",
             ),
             (vec!["synth", "50", "4", "--retries=2"], "--retries"),

@@ -14,7 +14,7 @@ use rebudget_sim::{
 use rebudget_workloads::bundle_by_name;
 
 use crate::effect::Effect;
-use crate::ledger::{Ledger, LedgerMeta, LedgerRecord};
+use crate::ledger::{self, Ledger, LedgerMeta, LedgerRecord};
 use crate::model::Scenario;
 use crate::properties::{FinalAudit, Property, PropertyContext, PropertyReport};
 use crate::trigger::{MetricSnapshot, TriggerState};
@@ -201,7 +201,7 @@ impl<'a> ScenarioHook<'a> {
             last_mur: None,
             pending: Vec::new(),
             fired: Vec::new(),
-            ledger: Ledger::new(&LedgerMeta {
+            ledger: LedgerMeta {
                 scenario: scenario.name.clone(),
                 seed: scenario.seed,
                 mechanism: scenario.mechanism.clone(),
@@ -211,7 +211,8 @@ impl<'a> ScenarioHook<'a> {
                 quanta: opts.quanta,
                 budget: scenario.budget,
                 faults: faults_spec,
-            }),
+            }
+            .start(),
             want_oracle: scenario
                 .properties
                 .iter()
@@ -302,19 +303,22 @@ impl QuantumHook for ScenarioHook<'_> {
         }
         let (phase, _) = self.scenario.phase_at(obs.quantum);
         let events = std::mem::take(&mut self.pending);
-        self.ledger.append(&LedgerRecord {
-            quantum: obs.quantum,
-            phase: &phase.name,
-            events: &events,
-            active: &self.active,
-            budgets: &obs.budgets,
-            allocation: &obs.allocation,
-            efficiency: obs.efficiency,
-            envy_freeness: obs.envy_freeness,
-            degraded: obs.degraded,
-            fallback: obs.fallback,
-            converged: obs.converged,
-        });
+        ledger::append(
+            &mut self.ledger,
+            &LedgerRecord {
+                quantum: obs.quantum,
+                phase: &phase.name,
+                events: &events,
+                active: &self.active,
+                budgets: &obs.budgets,
+                allocation: &obs.allocation,
+                efficiency: obs.efficiency,
+                envy_freeness: obs.envy_freeness,
+                degraded: obs.degraded,
+                fallback: obs.fallback,
+                converged: obs.converged,
+            },
+        );
     }
 
     fn observe_final(&mut self, market: &Market, allocation: &AllocationMatrix) {
@@ -368,14 +372,11 @@ fn resume_check(scenario: &Scenario, reference: &SimResult) -> Result<(), String
         "rebudget-scenario-{name}-{}-{tag}.ckpt",
         std::process::id()
     ));
-    let prev = rebudget_sim::durable::prev_path(&ckpt);
     let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(&prev);
 
     let half = (scenario.total_quanta() / 2).max(1);
     let snapshot = RecoveryOptions {
         checkpoint: Some(ckpt.clone()),
-        checkpoint_every: 1,
         resume: None,
     };
     let truncated =
@@ -383,13 +384,11 @@ fn resume_check(scenario: &Scenario, reference: &SimResult) -> Result<(), String
     let resumed = truncated.and_then(|_| {
         let resume = RecoveryOptions {
             checkpoint: None,
-            checkpoint_every: 0,
             resume: Some(ckpt.clone()),
         };
         run_once(scenario, &resume, None).map_err(|e| format!("resumed run failed: {e}"))
     });
     let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(&prev);
     let (resumed, _) = resumed?;
 
     if resumed.replayed_quanta != half {
@@ -415,7 +414,6 @@ fn resume_check(scenario: &Scenario, reference: &SimResult) -> Result<(), String
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::ledger;
 
     fn quiet(extra: &str) -> Scenario {
         Scenario::parse(&format!(

@@ -29,9 +29,7 @@ pub mod trigger;
 
 pub use effect::Effect;
 pub use engine::{run_scenario, ScenarioOutcome};
-pub use ledger::{
-    create_new_ledger_file, read_valid_prefix, valid_prefix, Ledger, LedgerMeta, LedgerPrefix,
-};
+pub use ledger::{valid_prefix, Ledger, LedgerMeta, LedgerPrefix};
 pub use model::{Event, Phase, Scenario};
 pub use properties::{Property, PropertyReport};
 pub use trigger::{Metric, Trigger};
@@ -57,14 +55,6 @@ pub enum ScenarioError {
         /// What was wrong.
         reason: String,
     },
-    /// A ledger write targeted a path that already exists. Ledgers are
-    /// immutable audit artifacts: an existing file is never overwritten,
-    /// and the collision is named rather than surfaced as a raw
-    /// [`ScenarioError::Io`].
-    LedgerExists {
-        /// The path that already holds a ledger (or any other file).
-        path: std::path::PathBuf,
-    },
     /// Filesystem trouble reading a scenario or writing a ledger.
     Io(std::io::Error),
     /// The simulation itself failed.
@@ -80,12 +70,6 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Ledger { line, reason } => {
                 write!(f, "ledger error at line {line}: {reason}")
             }
-            ScenarioError::LedgerExists { path } => write!(
-                f,
-                "ledger '{}' already exists (ledgers are immutable; \
-                 pick a new path or move the old ledger aside)",
-                path.display()
-            ),
             ScenarioError::Io(e) => write!(f, "io error: {e}"),
             ScenarioError::Sim(e) => write!(f, "simulation error: {e}"),
         }

@@ -276,7 +276,6 @@ mod tests {
             fallback_quanta: 0,
             degraded_quanta: 0,
             replayed_quanta: 0,
-            used_prev_generation: false,
         }
     }
 

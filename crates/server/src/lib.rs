@@ -60,10 +60,10 @@ pub enum ServerError {
         /// What was wrong.
         reason: String,
     },
-    /// Ledger trouble — including the named collision when a fresh
-    /// start targets a directory that already holds a (sealed, hence
-    /// immutable) ledger.
-    Ledger(rebudget_scenario::ScenarioError),
+    /// Ledger trouble — including the named collision,
+    /// `durable::Error::Exists`, when a fresh start targets a directory
+    /// that already holds a (sealed, hence immutable) ledger.
+    Ledger(rebudget_sim::durable::Error),
     /// A degenerate market slipped past admission validation.
     Market(rebudget_market::MarketError),
     /// Socket or file I/O failure.
@@ -90,8 +90,8 @@ impl From<std::io::Error> for ServerError {
     }
 }
 
-impl From<rebudget_scenario::ScenarioError> for ServerError {
-    fn from(e: rebudget_scenario::ScenarioError) -> Self {
+impl From<rebudget_sim::durable::Error> for ServerError {
+    fn from(e: rebudget_sim::durable::Error) -> Self {
         ServerError::Ledger(e)
     }
 }

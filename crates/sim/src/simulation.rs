@@ -12,10 +12,12 @@ use rebudget_workloads::Bundle;
 use crate::analytic::resource_space;
 use rebudget_telemetry as telemetry;
 
-use crate::checkpoint::{CheckpointError, QuantumRecord, SimCheckpoint, SimCounters, SimMeta};
+use crate::checkpoint::{
+    write_quantum, CheckpointError, SimCheckpoint, SimCounters, SimMeta, SIM_LOG,
+};
 use crate::config::SystemConfig;
 use crate::dram::DramConfig;
-use crate::durable;
+use crate::durable::LogFile;
 use crate::machine::Machine;
 use crate::monitor::CoreMonitor;
 use crate::utility_model::{
@@ -127,24 +129,23 @@ impl Default for SimOptions {
     }
 }
 
-/// Durability knobs for [`run_simulation_recoverable`]: where to write
-/// quantum-boundary snapshots and where to resume from.
+/// Durability knobs for [`run_simulation_recoverable`]: where to log
+/// each quantum and where to resume from.
 ///
 /// All fields default to off; the default value makes
 /// [`run_simulation_recoverable`] behave exactly like [`run_simulation`].
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryOptions {
-    /// Write a snapshot of the run to this path at quantum boundaries
-    /// (atomic rename with a rotating `.prev` generation).
+    /// Append a record of every quantum to the checkpoint log at this
+    /// path ([`crate::checkpoint`]). A fresh run starts the file anew; a
+    /// run resuming from this same path cuts the file to its valid
+    /// records and continues it.
     pub checkpoint: Option<PathBuf>,
-    /// Quanta between snapshots (`0` is treated as `1`). The final
-    /// quantum is always snapshotted when `checkpoint` is set.
-    pub checkpoint_every: usize,
-    /// Resume from the snapshot at this path: its recorded quanta are
-    /// replayed (monitors and machine re-run deterministically with the
-    /// recorded allocations, skipping the market solves) and the run
-    /// continues from the snapshot boundary. The snapshot's configuration
-    /// must match this run's exactly.
+    /// Resume from the checkpoint log at this path: the records of its
+    /// chain-valid prefix are replayed (monitors and machine re-run
+    /// deterministically with the recorded allocations, skipping the
+    /// market solves) and the run continues after them. The log's
+    /// configuration must match this run's exactly.
     pub resume: Option<PathBuf>,
 }
 
@@ -236,19 +237,16 @@ pub struct QuantumObservation {
     /// Row-major `cores × resources` allocation enforced this quantum
     /// (zero rows for inactive/dropped players).
     pub allocation: Vec<f64>,
-    /// Cumulative degraded quanta so far (including this one). On a
-    /// replayed quantum it is the checkpoint's total at the resume point,
-    /// not the running total an uninterrupted run saw at this quantum.
+    /// Cumulative degraded quanta so far (including this one); a
+    /// replayed quantum reads it from its checkpoint record.
     pub cumulative_degraded: usize,
-    /// Cumulative fallback quanta so far (including this one). On a
-    /// replayed quantum it is the checkpoint's total at the resume point,
-    /// as for [`QuantumObservation::cumulative_degraded`].
+    /// Cumulative fallback quanta so far (including this one); a
+    /// replayed quantum reads it from its checkpoint record.
     pub cumulative_fallback: usize,
     /// `true` when this quantum was replayed from a checkpoint: solver
     /// health fields (`degraded`, `residual`, `mur`, …) are not recorded
-    /// in snapshots and carry their neutral values, and the two
-    /// `cumulative_*` counts hold the checkpoint's totals. A hook that
-    /// must act the same on a resumed run reads neither; this is why a
+    /// in checkpoints and carry their neutral values. A hook that must
+    /// act the same on a resumed run does not read them; this is why a
     /// scenario's `resume-identity` property requires time-only triggers
     /// (`Scenario::is_time_only` in `rebudget-scenario`).
     pub replayed: bool,
@@ -348,9 +346,6 @@ pub struct SimResult {
     /// Quanta replayed from a checkpoint instead of solved (0 for a
     /// fresh run).
     pub replayed_quanta: usize,
-    /// Whether resume had to fall back to the rotated `.prev` snapshot
-    /// generation because the live snapshot failed validation.
-    pub used_prev_generation: bool,
 }
 
 /// Builds this quantum's per-core utility surfaces, honouring stale-reading
@@ -606,10 +601,10 @@ fn execution_label(execution: ExecutionModel) -> &'static str {
 }
 
 /// Runs a bundle under a mechanism with durable checkpointing and/or
-/// resume-from-snapshot, per `recovery`.
+/// resume-from-checkpoint, per `recovery`.
 ///
 /// The pipeline is deterministic, so a run that is killed and resumed
-/// from its latest snapshot produces **bit-identical** results to an
+/// from its checkpoint log produces **bit-identical** results to an
 /// uninterrupted run: monitors evolve independently of allocations and
 /// the machine depends only on the allocation applied each quantum, so
 /// replaying the recorded allocations reconstructs the exact pre-crash
@@ -618,9 +613,9 @@ fn execution_label(execution: ExecutionModel) -> &'static str {
 /// # Errors
 ///
 /// [`SimError::BundleMismatch`] for a mis-sized bundle, market errors
-/// from degenerate inputs, and [`SimError::Checkpoint`] when a snapshot
-/// cannot be written, fails validation (corrupt/stale/mismatched), or
-/// replays to different machine state than it recorded.
+/// from degenerate inputs, and [`SimError::Checkpoint`] when a log
+/// cannot be written or read, is of another format or configuration,
+/// or replays to different machine state than it recorded.
 pub fn run_simulation_recoverable(
     sys: &SystemConfig,
     dram: &DramConfig,
@@ -711,10 +706,13 @@ pub fn run_simulation_hooked(
         faults: plan.clone(),
     };
 
-    // Load and validate the snapshot we are resuming from, if any.
-    let (mut records, mut c, used_prev_generation) = match &recovery.resume {
+    // Load and validate the log we are resuming from, if any, then open
+    // the one we checkpoint into: the same file is cut to its valid
+    // records and continued; any other starts anew, and the loop appends
+    // the replayed records to it too.
+    let resumed = match &recovery.resume {
         Some(path) => {
-            let (cp, used_prev) = durable::load_with_fallback(path, SimCheckpoint::load)?;
+            let cp = SimCheckpoint::load(path)?;
             meta.ensure_matches(&cp.meta)?;
             if cp.quanta.len() > opts.quanta {
                 return Err(SimError::Checkpoint(CheckpointError::ConfigMismatch {
@@ -723,11 +721,22 @@ pub fn run_simulation_hooked(
                     found: cp.quanta.len().to_string(),
                 }));
             }
-            (cp.quanta, cp.counters, used_prev)
+            Some((path, cp))
         }
-        None => (Vec::new(), SimCounters::default(), false),
+        None => None,
     };
+    let mut log = match (&recovery.checkpoint, &resumed) {
+        (Some(path), Some((from, cp))) if path == *from => {
+            Some(LogFile::resume(path, SIM_LOG, &cp.prefix, cp.quanta.len()))
+        }
+        (Some(path), _) => Some(LogFile::create(path, SIM_LOG, |w| meta.render(w))),
+        (None, _) => None,
+    }
+    .transpose()
+    .map_err(CheckpointError::from)?;
+    let records = resumed.map_or_else(Vec::new, |(_, cp)| cp.quanta);
     let replayed_quanta = records.len();
+    let mut c = SimCounters::default();
 
     let mut efficiency_history = Vec::with_capacity(opts.quanta);
     let mut last: Option<(Market, AllocationMatrix)> = None;
@@ -735,10 +744,11 @@ pub fn run_simulation_hooked(
     // Per-quantum health state for the `degradation` trace event: the
     // previous quantum's verdict, so transitions are emitted exactly once.
     let mut health = "normal";
-    // Replayed quanta (those the snapshot recorded) re-run monitors and
-    // machine deterministically with the recorded allocations and skip the
-    // market solve; the recorded efficiency doubles as a divergence check.
-    // They open no span, emit no telemetry, and append no record.
+    // Replayed quanta (those the log recorded) re-run monitors and machine
+    // deterministically with the recorded allocations and counters and
+    // skip the market solve; the recorded efficiency doubles as a
+    // divergence check. They open no span and emit no telemetry, and a
+    // quantum is appended only to a log that does not hold it yet.
     for q in 0..opts.quanta {
         let replayed = q < replayed_quanta;
         let _quantum_span = (!replayed).then(|| telemetry::span!("quantum", q));
@@ -766,6 +776,7 @@ pub fn run_simulation_hooked(
 
         // The one branch: where this quantum's allocation comes from.
         let (alloc, alloc_kept, verdict) = if replayed {
+            c = records[q].counters;
             let mut alloc = AllocationMatrix::zeros(n, 2)?;
             for (i, row) in records[q].allocation.chunks_exact(2).enumerate() {
                 alloc.set_row(i, row);
@@ -853,15 +864,9 @@ pub fn run_simulation_hooked(
                 registry.counter("sim.fallback_quanta").incr();
             }
         }
-        if let Some(path) = recovery.checkpoint.as_ref().filter(|_| !replayed) {
-            records.push(QuantumRecord {
-                allocation: allocation.clone(),
-                efficiency: quantum_eff,
-            });
-            let every = recovery.checkpoint_every.max(1);
-            if (q + 1) % every == 0 || q + 1 == opts.quanta {
-                SimCheckpoint::save_parts(path, &meta, &c, &records)?;
-            }
+        if let Some(log) = log.as_mut().filter(|log| q >= log.records()) {
+            log.append(q, |w| write_quantum(w, &allocation, quantum_eff, &c))
+                .map_err(CheckpointError::from)?;
         }
         if hook.observing() {
             let envy = metrics::envy_freeness(&market, &alloc_kept);
@@ -921,7 +926,6 @@ pub fn run_simulation_hooked(
         fallback_quanta: c.fallback_quanta,
         degraded_quanta: c.degraded_quanta,
         replayed_quanta,
-        used_prev_generation,
     })
 }
 
@@ -1167,7 +1171,6 @@ mod tests {
             &partial,
             &RecoveryOptions {
                 checkpoint: Some(path.clone()),
-                checkpoint_every: 1,
                 resume: None,
             },
         )
@@ -1186,7 +1189,6 @@ mod tests {
         .unwrap();
 
         assert_eq!(resumed.replayed_quanta, 2);
-        assert!(!resumed.used_prev_generation);
         assert_eq!(resumed.efficiency.to_bits(), reference.efficiency.to_bits());
         assert_eq!(
             resumed.envy_freeness.to_bits(),
@@ -1222,7 +1224,6 @@ mod tests {
             &opts,
             &RecoveryOptions {
                 checkpoint: Some(path.clone()),
-                checkpoint_every: 2,
                 resume: None,
             },
         )

@@ -9,9 +9,8 @@
 //!
 //! # Crash atomicity
 //!
-//! `flush_to` uses the same tmp+rename discipline as the simulator's
-//! checkpoint writer: the full journal is written to `<path>.tmp`,
-//! fsynced, then renamed over `<path>`. A crash mid-flush leaves either
+//! `flush_to` writes the full journal to `<path>.tmp`, fsyncs it, then
+//! renames it over `<path>`. A crash mid-flush leaves either
 //! the previous complete journal or the new complete journal, never a
 //! torn file.
 //!

@@ -17,8 +17,8 @@
 //!   registry histograms keyed by the span path.
 //! * [`journal`] — a structured JSONL event journal (per-iteration solver
 //!   residuals and prices, guardrail recoveries, ReBudget round budgets,
-//!   per-quantum allocations) flushed with the same crash-atomic
-//!   tmp+rename discipline as `rebudget-sim`'s checkpoints.
+//!   per-quantum allocations) flushed crash-atomically through a temp
+//!   file and a rename.
 //! * [`schema`] — a hand-rolled JSON parser and the closed event schema,
 //!   shared by the test suite and the `trace_check` bin so CI can validate
 //!   every emitted line.

@@ -1,11 +1,13 @@
 //! Byte pins of every durable format in the workspace.
 //!
 //! Each file under `tests/golden/durable/` is one durable artifact — a
-//! sim checkpoint, a sweep checkpoint, a server snapshot, a sealed server
-//! ledger and a sealed scenario ledger — rendered from fixed inputs. Each
-//! test re-renders its artifact from the same inputs, requires the bytes
-//! to match the fixture exactly, and decodes the fixture back. A codec
-//! change that moves a single byte of any format fails here.
+//! sim checkpoint log, a sweep checkpoint log, a server snapshot, a
+//! sealed server ledger and a sealed scenario ledger — rendered from
+//! fixed inputs. Each test re-renders its artifact from the same inputs,
+//! requires the bytes to match the fixture exactly, and decodes the
+//! fixture back. A codec change that moves a single byte of any format
+//! fails here. (`sim-v1.ckpt` is the retired whole-file checkpoint
+//! format, kept to show that it is refused.)
 
 use std::path::{Path, PathBuf};
 
@@ -13,12 +15,14 @@ use rebudget_core::mechanisms::SolveSummary;
 use rebudget_core::sweep::SweepPoint;
 use rebudget_market::equilibrium::EquilibriumOptions;
 use rebudget_market::{FaultPlan, RetryPolicy, SolverKind};
-use rebudget_scenario::ledger::{verify, Ledger, LedgerMeta, LedgerRecord};
+use rebudget_scenario::ledger::{append, verify, LedgerMeta, LedgerRecord};
 use rebudget_scenario::valid_prefix;
 use rebudget_server::{Request, ServerConfig, ServerCore, WorkloadSpec};
 use rebudget_sim::checkpoint::{
-    QuantumRecord, SimCheckpoint, SimCounters, SimMeta, SweepCheckpoint, SweepMeta,
+    write_point, write_quantum, QuantumRecord, SimCheckpoint, SimCounters, SimMeta,
+    SweepCheckpoint, SweepMeta, SIM_LOG, SWEEP_LOG,
 };
+use rebudget_sim::durable::Ledger;
 
 #[allow(clippy::expect_used)]
 fn fixture(name: &str) -> String {
@@ -47,55 +51,64 @@ fn assert_bytes(name: &str, rendered: &str) -> String {
 #[test]
 #[allow(clippy::expect_used)]
 fn sim_checkpoint_fixture_is_byte_stable() {
-    let cp = SimCheckpoint {
-        meta: SimMeta {
-            mechanism: "ReBudget-40".into(),
-            cores: 2,
-            resources: 2,
-            apps: vec!["mcf#0".into(), "bzip2#1".into()],
-            seed: 23,
-            budget: 100.0,
-            accesses_per_quantum: 4_000,
-            use_monitors: true,
-            execution: "analytic".into(),
-            max_consecutive_failures: 3,
-            faults: Some(
-                FaultPlan::parse("noise=0.15,drop=0.1,stale=0.2,liars=2,seed=23")
-                    .expect("valid spec"),
-            ),
-        },
-        counters: SimCounters {
-            solve: SolveSummary {
-                converged: false,
-                rounds: 9,
-                iterations: 5_000_000_123,
-                recoveries: 2,
-                retries: 1,
-                timed_out: 0,
-            },
-            consecutive_failures: 1,
-            fallback_quanta: 0,
-            degraded_quanta: 1,
-        },
-        quanta: vec![
-            QuantumRecord {
-                allocation: vec![8.0, 40.0, 8.0, 40.0],
-                efficiency: 1.75,
-            },
-            QuantumRecord {
-                allocation: vec![10.5, 35.25, -0.0, f64::MIN_POSITIVE / 8.0],
-                efficiency: 0.1 + 0.2,
-            },
-            QuantumRecord {
-                allocation: vec![1.0 / 3.0, 2.0 / 3.0, f64::INFINITY, 1e300],
-                efficiency: std::f64::consts::PI,
-            },
-        ],
+    let meta = SimMeta {
+        mechanism: "ReBudget-40".into(),
+        cores: 2,
+        resources: 2,
+        apps: vec!["mcf#0".into(), "bzip2#1".into()],
+        seed: 23,
+        budget: 100.0,
+        accesses_per_quantum: 4_000,
+        use_monitors: true,
+        execution: "analytic".into(),
+        max_consecutive_failures: 3,
+        faults: Some(
+            FaultPlan::parse("noise=0.15,drop=0.1,stale=0.2,liars=2,seed=23").expect("valid spec"),
+        ),
     };
-    let text = assert_bytes("sim.ckpt", &cp.render());
-    let parsed = SimCheckpoint::parse(&text).expect("fixture decodes");
-    assert_eq!(parsed, cp);
-    assert_eq!(parsed.render(), text);
+    let counters = |rounds: u64, iterations: u64, degraded: usize| SimCounters {
+        solve: SolveSummary {
+            converged: degraded == 0,
+            rounds,
+            iterations,
+            recoveries: 2,
+            retries: 1,
+            timed_out: 0,
+        },
+        consecutive_failures: degraded,
+        fallback_quanta: 0,
+        degraded_quanta: degraded,
+    };
+    let quanta = vec![
+        QuantumRecord {
+            allocation: vec![8.0, 40.0, 8.0, 40.0],
+            efficiency: 1.75,
+            counters: counters(3, 41, 0),
+        },
+        QuantumRecord {
+            allocation: vec![10.5, 35.25, -0.0, f64::MIN_POSITIVE / 8.0],
+            efficiency: 0.1 + 0.2,
+            counters: counters(6, 90, 1),
+        },
+        QuantumRecord {
+            allocation: vec![1.0 / 3.0, 2.0 / 3.0, f64::INFINITY, 1e300],
+            efficiency: std::f64::consts::PI,
+            counters: counters(9, 5_000_000_123, 1),
+        },
+    ];
+    let mut log = Ledger::new(SIM_LOG, |w| meta.render(w));
+    for (q, r) in quanta.iter().enumerate() {
+        log.append_section(q, |w| {
+            write_quantum(w, &r.allocation, r.efficiency, &r.counters);
+        });
+    }
+    let text = assert_bytes("sim.ckpt", log.text());
+    let parsed = SimCheckpoint::parse(text.as_bytes()).expect("fixture decodes");
+    assert_eq!((parsed.meta, parsed.quanta), (meta, quanta));
+    assert_eq!(
+        (parsed.prefix.records, parsed.prefix.bytes),
+        (3, text.len())
+    );
 }
 
 #[test]
@@ -110,7 +123,7 @@ fn sweep_checkpoint_fixture_is_byte_stable() {
         mbr: 2.0 + step / 40.0,
         ef_floor: 0.83,
         solve: SolveSummary {
-            converged: step < 20.0,
+            converged: step < 10.0,
             rounds: 3,
             iterations: 57,
             recoveries: 0,
@@ -118,22 +131,28 @@ fn sweep_checkpoint_fixture_is_byte_stable() {
             timed_out: 0,
         },
     };
-    let mut cp = SweepCheckpoint::new(SweepMeta {
+    let meta = SweepMeta {
         category: "cpbn".into(),
         cores: 8,
         base_budget: 100.0,
         normalize: true,
         steps: vec![0.0, 5.0, 10.0, 20.0],
-    });
-    cp.oracle = Some(7.25);
-    cp.points[0] = Some(point(0.0, None));
-    cp.points[1] = Some(point(5.0, Some(6.55 / 7.25)));
-    cp.points[3] = Some(point(20.0, Some(6.7 / 7.25)));
-    let text = assert_bytes("sweep.ckpt", &cp.render());
-    let parsed = SweepCheckpoint::parse(&text).expect("fixture decodes");
-    assert_eq!(parsed, cp);
-    assert_eq!(parsed.missing(), vec![2]);
-    assert_eq!(parsed.render(), text);
+    };
+    // Three of the four points: the log of a sweep killed before its
+    // last point.
+    let points = vec![
+        point(0.0, None),
+        point(5.0, Some(6.55 / 7.25)),
+        point(10.0, Some(6.6 / 7.25)),
+    ];
+    let mut log = Ledger::new(SWEEP_LOG, |w| meta.render(w));
+    for (k, p) in points.iter().enumerate() {
+        log.append_section(k, |w| write_point(w, 7.25, p));
+    }
+    let text = assert_bytes("sweep.ckpt", log.text());
+    let parsed = SweepCheckpoint::parse(text.as_bytes()).expect("fixture decodes");
+    assert_eq!((parsed.meta, parsed.points), (meta, points));
+    assert_eq!(parsed.oracle, Some(7.25));
 }
 
 fn server_config(capacities: Vec<f64>) -> ServerConfig {
@@ -236,7 +255,7 @@ fn server_ledger_fixture_is_byte_stable() {
 #[test]
 #[allow(clippy::expect_used)]
 fn scenario_ledger_fixture_is_byte_stable() {
-    let mut ledger = Ledger::new(&LedgerMeta {
+    let mut ledger = LedgerMeta {
         scenario: "fixture".into(),
         seed: 3,
         mechanism: "rebudget".into(),
@@ -246,22 +265,26 @@ fn scenario_ledger_fixture_is_byte_stable() {
         quanta: 3,
         budget: 0.1 + 0.2,
         faults: "noise=0.1,seed=3".into(),
-    });
+    }
+    .start();
     let events = vec!["onset".to_string(), "shock".to_string()];
     for q in 0..3 {
-        ledger.append(&LedgerRecord {
-            quantum: q,
-            phase: if q < 2 { "warmup" } else { "steady" },
-            events: if q == 1 { &events } else { &[] },
-            active: &[true, q != 2],
-            budgets: &[100.0, 50.0 + q as f64],
-            allocation: &[8.0, 40.0, 8.0 * q as f64, 1.0 / 3.0],
-            efficiency: 1.5 + q as f64,
-            envy_freeness: if q == 2 { f64::INFINITY } else { 0.9 },
-            degraded: q == 2,
-            fallback: false,
-            converged: q != 2,
-        });
+        append(
+            &mut ledger,
+            &LedgerRecord {
+                quantum: q,
+                phase: if q < 2 { "warmup" } else { "steady" },
+                events: if q == 1 { &events } else { &[] },
+                active: &[true, q != 2],
+                budgets: &[100.0, 50.0 + q as f64],
+                allocation: &[8.0, 40.0, 8.0 * q as f64, 1.0 / 3.0],
+                efficiency: 1.5 + q as f64,
+                envy_freeness: if q == 2 { f64::INFINITY } else { 0.9 },
+                degraded: q == 2,
+                fallback: false,
+                converged: q != 2,
+            },
+        );
     }
     ledger.seal();
     let text = assert_bytes("scenario.ledger", ledger.text());

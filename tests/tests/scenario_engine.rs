@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use rebudget_core::mechanisms::ReBudget;
 use rebudget_market::ParallelPolicy;
-use rebudget_scenario::ledger::{verify, Ledger, LedgerMeta, LedgerRecord};
+use rebudget_scenario::ledger::{append, verify, Ledger, LedgerMeta, LedgerRecord};
 use rebudget_scenario::{run_scenario, Scenario, ScenarioError};
 use rebudget_sim::{
     run_simulation_hooked, DramConfig, QuantumControls, QuantumHook, QuantumObservation,
@@ -73,7 +73,7 @@ struct LedgerHook {
 impl LedgerHook {
     fn new(quanta: usize, cores: usize) -> Self {
         LedgerHook {
-            ledger: Ledger::new(&LedgerMeta {
+            ledger: LedgerMeta {
                 scenario: "determinism-probe".into(),
                 seed: 7,
                 mechanism: "rebudget".into(),
@@ -83,7 +83,8 @@ impl LedgerHook {
                 quanta,
                 budget: 100.0,
                 faults: String::new(),
-            }),
+            }
+            .start(),
             active: vec![true; cores],
         }
     }
@@ -93,19 +94,22 @@ impl QuantumHook for LedgerHook {
     fn control(&mut self, _quantum: usize, _controls: &mut QuantumControls) {}
 
     fn observe(&mut self, obs: &QuantumObservation) {
-        self.ledger.append(&LedgerRecord {
-            quantum: obs.quantum,
-            phase: "run",
-            events: &[],
-            active: &self.active,
-            budgets: &obs.budgets,
-            allocation: &obs.allocation,
-            efficiency: obs.efficiency,
-            envy_freeness: obs.envy_freeness,
-            degraded: obs.degraded,
-            fallback: obs.fallback,
-            converged: obs.converged,
-        });
+        append(
+            &mut self.ledger,
+            &LedgerRecord {
+                quantum: obs.quantum,
+                phase: "run",
+                events: &[],
+                active: &self.active,
+                budgets: &obs.budgets,
+                allocation: &obs.allocation,
+                efficiency: obs.efficiency,
+                envy_freeness: obs.envy_freeness,
+                degraded: obs.degraded,
+                fallback: obs.fallback,
+                converged: obs.converged,
+            },
+        );
     }
 }
 
