@@ -126,8 +126,8 @@ fn random_full_market(rng: &mut StdRng) -> SparseMarket {
 /// Warm ≤ cold iterations and bit-identical warm repeats for the dense
 /// engines, seeded through [`WarmStart::from_outcome`].
 ///
-/// The iteration inequality is asserted for Jacobi (the solver the
-/// daemon actually warm-starts on dense markets). The dense first-order
+/// The iteration inequality is asserted for the Jacobi engine alone.
+/// The dense first-order
 /// reference is held to convergence and bitwise determinism only: its
 /// outer loop does not carry the adaptive damping state across solves,
 /// so on a small oscillatory market a warm restart at full damping can
