@@ -165,9 +165,9 @@ fn main() {
     println!("# intervals after repeated solver failures (ISSUE-3 degradation policy).");
     println!();
 
-    // ---- 3. Checkpoint overhead: durable snapshots every quantum -------
+    // ---- 3. Checkpoint overhead: a checkpoint log record every quantum --
     println!("# Checkpoint overhead — ReBudget-40 under the intensity-1.0 plan,");
-    println!("# durable snapshot after every quantum vs. no checkpointing");
+    println!("# checkpoint log record after every quantum vs. no checkpointing");
     println!("# ({CHECKPOINT_REPS} interleaved pairs, median paired difference; target < 5%).");
     checkpoint_overhead(&sys, &dram, &bundle, &plan, quanta, seed);
     println!();
@@ -254,23 +254,23 @@ fn checkpoint_overhead(
     let per_quantum = |s: f64| s * 1e3 / quanta as f64;
     let overhead = (ckpt_s - plain_s) / plain_s * 100.0;
     println!(
-        "{:<24} {:>12} {:>12}",
+        "{:<28} {:>12} {:>12}",
         "configuration", "ms/quantum", "overhead"
     );
     println!(
-        "{:<24} {:>12.3} {:>12}",
+        "{:<28} {:>12.3} {:>12}",
         "no checkpointing",
         per_quantum(plain_s),
         "-"
     );
     println!(
-        "{:<24} {:>12.3} {:>11.2}%",
-        "snapshot every quantum",
+        "{:<28} {:>12.3} {:>11.2}%",
+        "checkpoint log every quantum",
         per_quantum(ckpt_s),
         overhead
     );
     println!(
-        "# Verdict: {} (results bit-identical with and without snapshots).",
+        "# Verdict: {} (results bit-identical with and without the checkpoint log).",
         if overhead < 5.0 {
             "within the < 5% budget"
         } else {

@@ -19,6 +19,15 @@
 //! below the configured floor (the acceptance gate is warm ≥ 2× cold).
 //! Results land in a machine-readable `BENCH_server.json`.
 //!
+//! A third arm times the daemon's whole tick, not just its solve: one
+//! `ServerCore` driven in process through serve-churn's workload
+//! (`players` initial players over 64 goods, 1% of them arriving and
+//! 1% updating each tick, mean lifetime 100 ticks, seed 7304, tolerance
+//! `tol`) for 100 ticks. Telemetry is on and each tick runs inside a
+//! `tick` span, so the core's `market`, `ledger` and `snapshot` spans and
+//! the solver's `solve` span nest under it; the bin reports tick p50/p90
+//! and each stage's p50, and exits non-zero if a tick fails to converge.
+//!
 //! The tolerance defaults to the serve subcommand's online operating
 //! point (1e-4): there the warm start converges in a fraction of the
 //! cold iterations. At the batch pipeline's 1e-6 the slow geometric
@@ -32,12 +41,19 @@ use std::path::Path;
 use std::time::Instant;
 
 use rebudget_bench::exit_on_error;
-use rebudget_bench::export::{write_server_json, ServerBenchSummary};
+use rebudget_bench::export::{write_server_json, CoreArmSummary, ServerBenchSummary};
 use rebudget_market::equilibrium::{EquilibriumOptions, WarmStart};
-use rebudget_market::{splitmix64, SolverKind, SparseMarket, SynthSpec};
+use rebudget_market::{splitmix64, RetryPolicy, SolverKind, SparseMarket, SynthSpec};
+use rebudget_server::state::{ServerConfig, ServerCore};
+use rebudget_server::workload::WorkloadSpec;
+use rebudget_telemetry as telemetry;
 
 /// The fixed resource count, matching the scalability bench's sparse arm.
 const RESOURCES: usize = 64;
+
+/// The daemon arm's workload seed and tick count (serve-churn's).
+const CORE_SEED: u64 = 7304;
+const CORE_TICKS: u64 = 100;
 
 /// Applies tick `t`'s deterministic churn: roughly `churn_percent` of
 /// players get their budget rescaled into `[0.5, 1.5)` of the base.
@@ -120,6 +136,97 @@ fn run_arm(
     }
 }
 
+/// `result`'s value, or exit 1 with its error.
+fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// `samples`' `p`-th percentile (nearest rank).
+fn percentile(samples: &[f64], p: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// Drives one in-process `ServerCore` through serve-churn's workload
+/// with `players` initial players; see the module docs. `None` if a
+/// tick failed to converge cleanly.
+fn run_core_arm(players: usize, options: &EquilibriumOptions) -> Option<CoreArmSummary> {
+    let spec = WorkloadSpec {
+        seed: CORE_SEED,
+        initial_players: players,
+        resources: RESOURCES,
+        arrivals_per_tick: (players / 100).max(1),
+        mean_lifetime: 100,
+        update_percent: 1,
+    };
+    let config = ServerConfig {
+        capacities: vec![100.0; RESOURCES],
+        solver: options.solver,
+        options: options.clone(),
+        retry: RetryPolicy::default(),
+        fallback_after: 3,
+        seed: CORE_SEED,
+        commit_delay_ms: 0,
+    };
+    // Every tick's commands, generated before any timing.
+    let commands: Vec<_> = (0..CORE_TICKS).map(|t| spec.commands_for_tick(t)).collect();
+    let dir = std::env::temp_dir().join(format!("rebudget-server-bench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut core = or_exit(ServerCore::open(config, &dir));
+    let stages = ["market", "solve", "ledger", "snapshot"];
+    let registry = &telemetry::global().registry;
+    let span_ms = |name: &str| registry.histogram(name).snapshot().sum as f64 / 1e6;
+    let (mut ticks, mut stage_ms) = (Vec::new(), vec![Vec::new(); stages.len()]);
+    let (mut iterations, mut clean) = (0, true);
+    telemetry::reset();
+    for (t, batch) in commands.iter().enumerate() {
+        for req in batch {
+            or_exit(core.apply(req));
+        }
+        telemetry::set_enabled(true);
+        let before: Vec<f64> = stages
+            .iter()
+            .map(|s| span_ms(&format!("span.tick/{s}")))
+            .collect();
+        let started = Instant::now();
+        let report = {
+            let _tick = telemetry::span!("tick");
+            core.tick(batch.len())
+        };
+        let ms = started.elapsed().as_secs_f64() * 1e3;
+        telemetry::set_enabled(false);
+        let report = or_exit(report);
+        clean &= report.converged && !report.fallback;
+        if t == 0 {
+            continue;
+        }
+        ticks.push(ms);
+        iterations += report.iterations;
+        for (k, stage) in stages.iter().enumerate() {
+            stage_ms[k].push(span_ms(&format!("span.tick/{stage}")) - before[k]);
+        }
+    }
+    drop(core);
+    telemetry::reset();
+    let _ = std::fs::remove_dir_all(&dir);
+    let commits: Vec<f64> = ticks.iter().zip(&stage_ms[1]).map(|(t, s)| t - s).collect();
+    clean.then(|| CoreArmSummary {
+        players,
+        seed: CORE_SEED,
+        ticks: ticks.len(),
+        tick_p50_ms: percentile(&ticks, 50.0),
+        tick_p90_ms: percentile(&ticks, 90.0),
+        stage_p50_ms: std::array::from_fn(|k| (stages[k], percentile(&stage_ms[k], 50.0))),
+        commit_p50_ms: percentile(&commits, 50.0),
+        iterations,
+    })
+}
+
 fn main() {
     let players: usize = rebudget_bench::arg_or(1, 10_000);
     let ticks: usize = rebudget_bench::arg_or(2, 12);
@@ -172,6 +279,31 @@ fn main() {
     }
     println!("# speedup: {speedup:.2}x (gate: >= {min_speedup:.2}x)");
 
+    let Some(core) = run_core_arm(players, &opts) else {
+        eprintln!("error: an in-process daemon tick did not converge cleanly");
+        std::process::exit(1);
+    };
+    println!(
+        "# daemon tick in process: {} players, {} warm ticks, {} iterations",
+        core.players, core.ticks, core.iterations
+    );
+    println!(
+        "{:>10} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "", "tick p50", "tick p90", "market", "solve", "ledger", "snapshot", "commit"
+    );
+    let stage = |k: usize| core.stage_p50_ms[k].1;
+    println!(
+        "{:>10} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
+        "ms",
+        core.tick_p50_ms,
+        core.tick_p90_ms,
+        stage(0),
+        stage(1),
+        stage(2),
+        stage(3),
+        core.commit_p50_ms
+    );
+
     let summary = ServerBenchSummary {
         players,
         resources: RESOURCES,
@@ -186,6 +318,7 @@ fn main() {
         warm_iterations: warm.iterations,
         max_residual,
         converged,
+        core,
     };
     if let Err(e) = write_server_json(Path::new(&json_path), tolerance, min_speedup, &summary) {
         eprintln!("error: cannot write {json_path}: {e}");

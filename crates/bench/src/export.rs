@@ -114,6 +114,33 @@ pub struct ServerBenchSummary {
     pub max_residual: f64,
     /// Whether every solve in both arms converged under the tolerance.
     pub converged: bool,
+    /// The in-process daemon arm.
+    pub core: CoreArmSummary,
+}
+
+/// The daemon's whole tick, measured in process on serve-churn's
+/// workload: one `ServerCore` ticking under telemetry, each tick inside
+/// a `tick` span so the stage spans nest under it. Times are in ms over
+/// the warm ticks (tick 0, the cold solve, left out).
+#[derive(Debug, Clone)]
+pub struct CoreArmSummary {
+    /// Initial players of the churn workload.
+    pub players: usize,
+    /// Workload seed.
+    pub seed: u64,
+    /// Warm ticks timed.
+    pub ticks: usize,
+    /// Median and 90th percentile of the whole tick.
+    pub tick_p50_ms: f64,
+    /// See [`CoreArmSummary::tick_p50_ms`].
+    pub tick_p90_ms: f64,
+    /// Median of each stage span: `market` (batch merge), `solve`,
+    /// `ledger` (digests and append) and `snapshot`.
+    pub stage_p50_ms: [(&'static str, f64); 4],
+    /// Median of the tick minus its solve: the commit.
+    pub commit_p50_ms: f64,
+    /// Solver iterations summed over the timed ticks.
+    pub iterations: u64,
 }
 
 /// Writes the server bench's machine-readable artifact. Flat JSON via
@@ -153,7 +180,18 @@ pub fn write_server_json(
     writeln!(f, "  \"cold_iterations\": {},", s.cold_iterations)?;
     writeln!(f, "  \"warm_iterations\": {},", s.warm_iterations)?;
     writeln!(f, "  \"max_residual\": {},", json_f64(s.max_residual))?;
-    writeln!(f, "  \"converged\": {}", s.converged)?;
+    writeln!(f, "  \"converged\": {},", s.converged)?;
+    let c = &s.core;
+    writeln!(f, "  \"core_players\": {},", c.players)?;
+    writeln!(f, "  \"core_seed\": {},", c.seed)?;
+    writeln!(f, "  \"core_ticks\": {},", c.ticks)?;
+    writeln!(f, "  \"core_iterations\": {},", c.iterations)?;
+    writeln!(f, "  \"core_tick_p50_ms\": {},", json_f64(c.tick_p50_ms))?;
+    writeln!(f, "  \"core_tick_p90_ms\": {},", json_f64(c.tick_p90_ms))?;
+    for (stage, ms) in c.stage_p50_ms {
+        writeln!(f, "  \"core_{stage}_p50_ms\": {},", json_f64(ms))?;
+    }
+    writeln!(f, "  \"core_commit_p50_ms\": {}", json_f64(c.commit_p50_ms))?;
     writeln!(f, "}}")?;
     Ok(())
 }

@@ -141,7 +141,8 @@ FAULTS:     comma-separated spec injecting telemetry/solver faults, e.g.
             seed (defaults to --seed)
 RECOVERY:   --checkpoint appends every quantum (sweep: every point) to a
             hash-chained log; --resume replays the log's valid records and
-            continues, after a torn or damaged tail too. simulate logs
+            continues, after a torn or damaged tail too, appending to the
+            resumed log unless --checkpoint names another. simulate logs
             cover one mechanism, so --checkpoint/--resume require
             --mechanism.
 DEADLINES:  --solve-iters bounds each equilibrium solve's iterations,
@@ -734,7 +735,13 @@ fn simulate(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, Cl
              pick one with --mechanism",
         ));
     }
-    let recovery = RecoveryOptions { checkpoint, resume };
+    // A resumed run logs into the file it resumed unless told otherwise,
+    // as `sweep` does, so a second kill loses nothing the first resume
+    // ran.
+    let recovery = RecoveryOptions {
+        checkpoint: checkpoint.or_else(|| resume.clone()),
+        resume,
+    };
     let bounded = options.deadline.is_bounded() || retry.is_some();
     let mech_names: Vec<&str> = match &mechanism_flag {
         Some(name) => vec![name.as_str()],
@@ -1403,6 +1410,53 @@ mod tests {
             resume_notes.iter().any(|n| n.contains("replayed 2 of 3")),
             "{resume_notes:?}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resumed_simulation_keeps_logging_into_the_resumed_file() {
+        let dir = std::env::temp_dir().join(format!("rebudget-cli-relog-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("sim.ckpt");
+        let run = |quanta: &str, flag: &str| {
+            let flag = format!("{flag}={}", ckpt.display());
+            let args = [
+                "simulate",
+                "bbpc",
+                "8",
+                quanta,
+                "--mechanism=rebudget",
+                "--seed=7",
+            ];
+            let mut args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            args.push(flag);
+            run_with_notes(&args).unwrap()
+        };
+        let reference = run_ok(&[
+            "simulate",
+            "bbpc",
+            "8",
+            "5",
+            "--mechanism=rebudget",
+            "--seed=7",
+        ]);
+        // Killed after 2 quanta, resumed with no --checkpoint and killed
+        // again after 4: the second resume replays all 4, so nothing
+        // the first resume ran is lost.
+        run("2", "--checkpoint");
+        let (_, notes) = run("4", "--resume");
+        assert!(
+            notes.iter().any(|n| n.contains("replayed 2 of 4")),
+            "{notes:?}"
+        );
+        let (resumed, notes) = run("5", "--resume");
+        assert!(
+            notes.iter().any(|n| n.contains("replayed 4 of 5")),
+            "{notes:?}"
+        );
+        assert_eq!(resumed, reference);
+        let log = std::fs::read_to_string(&ckpt).unwrap();
+        assert_eq!(log.matches("\n[quantum ").count(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

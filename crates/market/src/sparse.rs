@@ -130,6 +130,85 @@ impl SparseBids {
         })
     }
 
+    /// A matrix over CSR arrays assembled elsewhere, taken without a
+    /// copy. They are checked as [`SparseBids::from_rows`] checks its
+    /// rows, except that each row must already be sorted by column.
+    ///
+    /// # Errors
+    ///
+    /// [`MarketError::Empty`] for zero players/resources,
+    /// [`MarketError::DimensionMismatch`] for row pointers that do not
+    /// start at 0 and end at `cols.len() == vals.len()`, and
+    /// [`MarketError::InvalidValue`] for decreasing row pointers, an
+    /// out-of-range or non-increasing column, or a non-finite/negative
+    /// value.
+    pub fn from_csr(
+        resources: usize,
+        row_ptr: Vec<usize>,
+        cols: Vec<u32>,
+        vals: Vec<f64>,
+    ) -> Result<Self> {
+        if row_ptr.len() < 2 {
+            return Err(MarketError::Empty { what: "players" });
+        }
+        if resources == 0 {
+            return Err(MarketError::Empty { what: "resources" });
+        }
+        let (first, last) = (row_ptr[0], row_ptr[row_ptr.len() - 1]);
+        for (what, expected, actual) in [
+            ("row_ptr start", 0, first),
+            ("row_ptr end", cols.len(), last),
+            ("sparse values", cols.len(), vals.len()),
+        ] {
+            if expected != actual {
+                return Err(MarketError::DimensionMismatch {
+                    what,
+                    expected,
+                    actual,
+                });
+            }
+        }
+        for w in row_ptr.windows(2) {
+            if w[1] < w[0] || w[1] > cols.len() {
+                return Err(MarketError::InvalidValue {
+                    what: "row pointer",
+                    value: w[1] as f64,
+                });
+            }
+            if let Some(pair) = cols[w[0]..w[1]].windows(2).find(|pair| pair[1] <= pair[0]) {
+                return Err(MarketError::InvalidValue {
+                    what: "unsorted or duplicate resource index",
+                    value: f64::from(pair[1]),
+                });
+            }
+        }
+        if let Some(&c) = cols.iter().find(|&&c| c as usize >= resources) {
+            return Err(MarketError::InvalidValue {
+                what: "resource index",
+                value: f64::from(c),
+            });
+        }
+        if let Some(&v) = vals.iter().find(|v| !v.is_finite() || **v < 0.0) {
+            return Err(MarketError::InvalidValue {
+                what: "sparse entry",
+                value: v,
+            });
+        }
+        Ok(Self {
+            n: row_ptr.len() - 1,
+            m: resources,
+            row_ptr,
+            cols,
+            vals,
+        })
+    }
+
+    /// The row pointers, columns and values, moved out: the inverse of
+    /// [`SparseBids::from_csr`].
+    pub fn into_parts(self) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+        (self.row_ptr, self.cols, self.vals)
+    }
+
     /// Number of players (rows).
     pub fn players(&self) -> usize {
         self.n
@@ -239,7 +318,7 @@ impl SparseUtilityKind {
 
 /// A large sparse Fisher market: capacities, budgets, and each player's
 /// interest weights over a sparse resource set.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseMarket {
     capacities: Vec<f64>,
     budgets: Vec<f64>,
@@ -342,6 +421,12 @@ impl SparseMarket {
     /// The utility family.
     pub fn kind(&self) -> SparseUtilityKind {
         self.kind
+    }
+
+    /// The capacities, budgets and interests, moved out: the inverse of
+    /// [`SparseMarket::new`].
+    pub fn into_parts(self) -> (Vec<f64>, Vec<f64>, SparseBids) {
+        (self.capacities, self.budgets, self.interests)
     }
 
     /// Solves for the market equilibrium with the engine selected by
@@ -669,6 +754,37 @@ mod tests {
         assert!(SparseBids::from_rows(2, vec![vec![(1, 1.0), (1, 2.0)]]).is_err());
         assert!(SparseBids::from_rows(2, vec![vec![(0, f64::NAN)]]).is_err());
         assert!(SparseBids::from_rows(2, vec![vec![(0, -1.0)]]).is_err());
+    }
+
+    #[test]
+    fn csr_parts_round_trip_and_are_checked_like_rows() {
+        let s = tiny();
+        let (row_ptr, cols, vals) = s.clone().into_parts();
+        assert_eq!(SparseBids::from_csr(3, row_ptr, cols, vals).unwrap(), s);
+        let bad = |row_ptr: &[usize], cols: &[u32], vals: &[f64]| {
+            SparseBids::from_csr(2, row_ptr.to_vec(), cols.to_vec(), vals.to_vec()).is_err()
+        };
+        assert!(!bad(&[0, 1, 1], &[1], &[1.0]), "an empty row is fine");
+        assert!(bad(&[0], &[], &[]), "no players");
+        assert!(SparseBids::from_csr(0, vec![0, 1], vec![0], vec![1.0]).is_err());
+        assert!(bad(&[1, 1], &[0], &[1.0]), "row_ptr must start at 0");
+        assert!(bad(&[0, 2], &[0], &[1.0]), "row_ptr must end at nnz");
+        assert!(bad(&[0, 1], &[0], &[1.0, 2.0]), "one value per column");
+        assert!(bad(&[0, 2, 1], &[0, 1], &[1.0, 1.0]), "decreasing row_ptr");
+        assert!(bad(&[0, 3, 1], &[0], &[1.0]), "row_ptr past the end");
+        assert!(bad(&[0, 1], &[2], &[1.0]), "column out of range");
+        assert!(bad(&[0, 2], &[1, 0], &[1.0, 1.0]), "unsorted row");
+        assert!(bad(&[0, 2], &[1, 1], &[1.0, 1.0]), "duplicate column");
+        assert!(bad(&[0, 1], &[0], &[f64::NAN]), "non-finite value");
+        assert!(bad(&[0, 1], &[0], &[-1.0]), "negative value");
+        // Sorted across a row boundary is not required.
+        assert!(!bad(&[0, 1, 2], &[1, 0], &[1.0, 1.0]));
+        let market = SparseMarket::new(vec![1.0; 3], vec![1.0; 3], s.clone(), Default::default());
+        let (capacities, budgets, interests) = market.unwrap().into_parts();
+        assert_eq!(
+            (capacities, budgets, interests),
+            (vec![1.0; 3], vec![1.0; 3], s)
+        );
     }
 
     #[test]

@@ -1,11 +1,20 @@
 //! The daemon's durable tick state machine.
 //!
-//! [`ServerCore`] owns the live player table, the warm-start bid cache,
-//! the append-only hash-chained ledger, and the crash-atomic snapshot.
-//! Each [`ServerCore::tick`] assembles the current market, re-solves it
-//! **warm-started from the previous quantum's bids**, appends one ledger
-//! record, and then commits a snapshot — in that order, which is what
-//! makes `kill -9` at any byte recoverable:
+//! [`ServerCore`] owns the live player table, the append-only
+//! hash-chained ledger, and the crash-atomic snapshot. The table is
+//! columnar and kept in id order: the ids back to back, then the budgets
+//! and the interest CSR as the [`SparseMarket`] the solver takes as it
+//! is, then the warm-start bids over the same CSR values with a per-row
+//! "has converged bids" flag. [`ServerCore::apply`] only records a
+//! command in the tick's pending batch, keyed by id. Each
+//! [`ServerCore::tick`] merges that batch into new columns in one
+//! sequential pass (span `market`), re-solves the market **warm-started
+//! from the previous quantum's bids** (the solver's span `solve`; a
+//! converged solve's bids become the next seed whole, a failed one keeps
+//! the older seed), appends one ledger record (span `ledger`), and then
+//! commits a snapshot written straight from the columns (span
+//! `snapshot`) — in that order, which is what makes `kill -9` at any
+//! byte recoverable:
 //!
 //! * killed before the ledger append: the snapshot still says tick `T`
 //!   and the ledger holds `T` records — resume re-runs tick `T`.
@@ -48,7 +57,9 @@
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::BufReader;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use rebudget_market::equilibrium::{EquilibriumOptions, WarmStart};
 use rebudget_market::{
@@ -58,6 +69,7 @@ use rebudget_market::{
 use rebudget_sim::durable::{
     self, fnv1a_f64_words, fnv1a_joined, prev_path, Document, LogFile, Writer, LEDGER,
 };
+use rebudget_telemetry as telemetry;
 
 use crate::{ServerError, ServerResult};
 
@@ -139,15 +151,319 @@ impl ServerConfig {
     }
 }
 
-/// One live player.
+/// A player admitted in the pending batch: a new row, merged unseeded.
 #[derive(Debug, Clone, PartialEq)]
-struct PlayerRec {
+struct Row {
     budget: f64,
     /// `(resource, weight)` interests, sorted by resource.
     interests: Vec<(u32, f64)>,
-    /// Bids from the last converged solve over exactly these interests —
-    /// the next tick's warm seed. Cleared when the interest set changes.
-    bids: Option<Vec<f64>>,
+}
+
+/// The live player table as columns, rows in id order (independent of
+/// arrival interleaving). Budgets and the interest CSR are the
+/// [`SparseMarket`] the solver takes as it is; the warm seed lies over
+/// the same CSR values. Admissions collect in a batch keyed by id, which
+/// [`Table::merge`] folds into new columns in one sequential pass.
+#[derive(Debug, Default)]
+struct Table {
+    /// Every row's id, back to back; row `i`'s ends at `id_ends[i]`.
+    ids: String,
+    id_ends: Vec<usize>,
+    /// Budgets and interests; `None` with no rows (a market has players).
+    market: Option<SparseMarket>,
+    /// The next solve's warm seed over the CSR values: a row's bids from
+    /// the last converged solve over its current interests if
+    /// `seeded[i]`, else the equal split (== the cold start).
+    seed: Vec<f64>,
+    seeded: Vec<bool>,
+    /// Admissions since the last merge; `None` marks a departure.
+    pending: BTreeMap<String, Option<Row>>,
+    /// Live players with the pending batch applied.
+    live: usize,
+    /// The columns the last merge replaced, emptied for the next merge
+    /// to fill: reusing their memory saves a page fault per 4 KiB.
+    spare: Columns,
+}
+
+impl Table {
+    fn rows(&self) -> usize {
+        self.id_ends.len()
+    }
+
+    fn id_range(&self, rows: Range<usize>) -> Range<usize> {
+        let start = rows.start.checked_sub(1).map_or(0, |i| self.id_ends[i]);
+        let end = rows.end.checked_sub(1).map_or(0, |i| self.id_ends[i]);
+        start..end
+    }
+
+    fn id(&self, i: usize) -> &str {
+        &self.ids[self.id_range(i..i + 1)]
+    }
+
+    /// `Ok(row)` of `id`, or `Err` of the row it would be inserted at.
+    fn find(&self, id: &str) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.rows());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.id(mid).cmp(id) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
+
+    fn budgets(&self) -> &[f64] {
+        self.market.as_ref().map_or(&[], SparseMarket::budgets)
+    }
+
+    /// Row `i`'s interest columns and weights.
+    fn interests(&self, i: usize) -> (&[u32], &[f64]) {
+        let csr = self.market.as_ref().map(SparseMarket::interests);
+        csr.map_or((&[], &[]), |csr| (csr.row_cols(i), csr.row_vals(i)))
+    }
+
+    /// Row `i`'s CSR entry range.
+    fn entries(&self, i: usize) -> Range<usize> {
+        let csr = self.market.as_ref().map(SparseMarket::interests);
+        csr.map_or(0..0, |csr| csr.row_ptr()[i]..csr.row_ptr()[i + 1])
+    }
+
+    /// Where live player `id`'s row is, the pending batch applied; `None`
+    /// if `id` is not live.
+    fn live_row(&self, id: &str) -> Option<Live<'_>> {
+        match self.pending.get(id) {
+            Some(change) => change.as_ref().map(Live::Pending),
+            None => self.find(id).ok().map(Live::Committed),
+        }
+    }
+
+    fn apply(&mut self, req: &crate::proto::Request, resources: u32) -> Result<(), ApplyError> {
+        use crate::proto::Request;
+        let check_range = |interests: &[(u32, f64)]| {
+            interests
+                .iter()
+                .find(|&&(c, _)| c >= resources)
+                .map_or(Ok(()), |&(c, _)| Err(ApplyError::ResourceRange(c)))
+        };
+        let sorted = |interests: &[(u32, f64)]| {
+            let mut interests = interests.to_vec();
+            interests.sort_by_key(|&(c, _)| c);
+            interests
+        };
+        match req {
+            Request::Arrive {
+                id,
+                budget,
+                interests,
+            } => {
+                if self.live_row(id).is_some() {
+                    return Err(ApplyError::Duplicate(id.clone()));
+                }
+                check_range(interests)?;
+                let row = Row {
+                    budget: *budget,
+                    interests: sorted(interests),
+                };
+                self.pending.insert(id.clone(), Some(row));
+                self.live += 1;
+            }
+            Request::Update { id, interests } => {
+                check_range(interests)?;
+                let interests = sorted(interests);
+                // Unchanged interests keep the row, and its warm seed.
+                let budget = match self.live_row(id) {
+                    None => return Err(ApplyError::Unknown(id.clone())),
+                    Some(Live::Pending(row)) if row.interests == interests => return Ok(()),
+                    Some(Live::Pending(row)) => row.budget,
+                    Some(Live::Committed(i)) => {
+                        let (cols, weights) = self.interests(i);
+                        let row = cols.iter().copied().zip(weights.iter().copied());
+                        if row.eq(interests.iter().copied()) {
+                            return Ok(());
+                        }
+                        self.budgets()[i]
+                    }
+                };
+                // A new row: the warm seed indexes the old interest set.
+                self.pending
+                    .insert(id.clone(), Some(Row { budget, interests }));
+            }
+            Request::Depart { id } => {
+                if self.live_row(id).is_none() {
+                    return Err(ApplyError::Unknown(id.clone()));
+                }
+                self.pending.insert(id.clone(), None);
+                self.live -= 1;
+            }
+            _ => unreachable!("only admission commands reach apply()"),
+        }
+        Ok(())
+    }
+
+    /// Merges the pending batch into new columns in one pass in id order:
+    /// runs of untouched rows are copied whole, a departed row is
+    /// skipped, and an arrived or updated row goes in with the equal
+    /// split as its seed. On error (a row the market refuses) the table
+    /// and its batch are left as they were.
+    fn merge(&mut self, capacities: &[f64]) -> ServerResult<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let mut next = std::mem::take(&mut self.spare);
+        next.clear();
+        let mut at = 0;
+        for (id, change) in &self.pending {
+            let (end, resume) = match self.find(id) {
+                Ok(i) => (i, i + 1),
+                Err(i) => (i, i),
+            };
+            next.copy(self, at..end);
+            at = resume;
+            if let Some(row) = change {
+                next.push(id, row);
+            }
+        }
+        next.copy(self, at..self.rows());
+        let market = if next.id_ends.is_empty() {
+            None
+        } else {
+            let csr =
+                SparseBids::from_csr(capacities.len(), next.row_ptr, next.cols, next.weights)?;
+            Some(SparseMarket::new(
+                capacities.to_vec(),
+                next.budgets,
+                csr,
+                SparseUtilityKind::Linear,
+            )?)
+        };
+        let mut spare = Columns {
+            ids: std::mem::replace(&mut self.ids, next.ids),
+            id_ends: std::mem::replace(&mut self.id_ends, next.id_ends),
+            seed: std::mem::replace(&mut self.seed, next.seed),
+            seeded: std::mem::replace(&mut self.seeded, next.seeded),
+            ..Columns::default()
+        };
+        if let Some(old) = std::mem::replace(&mut self.market, market) {
+            let (_, budgets, csr) = old.into_parts();
+            (spare.row_ptr, spare.cols, spare.weights) = csr.into_parts();
+            spare.budgets = budgets;
+        }
+        self.spare = spare;
+        self.pending.clear();
+        Ok(())
+    }
+
+    /// The `EqualShare` fallback allocation: every resource is split
+    /// evenly among the players interested in it. Returns the row-major
+    /// interest-set allocation and per-player linear utilities.
+    fn equal_share(&self, capacities: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let Some(market) = &self.market else {
+            return (Vec::new(), Vec::new());
+        };
+        let csr = market.interests();
+        let mut interested = vec![0usize; capacities.len()];
+        for &c in csr.cols() {
+            interested[c as usize] += 1;
+        }
+        let mut alloc = Vec::with_capacity(csr.nnz());
+        let mut utilities = Vec::with_capacity(self.rows());
+        for i in 0..self.rows() {
+            let mut u = 0.0;
+            for (&c, &w) in csr.row_cols(i).iter().zip(csr.row_vals(i)) {
+                let share = capacities[c as usize] / interested[c as usize] as f64;
+                alloc.push(share);
+                u += w * share;
+            }
+            utilities.push(u);
+        }
+        (alloc, utilities)
+    }
+}
+
+/// Where a live player's row is.
+enum Live<'a> {
+    /// Admitted in the pending batch.
+    Pending(&'a Row),
+    /// A merged row, untouched by the batch.
+    Committed(usize),
+}
+
+/// The columns [`Table::merge`] and [`decode_snapshot`] assemble.
+#[derive(Debug, Default)]
+struct Columns {
+    ids: String,
+    id_ends: Vec<usize>,
+    budgets: Vec<f64>,
+    row_ptr: Vec<usize>,
+    cols: Vec<u32>,
+    weights: Vec<f64>,
+    seed: Vec<f64>,
+    seeded: Vec<bool>,
+}
+
+impl Columns {
+    fn new() -> Self {
+        let mut columns = Self::default();
+        columns.clear();
+        columns
+    }
+
+    /// Empties every column, keeping its memory.
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.id_ends.clear();
+        self.budgets.clear();
+        self.row_ptr.clear();
+        self.row_ptr.push(0);
+        self.cols.clear();
+        self.weights.clear();
+        self.seed.clear();
+        self.seeded.clear();
+    }
+
+    /// Appends `table`'s `rows` as they are, seeds included.
+    fn copy(&mut self, table: &Table, rows: Range<usize>) {
+        if rows.is_empty() {
+            return;
+        }
+        let ids = table.id_range(rows.clone());
+        let shift = self.ids.len();
+        self.ids.push_str(&table.ids[ids.clone()]);
+        let ends = &table.id_ends[rows.clone()];
+        self.id_ends
+            .extend(ends.iter().map(|&e| e - ids.start + shift));
+        self.budgets
+            .extend_from_slice(&table.budgets()[rows.clone()]);
+        let entries = table.entries(rows.start).start..table.entries(rows.end - 1).end;
+        let csr = table.market.as_ref().map(SparseMarket::interests);
+        if let Some(csr) = csr {
+            let base = self.cols.len();
+            let ptrs = &csr.row_ptr()[rows.start + 1..=rows.end];
+            self.row_ptr
+                .extend(ptrs.iter().map(|&p| p - entries.start + base));
+            self.cols.extend_from_slice(&csr.cols()[entries.clone()]);
+            self.weights.extend_from_slice(&csr.vals()[entries.clone()]);
+        }
+        self.seed.extend_from_slice(&table.seed[entries]);
+        self.seeded.extend_from_slice(&table.seeded[rows]);
+    }
+
+    /// Appends a new, unseeded row.
+    fn push(&mut self, id: &str, row: &Row) {
+        self.ids.push_str(id);
+        self.id_ends.push(self.ids.len());
+        self.budgets.push(row.budget);
+        let k = row.interests.len() as f64;
+        for &(c, w) in &row.interests {
+            self.cols.push(c);
+            self.weights.push(w);
+            self.seed.push(row.budget / k);
+        }
+        self.row_ptr.push(self.cols.len());
+        self.seeded.push(false);
+    }
 }
 
 /// What one tick did, for the response line and telemetry.
@@ -197,9 +513,8 @@ impl std::fmt::Display for ApplyError {
 #[derive(Debug)]
 pub struct ServerCore {
     config: ServerConfig,
-    /// Live players, keyed by id. `BTreeMap` fixes the market's row
-    /// order to id order, independent of arrival interleaving.
-    players: BTreeMap<String, PlayerRec>,
+    /// Live players, rows in id order.
+    table: Table,
     /// Next tick to run (ticks `0..tick` are committed).
     tick: u64,
     consecutive_failures: usize,
@@ -254,7 +569,7 @@ impl ServerCore {
         })?;
         let core = Self {
             config,
-            players: BTreeMap::new(),
+            table: Table::default(),
             tick: 0,
             consecutive_failures: 0,
             degraded: false,
@@ -320,7 +635,7 @@ impl ServerCore {
         let ledger = LogFile::resume(&ledger_path, LEDGER, &prefix, snap.tick as usize)?;
         Ok(Self {
             config,
-            players: snap.players,
+            table: snap.table,
             tick: snap.tick,
             consecutive_failures: snap.failures,
             degraded: snap.degraded,
@@ -335,9 +650,9 @@ impl ServerCore {
         self.tick
     }
 
-    /// Live player count.
+    /// Live player count, this tick's admissions included.
     pub fn players(&self) -> usize {
-        self.players.len()
+        self.table.live
     }
 
     /// Whether the daemon is currently degraded to `EqualShare`.
@@ -355,66 +670,24 @@ impl ServerCore {
         self.ledger.records()
     }
 
-    /// Applies one admission command (arrive / update / depart).
+    /// Applies one admission command (arrive / update / depart) to this
+    /// tick's batch.
     ///
     /// # Errors
     ///
     /// [`ApplyError`] naming the rejection; the player table is
     /// unchanged on error.
     pub fn apply(&mut self, req: &crate::proto::Request) -> Result<(), ApplyError> {
-        use crate::proto::Request;
-        let m = self.config.capacities.len() as u32;
-        let check_range = |interests: &[(u32, f64)]| {
-            interests
-                .iter()
-                .find(|&&(c, _)| c >= m)
-                .map_or(Ok(()), |&(c, _)| Err(ApplyError::ResourceRange(c)))
-        };
-        match req {
-            Request::Arrive {
-                id,
-                budget,
-                interests,
-            } => {
-                if self.players.contains_key(id) {
-                    return Err(ApplyError::Duplicate(id.clone()));
-                }
-                check_range(interests)?;
-                self.players.insert(
-                    id.clone(),
-                    PlayerRec {
-                        budget: *budget,
-                        interests: interests.clone(),
-                        bids: None,
-                    },
-                );
-                Ok(())
-            }
-            Request::Update { id, interests } => {
-                check_range(interests)?;
-                let rec = self
-                    .players
-                    .get_mut(id)
-                    .ok_or_else(|| ApplyError::Unknown(id.clone()))?;
-                if rec.interests != *interests {
-                    rec.interests = interests.clone();
-                    // The warm seed indexes the old interest set.
-                    rec.bids = None;
-                }
-                Ok(())
-            }
-            Request::Depart { id } => self
-                .players
-                .remove(id)
-                .map(|_| ())
-                .ok_or_else(|| ApplyError::Unknown(id.clone())),
-            _ => unreachable!("only admission commands reach apply()"),
-        }
+        self.table.apply(req, self.config.capacities.len() as u32)
     }
 
-    /// Runs one market quantum: solve (warm-started), append the ledger
-    /// record, commit the snapshot. `admitted` is the size of this
-    /// tick's admission batch, recorded in the ledger.
+    /// Runs one market quantum: merge the batch, solve (warm-started),
+    /// append the ledger record, commit the snapshot. `admitted` is the
+    /// size of this tick's admission batch, recorded in the ledger.
+    ///
+    /// With telemetry on, the stages are timed as the spans `market`,
+    /// `solve` (the solver's own), `ledger` and `snapshot`, siblings
+    /// under whatever span the caller holds.
     ///
     /// # Errors
     ///
@@ -423,6 +696,10 @@ impl ServerCore {
     /// snapshot write failures. Non-convergence is **not** an error —
     /// it feeds the degradation counter.
     pub fn tick(&mut self, admitted: usize) -> ServerResult<TickReport> {
+        {
+            let _span = telemetry::span!("market");
+            self.table.merge(&self.config.capacities)?;
+        }
         // Commit point 1: the ledger record (crash before/inside this
         // write re-runs the tick from the previous snapshot).
         let report = self.record(admitted)?;
@@ -434,26 +711,20 @@ impl ServerCore {
         }
         // Commit point 2: the snapshot (crash between the two replays
         // this tick deterministically and reproduces the record bytes).
-        // The solve's buffers are gone by now.
+        let _span = telemetry::span!("snapshot");
         self.write_snapshot()?;
         Ok(report)
     }
 
-    /// Solves the current market and appends and writes its ledger
+    /// Solves the merged market and appends and writes its ledger
     /// record.
     fn record(&mut self, admitted: usize) -> ServerResult<TickReport> {
-        let m = self.config.capacities.len();
-        let n = self.players.len();
-        let (solved, prices, alloc, utilities) = if n == 0 {
-            (None, vec![0.0; m], Vec::new(), Vec::new())
-        } else {
-            let (market, warm) = self.market()?;
-            let (outcome, report) = self.solve(&market, warm)?;
-            (Some(report), outcome.0, outcome.1, outcome.2)
+        let n = self.table.rows();
+        let outcome = match &self.table.market {
+            None => None,
+            Some(market) => Some(solve(&self.config, market, &mut self.table.seed)?),
         };
-        let converged = solved.as_ref().is_none_or(|r| r.0);
-        let iterations = solved.as_ref().map_or(0, |r| r.1);
-        let residual = solved.as_ref().map_or(0.0, |r| r.2);
+        let converged = outcome.as_ref().is_none_or(|(_, converged)| *converged);
         // Degradation bookkeeping: K consecutive failed ticks flip to
         // EqualShare; the first converged tick flips back.
         if n > 0 {
@@ -468,12 +739,30 @@ impl ServerCore {
             }
         }
         let fallback = self.degraded && n > 0;
-        let (alloc, utilities) = if fallback {
-            self.equal_share()
-        } else {
-            (alloc, utilities)
+        let _span = telemetry::span!("ledger");
+        // The allocation digest is folded straight from its bytes, as
+        // `f64_words` would write it: the `EqualShare` split, or
+        // `x_ij = b_ij / p_j` (zero where the price is zero).
+        let equal_share = fallback.then(|| self.table.equal_share(&self.config.capacities));
+        let (alloc_fnv, utilities): (u64, &[f64]) = match (&equal_share, &outcome) {
+            (Some((alloc, utilities)), _) => (fnv1a_f64_words(alloc.iter().copied()), utilities),
+            (None, Some((out, _))) => {
+                let alloc = out.bids.vals().iter().zip(out.bids.cols()).map(|(&b, &c)| {
+                    let p = out.prices[c as usize];
+                    if p > 0.0 {
+                        b / p
+                    } else {
+                        0.0
+                    }
+                });
+                (fnv1a_f64_words(alloc), &out.utilities)
+            }
+            (None, None) => (fnv1a_f64_words([]), &[]),
         };
         let efficiency: f64 = utilities.iter().sum();
+        let (iterations, residual) = outcome
+            .as_ref()
+            .map_or((0, 0.0), |(out, _)| (out.iterations, out.report.residual));
         let report = TickReport {
             tick: self.tick,
             players: n,
@@ -484,23 +773,26 @@ impl ServerCore {
             residual,
             efficiency,
         };
-        // The two digests are folded straight from their bytes: the ids
-        // joined by `;`, and the allocation as `f64_words` would write it.
-        let ids_fnv = fnv1a_joined(self.players.keys().map(String::as_str), ";");
-        let alloc_fnv = fnv1a_f64_words(alloc.iter().copied());
+        let table = &self.table;
+        // The ids joined by `;`, folded without joining them.
+        let ids_fnv = fnv1a_joined((0..n).map(|i| table.id(i)), ";");
         // The paper's two market scalars (Definitions 5-6) stand for the
         // budgets and utilities at O(1) bytes. λ_i = u_i / B_i is each
         // player's marginal utility of money at a linear price-taking
         // equilibrium.
-        let budgets = || self.players.values().map(|rec| rec.budget);
-        let mbr = metrics::mbr(budgets());
+        let budgets = table.budgets();
+        let mbr = metrics::mbr(budgets.iter().copied());
         let mur = metrics::mur(
             utilities
                 .iter()
-                .zip(budgets())
-                .filter(|&(_, b)| b > 0.0)
-                .map(|(&u, b)| u / b),
+                .zip(budgets)
+                .filter(|&(_, &b)| b > 0.0)
+                .map(|(&u, &b)| u / b),
         );
+        let m = self.config.capacities.len();
+        let prices = outcome
+            .as_ref()
+            .map_or_else(|| vec![0.0; m], |(out, _)| out.prices.clone());
         self.ledger.append(self.tick as usize, |w| {
             w.kv("players", n);
             w.kv("admitted", admitted);
@@ -514,124 +806,13 @@ impl ServerCore {
             w.hex("alloc_fnv", alloc_fnv);
             w.f64("eff", efficiency);
         })?;
+        // A converged solve's bids are the next tick's seed, moved in
+        // whole; a failed one leaves the older seed.
+        if let Some((out, true)) = outcome {
+            self.table.seed = out.bids.into_parts().2;
+            self.table.seeded.fill(true);
+        }
         Ok(report)
-    }
-
-    /// The live players' market, rows in id order, and the first-order
-    /// engines' warm seed over its CSR values, built in one pass over the
-    /// player table. A row's seed is its stored bids when it has a
-    /// converged prior solve, else the equal split (== the cold start);
-    /// per-row usability is the solver's problem.
-    fn market(&self) -> ServerResult<(SparseMarket, Vec<f64>)> {
-        let mut budgets = Vec::with_capacity(self.players.len());
-        let mut warm = Vec::new();
-        let interests = SparseBids::from_row_iter(
-            self.config.capacities.len(),
-            self.players.values().map(|rec| {
-                budgets.push(rec.budget);
-                match &rec.bids {
-                    Some(bids) if bids.len() == rec.interests.len() => {
-                        warm.extend_from_slice(bids);
-                    }
-                    _ => {
-                        let k = rec.interests.len() as f64;
-                        warm.extend(rec.interests.iter().map(|_| rec.budget / k));
-                    }
-                }
-                rec.interests.iter().map(|&(c, w)| (c as usize, w))
-            }),
-        )?;
-        let market = SparseMarket::new(
-            self.config.capacities.clone(),
-            budgets,
-            interests,
-            SparseUtilityKind::Linear,
-        )?;
-        Ok((market, warm))
-    }
-
-    /// Solves `market` (the live players') from the sparse `warm` seed.
-    ///
-    /// Returns `((prices, alloc, utilities), (converged, iterations,
-    /// residual))`, where `alloc` is row-major over each player's
-    /// interest set.
-    #[allow(clippy::type_complexity)]
-    fn solve(
-        &mut self,
-        market: &SparseMarket,
-        warm: Vec<f64>,
-    ) -> ServerResult<((Vec<f64>, Vec<f64>, Vec<f64>), (bool, u64, f64))> {
-        let options = self
-            .config
-            .options
-            .clone()
-            .with_warm_start(WarmStart { bids: warm }.shared());
-        let (out, retry) =
-            solve_with_retry(&options, Some(&self.config.retry), |o| market.solve(o))?;
-        let SparseOutcome {
-            bids,
-            prices,
-            utilities,
-            iterations,
-            report,
-            ..
-        } = out;
-        if retry.converged {
-            for (rec, i) in self.players.values_mut().zip(0..) {
-                let row = bids.row_vals(i);
-                match &mut rec.bids {
-                    Some(stored) => {
-                        stored.clear();
-                        stored.extend_from_slice(row);
-                    }
-                    None => rec.bids = Some(row.to_vec()),
-                }
-            }
-        }
-        // `SparseOutcome::allocation_of` for every row at once:
-        // `x_ij = b_ij / p_j`, zero where the price is zero.
-        let alloc = bids
-            .vals()
-            .iter()
-            .zip(bids.cols())
-            .map(|(&b, &c)| {
-                let p = prices[c as usize];
-                if p > 0.0 {
-                    b / p
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        Ok((
-            (prices, alloc, utilities),
-            (retry.converged, iterations, report.residual),
-        ))
-    }
-
-    /// The `EqualShare` fallback allocation: every resource is split
-    /// evenly among the players interested in it. Returns the row-major
-    /// interest-set allocation and per-player linear utilities.
-    fn equal_share(&self) -> (Vec<f64>, Vec<f64>) {
-        let m = self.config.capacities.len();
-        let mut interested = vec![0usize; m];
-        for rec in self.players.values() {
-            for &(c, _) in &rec.interests {
-                interested[c as usize] += 1;
-            }
-        }
-        let mut alloc = Vec::new();
-        let mut utilities = Vec::with_capacity(self.players.len());
-        for rec in self.players.values() {
-            let mut u = 0.0;
-            for &(c, w) in &rec.interests {
-                let share = self.config.capacities[c as usize] / interested[c as usize] as f64;
-                alloc.push(share);
-                u += w * share;
-            }
-            utilities.push(u);
-        }
-        (alloc, utilities)
     }
 
     /// Seals the ledger and flushes it; called on graceful shutdown.
@@ -660,9 +841,11 @@ impl ServerCore {
     }
 
     /// Streams the snapshot into `out` in chunks of about
-    /// [`SNAPSHOT_CHUNK`] bytes: the text is never held whole, so the
-    /// buffer stays in cache and off the tick's peak memory.
+    /// [`SNAPSHOT_CHUNK`] bytes, straight from the table's columns: the
+    /// text is never held whole, so the buffer stays in cache and off the
+    /// tick's peak memory.
     fn encode_snapshot(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        let table = &self.table;
         let mut w = Writer::default();
         w.line(SNAPSHOT_HEADER);
         w.section("config");
@@ -672,19 +855,21 @@ impl ServerCore {
         w.kv("tick", self.tick);
         w.bool("degraded", self.degraded);
         w.kv("failures", self.consecutive_failures);
-        w.kv("players", self.players.len());
-        for (k, (id, rec)) in (0..).zip(&self.players) {
-            w.indexed_section("player", k);
-            w.str("id", id);
-            w.f64("budget", rec.budget);
+        w.kv("players", table.rows());
+        let budgets = table.budgets();
+        for i in 0..table.rows() {
+            w.indexed_section("player", i as u64);
+            w.str("id", table.id(i));
+            w.f64("budget", budgets[i]);
+            let (cols, weights) = table.interests(i);
             w.indexed_f64_list(
                 "interests",
-                rec.interests.iter().map(|&(c, v)| (u64::from(c), v)),
+                cols.iter().zip(weights).map(|(&c, &v)| (u64::from(c), v)),
             );
-            if let Some(bids) = &rec.bids {
-                w.f64_list("bids", bids);
+            if table.seeded[i] {
+                w.f64_list("bids", &table.seed[table.entries(i)]);
             }
-            if w.text().len() >= SNAPSHOT_CHUNK {
+            if w.held() >= SNAPSHOT_CHUNK {
                 w.drain_to(out)?;
             }
         }
@@ -693,12 +878,34 @@ impl ServerCore {
     }
 }
 
+/// Solves `market` from `seed` under `config`'s options and retry ladder.
+/// `seed` is lent to the solver and handed back, so a caller whose solve
+/// fails keeps it. Returns the outcome and whether the ladder converged.
+fn solve(
+    config: &ServerConfig,
+    market: &SparseMarket,
+    seed: &mut Vec<f64>,
+) -> ServerResult<(SparseOutcome, bool)> {
+    let warm = Arc::new(WarmStart {
+        bids: std::mem::take(seed),
+    });
+    let options = config
+        .options
+        .clone()
+        .with_warm_start(Some(Arc::clone(&warm)));
+    let solved = solve_with_retry(&options, Some(&config.retry), |o| market.solve(o));
+    drop(options);
+    *seed = Arc::try_unwrap(warm).map_or_else(|warm| warm.bids.clone(), |warm| warm.bids);
+    let (out, retry) = solved?;
+    Ok((out, retry.converged))
+}
+
 #[derive(Debug)]
 struct Decoded {
     tick: u64,
     degraded: bool,
     failures: usize,
-    players: BTreeMap<String, PlayerRec>,
+    table: Table,
 }
 
 /// Decodes a snapshot taken under `config` that a ledger holding
@@ -733,53 +940,56 @@ fn decode_snapshot(
         ));
     }
     let state = doc.section("state")?;
-    // The writer emits players in id order, so the map is built in one
-    // bulk pass; strictly increasing ids also rule out duplicates.
-    let mut players: Vec<(&str, PlayerRec)> = Vec::new();
+    // The writer emits players in id order, so the columns are built in
+    // one pass; strictly increasing ids also rule out duplicates.
+    let mut next = Columns::new();
+    let mut prev: Option<&str> = None;
     for player in doc.sections().filter(|s| s.name.starts_with("player ")) {
         let fault = |reason: String| bad(player.line, reason);
         player.only(&["id", "budget", "interests", "bids"])?;
         let id = player.get("id")?;
-        if let Some(&(prev, _)) = players.last() {
-            if id <= prev {
-                return Err(fault(format!(
-                    "player '{id}' does not follow '{prev}' in id order"
-                )));
-            }
+        if let Some(prev) = prev.filter(|&prev| id <= prev) {
+            return Err(fault(format!(
+                "player '{id}' does not follow '{prev}' in id order"
+            )));
         }
+        prev = Some(id);
+        let budget = player.f64("budget")?;
         let raw = player.get("interests")?;
-        let mut interests = Vec::with_capacity(raw.split(' ').count());
+        let first = next.cols.len();
         for item in raw.split(' ').filter(|item| !item.is_empty()) {
-            let parsed = item
+            let (c, w) = item
                 .split_once(':')
                 .and_then(|(c, w)| Some((c.parse().ok()?, durable::parse_f64(w)?)))
                 .ok_or_else(|| fault(format!("malformed interests '{raw}'")))?;
-            interests.push(parsed);
+            next.cols.push(c);
+            next.weights.push(w);
         }
-        let bids = match player.optional("bids")? {
-            Some(_) => Some(player.f64_list("bids")?),
-            None => None,
-        };
-        if bids.as_ref().is_some_and(|b| b.len() != interests.len()) {
-            return Err(fault(format!(
-                "player '{id}' bids/interests length mismatch"
-            )));
+        let k = next.cols.len() - first;
+        let seeded = player.optional("bids")?.is_some();
+        if seeded {
+            let bids = player.f64_list("bids")?;
+            if bids.len() != k {
+                return Err(fault(format!(
+                    "player '{id}' bids/interests length mismatch"
+                )));
+            }
+            next.seed.extend(bids);
+        } else {
+            next.seed.extend((0..k).map(|_| budget / k as f64));
         }
-        let rec = PlayerRec {
-            budget: player.f64("budget")?,
-            interests,
-            bids,
-        };
-        players.push((id, rec));
+        next.seeded.push(seeded);
+        next.ids.push_str(id);
+        next.id_ends.push(next.ids.len());
+        next.budgets.push(budget);
+        next.row_ptr.push(next.cols.len());
     }
     let declared: usize = state.parse("players")?;
-    if declared != players.len() {
+    let rows = next.id_ends.len();
+    if declared != rows {
         return Err(bad(
             state.line,
-            format!(
-                "snapshot declares {declared} players, holds {}",
-                players.len()
-            ),
+            format!("snapshot declares {declared} players, holds {rows}"),
         ));
     }
     let tick = state.parse("tick")?;
@@ -789,14 +999,34 @@ fn decode_snapshot(
             format!("snapshot tick {tick} ahead of ledger ({records} records)"),
         ));
     }
+    let market = if rows == 0 {
+        None
+    } else {
+        let invalid = |e: rebudget_market::MarketError| bad(state.line, e.to_string());
+        let csr = SparseBids::from_csr(resources, next.row_ptr, next.cols, next.weights)
+            .map_err(invalid)?;
+        let market = SparseMarket::new(
+            config.capacities.clone(),
+            next.budgets,
+            csr,
+            SparseUtilityKind::Linear,
+        );
+        Some(market.map_err(invalid)?)
+    };
     Ok(Decoded {
         tick,
         degraded: state.bool("degraded")?,
         failures: state.parse("failures")?,
-        players: players
-            .into_iter()
-            .map(|(id, rec)| (id.to_string(), rec))
-            .collect(),
+        table: Table {
+            ids: next.ids,
+            id_ends: next.id_ends,
+            market,
+            seed: next.seed,
+            seeded: next.seeded,
+            pending: BTreeMap::new(),
+            live: rows,
+            spare: Columns::default(),
+        },
     })
 }
 
@@ -829,6 +1059,15 @@ mod tests {
 
     fn spec() -> WorkloadSpec {
         WorkloadSpec::small(11, 6)
+    }
+
+    /// Whether two tables hold the same rows, seeds and pending batch.
+    fn same_rows(a: &Table, b: &Table) -> bool {
+        (
+            &a.ids, &a.id_ends, &a.market, &a.seed, &a.seeded, &a.pending, a.live,
+        ) == (
+            &b.ids, &b.id_ends, &b.market, &b.seed, &b.seeded, &b.pending, b.live,
+        )
     }
 
     /// Applies tick `tick`'s workload commands, then commits the tick.
@@ -1018,7 +1257,7 @@ mod tests {
         let text = std::fs::read_to_string(dir.join("server.snapshot")).unwrap();
         let snap = decode_snapshot(&text, &cfg, usize::MAX).unwrap();
         assert_eq!(snap.tick, 2);
-        assert_eq!(snap.players, core.players);
+        assert!(same_rows(&snap.table, &core.table));
         assert!(!snap.degraded);
         // Any flipped byte fails the checksum.
         let tampered = text.replacen("budget=", "budget=f", 1);
@@ -1039,7 +1278,7 @@ mod tests {
         let check = |v: &str| {
             if let Ok(decoded) = decode_snapshot(v, &cfg, usize::MAX) {
                 assert_eq!(decoded.tick, snap.tick, "{v:?}");
-                assert_eq!(decoded.players, snap.players, "{v:?}");
+                assert!(same_rows(&decoded.table, &snap.table), "{v:?}");
             }
         };
         for cut in 0..text.len() {
@@ -1353,7 +1592,7 @@ mod tests {
         assert!(!r.converged && r.fallback, "second failure degrades");
         assert!(core.degraded());
         // EqualShare: resource 0 split between both, resource 1 whole.
-        let (alloc, utilities) = core.equal_share();
+        let (alloc, utilities) = core.table.equal_share(&core.config.capacities);
         assert_eq!(alloc, vec![4.0, 4.0, 8.0]);
         assert_eq!(utilities, vec![4.0, 4.0 + 16.0]);
         // Degradation survives a crash/recovery cycle.
@@ -1397,5 +1636,501 @@ mod tests {
             "{err}"
         );
         assert!(!dir.exists());
+    }
+
+    /// The player table as a `BTreeMap` of per-player records, as the
+    /// daemon kept it before the columnar table, with the tick built
+    /// over it: the model [`Table`] is checked against, byte for byte.
+    /// Only the table differs; the solver, ledger and snapshot codecs
+    /// are shared.
+    mod reference {
+        use super::*;
+        use crate::proto::Request;
+
+        #[derive(Debug, Clone, PartialEq)]
+        struct PlayerRec {
+            budget: f64,
+            interests: Vec<(u32, f64)>,
+            /// Bids from the last converged solve over these interests.
+            bids: Option<Vec<f64>>,
+        }
+
+        #[derive(Debug)]
+        pub(super) struct RefCore {
+            pub(super) config: ServerConfig,
+            players: BTreeMap<String, PlayerRec>,
+            tick: u64,
+            consecutive_failures: usize,
+            degraded: bool,
+            ledger: LogFile,
+            snapshot_path: PathBuf,
+        }
+
+        impl RefCore {
+            pub(super) fn open(config: ServerConfig, dir: &Path) -> Self {
+                std::fs::create_dir_all(dir).unwrap();
+                let ledger = LogFile::create_new(&dir.join("server.ledger"), LEDGER, |w| {
+                    w.kv("scenario", "server");
+                    w.kv("seed", config.seed);
+                    w.kv("mechanism", config.solver.label());
+                    w.kv("workload", "online");
+                    w.kv("cores", 0);
+                    w.kv("resources", config.capacities.len());
+                    w.kv("quanta", 0);
+                    w.f64("budget", 0.0);
+                })
+                .unwrap();
+                let core = Self {
+                    config,
+                    players: BTreeMap::new(),
+                    tick: 0,
+                    consecutive_failures: 0,
+                    degraded: false,
+                    ledger,
+                    snapshot_path: dir.join("server.snapshot"),
+                };
+                core.write_snapshot();
+                core
+            }
+
+            pub(super) fn players(&self) -> usize {
+                self.players.len()
+            }
+
+            /// A live player's interests.
+            pub(super) fn interests(&self, id: &str) -> Option<Vec<(u32, f64)>> {
+                self.players.get(id).map(|rec| rec.interests.clone())
+            }
+
+            pub(super) fn apply(&mut self, req: &Request) -> Result<(), ApplyError> {
+                let m = self.config.capacities.len() as u32;
+                let check_range = |interests: &[(u32, f64)]| {
+                    interests
+                        .iter()
+                        .find(|&&(c, _)| c >= m)
+                        .map_or(Ok(()), |&(c, _)| Err(ApplyError::ResourceRange(c)))
+                };
+                match req {
+                    Request::Arrive {
+                        id,
+                        budget,
+                        interests,
+                    } => {
+                        if self.players.contains_key(id) {
+                            return Err(ApplyError::Duplicate(id.clone()));
+                        }
+                        check_range(interests)?;
+                        let rec = PlayerRec {
+                            budget: *budget,
+                            interests: interests.clone(),
+                            bids: None,
+                        };
+                        self.players.insert(id.clone(), rec);
+                        Ok(())
+                    }
+                    Request::Update { id, interests } => {
+                        check_range(interests)?;
+                        let rec = self
+                            .players
+                            .get_mut(id)
+                            .ok_or_else(|| ApplyError::Unknown(id.clone()))?;
+                        if rec.interests != *interests {
+                            rec.interests = interests.clone();
+                            rec.bids = None;
+                        }
+                        Ok(())
+                    }
+                    Request::Depart { id } => self
+                        .players
+                        .remove(id)
+                        .map(|_| ())
+                        .ok_or_else(|| ApplyError::Unknown(id.clone())),
+                    _ => unreachable!(),
+                }
+            }
+
+            pub(super) fn tick(&mut self, admitted: usize) -> TickReport {
+                let m = self.config.capacities.len();
+                let n = self.players.len();
+                let (solved, prices, alloc, utilities) = if n == 0 {
+                    (None, vec![0.0; m], Vec::new(), Vec::new())
+                } else {
+                    let (market, warm) = self.market();
+                    let (outcome, report) = self.solve(&market, warm);
+                    (Some(report), outcome.0, outcome.1, outcome.2)
+                };
+                let converged = solved.as_ref().is_none_or(|r| r.0);
+                if n > 0 {
+                    if converged {
+                        self.consecutive_failures = 0;
+                        self.degraded = false;
+                    } else {
+                        self.consecutive_failures += 1;
+                        if self.consecutive_failures >= self.config.fallback_after {
+                            self.degraded = true;
+                        }
+                    }
+                }
+                let fallback = self.degraded && n > 0;
+                let (alloc, utilities) = if fallback {
+                    self.equal_share()
+                } else {
+                    (alloc, utilities)
+                };
+                let efficiency: f64 = utilities.iter().sum();
+                let report = TickReport {
+                    tick: self.tick,
+                    players: n,
+                    admitted,
+                    converged,
+                    fallback,
+                    iterations: solved.as_ref().map_or(0, |r| r.1),
+                    residual: solved.as_ref().map_or(0.0, |r| r.2),
+                    efficiency,
+                };
+                let ids_fnv = fnv1a_joined(self.players.keys().map(String::as_str), ";");
+                let alloc_fnv = fnv1a_f64_words(alloc.iter().copied());
+                let budgets = || self.players.values().map(|rec| rec.budget);
+                let mbr = metrics::mbr(budgets());
+                let mur = metrics::mur(
+                    utilities
+                        .iter()
+                        .zip(budgets())
+                        .filter(|&(_, b)| b > 0.0)
+                        .map(|(&u, b)| u / b),
+                );
+                self.ledger
+                    .append(self.tick as usize, |w| {
+                        w.kv("players", n);
+                        w.kv("admitted", admitted);
+                        w.bool("converged", converged);
+                        w.bool("fallback", fallback);
+                        w.kv("iterations", report.iterations);
+                        w.hex("ids_fnv", ids_fnv);
+                        w.f64("mbr", mbr);
+                        w.f64("mur", mur);
+                        w.f64_list("prices", &prices);
+                        w.hex("alloc_fnv", alloc_fnv);
+                        w.f64("eff", efficiency);
+                    })
+                    .unwrap();
+                self.tick += 1;
+                self.write_snapshot();
+                report
+            }
+
+            fn market(&self) -> (SparseMarket, Vec<f64>) {
+                let mut budgets = Vec::new();
+                let mut warm = Vec::new();
+                let interests = SparseBids::from_row_iter(
+                    self.config.capacities.len(),
+                    self.players.values().map(|rec| {
+                        budgets.push(rec.budget);
+                        match &rec.bids {
+                            Some(bids) => warm.extend_from_slice(bids),
+                            None => {
+                                let k = rec.interests.len() as f64;
+                                warm.extend(rec.interests.iter().map(|_| rec.budget / k));
+                            }
+                        }
+                        rec.interests.iter().map(|&(c, w)| (c as usize, w))
+                    }),
+                )
+                .unwrap();
+                let market = SparseMarket::new(
+                    self.config.capacities.clone(),
+                    budgets,
+                    interests,
+                    SparseUtilityKind::Linear,
+                )
+                .unwrap();
+                (market, warm)
+            }
+
+            #[allow(clippy::type_complexity)]
+            fn solve(
+                &mut self,
+                market: &SparseMarket,
+                warm: Vec<f64>,
+            ) -> ((Vec<f64>, Vec<f64>, Vec<f64>), (bool, u64, f64)) {
+                let options = self
+                    .config
+                    .options
+                    .clone()
+                    .with_warm_start(WarmStart { bids: warm }.shared());
+                let (out, retry) =
+                    solve_with_retry(&options, Some(&self.config.retry), |o| market.solve(o))
+                        .unwrap();
+                if retry.converged {
+                    for (rec, i) in self.players.values_mut().zip(0..) {
+                        rec.bids = Some(out.bids.row_vals(i).to_vec());
+                    }
+                }
+                let alloc = (0..out.bids.players())
+                    .flat_map(|i| out.allocation_of(i).into_iter().map(|(_, x)| x))
+                    .collect();
+                (
+                    (out.prices, alloc, out.utilities),
+                    (retry.converged, out.iterations, out.report.residual),
+                )
+            }
+
+            fn equal_share(&self) -> (Vec<f64>, Vec<f64>) {
+                let mut interested = vec![0usize; self.config.capacities.len()];
+                for rec in self.players.values() {
+                    for &(c, _) in &rec.interests {
+                        interested[c as usize] += 1;
+                    }
+                }
+                let mut alloc = Vec::new();
+                let mut utilities = Vec::new();
+                for rec in self.players.values() {
+                    let mut u = 0.0;
+                    for &(c, w) in &rec.interests {
+                        let share =
+                            self.config.capacities[c as usize] / interested[c as usize] as f64;
+                        alloc.push(share);
+                        u += w * share;
+                    }
+                    utilities.push(u);
+                }
+                (alloc, utilities)
+            }
+
+            fn write_snapshot(&self) {
+                durable::write_atomic_with(&self.snapshot_path, |out| {
+                    let mut w = Writer::default();
+                    w.line(SNAPSHOT_HEADER);
+                    w.section("config");
+                    w.kv("resources", self.config.capacities.len());
+                    w.kv("solver", self.config.solver.label());
+                    w.section("state");
+                    w.kv("tick", self.tick);
+                    w.bool("degraded", self.degraded);
+                    w.kv("failures", self.consecutive_failures);
+                    w.kv("players", self.players.len());
+                    for (k, (id, rec)) in (0..).zip(&self.players) {
+                        w.indexed_section("player", k);
+                        w.str("id", id);
+                        w.f64("budget", rec.budget);
+                        w.indexed_f64_list(
+                            "interests",
+                            rec.interests.iter().map(|&(c, v)| (u64::from(c), v)),
+                        );
+                        if let Some(bids) = &rec.bids {
+                            w.f64_list("bids", bids);
+                        }
+                    }
+                    w.seal();
+                    w.drain_to(out)
+                })
+                .unwrap();
+            }
+        }
+    }
+
+    /// The columnar core and the reference model side by side, each in
+    /// its own state directory.
+    struct Pair {
+        core: ServerCore,
+        model: reference::RefCore,
+        dirs: [PathBuf; 2],
+    }
+
+    impl Pair {
+        fn open(cfg: &ServerConfig, tag: &str) -> Self {
+            let dirs = [
+                temp_dir(&format!("{tag}-table")),
+                temp_dir(&format!("{tag}-model")),
+            ];
+            Self {
+                core: ServerCore::open(cfg.clone(), &dirs[0]).unwrap(),
+                model: reference::RefCore::open(cfg.clone(), &dirs[1]),
+                dirs,
+            }
+        }
+
+        /// The table's state, for an unchanged-table check.
+        fn table_state(&self) -> String {
+            let t = &self.core.table;
+            format!(
+                "{:?}",
+                (&t.ids, &t.id_ends, &t.market, &t.seed, &t.seeded, &t.pending, t.live)
+            )
+        }
+
+        /// Applies `req` to both; they must agree on the verdict and the
+        /// live count, and a rejected command must leave the table as it
+        /// was.
+        fn apply(&mut self, req: &crate::proto::Request) -> bool {
+            let before = self.table_state();
+            let verdict = self.core.apply(req);
+            assert_eq!(verdict, self.model.apply(req), "{req:?}");
+            assert_eq!(self.core.players(), self.model.players(), "{req:?}");
+            if verdict.is_err() {
+                assert_eq!(self.table_state(), before, "{req:?} changed the table");
+            }
+            verdict.is_ok()
+        }
+
+        /// Ticks both; the reports and every state file must be equal.
+        fn tick(&mut self, admitted: usize) -> TickReport {
+            let report = self.core.tick(admitted).unwrap();
+            assert_eq!(report, self.model.tick(admitted));
+            for file in ["server.ledger", "server.snapshot", "server.snapshot.prev"] {
+                let read = |dir: &PathBuf| std::fs::read(dir.join(file)).ok();
+                assert!(
+                    read(&self.dirs[0]) == read(&self.dirs[1]),
+                    "tick {}: {file} differs from the reference model",
+                    report.tick
+                );
+            }
+            report
+        }
+
+        /// Sets the options both cores solve the next tick under.
+        fn set_options(&mut self, edit: impl Fn(&mut ServerConfig)) {
+            edit(&mut self.core.config);
+            edit(&mut self.model.config);
+        }
+    }
+
+    impl Drop for Pair {
+        fn drop(&mut self) {
+            for dir in &self.dirs {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+
+    /// Seeded random admission batches over a small id space, so every
+    /// kind of command lands on live, departed and unknown ids alike:
+    /// arrivals (some duplicate, some out of range), departures (some
+    /// unknown), updates with unchanged and with new interests, and the
+    /// same id arriving and departing within one batch, both ways round.
+    /// The table and the reference model must agree after every command
+    /// and write the same ledger and snapshot bytes after every tick.
+    #[test]
+    fn columnar_table_matches_the_btreemap_reference() {
+        use crate::proto::Request;
+        use rebudget_market::splitmix64;
+        for seed in 1..=3u64 {
+            let mut cfg = config(SolverKind::ProportionalResponse);
+            cfg.seed = seed;
+            let mut pair = Pair::open(&cfg, &format!("model-{seed}"));
+            let mut state = seed;
+            let mut next = |bound: u64| {
+                state = splitmix64(state);
+                state % bound
+            };
+            for tick in 0..12 {
+                let mut admitted = 0;
+                for _ in 0..3 + next(10) {
+                    let id = format!("q{}", next(24));
+                    let mut interests: Vec<(u32, f64)> = Vec::new();
+                    for c in 0..6 {
+                        if next(3) == 0 {
+                            interests.push((c, 0.5 + next(8) as f64));
+                        }
+                    }
+                    if interests.is_empty() {
+                        interests.push((next(6) as u32, 1.0));
+                    }
+                    let req = match next(8) {
+                        0 | 1 => Request::Arrive {
+                            id: id.clone(),
+                            budget: 1.0 + next(50) as f64,
+                            interests,
+                        },
+                        2 => Request::Arrive {
+                            id: id.clone(),
+                            budget: 5.0,
+                            interests: vec![(0, 1.0), (6 + next(3) as u32, 1.0)],
+                        },
+                        3 => Request::Depart { id: id.clone() },
+                        4 => Request::Update {
+                            id: id.clone(),
+                            interests: pair.model.interests(&id).unwrap_or(interests),
+                        },
+                        _ => Request::Update {
+                            id: id.clone(),
+                            interests,
+                        },
+                    };
+                    admitted += usize::from(pair.apply(&req));
+                    // Now and then the same id straight back the other way.
+                    if next(4) == 0 {
+                        let back = match req {
+                            Request::Arrive { .. } => Request::Depart { id },
+                            _ => Request::Arrive {
+                                id,
+                                budget: 2.0,
+                                interests: vec![(1, 1.0), (3, 2.0)],
+                            },
+                        };
+                        admitted += usize::from(pair.apply(&back));
+                    }
+                }
+                let report = pair.tick(admitted);
+                assert_eq!(report.tick, tick);
+            }
+            assert!(pair.core.table.seeded.iter().any(|&s| s), "seed {seed}");
+        }
+    }
+
+    /// The table against the reference model through a tick capped short
+    /// of convergence (the older seeds stay), a second one that degrades
+    /// to `EqualShare`, and the converged tick that lifts it.
+    #[test]
+    fn columnar_table_matches_reference_through_fallback() {
+        use crate::proto::Request;
+        let mut pair = Pair::open(&config(SolverKind::ProportionalResponse), "model-fallback");
+        let spec = spec();
+        let capped = |cfg: &mut ServerConfig| {
+            cfg.options.max_iterations = 1;
+            cfg.options.price_tolerance = 0.0;
+            cfg.retry.max_attempts = 1;
+        };
+        let normal = config(SolverKind::ProportionalResponse);
+        let restore = |cfg: &mut ServerConfig| {
+            cfg.options = normal.options.clone();
+            cfg.retry = normal.retry;
+        };
+        for tick in 0..9 {
+            match tick {
+                3 => pair.set_options(capped),
+                6 => pair.set_options(restore),
+                _ => {}
+            }
+            let commands = spec.commands_for_tick(tick);
+            for cmd in &commands {
+                assert!(pair.apply(cmd));
+            }
+            // The snapshots compared after each tick carry every seeded
+            // row's bids, so a failed solve must leave the same seeds.
+            let report = pair.tick(commands.len());
+            assert_eq!(report.converged, !(3..6).contains(&tick), "tick {tick}");
+            assert_eq!(report.fallback, (4..6).contains(&tick), "tick {tick}");
+            if tick == 5 {
+                assert!(pair.core.table.seeded.iter().any(|&s| s));
+                assert!(pair.core.table.seeded.iter().any(|&s| !s));
+            }
+        }
+        // An update that keeps a row's interests keeps its seed; one that
+        // changes them drops it, and so does departing and re-arriving.
+        let id = pair.core.table.id(0).to_string();
+        let interests = pair.model.interests(&id).unwrap();
+        assert!(pair.apply(&Request::Update {
+            id: id.clone(),
+            interests: interests.clone(),
+        }));
+        assert!(pair.core.table.pending.is_empty());
+        assert!(pair.apply(&Request::Depart { id: id.clone() }));
+        assert!(pair.apply(&Request::Arrive {
+            id: id.clone(),
+            budget: 3.0,
+            interests,
+        }));
+        pair.tick(3);
     }
 }

@@ -23,9 +23,9 @@
 //! rewritten whole, keeps a `.prev` generation ([`write_atomic_with`],
 //! [`load_with_fallback`]).
 
-use std::fmt::{self, Display, Write as _};
+use std::fmt::{self, Display};
 use std::fs;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
@@ -197,14 +197,18 @@ pub fn fnv1a_f64_words(values: impl IntoIterator<Item = f64>) -> u64 {
     hash
 }
 
-/// Formats durable text into one buffer, allocating nothing per value,
-/// and folds every byte into the running hash as it is written: the hash
-/// chain is latency-bound, so it runs alongside the formatting rather
-/// than in a second pass over the text.
+/// Formats durable text into one byte buffer, allocating nothing per
+/// value, and folds the bytes into the running hash a value (or list
+/// item) at a time: the hash chain is latency-bound, so each short fold
+/// runs alongside the formatting of the next value instead of in a
+/// second pass over the text.
 #[derive(Debug, Clone)]
 pub struct Writer {
-    buf: String,
-    /// FNV-1a state over every byte written, drained or not.
+    /// Only ever extended with `&str` bytes or ASCII, so always UTF-8.
+    buf: Vec<u8>,
+    /// Bytes of `buf` folded into `state`.
+    folded: usize,
+    /// FNV-1a state over every byte drained or folded.
     state: u64,
 }
 
@@ -219,36 +223,33 @@ impl Writer {
     #[must_use]
     pub fn resume(state: u64) -> Self {
         Self {
-            buf: String::new(),
+            buf: Vec::new(),
+            folded: 0,
             state,
         }
     }
 
-    /// Appends `text` and folds it into the hash.
+    /// Appends `text`.
     fn push(&mut self, text: &str) {
-        self.state = fnv1a_extend(self.state, text.as_bytes());
-        self.buf.push_str(text);
+        self.buf.extend_from_slice(text.as_bytes());
     }
 
-    /// Appends ASCII `bytes` (digits, so the UTF-8 check always passes)
-    /// and folds them into the hash.
+    /// Appends ASCII `bytes`.
     fn push_ascii(&mut self, bytes: &[u8]) {
-        if let Ok(text) = std::str::from_utf8(bytes) {
-            self.push(text);
-        }
+        debug_assert!(bytes.is_ascii());
+        self.buf.extend_from_slice(bytes);
     }
 
-    /// Folds the bytes written since `start` by `write!`, which bypasses
-    /// [`Writer::push`], into the hash.
-    fn fold_from(&mut self, start: usize) {
-        self.state = fnv1a_extend(self.state, &self.buf.as_bytes()[start..]);
+    /// Folds the bytes written since the last fold into the hash.
+    fn fold(&mut self) {
+        self.state = fnv1a_extend(self.state, &self.buf[self.folded..]);
+        self.folded = self.buf.len();
     }
 
     /// Appends `value`'s `Display` form.
     pub fn word(&mut self, value: impl Display) {
-        let start = self.buf.len();
         let _ = write!(self.buf, "{value}");
-        self.fold_from(start);
+        self.fold();
     }
 
     /// Appends `v` in decimal, as [`Writer::word`] would, without going
@@ -275,6 +276,7 @@ impl Writer {
                 self.push(" ");
             }
             self.push_ascii(&hex_digits(v.to_bits()));
+            self.fold();
         }
     }
 
@@ -302,6 +304,7 @@ impl Writer {
         self.push(" ");
         self.uint_word(index);
         self.push("]\n");
+        self.fold();
     }
 
     /// Starts a `key=` line for the caller to [`Writer::end`].
@@ -321,7 +324,7 @@ impl Writer {
         let start = self.buf.len();
         self.word(value);
         assert!(
-            !self.buf[start..].contains('\n'),
+            !self.buf[start..].contains(&b'\n'),
             "`{key}` value has a newline"
         );
         self.end();
@@ -337,6 +340,7 @@ impl Writer {
         assert!(!value.contains('\n'), "`{key}` value has a newline");
         self.key(key);
         self.push(value);
+        self.fold();
         self.end();
     }
 
@@ -350,6 +354,7 @@ impl Writer {
             self.uint_word(index);
             self.push(":");
             self.push_ascii(&hex_digits(v.to_bits()));
+            self.fold();
         }
         self.end();
     }
@@ -387,13 +392,19 @@ impl Writer {
     /// FNV-1a of every byte written so far, drained or not.
     #[must_use]
     pub fn hash(&self) -> u64 {
-        self.state
+        fnv1a_extend(self.state, &self.buf[self.folded..])
+    }
+
+    /// How many bytes are held, not yet drained.
+    #[must_use]
+    pub fn held(&self) -> usize {
+        self.buf.len()
     }
 
     /// The bytes not yet drained.
     #[must_use]
     pub fn text(&self) -> &str {
-        &self.buf
+        std::str::from_utf8(&self.buf).expect("a Writer holds only UTF-8")
     }
 
     /// Hands the held bytes to `out` with one `write_all` and drops them;
@@ -403,8 +414,10 @@ impl Writer {
     ///
     /// Whatever `out.write_all` returns.
     pub fn drain_to(&mut self, out: &mut impl Write) -> std::io::Result<()> {
-        out.write_all(self.buf.as_bytes())?;
+        out.write_all(&self.buf)?;
+        self.fold();
         self.buf.clear();
+        self.folded = 0;
         Ok(())
     }
 }
@@ -739,10 +752,13 @@ pub fn prev_path(path: &Path) -> PathBuf {
 /// There is no fsync: this is process-kill safety, not power-cut safety.
 /// The contents are never held whole in memory.
 ///
-/// The stale `.prev` is unlinked *before* the rotation rename: renaming
-/// over an existing target trips ext4's `auto_da_alloc` writeback stall
-/// (~100 µs per save), an order of magnitude more than unlink + rename
-/// onto a free name. A crash in the gap still leaves the live file.
+/// The stale `.prev` becomes the next `.tmp` (renamed onto a free name)
+/// and is overwritten in place, then cut to the new length: rewriting a
+/// file's cached pages costs a quarter of freeing them and allocating
+/// new ones (~0.2 against ~0.8 ms for 2 MB on ext4). No rename lands on
+/// an existing name, which would trip ext4's `auto_da_alloc` writeback
+/// stall (~100 µs per save). A crash in the gap still leaves the live
+/// file.
 ///
 /// # Errors
 ///
@@ -755,14 +771,22 @@ pub fn write_atomic_with(
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    fs::File::create(&tmp)
-        .and_then(|mut file| write(&mut file))
+    let prev = prev_path(path);
+    if prev.exists() {
+        fs::rename(&prev, &tmp).map_err(|e| io_err(&prev, &e))?;
+    }
+    fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&tmp)
+        .and_then(|mut file| {
+            write(&mut file)?;
+            let len = file.stream_position()?;
+            file.set_len(len)
+        })
         .map_err(|e| io_err(&tmp, &e))?;
     if path.exists() {
-        let prev = prev_path(path);
-        if prev.exists() {
-            fs::remove_file(&prev).map_err(|e| io_err(&prev, &e))?;
-        }
         fs::rename(path, &prev).map_err(|e| io_err(path, &e))?;
     }
     fs::rename(&tmp, path).map_err(|e| io_err(path, &e))
@@ -1580,6 +1604,15 @@ mod tests {
         .unwrap();
         assert_eq!(read(&prev_path(&path)).unwrap(), "one");
         assert_eq!(read(&path).unwrap(), "two");
+        // The third write reuses the first's file, and a shorter write
+        // than the file it reuses is cut to its own length.
+        write_atomic_with(&path, |file| file.write_all(b"three")).unwrap();
+        write_atomic_with(&path, |file| file.write_all(b"4")).unwrap();
+        assert_eq!(read(&prev_path(&path)).unwrap(), "three");
+        assert_eq!(read(&path).unwrap(), "4");
+        // Back to `one` as `.prev` and `two` live for the loads below.
+        write_atomic_with(&path, |file| file.write_all(b"one")).unwrap();
+        write_atomic_with(&path, |file| file.write_all(b"two")).unwrap();
         // A loader that rejects the live generation's contents.
         let reject_two = |p: &Path| match read(p)? {
             t if t == "two" => Err(format_err(0, "rejected".into())),
