@@ -164,10 +164,11 @@ SERVER:     `serve` runs the fault-tolerant online market daemon:
             queue (--queue-cap, overflow is shed) and applied at ticks —
             explicit `tick` commands by default, or every --tick-ms.
             Each tick re-solves the market warm-started from the previous
-            quantum and commits a hash-chained ledger plus a crash-atomic
-            snapshot under --state-dir, so `kill -9` at any point resumes
-            byte-identically. After --fallback-after consecutive failed
-            solves the daemon degrades to EqualShare until one converges.
+            quantum and commits a hash-chained ledger plus a snapshot in
+            one of two slots under --state-dir, so `kill -9` at any
+            point resumes byte-identically. After --fallback-after
+            consecutive failed solves the daemon degrades to EqualShare
+            until one converges.
             `scenario audit` verifies the sealed ledger. Exit code 5 for
             daemon failures.
 OBSERVING:  every subcommand also accepts --trace=PATH (write a JSONL
@@ -1070,15 +1071,10 @@ fn serve(mut args: Vec<String>) -> Result<String, CliError> {
     // (long-running) serve loop returns, and stdout stays reserved for
     // the final summary.
     eprintln!(
-        "serving on {} at tick {} ({} player(s){})",
+        "serving on {} at tick {} ({} player(s))",
         listener.local_addr,
         daemon.core().tick_index(),
         daemon.core().players(),
-        if daemon.core().recovered_from_prev() {
-            ", recovered from .prev snapshot"
-        } else {
-            ""
-        },
     );
     let summary = daemon.serve(listener).map_err(|e| server_err(&e))?;
     let s = summary.stats;

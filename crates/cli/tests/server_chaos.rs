@@ -296,6 +296,13 @@ fn sigkill_mid_tick_resumes_byte_identical() {
         "final stats: {stats}"
     );
     shutdown(daemon, client);
+    // The seal removes both snapshot slots, and no write leaves a temp
+    // or rotated file behind.
+    let left: Vec<_> = std::fs::read_dir(&state)
+        .expect("state dir")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    assert_eq!(left, ["server.ledger"], "state dir after the seal");
 
     let ledger = state.join("server.ledger");
     let chaos = std::fs::read_to_string(&ledger).expect("chaos ledger");

@@ -29,7 +29,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -91,10 +91,21 @@ pub enum Endpoint {
     Tcp(String),
 }
 
-trait Sock: io::Read + io::Write + Send {}
+trait Sock: io::Read + io::Write + Send {
+    /// Ends the output: the peer reads what was sent, then EOF.
+    fn shutdown_write(&self) -> io::Result<()>;
+}
 #[cfg(unix)]
-impl Sock for UnixStream {}
-impl Sock for TcpStream {}
+impl Sock for UnixStream {
+    fn shutdown_write(&self) -> io::Result<()> {
+        self.shutdown(Shutdown::Write)
+    }
+}
+impl Sock for TcpStream {
+    fn shutdown_write(&self) -> io::Result<()> {
+        self.shutdown(Shutdown::Write)
+    }
+}
 
 /// A bound listener, split from [`Daemon::serve`] so callers can
 /// announce readiness (and the resumed tick) before serving begins.
@@ -247,12 +258,14 @@ impl Conn {
         Ok(true)
     }
 
-    /// Best-effort flush of pending output, then drops the socket
-    /// (which closes it).
+    /// Best-effort flush of pending output, then ends the output and
+    /// drops the socket (which closes it). Ending the output first sends
+    /// the EOF even when the peer's unread bytes make the close a reset.
     fn close(&mut self) {
         let _ = self.write_out();
         if let Some(sock) = self.sock.as_mut() {
             let _ = sock.flush();
+            let _ = sock.shutdown_write();
         }
         self.sock = None;
         self.buf.clear();

@@ -24,7 +24,7 @@
 //!   daemon allocates `EqualShare` until a solve converges again
 //!   ([`state`]).
 //! * **Kill-safety** — tick state is durable through the hash-chained
-//!   ledger plus a crash-atomic snapshot; `kill -9` at *any* byte
+//!   ledger plus a snapshot in one of two slots; `kill -9` at *any* byte
 //!   resumes to a byte-identical ledger (see [`state`]'s module docs
 //!   for the commit ordering and the chaos tests for the proof).
 //!
@@ -54,15 +54,15 @@ pub enum ServerError {
         /// What was wrong.
         reason: String,
     },
-    /// No usable snapshot generation (or snapshot/ledger disagreement)
+    /// No usable snapshot slot (or snapshot/ledger disagreement)
     /// during recovery, or a snapshot write failure.
     Snapshot {
         /// What was wrong.
         reason: String,
     },
     /// Ledger trouble — including the named collision,
-    /// `durable::Error::Exists`, when a fresh start targets a directory
-    /// that already holds a (sealed, hence immutable) ledger.
+    /// `durable::Error::Exists`, when the state directory holds a sealed
+    /// (hence immutable) ledger.
     Ledger(rebudget_sim::durable::Error),
     /// A degenerate market slipped past admission validation.
     Market(rebudget_market::MarketError),

@@ -1,7 +1,7 @@
 //! The daemon's durable tick state machine.
 //!
 //! [`ServerCore`] owns the live player table, the append-only
-//! hash-chained ledger, and the crash-atomic snapshot. The table is
+//! hash-chained ledger, and two snapshot slots. The table is
 //! columnar and kept in id order: the ids back to back, then the budgets
 //! and the interest CSR as the [`SparseMarket`] the solver takes as it
 //! is, then the warm-start bids over the same CSR values with a per-row
@@ -25,14 +25,17 @@
 //!   back to the snapshot's `T` records and re-runs tick `T`, which is
 //!   deterministic (same players, same warm seeds, same options) and so
 //!   reproduces the truncated record **byte for byte**.
-//! * killed mid-snapshot: [`durable::write_atomic_with`]'s tmp/rename/`.prev`
-//!   rotation guarantees a parseable generation survives; if only
-//!   `.prev` does, that is an older tick and the ledger is truncated
-//!   accordingly.
+//! * killed mid-snapshot: the snapshot that says tick `T` is overwritten
+//!   in place into slot `T % 2`, then cut to length. A torn slot, or one
+//!   left with a longer older snapshot's tail, fails its `[seal]` check,
+//!   and the other slot's tick `T - 1` carries recovery, as above.
+//! * killed in the first [`ServerCore::open`], after the ledger's header:
+//!   with no usable slot and nothing in the ledger past its header,
+//!   recovery starts afresh on that header if it is this
+//!   configuration's; a longer ledger is refused unchanged.
 //! * killed between the seal and the snapshot removal
-//!   ([`ServerCore::seal`]): the ledger is sealed, hence final, and a
-//!   snapshot is still beside it — recovery refuses the directory with
-//!   the same collision as a fresh start, and changes no file.
+//!   ([`ServerCore::seal`]): the ledger is sealed, hence final —
+//!   recovery refuses the directory and changes no file.
 //!
 //! No fsync is needed for these guarantees: a killed *process* loses
 //! nothing from the kernel page cache, so `write_all` suffices. (A
@@ -56,7 +59,8 @@
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Seek};
+use std::mem::take;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -67,13 +71,19 @@ use rebudget_market::{
     SparseUtilityKind,
 };
 use rebudget_sim::durable::{
-    self, fnv1a_f64_words, fnv1a_joined, prev_path, Document, LogFile, Writer, LEDGER,
+    self, fnv1a, fnv1a_f64_words, fnv1a_joined, Document, Ledger, LogFile, Writer, LEDGER,
 };
 use rebudget_telemetry as telemetry;
 
 use crate::{ServerError, ServerResult};
 
 const SNAPSHOT_HEADER: &str = "rebudget-server-snapshot v2";
+/// The snapshot slots' file names: the snapshot that says tick `T` goes
+/// into slot `T % 2`.
+const SLOTS: [&str; 2] = ["server.snapshot", "server.snapshot.1"];
+/// An older build's snapshot rotation beside slot 0: its older
+/// generation, which recovery reads last, and its temp file.
+const OLD_ROTATION: [&str; 2] = ["server.snapshot.prev", "server.snapshot.tmp"];
 /// Bytes of snapshot text written to the file at a time.
 const SNAPSHOT_CHUNK: usize = 64 * 1024;
 
@@ -326,18 +336,7 @@ impl Table {
             }
         }
         next.copy(self, at..self.rows());
-        let market = if next.id_ends.is_empty() {
-            None
-        } else {
-            let csr =
-                SparseBids::from_csr(capacities.len(), next.row_ptr, next.cols, next.weights)?;
-            Some(SparseMarket::new(
-                capacities.to_vec(),
-                next.budgets,
-                csr,
-                SparseUtilityKind::Linear,
-            )?)
-        };
+        let market = next.take_market(capacities)?;
         let mut spare = Columns {
             ids: std::mem::replace(&mut self.ids, next.ids),
             id_ends: std::mem::replace(&mut self.id_ends, next.id_ends),
@@ -450,6 +449,25 @@ impl Columns {
         self.seeded.extend_from_slice(&table.seeded[rows]);
     }
 
+    /// Moves the budgets and interest CSR out into a market over
+    /// `capacities`; `None` with no rows (a market has players).
+    fn take_market(
+        &mut self,
+        capacities: &[f64],
+    ) -> Result<Option<SparseMarket>, rebudget_market::MarketError> {
+        if self.id_ends.is_empty() {
+            return Ok(None);
+        }
+        let (row_ptr, cols, weights) = (
+            take(&mut self.row_ptr),
+            take(&mut self.cols),
+            take(&mut self.weights),
+        );
+        let csr = SparseBids::from_csr(capacities.len(), row_ptr, cols, weights)?;
+        let budgets = take(&mut self.budgets);
+        SparseMarket::new(capacities.to_vec(), budgets, csr, SparseUtilityKind::Linear).map(Some)
+    }
+
     /// Appends a new, unseeded row.
     fn push(&mut self, id: &str, row: &Row) {
         self.ids.push_str(id);
@@ -521,128 +539,115 @@ pub struct ServerCore {
     degraded: bool,
     /// The ledger, written record by record.
     ledger: LogFile,
-    snapshot_path: PathBuf,
-    /// Whether recovery fell back to the `.prev` snapshot generation.
-    recovered_from_prev: bool,
+    /// The paths of [`SLOTS`].
+    slots: [PathBuf; 2],
 }
 
 impl ServerCore {
-    /// Opens the daemon state under `state_dir`: recovers from an
-    /// existing snapshot if one is present, otherwise starts fresh with
-    /// a new ledger (`server.ledger`) and snapshot (`server.snapshot`).
+    /// Opens the daemon state under `state_dir`: recovers the ledger
+    /// (`server.ledger`) from the newest usable snapshot slot
+    /// (`server.snapshot`, `server.snapshot.1`). With neither file there,
+    /// it first writes a new ledger's header. A directory an older build
+    /// left with a snapshot rotation (`server.snapshot` and its `.prev`)
+    /// is recovered into the slots.
     ///
     /// # Errors
     ///
     /// [`ServerError::Config`] for invalid configuration,
-    /// [`ServerError::Ledger`] when a fresh start collides with an
-    /// existing (immutable) ledger, [`ServerError::Snapshot`] when
-    /// recovery finds no usable snapshot generation, and
-    /// [`ServerError::Io`] for filesystem trouble.
+    /// [`ServerError::Ledger`] for a sealed (final) ledger,
+    /// [`ServerError::Snapshot`] when recovery finds no usable snapshot
+    /// slot, and [`ServerError::Io`] for filesystem trouble.
     pub fn open(config: ServerConfig, state_dir: &Path) -> ServerResult<Self> {
         config.validate()?;
         std::fs::create_dir_all(state_dir)?;
         let ledger_path = state_dir.join("server.ledger");
-        let snapshot_path = state_dir.join("server.snapshot");
-        if snapshot_path.exists() || prev_path(&snapshot_path).exists() {
-            Self::recover(config, ledger_path, snapshot_path)
-        } else {
-            Self::fresh(config, ledger_path, snapshot_path)
+        let slots = SLOTS.map(|name| state_dir.join(name));
+        if !ledger_path.exists() && !slots.iter().any(|slot| slot.exists()) {
+            LogFile::create_new(&ledger_path, LEDGER, |w| write_meta(&config, w))?;
         }
-    }
-
-    fn fresh(
-        config: ServerConfig,
-        ledger_path: PathBuf,
-        snapshot_path: PathBuf,
-    ) -> ServerResult<Self> {
-        // The scenario ledger's meta keys; the stream is open-ended, so
-        // `quanta` is 0 and the seal carries the real count.
-        let ledger = LogFile::create_new(&ledger_path, LEDGER, |w| {
-            w.kv("scenario", "server");
-            w.kv("seed", config.seed);
-            w.kv("mechanism", config.solver.label());
-            w.kv("workload", "online");
-            w.kv("cores", 0);
-            w.kv("resources", config.capacities.len());
-            w.kv("quanta", 0);
-            w.f64("budget", 0.0);
-        })?;
-        let core = Self {
-            config,
-            table: Table::default(),
-            tick: 0,
-            consecutive_failures: 0,
-            degraded: false,
-            ledger,
-            snapshot_path,
-            recovered_from_prev: false,
-        };
-        core.write_snapshot()?;
-        Ok(core)
-    }
-
-    fn recover(
-        config: ServerConfig,
-        ledger_path: PathBuf,
-        snapshot_path: PathBuf,
-    ) -> ServerResult<Self> {
         // One streaming pass validates every chain link and records the
         // chain state at each record boundary.
         let prefix = File::open(&ledger_path)
             .and_then(|f| LEDGER.read_valid_prefix(BufReader::new(f)))
             .map_err(|e| ServerError::Snapshot {
-                reason: format!(
-                    "snapshot exists but ledger '{}' is unreadable: {e}",
-                    ledger_path.display()
-                ),
+                reason: format!("ledger '{}' is unreadable: {e}", ledger_path.display()),
             })?;
-        if prefix.header_bytes == 0 {
-            return Err(ServerError::Snapshot {
-                reason: format!(
-                    "ledger '{}' has no valid header; cannot recover",
-                    ledger_path.display()
-                ),
-            });
-        }
         // A sealed ledger is final even with a snapshot left beside it (a
-        // kill between the seal and the snapshot removal): refuse it as
-        // the fresh path does, before any file changes.
+        // kill between the seal and the snapshot removal): refuse it
+        // before any file changes.
         if prefix.sealed {
             return Err(ServerError::Ledger(durable::Error::Exists {
                 path: ledger_path.display().to_string(),
             }));
         }
-        // Try the live snapshot first, then the rotated .prev generation.
-        // A generation is usable only if the ledger still holds at least
-        // as many valid records as the snapshot's tick (the ledger is
-        // written before the snapshot, so this holds for every crash
-        // point).
+        // With `R` valid records the newest snapshot says tick `R`, in
+        // slot `R % 2`; a kill before or inside its write leaves the other
+        // slot's `R - 1`. A tick ahead of the ledger is refused. A
+        // directory written before the slots may hold its older snapshot
+        // in `server.snapshot.prev` instead.
+        let old_prev = state_dir.join(OLD_ROTATION[0]);
         let mut failures: Vec<String> = Vec::new();
-        let loaded = durable::load_with_fallback(&snapshot_path, |path| {
-            durable::read(path)
-                .and_then(|text| decode_snapshot(&text, &config, prefix.records))
+        let mut load = |path: &Path| {
+            std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| {
+                    decode_snapshot(&text, &config, prefix.records).map_err(|e| e.to_string())
+                })
                 .map_err(|e| failures.push(format!("{}: {e}", path.display())))
-        });
-        let Ok((snap, recovered_from_prev)) = loaded else {
-            return Err(ServerError::Snapshot {
-                reason: format!("no usable snapshot generation: {}", failures.join("; ")),
-            });
+                .ok()
+                .map(|snap| (path == slots[(snap.tick % 2) as usize], snap))
+        };
+        let found = match load(&slots[prefix.records % 2]) {
+            Some(found) if found.1.tick == prefix.records as u64 => Some(found),
+            newest => {
+                let other = load(&slots[(prefix.records + 1) % 2]);
+                let old = old_prev.exists().then(|| load(&old_prev)).flatten();
+                [newest, other, old]
+                    .into_iter()
+                    .flatten()
+                    .max_by_key(|(_, snap)| snap.tick)
+            }
+        };
+        // No usable slot and nothing but this config's header: a fresh
+        // start, or one killed before its tick-0 snapshot, goes on from it.
+        let header = Ledger::new(LEDGER, |w| write_meta(&config, w));
+        let header = header.text().as_bytes();
+        let fresh = found.is_none()
+            && prefix.header_bytes == header.len()
+            && prefix.chains.first() == Some(&fnv1a(header))
+            && std::fs::metadata(&ledger_path)?.len() == header.len() as u64;
+        let (in_place, snap) = match found {
+            Some(found) => found,
+            None if fresh => (false, Decoded::default()),
+            None => {
+                return Err(ServerError::Snapshot {
+                    reason: format!("no usable snapshot slot: {}", failures.join("; ")),
+                })
+            }
         };
         // Truncate the ledger to exactly the snapshot's records: drops
         // both torn tails and whole records from a crash that landed
         // between the ledger append and the snapshot write. The dropped
         // tick re-runs deterministically.
         let ledger = LogFile::resume(&ledger_path, LEDGER, &prefix, snap.tick as usize)?;
-        Ok(Self {
+        let core = Self {
             config,
             table: snap.table,
             tick: snap.tick,
             consecutive_failures: snap.failures,
             degraded: snap.degraded,
             ledger,
-            snapshot_path,
-            recovered_from_prev,
-        })
+            slots,
+        };
+        // Slot `tick % 2` must hold the snapshot before the next tick
+        // overwrites the other; then an older build's rotation can go.
+        if !in_place {
+            core.write_snapshot()?;
+        }
+        for name in OLD_ROTATION {
+            let _ = std::fs::remove_file(state_dir.join(name));
+        }
+        Ok(core)
     }
 
     /// The next tick to run (ticks `0..tick()` are committed).
@@ -658,11 +663,6 @@ impl ServerCore {
     /// Whether the daemon is currently degraded to `EqualShare`.
     pub fn degraded(&self) -> bool {
         self.degraded
-    }
-
-    /// Whether recovery used the rotated `.prev` snapshot generation.
-    pub fn recovered_from_prev(&self) -> bool {
-        self.recovered_from_prev
     }
 
     /// Ledger records committed so far (equals [`Self::tick_index`]).
@@ -816,7 +816,7 @@ impl ServerCore {
     }
 
     /// Seals the ledger and flushes it; called on graceful shutdown.
-    /// The snapshot generations are removed afterwards: a sealed ledger
+    /// The snapshot slots are removed afterwards: a sealed ledger
     /// is final, and a later `open` of the same directory will refuse
     /// the collision rather than resume it. A kill between the two steps
     /// leaves a snapshot beside the sealed ledger; `open` refuses that
@@ -827,17 +827,29 @@ impl ServerCore {
     /// [`ServerError::Io`] for write failures.
     pub fn seal(&mut self) -> ServerResult<usize> {
         let records = self.ledger.seal()?;
-        let _ = std::fs::remove_file(&self.snapshot_path);
-        let _ = std::fs::remove_file(prev_path(&self.snapshot_path));
+        for slot in &self.slots {
+            let _ = std::fs::remove_file(slot);
+        }
         Ok(records)
     }
 
+    /// Writes the snapshot into slot `tick % 2` over the older one there,
+    /// then cuts the file to its length: no temp file and no rename.
     fn write_snapshot(&self) -> ServerResult<()> {
-        durable::write_atomic_with(&self.snapshot_path, |file| self.encode_snapshot(file)).map_err(
-            |e| ServerError::Snapshot {
-                reason: e.to_string(),
-            },
-        )
+        let path = &self.slots[(self.tick % 2) as usize];
+        std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
+            .and_then(|mut file| {
+                self.encode_snapshot(&mut file)?;
+                let len = file.stream_position()?;
+                file.set_len(len)
+            })
+            .map_err(|e| ServerError::Snapshot {
+                reason: format!("i/o failed for {}: {e}", path.display()),
+            })
     }
 
     /// Streams the snapshot into `out` in chunks of about
@@ -878,6 +890,19 @@ impl ServerCore {
     }
 }
 
+/// Writes the ledger's meta lines: the scenario ledger's keys. The stream
+/// is open-ended, so `quanta` is 0 and the seal carries the real count.
+fn write_meta(config: &ServerConfig, w: &mut Writer) {
+    w.kv("scenario", "server");
+    w.kv("seed", config.seed);
+    w.kv("mechanism", config.solver.label());
+    w.kv("workload", "online");
+    w.kv("cores", 0);
+    w.kv("resources", config.capacities.len());
+    w.kv("quanta", 0);
+    w.f64("budget", 0.0);
+}
+
 /// Solves `market` from `seed` under `config`'s options and retry ladder.
 /// `seed` is lent to the solver and handed back, so a caller whose solve
 /// fails keeps it. Returns the outcome and whether the ladder converged.
@@ -900,7 +925,7 @@ fn solve(
     Ok((out, retry.converged))
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Decoded {
     tick: u64,
     degraded: bool,
@@ -999,20 +1024,9 @@ fn decode_snapshot(
             format!("snapshot tick {tick} ahead of ledger ({records} records)"),
         ));
     }
-    let market = if rows == 0 {
-        None
-    } else {
-        let invalid = |e: rebudget_market::MarketError| bad(state.line, e.to_string());
-        let csr = SparseBids::from_csr(resources, next.row_ptr, next.cols, next.weights)
-            .map_err(invalid)?;
-        let market = SparseMarket::new(
-            config.capacities.clone(),
-            next.budgets,
-            csr,
-            SparseUtilityKind::Linear,
-        );
-        Some(market.map_err(invalid)?)
-    };
+    let market = next
+        .take_market(&config.capacities)
+        .map_err(|e| bad(state.line, e.to_string()))?;
     Ok(Decoded {
         tick,
         degraded: state.bool("degraded")?,
@@ -1036,7 +1050,6 @@ mod tests {
     use super::*;
     use crate::workload::WorkloadSpec;
     use rebudget_market::equilibrium::EquilibriumOptions;
-    use rebudget_sim::durable::fnv1a;
     use std::io::Write as _;
 
     fn config(solver: SolverKind) -> ServerConfig {
@@ -1086,10 +1099,20 @@ mod tests {
 
     /// An uninterrupted `0..ticks` run, sealed; returns the ledger bytes.
     fn reference_ledger(solver: SolverKind, tag: &str, ticks: u64) -> String {
+        reference_ledger_with(&spec(), solver, tag, ticks)
+    }
+
+    /// [`reference_ledger`] over the workload `spec`.
+    fn reference_ledger_with(
+        spec: &WorkloadSpec,
+        solver: SolverKind,
+        tag: &str,
+        ticks: u64,
+    ) -> String {
         let dir = temp_dir(tag);
         let mut core = ServerCore::open(config(solver), &dir).unwrap();
         for t in 0..ticks {
-            drive(&mut core, t);
+            drive_with(&mut core, spec, t);
         }
         core.seal().unwrap();
         std::fs::read_to_string(dir.join("server.ledger")).unwrap()
@@ -1113,7 +1136,6 @@ mod tests {
             let mut core = ServerCore::open(config(solver), &dir).unwrap();
             assert_eq!(core.tick_index(), 5, "{tag}");
             assert_eq!(core.players(), live_players, "{tag}");
-            assert!(!core.recovered_from_prev(), "{tag}");
             for t in 5..8 {
                 drive(&mut core, t);
             }
@@ -1164,13 +1186,15 @@ mod tests {
         for t in 0..5 {
             drive(&mut core, t);
         }
-        // Save the tick-5 snapshot, then commit tick 5 so the ledger
-        // runs one record ahead of the restored snapshot.
-        let snapshot_path = dir.join("server.snapshot");
-        let stale = std::fs::read_to_string(&snapshot_path).unwrap();
+        // Save slot 0's tick-4 snapshot, commit tick 5 (its snapshot
+        // says tick 6, in slot 0), then put tick 4 back: a kill between
+        // the append and the snapshot write, with the ledger one record
+        // ahead of slot 1's tick 5.
+        let slot = dir.join("server.snapshot");
+        let stale = std::fs::read_to_string(&slot).unwrap();
         drive(&mut core, 5);
         drop(core);
-        std::fs::write(&snapshot_path, &stale).unwrap();
+        std::fs::write(&slot, &stale).unwrap();
         // Recovery must truncate the ledger back to 5 records and the
         // re-run of tick 5 must reproduce the dropped record exactly.
         let mut core = ServerCore::open(config(SolverKind::ProportionalResponse), &dir).unwrap();
@@ -1195,12 +1219,11 @@ mod tests {
             drive(&mut core, t);
         }
         drop(core);
-        // Simulated crash mid-snapshot-write: the live generation is
-        // garbage, the rotated .prev (tick 4) must carry recovery.
-        let snapshot_path = dir.join("server.snapshot");
-        std::fs::write(&snapshot_path, "rebudget-server-snapshot v1\ngarbage\n").unwrap();
+        // Simulated crash mid-snapshot-write: slot 1's tick 5 is
+        // garbage, so slot 0's tick 4 must carry recovery.
+        let slot = dir.join("server.snapshot.1");
+        std::fs::write(&slot, "rebudget-server-snapshot v1\ngarbage\n").unwrap();
         let mut core = ServerCore::open(config(SolverKind::ProportionalResponse), &dir).unwrap();
-        assert!(core.recovered_from_prev());
         assert_eq!(core.tick_index(), 4);
         for t in 4..8 {
             drive(&mut core, t);
@@ -1209,8 +1232,249 @@ mod tests {
         let resumed = std::fs::read_to_string(dir.join("server.ledger")).unwrap();
         assert_eq!(
             resumed, reference,
-            ".prev recovery must stay byte-identical"
+            "recovery from the older slot must stay byte-identical"
         );
+    }
+
+    /// The file names in `dir`, sorted.
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn slots_alternate_by_tick_parity() {
+        let dir = temp_dir("slots");
+        let cfg = config(SolverKind::ProportionalResponse);
+        let slot_tick = |tick: u64| {
+            let text = std::fs::read_to_string(dir.join(SLOTS[(tick % 2) as usize])).unwrap();
+            decode_snapshot(&text, &cfg, usize::MAX).unwrap().tick
+        };
+        let mut core = ServerCore::open(cfg.clone(), &dir).unwrap();
+        assert_eq!(slot_tick(0), 0);
+        assert_eq!(file_names(&dir), ["server.ledger", SLOTS[0]]);
+        // Snapshots shrink, so each slot must be cut to its new length.
+        for t in 0..6 {
+            drive_with(&mut core, &shrinking(), t);
+            assert_eq!(slot_tick(t + 1), t + 1);
+            assert_eq!(file_names(&dir), ["server.ledger", SLOTS[0], SLOTS[1]]);
+        }
+        core.seal().unwrap();
+        assert_eq!(file_names(&dir), ["server.ledger"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A workload with no arrivals after tick 0, so each snapshot is
+    /// shorter than the one two ticks before it once players depart.
+    fn shrinking() -> WorkloadSpec {
+        WorkloadSpec {
+            initial_players: 40,
+            arrivals_per_tick: 0,
+            mean_lifetime: 4,
+            ..spec()
+        }
+    }
+
+    /// The sealed ledger of an uninterrupted [`shrinking`] run of ticks
+    /// `0..8`.
+    fn shrinking_reference(tag: &str) -> String {
+        reference_ledger_with(&shrinking(), SolverKind::ProportionalResponse, tag, 8)
+    }
+
+    /// Ticks `0..6` of the [`shrinking`] workload in a new state
+    /// directory, dropped without a seal: slot 0 holds tick 6 and slot 1
+    /// tick 5. Returns the directory and every snapshot the run wrote, by
+    /// the tick it says.
+    fn six_ticks(tag: &str) -> (PathBuf, Vec<Vec<u8>>) {
+        let dir = temp_dir(tag);
+        let mut core = ServerCore::open(config(SolverKind::ProportionalResponse), &dir).unwrap();
+        let read = |tick: u64| std::fs::read(dir.join(SLOTS[(tick % 2) as usize])).unwrap();
+        let mut snapshots = vec![read(0)];
+        for t in 0..6 {
+            drive_with(&mut core, &shrinking(), t);
+            snapshots.push(read(t + 1));
+        }
+        (dir, snapshots)
+    }
+
+    /// Slot 0 of a [`six_ticks`] directory overwritten with `bytes` (a
+    /// kill inside the tick-6 snapshot write): recovery must resume at
+    /// slot 1's tick 5, and the run on to a sealed tick 8 must write
+    /// `reference` byte for byte.
+    fn resumes_from_slot_one(tag: &str, bytes: &[u8], reference: &str) {
+        let (dir, _) = six_ticks(tag);
+        std::fs::write(dir.join(SLOTS[0]), bytes).unwrap();
+        let mut core = ServerCore::open(config(SolverKind::ProportionalResponse), &dir).unwrap();
+        assert_eq!(core.tick_index(), 5, "{tag}");
+        for t in 5..8 {
+            drive_with(&mut core, &shrinking(), t);
+        }
+        core.seal().unwrap();
+        let resumed = std::fs::read_to_string(dir.join("server.ledger")).unwrap();
+        assert_eq!(resumed, reference, "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_newest_slot_recovers_from_the_other() {
+        let reference = shrinking_reference("torn-slot-ref");
+        let (dir, snapshots) = six_ticks("torn-slot-probe");
+        let _ = std::fs::remove_dir_all(&dir);
+        // The tick-6 write, cut short, over slot 0's longer tick-4 bytes
+        // or over nothing.
+        let (new, old) = (&snapshots[6], &snapshots[4]);
+        assert!(old.len() > new.len(), "the tick-4 snapshot must be longer");
+        let text = std::str::from_utf8(new).unwrap();
+        let cuts = [
+            ("header", 10),
+            ("player", text.find("[player 1]").unwrap() + 5),
+            ("seal", text.rfind("fnv1a=").unwrap() + 8),
+            ("newline", new.len() - 1),
+        ];
+        for (what, cut) in cuts {
+            let over_old = [&new[..cut], old.get(cut..).unwrap_or_default()].concat();
+            resumes_from_slot_one(&format!("torn-slot-{what}"), &over_old, &reference);
+            resumes_from_slot_one(&format!("cut-slot-{what}"), &new[..cut], &reference);
+        }
+    }
+
+    #[test]
+    fn stale_tail_in_newest_slot_recovers_from_the_other() {
+        let reference = shrinking_reference("stale-tail-ref");
+        let (dir, snapshots) = six_ticks("stale-tail-probe");
+        let _ = std::fs::remove_dir_all(&dir);
+        // The whole tick-6 snapshot over slot 0's longer tick-4 one,
+        // killed before the cut to length: the older one's tail, its
+        // seal included, follows the new seal.
+        let (new, old) = (&snapshots[6], &snapshots[4]);
+        assert!(old.len() > new.len(), "the tick-4 snapshot must be longer");
+        let stale = [&new[..], &old[new.len()..]].concat();
+        resumes_from_slot_one("stale-tail", &stale, &reference);
+    }
+
+    #[test]
+    fn kill_inside_the_first_open_resumes_on_the_ledger_header() {
+        let reference = reference_ledger(SolverKind::ProportionalResponse, "first-open-ref", 8);
+        // A kill after the ledger's header and before or inside the
+        // tick-0 snapshot write: no usable slot, no record.
+        for (tag, torn) in [("first-open-none", None), ("first-open-torn", Some(20))] {
+            let dir = temp_dir(tag);
+            drop(ServerCore::open(config(SolverKind::ProportionalResponse), &dir).unwrap());
+            let slot = dir.join(SLOTS[0]);
+            match torn {
+                None => std::fs::remove_file(&slot).unwrap(),
+                Some(cut) => std::fs::write(&slot, &std::fs::read(&slot).unwrap()[..cut]).unwrap(),
+            }
+            // A header written for another market is refused unchanged.
+            let before = contents(&dir);
+            let mut other = config(SolverKind::ProportionalResponse);
+            other.capacities.push(8.0);
+            let err = ServerCore::open(other, &dir).unwrap_err();
+            assert!(matches!(err, ServerError::Snapshot { .. }), "{tag}: {err}");
+            assert_eq!(contents(&dir), before, "{tag}");
+            // This market's header starts the directory afresh.
+            let mut core =
+                ServerCore::open(config(SolverKind::ProportionalResponse), &dir).unwrap();
+            assert_eq!(core.tick_index(), 0, "{tag}");
+            for t in 0..8 {
+                drive(&mut core, t);
+            }
+            core.seal().unwrap();
+            let resumed = std::fs::read_to_string(dir.join("server.ledger")).unwrap();
+            assert_eq!(resumed, reference, "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Every file in `dir` with its bytes, by name.
+    fn contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        file_names(dir)
+            .into_iter()
+            .map(|name| {
+                let bytes = std::fs::read(dir.join(&name)).unwrap();
+                (name, bytes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn damaged_first_record_is_refused_unchanged() {
+        // Six ticks, then one digit of record 0's chain changed: the
+        // ledger keeps its header but no valid record, so both slots are
+        // ahead of it. Its records must not be cut back to the header.
+        let dir = temp_dir("record-0");
+        let cfg = config(SolverKind::ProportionalResponse);
+        let mut core = ServerCore::open(cfg.clone(), &dir).unwrap();
+        for t in 0..6 {
+            drive(&mut core, t);
+        }
+        drop(core);
+        let ledger = dir.join("server.ledger");
+        let mut bytes = std::fs::read(&ledger).unwrap();
+        let at = std::str::from_utf8(&bytes).unwrap().find("chain=").unwrap() + 6;
+        bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
+        std::fs::write(&ledger, &bytes).unwrap();
+        let before = contents(&dir);
+        let err = ServerCore::open(cfg, &dir).unwrap_err();
+        assert!(matches!(err, ServerError::Snapshot { .. }), "{err}");
+        assert_eq!(contents(&dir), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rotation_directory_recovers_into_the_slots() {
+        let reference = reference_ledger(SolverKind::ProportionalResponse, "rotation-ref", 8);
+        // An older build's layouts, made by renaming slots 0 and 1 after
+        // `ticks` ticks: at rest on the odd tick 5 (`server.snapshot`
+        // tick 5, `.prev` tick 4), and killed between its last two
+        // renames (`.prev` tick 5, a whole tick-6 `.tmp`, no
+        // `server.snapshot`). Each recovers tick 5 into slot 1.
+        let layouts = [
+            ("rotation-odd", 5, [OLD_ROTATION[0], SLOTS[0]], &SLOTS[..]),
+            (
+                "rotation-renamed",
+                6,
+                [OLD_ROTATION[1], OLD_ROTATION[0]],
+                &SLOTS[1..],
+            ),
+        ];
+        for (tag, ticks, names, slots) in layouts {
+            let dir = temp_dir(tag);
+            let cfg = config(SolverKind::ProportionalResponse);
+            let mut core = ServerCore::open(cfg.clone(), &dir).unwrap();
+            for t in 0..ticks {
+                drive(&mut core, t);
+            }
+            drop(core);
+            for (slot, name) in SLOTS.iter().zip(names) {
+                std::fs::rename(dir.join(slot), dir.join(name)).unwrap();
+            }
+            let core = ServerCore::open(cfg.clone(), &dir).unwrap();
+            assert_eq!(core.tick_index(), 5, "{tag}");
+            let mut expect = vec!["server.ledger"];
+            expect.extend(slots);
+            assert_eq!(file_names(&dir), expect, "{tag}");
+            let slot = std::fs::read_to_string(dir.join(SLOTS[1])).unwrap();
+            assert_eq!(decode_snapshot(&slot, &cfg, 5).unwrap().tick, 5, "{tag}");
+            // A kill inside the next tick's write into slot 0 costs only
+            // that tick.
+            drop(core);
+            std::fs::write(dir.join(SLOTS[0]), "rebudget-server-snapshot v2\n").unwrap();
+            let mut core = ServerCore::open(cfg, &dir).unwrap();
+            assert_eq!(core.tick_index(), 5, "{tag}");
+            for t in 5..8 {
+                drive(&mut core, t);
+            }
+            core.seal().unwrap();
+            let resumed = std::fs::read_to_string(dir.join("server.ledger")).unwrap();
+            assert_eq!(resumed, reference, "{tag}");
+            assert_eq!(file_names(&dir), ["server.ledger"], "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1311,7 +1575,7 @@ mod tests {
         let cfg = config(SolverKind::ProportionalResponse);
         let mut core = ServerCore::open(cfg.clone(), &dir).unwrap();
         drive(&mut core, 0);
-        let text = std::fs::read_to_string(dir.join("server.snapshot")).unwrap();
+        let text = std::fs::read_to_string(dir.join("server.snapshot.1")).unwrap();
         assert!(decode_snapshot(&reseal(&text, |_| {}), &cfg, usize::MAX).is_ok());
         let drop_line = |key: &'static str| {
             move |body: &mut String| {
@@ -1445,9 +1709,8 @@ mod tests {
         drive(&mut core, 0);
         drive(&mut core, 1);
         drop(core);
-        // Both snapshot generations as an older build wrote them.
-        let snapshot = dir.join("server.snapshot");
-        for path in [prev_path(&snapshot), snapshot] {
+        // Both snapshot slots as an older build wrote them.
+        for path in [dir.join("server.snapshot"), dir.join("server.snapshot.1")] {
             let text = std::fs::read_to_string(&path).unwrap();
             let old = reseal(&text, |b| {
                 *b = b.replacen(SNAPSHOT_HEADER, "rebudget-server-snapshot v1", 1)
@@ -1663,21 +1926,14 @@ mod tests {
             consecutive_failures: usize,
             degraded: bool,
             ledger: LogFile,
-            snapshot_path: PathBuf,
+            dir: PathBuf,
         }
 
         impl RefCore {
             pub(super) fn open(config: ServerConfig, dir: &Path) -> Self {
                 std::fs::create_dir_all(dir).unwrap();
                 let ledger = LogFile::create_new(&dir.join("server.ledger"), LEDGER, |w| {
-                    w.kv("scenario", "server");
-                    w.kv("seed", config.seed);
-                    w.kv("mechanism", config.solver.label());
-                    w.kv("workload", "online");
-                    w.kv("cores", 0);
-                    w.kv("resources", config.capacities.len());
-                    w.kv("quanta", 0);
-                    w.f64("budget", 0.0);
+                    write_meta(&config, w)
                 })
                 .unwrap();
                 let core = Self {
@@ -1687,7 +1943,7 @@ mod tests {
                     consecutive_failures: 0,
                     degraded: false,
                     ledger,
-                    snapshot_path: dir.join("server.snapshot"),
+                    dir: dir.to_path_buf(),
                 };
                 core.write_snapshot();
                 core
@@ -1897,34 +2153,33 @@ mod tests {
                 (alloc, utilities)
             }
 
+            /// Writes the snapshot whole into a truncated slot file.
             fn write_snapshot(&self) {
-                durable::write_atomic_with(&self.snapshot_path, |out| {
-                    let mut w = Writer::default();
-                    w.line(SNAPSHOT_HEADER);
-                    w.section("config");
-                    w.kv("resources", self.config.capacities.len());
-                    w.kv("solver", self.config.solver.label());
-                    w.section("state");
-                    w.kv("tick", self.tick);
-                    w.bool("degraded", self.degraded);
-                    w.kv("failures", self.consecutive_failures);
-                    w.kv("players", self.players.len());
-                    for (k, (id, rec)) in (0..).zip(&self.players) {
-                        w.indexed_section("player", k);
-                        w.str("id", id);
-                        w.f64("budget", rec.budget);
-                        w.indexed_f64_list(
-                            "interests",
-                            rec.interests.iter().map(|&(c, v)| (u64::from(c), v)),
-                        );
-                        if let Some(bids) = &rec.bids {
-                            w.f64_list("bids", bids);
-                        }
+                let slot = SLOTS[(self.tick % 2) as usize];
+                let mut w = Writer::default();
+                w.line(SNAPSHOT_HEADER);
+                w.section("config");
+                w.kv("resources", self.config.capacities.len());
+                w.kv("solver", self.config.solver.label());
+                w.section("state");
+                w.kv("tick", self.tick);
+                w.bool("degraded", self.degraded);
+                w.kv("failures", self.consecutive_failures);
+                w.kv("players", self.players.len());
+                for (k, (id, rec)) in (0..).zip(&self.players) {
+                    w.indexed_section("player", k);
+                    w.str("id", id);
+                    w.f64("budget", rec.budget);
+                    w.indexed_f64_list(
+                        "interests",
+                        rec.interests.iter().map(|&(c, v)| (u64::from(c), v)),
+                    );
+                    if let Some(bids) = &rec.bids {
+                        w.f64_list("bids", bids);
                     }
-                    w.seal();
-                    w.drain_to(out)
-                })
-                .unwrap();
+                }
+                w.seal();
+                std::fs::write(self.dir.join(slot), w.text()).unwrap();
             }
         }
     }
@@ -1977,7 +2232,7 @@ mod tests {
         fn tick(&mut self, admitted: usize) -> TickReport {
             let report = self.core.tick(admitted).unwrap();
             assert_eq!(report, self.model.tick(admitted));
-            for file in ["server.ledger", "server.snapshot", "server.snapshot.prev"] {
+            for file in ["server.ledger", SLOTS[0], SLOTS[1]] {
                 let read = |dir: &PathBuf| std::fs::read(dir.join(file)).ok();
                 assert!(
                     read(&self.dirs[0]) == read(&self.dirs[1]),

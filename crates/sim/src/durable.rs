@@ -20,12 +20,12 @@
 //! costs O(record) to append ([`Ledger`], [`LogFile`]), and one pass finds
 //! the longest chain-valid prefix ([`LogFormat::valid_prefix`]), which is
 //! where a killed writer resumes. The server's snapshot, the one file
-//! rewritten whole, keeps a `.prev` generation ([`write_atomic_with`],
-//! [`load_with_fallback`]).
+//! rewritten whole, is a sealed [`Document`] that its owner writes into
+//! one of two slots in turn (`rebudget_server::state`).
 
 use std::fmt::{self, Display};
 use std::fs;
-use std::io::{BufRead, Seek, Write};
+use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
@@ -734,89 +734,6 @@ impl<'a> Section<'a> {
             })?);
         }
         Ok(values)
-    }
-}
-
-/// Path of the rotated previous generation of `path`.
-#[must_use]
-pub fn prev_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".prev");
-    PathBuf::from(name)
-}
-
-/// Writes the contents that `write` streams to `path` atomically: into
-/// `<path>.tmp`, then the live file is renamed to [`prev_path`] and the
-/// temp file onto `path`. A killed process leaves the old file, possibly
-/// with a stray `.tmp`, or the new one — never a half-written `path`.
-/// There is no fsync: this is process-kill safety, not power-cut safety.
-/// The contents are never held whole in memory.
-///
-/// The stale `.prev` becomes the next `.tmp` (renamed onto a free name)
-/// and is overwritten in place, then cut to the new length: rewriting a
-/// file's cached pages costs a quarter of freeing them and allocating
-/// new ones (~0.2 against ~0.8 ms for 2 MB on ext4). No rename lands on
-/// an existing name, which would trip ext4's `auto_da_alloc` writeback
-/// stall (~100 µs per save). A crash in the gap still leaves the live
-/// file.
-///
-/// # Errors
-///
-/// [`Error::Io`] naming the file an operation, `write` included, failed
-/// on.
-pub fn write_atomic_with(
-    path: &Path,
-    write: impl FnOnce(&mut fs::File) -> std::io::Result<()>,
-) -> Result<(), Error> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let prev = prev_path(path);
-    if prev.exists() {
-        fs::rename(&prev, &tmp).map_err(|e| io_err(&prev, &e))?;
-    }
-    fs::OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(&tmp)
-        .and_then(|mut file| {
-            write(&mut file)?;
-            let len = file.stream_position()?;
-            file.set_len(len)
-        })
-        .map_err(|e| io_err(&tmp, &e))?;
-    if path.exists() {
-        fs::rename(path, &prev).map_err(|e| io_err(path, &e))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| io_err(path, &e))
-}
-
-/// Reads `path` as text.
-///
-/// # Errors
-///
-/// [`Error::Io`] when the file is unreadable or not UTF-8.
-pub fn read(path: &Path) -> Result<String, Error> {
-    fs::read_to_string(path).map_err(|e| io_err(path, &e))
-}
-
-/// Loads `path` with `load`, falling back to [`prev_path`]; returns the
-/// value and whether the `.prev` generation served it.
-///
-/// # Errors
-///
-/// The *live* file's error when both fail, so the caller sees why the
-/// live generation was rejected.
-pub fn load_with_fallback<T, E>(
-    path: &Path,
-    mut load: impl FnMut(&Path) -> Result<T, E>,
-) -> Result<(T, bool), E> {
-    match load(path) {
-        Ok(value) => Ok((value, false)),
-        Err(live) => load(&prev_path(path))
-            .map(|value| (value, true))
-            .map_err(|_| live),
     }
 }
 
@@ -1588,51 +1505,6 @@ mod tests {
         for empty in [Document::open(""), Document::parse("")] {
             assert!(matches!(empty, Err(Error::Format { line: 1, .. })));
         }
-    }
-
-    #[test]
-    fn fallback_serves_the_prev_generation() {
-        let dir = std::env::temp_dir().join(format!("rebudget-durable-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("file");
-        write_atomic_with(&path, |file| file.write_all(b"one")).unwrap();
-        assert!(!prev_path(&path).exists());
-        write_atomic_with(&path, |file| {
-            file.write_all(b"t")?;
-            file.write_all(b"wo")
-        })
-        .unwrap();
-        assert_eq!(read(&prev_path(&path)).unwrap(), "one");
-        assert_eq!(read(&path).unwrap(), "two");
-        // The third write reuses the first's file, and a shorter write
-        // than the file it reuses is cut to its own length.
-        write_atomic_with(&path, |file| file.write_all(b"three")).unwrap();
-        write_atomic_with(&path, |file| file.write_all(b"4")).unwrap();
-        assert_eq!(read(&prev_path(&path)).unwrap(), "three");
-        assert_eq!(read(&path).unwrap(), "4");
-        // Back to `one` as `.prev` and `two` live for the loads below.
-        write_atomic_with(&path, |file| file.write_all(b"one")).unwrap();
-        write_atomic_with(&path, |file| file.write_all(b"two")).unwrap();
-        // A loader that rejects the live generation's contents.
-        let reject_two = |p: &Path| match read(p)? {
-            t if t == "two" => Err(format_err(0, "rejected".into())),
-            t => Ok(t),
-        };
-        assert_eq!(
-            load_with_fallback(&path, reject_two).unwrap(),
-            ("one".to_string(), true)
-        );
-        assert_eq!(
-            load_with_fallback(&path, read).unwrap(),
-            ("two".to_string(), false)
-        );
-        // Both generations fail: the live file's error surfaces.
-        fs::remove_file(prev_path(&path)).unwrap();
-        assert!(matches!(
-            load_with_fallback(&path, reject_two),
-            Err(Error::Format { .. })
-        ));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     const STEPS: LogFormat = LogFormat {

@@ -221,7 +221,6 @@ fn server_snapshot_fixture_is_byte_stable() {
     let core = ServerCore::open(failing_config(capacities), &dir).expect("fixture decodes");
     assert_eq!(core.tick_index(), 2);
     assert_eq!(core.players(), 2);
-    assert!(!core.recovered_from_prev());
     assert!(!core.degraded());
     drop(core);
     let _ = std::fs::remove_dir_all(&dir);
