@@ -29,10 +29,12 @@
 //!   in place into slot `T % 2`, then cut to length. A torn slot, or one
 //!   left with a longer older snapshot's tail, fails its `[seal]` check,
 //!   and the other slot's tick `T - 1` carries recovery, as above.
-//! * killed in the first [`ServerCore::open`], after the ledger's header:
-//!   with no usable slot and nothing in the ledger past its header,
-//!   recovery starts afresh on that header if it is this
-//!   configuration's; a longer ledger is refused unchanged.
+//! * killed in the first [`ServerCore::open`], before the tick-0
+//!   snapshot landed: with no usable slot and a ledger that holds this
+//!   configuration's header, recovery starts afresh on it; with no slot
+//!   file and a cut of that header (an empty file included), it first
+//!   completes the header in place. Any other ledger is refused
+//!   unchanged.
 //! * killed between the seal and the snapshot removal
 //!   ([`ServerCore::seal`]): the ledger is sealed, hence final —
 //!   recovery refuses the directory and changes no file.
@@ -44,7 +46,12 @@
 //!
 //! The snapshot is a schema over `rebudget_sim::durable` (DESIGN.md,
 //! "Durable codec"), sealed by `[seal]` and the hash of every byte before
-//! its `fnv1a=` line.
+//! its `fnv1a=` line. Recovery decodes a slot in one cheap pass: the seal
+//! hash and the line split share one scan, and each player's interests
+//! and bids are read straight into the columns, with no allocation per
+//! player. With telemetry on, [`ServerCore::open`] times the spans
+//! `recover_ledger` (the prefix scan and the resume) and `recover_slot`
+//! (reading, checking and decoding the slots).
 //!
 //! The ledger is a `rebudget_sim::durable` log ([`LogFile`]), the
 //! machinery the scenario ledgers and the simulator's checkpoints share,
@@ -59,7 +66,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufReader, Seek};
+use std::io::{BufReader, Read, Seek, Write};
 use std::mem::take;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -71,7 +78,7 @@ use rebudget_market::{
     SparseUtilityKind,
 };
 use rebudget_sim::durable::{
-    self, fnv1a, fnv1a_f64_words, fnv1a_joined, Document, Ledger, LogFile, Writer, LEDGER,
+    self, fnv1a_f64_words, fnv1a_joined, Document, Ledger, LogFile, Writer, LEDGER,
 };
 use rebudget_telemetry as telemetry;
 
@@ -547,7 +554,7 @@ impl ServerCore {
     /// Opens the daemon state under `state_dir`: recovers the ledger
     /// (`server.ledger`) from the newest usable snapshot slot
     /// (`server.snapshot`, `server.snapshot.1`). With neither file there,
-    /// it first writes a new ledger's header. A directory an older build
+    /// it starts a new ledger and writes its header. A directory an older build
     /// left with a snapshot rotation (`server.snapshot` and its `.prev`)
     /// is recovered into the slots.
     ///
@@ -556,22 +563,27 @@ impl ServerCore {
     /// [`ServerError::Config`] for invalid configuration,
     /// [`ServerError::Ledger`] for a sealed (final) ledger,
     /// [`ServerError::Snapshot`] when recovery finds no usable snapshot
-    /// slot, and [`ServerError::Io`] for filesystem trouble.
+    /// slot (and the ledger is not this configuration's header, nor a cut
+    /// of it with no slot file there), and [`ServerError::Io`] for filesystem trouble.
     pub fn open(config: ServerConfig, state_dir: &Path) -> ServerResult<Self> {
         config.validate()?;
         std::fs::create_dir_all(state_dir)?;
         let ledger_path = state_dir.join("server.ledger");
         let slots = SLOTS.map(|name| state_dir.join(name));
+        // A fresh start makes an empty ledger; recovery below finds no
+        // slot and writes its header, as after a kill inside that write.
         if !ledger_path.exists() && !slots.iter().any(|slot| slot.exists()) {
-            LogFile::create_new(&ledger_path, LEDGER, |w| write_meta(&config, w))?;
+            durable::create_new_ledger_file(&ledger_path)?;
         }
         // One streaming pass validates every chain link and records the
         // chain state at each record boundary.
+        let ledger_span = telemetry::span!("recover_ledger");
         let prefix = File::open(&ledger_path)
             .and_then(|f| LEDGER.read_valid_prefix(BufReader::new(f)))
             .map_err(|e| ServerError::Snapshot {
                 reason: format!("ledger '{}' is unreadable: {e}", ledger_path.display()),
             })?;
+        drop(ledger_span);
         // A sealed ledger is final even with a snapshot left beside it (a
         // kill between the seal and the snapshot removal): refuse it
         // before any file changes.
@@ -585,6 +597,7 @@ impl ServerCore {
         // slot's `R - 1`. A tick ahead of the ledger is refused. A
         // directory written before the slots may hold its older snapshot
         // in `server.snapshot.prev` instead.
+        let slot_span = telemetry::span!("recover_slot");
         let old_prev = state_dir.join(OLD_ROTATION[0]);
         let mut failures: Vec<String> = Vec::new();
         let mut load = |path: &Path| {
@@ -608,28 +621,49 @@ impl ServerCore {
                     .max_by_key(|(_, snap)| snap.tick)
             }
         };
-        // No usable slot and nothing but this config's header: a fresh
-        // start, or one killed before its tick-0 snapshot, goes on from it.
-        let header = Ledger::new(LEDGER, |w| write_meta(&config, w));
-        let header = header.text().as_bytes();
-        let fresh = found.is_none()
-            && prefix.header_bytes == header.len()
-            && prefix.chains.first() == Some(&fnv1a(header))
-            && std::fs::metadata(&ledger_path)?.len() == header.len() as u64;
-        let (in_place, snap) = match found {
-            Some(found) => found,
-            None if fresh => (false, Decoded::default()),
+        drop(slot_span);
+        let (in_place, snap, prefix) = match found {
+            Some((in_place, snap)) => (in_place, snap, prefix),
             None => {
-                return Err(ServerError::Snapshot {
-                    reason: format!("no usable snapshot slot: {}", failures.join("; ")),
-                })
+                // No usable slot. A ledger that is exactly this config's
+                // header goes on from it: a kill before the tick-0 snapshot
+                // landed. A cut of the header (empty included) is completed
+                // first, but only with no slot file there: a fresh start, or
+                // a kill inside the header write, which comes before any
+                // slot write. A slot beside a cut header is state that a
+                // reset would lose.
+                let header = Ledger::new(LEDGER, |w| write_meta(&config, w));
+                let header = header.text().as_bytes();
+                let mut ledger = std::fs::OpenOptions::new()
+                    .read(true)
+                    .append(true)
+                    .open(&ledger_path)?;
+                let mut head = Vec::new();
+                (&ledger)
+                    .take(header.len() as u64 + 1)
+                    .read_to_end(&mut head)?;
+                let no_slot = !slots.iter().chain([&old_prev]).any(|path| path.exists());
+                if head != header && !(no_slot && header.starts_with(&head)) {
+                    let torn = if head.starts_with(header) {
+                        ""
+                    } else {
+                        "; the ledger has no complete header for this configuration"
+                    };
+                    return Err(ServerError::Snapshot {
+                        reason: format!("no usable snapshot slot: {}{torn}", failures.join("; ")),
+                    });
+                }
+                ledger.write_all(&header[head.len()..])?;
+                (false, Decoded::default(), LEDGER.valid_prefix(header))
             }
         };
         // Truncate the ledger to exactly the snapshot's records: drops
         // both torn tails and whole records from a crash that landed
         // between the ledger append and the snapshot write. The dropped
         // tick re-runs deterministically.
+        let ledger_span = telemetry::span!("recover_ledger");
         let ledger = LogFile::resume(&ledger_path, LEDGER, &prefix, snap.tick as usize)?;
+        drop(ledger_span);
         let core = Self {
             config,
             table: snap.table,
@@ -980,26 +1014,14 @@ fn decode_snapshot(
         }
         prev = Some(id);
         let budget = player.f64("budget")?;
-        let raw = player.get("interests")?;
-        let first = next.cols.len();
-        for item in raw.split(' ').filter(|item| !item.is_empty()) {
-            let (c, w) = item
-                .split_once(':')
-                .and_then(|(c, w)| Some((c.parse().ok()?, durable::parse_f64(w)?)))
-                .ok_or_else(|| fault(format!("malformed interests '{raw}'")))?;
-            next.cols.push(c);
-            next.weights.push(w);
-        }
-        let k = next.cols.len() - first;
+        let k = player.indexed_f64_list_into("interests", &mut next.cols, &mut next.weights)?;
         let seeded = player.optional("bids")?.is_some();
         if seeded {
-            let bids = player.f64_list("bids")?;
-            if bids.len() != k {
+            if player.f64_list_into("bids", &mut next.seed)? != k {
                 return Err(fault(format!(
                     "player '{id}' bids/interests length mismatch"
                 )));
             }
-            next.seed.extend(bids);
         } else {
             next.seed.extend((0..k).map(|_| budget / k as f64));
         }
@@ -1050,7 +1072,7 @@ mod tests {
     use super::*;
     use crate::workload::WorkloadSpec;
     use rebudget_market::equilibrium::EquilibriumOptions;
-    use std::io::Write as _;
+    use rebudget_sim::durable::fnv1a;
 
     fn config(solver: SolverKind) -> ServerConfig {
         ServerConfig {
@@ -1629,6 +1651,229 @@ mod tests {
         }
     }
 
+    /// A state directory after two ticks, and its slot 0: the snapshot
+    /// of tick 2, every player seeded.
+    fn two_tick_snapshot(tag: &str) -> (ServerCore, PathBuf, String) {
+        let dir = temp_dir(tag);
+        let mut core = ServerCore::open(config(SolverKind::ProportionalResponse), &dir).unwrap();
+        drive(&mut core, 0);
+        drive(&mut core, 1);
+        let text = std::fs::read_to_string(dir.join(SLOTS[0])).unwrap();
+        (core, dir, text)
+    }
+
+    /// A uniform pick in `0..n` from the seeded stream `state`.
+    fn pick(state: &mut u64, n: usize) -> usize {
+        *state = rebudget_market::splitmix64(*state);
+        (*state % n.max(1) as u64) as usize
+    }
+
+    /// One seeded token-level edit of a snapshot body's `lines` (the seal
+    /// line last); returns what it did and whether the decoder must
+    /// refuse it.
+    fn mutate(lines: &mut Vec<String>, seed: u64, resources: usize) -> (&'static str, bool) {
+        let mut state = seed;
+        let keyed = |lines: &[String], keys: &[&str]| -> Vec<usize> {
+            let keyed = |line: &String| keys.iter().any(|k| line.starts_with(k));
+            (0..lines.len()).filter(|&i| keyed(&lines[i])).collect()
+        };
+        let lists = keyed(lines, &["interests=", "bids="]);
+        let line = lists[pick(&mut state, lists.len())];
+        // The value's space-separated items and where each starts.
+        let (key, value) = lines[line].split_once('=').unwrap();
+        let at = key.len() + 1;
+        let items: Vec<usize> = std::iter::once(at)
+            .chain(value.match_indices(' ').map(|(i, _)| at + i + 1))
+            .collect();
+        let item = items[pick(&mut state, items.len())];
+        let interests = key == "interests";
+        let digits = item
+            + if interests {
+                lines[line][item..].find(':').unwrap() + 1
+            } else {
+                0
+            };
+        let inner = lines.len() - 1;
+        match seed % 10 {
+            0 => {
+                lines.remove(1 + pick(&mut state, inner - 1));
+                ("a dropped line", false)
+            }
+            1 => {
+                // A repeated `[player N]` line opens a player with no keys.
+                let at = 1 + pick(&mut state, inner - 1);
+                lines.insert(at, lines[at].clone());
+                ("a repeated line", true)
+            }
+            2 => {
+                lines[line].remove(digits + pick(&mut state, 16));
+                ("a 15-digit word", true)
+            }
+            3 => {
+                lines[line].insert(digits + pick(&mut state, 17), 'a');
+                ("a 17-digit word", true)
+            }
+            4 if items.len() > 1 => {
+                lines[line].insert(items[1 + pick(&mut state, items.len() - 1)] - 1, ' ');
+                ("a double space", true)
+            }
+            5 | 6 if interests => {
+                let sign = if seed % 10 == 5 { '+' } else { '0' };
+                lines[line].insert(item, sign);
+                ("a signed or zero-led index", true)
+            }
+            7 if interests => {
+                let index = (resources + pick(&mut state, 3)).to_string();
+                lines[line].replace_range(item..digits - 1, &index);
+                ("an index past the goods", true)
+            }
+            8 => {
+                let bids = keyed(lines, &["bids="]);
+                let line = &mut lines[bids[pick(&mut state, bids.len())]];
+                if pick(&mut state, 2) == 0 {
+                    let last = line.rfind(' ').unwrap_or(line.len() - 16);
+                    line.truncate(last);
+                } else {
+                    let word = line[line.len() - 16..].to_string();
+                    line.push(' ');
+                    line.push_str(&word);
+                }
+                ("a bids list one word off", true)
+            }
+            _ => {
+                let players = keyed(lines, &["[player "]);
+                let k = pick(&mut state, players.len() - 1);
+                let (first, second) = (players[k], players[k + 1]);
+                let end = players.get(k + 2).copied().unwrap_or(inner);
+                let moved: Vec<String> = lines.drain(second..end).collect();
+                for (i, moved) in moved.into_iter().enumerate() {
+                    lines.insert(first + i, moved);
+                }
+                ("two players swapped", true)
+            }
+        }
+    }
+
+    #[test]
+    fn decode_refuses_or_round_trips_token_mutations() {
+        let (mut core, dir, text) = two_tick_snapshot("mutations");
+        let cfg = core.config.clone();
+        let resources = cfg.capacities.len();
+        let seal = text.rfind("[seal]\n").unwrap();
+        let lines: Vec<String> = text[..seal + 6].lines().map(str::to_string).collect();
+        for seed in 0..600 {
+            let mut edited = lines.clone();
+            let (what, refused) = mutate(&mut edited, seed, resources);
+            let body = edited.join("\n") + "\n";
+            let mutated = reseal(&text, |b| *b = body);
+            assert_ne!(mutated, text, "seed {seed}: {what} must edit the text");
+            match decode_snapshot(&mutated, &cfg, usize::MAX) {
+                Err(durable::Error::Format { .. }) => {}
+                Err(other) => panic!("seed {seed}: {what} failed untyped: {other}"),
+                Ok(_) if refused => panic!("seed {seed}: {what} decoded:\n{mutated}"),
+                Ok(decoded) => {
+                    // The decoded state writes back the very bytes it came from.
+                    (core.table, core.tick) = (decoded.table, decoded.tick);
+                    (core.degraded, core.consecutive_failures) =
+                        (decoded.degraded, decoded.failures);
+                    let mut encoded = Vec::new();
+                    core.encode_snapshot(&mut encoded).unwrap();
+                    assert_eq!(
+                        String::from_utf8(encoded).unwrap(),
+                        mutated,
+                        "seed {seed}: {what}"
+                    );
+                }
+            }
+        }
+        drop(core);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn byte_flips_and_cuts_fail_the_seal() {
+        let (core, dir, text) = two_tick_snapshot("flips");
+        let cfg = core.config.clone();
+        let header = text.find('\n').unwrap();
+        let fails_the_seal = |bytes: Vec<u8>, at: usize| {
+            let Ok(edited) = String::from_utf8(bytes) else {
+                return;
+            };
+            match decode_snapshot(&edited, &cfg, usize::MAX) {
+                Err(durable::Error::Checksum { .. } | durable::Error::Format { line: 0, .. }) => {}
+                Err(durable::Error::Format { line: 1, .. }) if at <= header => {}
+                other => panic!("an edit at byte {at} must fail the seal: {other:?}"),
+            }
+        };
+        for seed in 0..400u64 {
+            let at = (rebudget_market::splitmix64(seed) % text.len() as u64) as usize;
+            let mut flipped = text.as_bytes().to_vec();
+            flipped[at] ^= 1 + (rebudget_market::splitmix64(!seed) % 255) as u8;
+            fails_the_seal(flipped, at);
+            fails_the_seal(text.as_bytes()[..at].to_vec(), at);
+        }
+        drop(core);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn kill_inside_the_ledger_header_starts_afresh() {
+        let cfg = config(SolverKind::ProportionalResponse);
+        let reference = reference_ledger(SolverKind::ProportionalResponse, "header-cut-ref", 2);
+        let header = Ledger::new(LEDGER, |w| write_meta(&cfg, w))
+            .text()
+            .to_string();
+        let dir = temp_dir("header-cut");
+        let ledger = dir.join("server.ledger");
+        // Empty, or cut anywhere inside its header: a fresh start makes
+        // the empty file, then writes the header.
+        for cut in 0..header.len() {
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(&ledger, &header[..cut]).unwrap();
+            let mut core = ServerCore::open(cfg.clone(), &dir).unwrap();
+            assert_eq!(core.tick_index(), 0, "cut at {cut}");
+            drive(&mut core, 0);
+            drive(&mut core, 1);
+            core.seal().unwrap();
+            let resumed = std::fs::read_to_string(&ledger).unwrap();
+            assert_eq!(resumed, reference, "cut at {cut}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        // Any other bytes are refused, and every file is left as it was.
+        let mut flipped = header.clone().into_bytes();
+        flipped[30] ^= 1;
+        for other in [
+            flipped,
+            format!("{}x", &header[..40]).into_bytes(),
+            b"garbage\n".to_vec(),
+        ] {
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(&ledger, &other).unwrap();
+            let err = ServerCore::open(cfg.clone(), &dir).unwrap_err();
+            assert!(matches!(err, ServerError::Snapshot { .. }), "{err}");
+            assert!(err.to_string().contains("no complete header"), "{err}");
+            assert_eq!(contents(&dir), [("server.ledger".to_string(), other)]);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        // A cut header beside slots at later ticks is outside damage, not
+        // a kill: a reset would overwrite the only state left, so it is
+        // refused with every file unchanged.
+        for cut in [0, header.len() / 2, header.len() - 1] {
+            let mut core = ServerCore::open(cfg.clone(), &dir).unwrap();
+            drive(&mut core, 0);
+            drive(&mut core, 1);
+            drop(core);
+            std::fs::write(&ledger, &header[..cut]).unwrap();
+            let before = contents(&dir);
+            assert_eq!(before.len(), 3, "the ledger and both slots");
+            let err = ServerCore::open(cfg.clone(), &dir).unwrap_err();
+            assert!(matches!(err, ServerError::Snapshot { .. }), "{err}");
+            assert!(err.to_string().contains("no complete header"), "{err}");
+            assert_eq!(contents(&dir), before, "cut at {cut}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     /// Byte length of each record in the ledger file under `dir`.
     fn record_lengths(dir: &Path) -> Vec<usize> {
         let file = File::open(dir.join("server.ledger")).unwrap();
@@ -1932,7 +2177,7 @@ mod tests {
         impl RefCore {
             pub(super) fn open(config: ServerConfig, dir: &Path) -> Self {
                 std::fs::create_dir_all(dir).unwrap();
-                let ledger = LogFile::create_new(&dir.join("server.ledger"), LEDGER, |w| {
+                let ledger = LogFile::create(&dir.join("server.ledger"), LEDGER, |w| {
                     write_meta(&config, w)
                 })
                 .unwrap();

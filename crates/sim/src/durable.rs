@@ -10,9 +10,13 @@
 //! hash of those N bytes.
 //!
 //! [`Writer`] writes that grammar and carries the running hash;
-//! [`lines`]/[`read_lines`] scan it back with the hash before each line;
-//! [`Document`] hands out borrowed [`Section`]s, after checking a sealed
-//! file's trailer.
+//! [`lines`]/[`read_lines`] scan it back with the hash before each line,
+//! for the log scans that read it; [`Document`] hands out borrowed
+//! [`Section`]s, folding a sealed file's hash into the one pass that
+//! splits its lines and hashing nothing else. A section's list readers
+//! ([`Section::f64_list_into`], [`Section::indexed_f64_list_into`])
+//! append straight into caller-owned columns and take only the form the
+//! writer emits, so whatever decodes re-encodes to the same bytes.
 //!
 //! Every file that grows is an append-only, hash-chained log
 //! ([`LogFormat`]): a header, a meta section, then one record per step,
@@ -116,31 +120,36 @@ fn io_err(path: &Path, e: &std::io::Error) -> Error {
     }
 }
 
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-/// Each byte's hex-digit value, or `0xff` for a byte not in [`HEX_DIGITS`].
-const HEX_VALUES: [u8; 256] = {
-    let mut values = [0xff; 256];
-    let mut digit = 0;
-    while digit < 16 {
-        values[HEX_DIGITS[digit] as usize] = digit as u8;
-        digit += 1;
-    }
-    values
-};
-
 /// A word of exactly 16 lowercase hex digits (a digest or an `f64`'s
 /// bits), or `None`.
 #[must_use]
 pub fn parse_hex(word: impl AsRef<[u8]>) -> Option<u64> {
     let word: &[u8; 16] = word.as_ref().try_into().ok()?;
-    let (mut value, mut invalid) = (0u64, 0u8);
-    for &c in word {
-        let digit = HEX_VALUES[usize::from(c)];
-        invalid |= digit;
-        value = value << 4 | u64::from(digit & 0xf);
+    let (high, low) = word.split_at(8);
+    Some(hex_eight(high)? << 32 | hex_eight(low)?)
+}
+
+/// The value of eight lowercase hex digits, or `None`, the reverse of
+/// [`hex_digits`]: the digits are checked and packed as one word, with
+/// no branch per digit and no table.
+fn hex_eight(digits: &[u8]) -> Option<u64> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = ONES << 7;
+    let x = u64::from_be_bytes(digits.try_into().ok()?);
+    // 0x80 in each byte that is at least `k`. Every byte is below 0x80
+    // (else `x` is refused), so no sum carries into the next byte.
+    let at_least = |k: u8| x.wrapping_add(ONES * u64::from(0x80 - k)) & HIGH;
+    let letters = at_least(b'a') & !at_least(b'f' + 1);
+    let decimals = at_least(b'0') & !at_least(b'9' + 1);
+    if x & HIGH != 0 || letters | decimals != HIGH {
+        return None;
     }
-    (invalid < 16).then_some(value)
+    // Each digit's value is its low nibble, plus 9 for a letter; then
+    // the nibbles are packed pairwise, most significant first.
+    let v = (x & (ONES * 0xf)) + (letters >> 7) * 9;
+    let v = (v | v >> 4) & 0x00ff_00ff_00ff_00ff;
+    let v = (v | v >> 8) & 0x0000_ffff_0000_ffff;
+    Some((v | v >> 16) & 0xffff_ffff)
 }
 
 /// An `f64` from its 16-hex-digit bits word.
@@ -503,7 +512,38 @@ pub fn read_lines(
     Ok(())
 }
 
-#[derive(Debug, Clone, Copy)]
+/// The offset of every newline in `bytes` and, with `FOLD`, the FNV-1a
+/// of `bytes`, in one pass eight bytes at a time: the hash is a chain of
+/// dependent multiplies, and finding each word's newlines runs in its
+/// shadow.
+fn line_ends<const FOLD: bool>(bytes: &[u8]) -> (Vec<usize>, u64) {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const LOW: u64 = ONES * 0x7f;
+    let (mut ends, mut hash) = (Vec::new(), FNV_OFFSET);
+    let mut words = bytes.chunks_exact(8);
+    for (k, word) in words.by_ref().enumerate() {
+        if FOLD {
+            hash = fnv1a_extend(hash, word);
+        }
+        // 0x80 in each byte that is a newline: a byte of `x` is zero
+        // exactly when neither its high bit nor its low seven are set.
+        let x = u64::from_le_bytes(word.try_into().expect("a word of eight bytes"))
+            ^ (ONES * u64::from(b'\n'));
+        let mut newlines = !(((x & LOW) + LOW) | x | LOW);
+        while newlines != 0 {
+            ends.push(k * 8 + newlines.trailing_zeros() as usize / 8);
+            newlines &= newlines - 1;
+        }
+    }
+    let (tail, at) = (words.remainder(), bytes.len() - words.remainder().len());
+    if FOLD {
+        hash = fnv1a_extend(hash, tail);
+    }
+    ends.extend((at..bytes.len()).filter(|&i| bytes[i] == b'\n'));
+    (ends, hash)
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Entry<'a> {
     key: &'a str,
     value: &'a str,
@@ -511,7 +551,7 @@ struct Entry<'a> {
 }
 
 /// A durable file split into sections.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct Document<'a> {
     header: &'a str,
     /// `(name, line, first entry)` per section, in file order.
@@ -528,27 +568,13 @@ impl<'a> Document<'a> {
     ///
     /// [`Error::Format`] for an empty file or a malformed body line.
     pub fn parse(text: &'a str) -> Result<Self, Error> {
-        let mut doc = Self {
-            header: "",
-            sections: Vec::new(),
-            entries: Vec::new(),
-        };
-        if text.is_empty() {
-            return Err(format_err(1, "empty or headerless file".into()));
-        }
-        for line in lines(text) {
-            let line_text = &text[line.offset..line.offset + line.bytes.len()];
-            match line.number {
-                1 => doc.header = line_text,
-                n => doc.push(line_text, n)?,
-            }
-        }
-        Ok(doc)
+        Self::split::<false>(text).0
     }
 
     /// Checks `text`'s trailer, a `[seal]` line and `fnv1a=`, the hash of
-    /// every byte before that line ([`Writer::seal`]), then
-    /// [`parse`](Self::parse)s the text before the trailer.
+    /// every byte before that line ([`Writer::seal`]), and
+    /// [`parse`](Self::parse)s the text before the trailer in the same
+    /// pass that hashes it.
     ///
     /// # Errors
     ///
@@ -568,14 +594,44 @@ impl<'a> Document<'a> {
             .strip_prefix("fnv1a=")
             .and_then(|digest| parse_hex(digest.strip_suffix('\n')?))
             .ok_or_else(|| format_err(0, "[seal] trailer has no fnv1a digest".into()))?;
-        let computed = fnv1a(&text.as_bytes()[..at + tag.len()]);
+        let (doc, hash) = Self::split::<true>(&text[..at]);
+        let computed = fnv1a_extend(hash, tag.as_bytes());
         if recorded != computed {
             return Err(Error::Checksum {
                 expected: recorded,
                 found: computed,
             });
         }
-        Self::parse(&text[..at])
+        doc
+    }
+
+    /// Splits `text` at its newlines and files each line up to the first
+    /// malformed one; with `FOLD`, also returns the FNV-1a of all of
+    /// `text`, computed in the same pass that finds the newlines.
+    fn split<const FOLD: bool>(text: &'a str) -> (Result<Self, Error>, u64) {
+        if text.is_empty() {
+            let fault = format_err(1, "empty or headerless file".into());
+            return (Err(fault), FNV_OFFSET);
+        }
+        let (ends, hash) = line_ends::<FOLD>(text.as_bytes());
+        let mut doc = Self {
+            header: "",
+            sections: Vec::new(),
+            entries: Vec::new(),
+        };
+        // The last line may lack its newline.
+        let torn = (!text.ends_with('\n')).then_some(text.len());
+        let mut start = 0;
+        for (i, end) in ends.into_iter().chain(torn).enumerate() {
+            let line = &text[start..end];
+            start = end + 1;
+            if i == 0 {
+                doc.header = line;
+            } else if let Err(fault) = doc.push(line, i + 1) {
+                return (Err(fault), hash);
+            }
+        }
+        (Ok(doc), hash)
     }
 
     /// Files body line `number`, `line`, under the current section.
@@ -585,7 +641,10 @@ impl<'a> Document<'a> {
             self.sections.push((name, number, self.entries.len()));
             return Ok(());
         }
-        match line.split_once('=') {
+        // Keys are short: a plain scan finds the `=` sooner than a
+        // `memchr` call is set up.
+        let eq = line.bytes().position(|b| b == b'=');
+        match eq.map(|eq| (&line[..eq], &line[eq + 1..])) {
             None => fault(format!("unrecognized line `{line}`")),
             Some(_) if self.sections.is_empty() => fault("key=value before any [section]".into()),
             Some((key, value)) => {
@@ -725,16 +784,98 @@ impl<'a> Section<'a> {
 
     /// The value of `key` as single-space-separated `f64` bits words.
     pub fn f64_list(&self, key: &str) -> Result<Vec<f64>, Error> {
-        let e = self.required(key)?;
-        let mut values = Vec::with_capacity((e.value.len() + 1) / 17);
-        let words = e.value.split(' ').filter(|_| !e.value.is_empty());
-        for word in words {
-            values.push(parse_f64(word).ok_or_else(|| {
-                format_err(e.line, format!("key `{key}` has a bad f64 `{word}`"))
-            })?);
-        }
+        let mut values = Vec::new();
+        self.f64_list_into(key, &mut values)?;
         Ok(values)
     }
+
+    /// Appends the value of `key`, read in the one form
+    /// [`Writer::f64_list`] writes, to `values`; returns how many it
+    /// appended. On error `values` is as it was.
+    pub fn f64_list_into(&self, key: &str, values: &mut Vec<f64>) -> Result<usize, Error> {
+        let start = values.len();
+        self.read_list(key, |word| {
+            values.push(f64::from_bits(parse_hex(word.get(..16)?)?));
+            Some(16)
+        })
+        .inspect_err(|_| values.truncate(start))?;
+        Ok(values.len() - start)
+    }
+
+    /// Appends the value of `key`, read in the one form
+    /// [`Writer::indexed_f64_list`] writes, to `indices` and `values`;
+    /// returns how many pairs it appended. An index is decimal with no
+    /// sign and no leading zero, and must fit a `u32`. On error both are
+    /// as they were.
+    pub fn indexed_f64_list_into(
+        &self,
+        key: &str,
+        indices: &mut Vec<u32>,
+        values: &mut Vec<f64>,
+    ) -> Result<usize, Error> {
+        let start = (indices.len(), values.len());
+        self.read_list(key, |item| {
+            let colon = item.iter().take(11).position(|&b| b == b':')?;
+            let index = parse_index(&item[..colon])?;
+            let bits = parse_hex(item.get(colon + 1..colon + 17)?)?;
+            indices.push(index);
+            values.push(f64::from_bits(bits));
+            Some(colon + 17)
+        })
+        .inspect_err(|_| {
+            indices.truncate(start.0);
+            values.truncate(start.1);
+        })?;
+        Ok(values.len() - start.1)
+    }
+
+    /// Hands the value of `key` to `item` an item at a time: items are
+    /// joined by single spaces, and the empty value is the empty list.
+    /// `item` takes the item at the front of the bytes it is given and
+    /// returns its length, or `None` when it is malformed.
+    fn read_list(
+        &self,
+        key: &str,
+        mut item: impl FnMut(&[u8]) -> Option<usize>,
+    ) -> Result<(), Error> {
+        let e = self.required(key)?;
+        let list = e.value.as_bytes();
+        let fault = |at: usize| {
+            format_err(
+                e.line,
+                format!("key `{key}` has a malformed list item at byte {at}"),
+            )
+        };
+        if list.is_empty() {
+            return Ok(());
+        }
+        let mut at = 0;
+        loop {
+            at += item(&list[at..]).ok_or_else(|| fault(at))?;
+            match list.get(at) {
+                None => return Ok(()),
+                Some(b' ') => at += 1,
+                Some(_) => return Err(fault(at)),
+            }
+        }
+    }
+}
+
+/// A list index as [`Writer::indexed_f64_list`] writes it: decimal
+/// digits with no sign and no leading zero, or `None`; also `None`
+/// past `u32::MAX`.
+fn parse_index(digits: &[u8]) -> Option<u32> {
+    if digits.is_empty() || (digits[0] == b'0' && digits.len() > 1) {
+        return None;
+    }
+    let mut value = 0u64;
+    for &d in digits {
+        if !d.is_ascii_digit() {
+            return None;
+        }
+        value = value * 10 + u64::from(d - b'0');
+    }
+    u32::try_from(value).ok()
 }
 
 /// The shape of one append-only, hash-chained log. A log is the header
@@ -929,23 +1070,6 @@ impl LogFile {
     ) -> Result<Self, Error> {
         let file = fs::File::create(path).map_err(|e| io_err(path, &e))?;
         Self::start(file, path, Ledger::new(format, meta))
-    }
-
-    /// [`LogFile::create`] for a ledger, which must not exist yet.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Exists`] when `path` exists, else [`Error::Io`].
-    pub fn create_new(
-        path: &Path,
-        format: LogFormat,
-        meta: impl FnOnce(&mut Writer),
-    ) -> Result<Self, Error> {
-        Self::start(
-            create_new_ledger_file(path)?,
-            path,
-            Ledger::new(format, meta),
-        )
     }
 
     /// Continues the log at `path` from the first `records` records of
@@ -1324,6 +1448,24 @@ mod tests {
     }
 
     #[test]
+    fn parse_hex_refuses_every_byte_but_a_lowercase_digit() {
+        let word = *b"0123456789abcdef";
+        assert_eq!(parse_hex(word), Some(0x0123_4567_89ab_cdef));
+        for at in 0..16 {
+            for b in 0..=255u8 {
+                let mut edited = word;
+                edited[at] = b;
+                let lowercase = b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+                let text = std::str::from_utf8(&edited).ok();
+                let want = text
+                    .filter(|_| lowercase)
+                    .map(|t| u64::from_str_radix(t, 16).unwrap());
+                assert_eq!(parse_hex(edited), want, "byte {b:#04x} at {at}");
+            }
+        }
+    }
+
+    #[test]
     fn hex_digits_match_fmt() {
         let mut v = 0x0123_4567_89ab_cdefu64;
         for edge in [0, 9, 10, 15, 16, 0xa0, 0x9f, u64::MAX, 1 << 63] {
@@ -1335,6 +1477,7 @@ mod tests {
             v ^= v >> 7;
             v ^= v << 17;
             assert_eq!(hex_digits(v), format!("{v:016x}").as_bytes());
+            assert_eq!(parse_hex(hex_digits(v)), Some(v));
         }
     }
 
@@ -1507,6 +1650,129 @@ mod tests {
         }
     }
 
+    /// The parse over [`lines`], whose scanner folds every byte into a
+    /// hash that a parse never reads: the reference for
+    /// [`Document::parse`].
+    fn parse_by_scanner(text: &str) -> Result<Document<'_>, Error> {
+        let mut doc = Document {
+            header: "",
+            sections: Vec::new(),
+            entries: Vec::new(),
+        };
+        if text.is_empty() {
+            return Err(format_err(1, "empty or headerless file".into()));
+        }
+        for line in lines(text) {
+            let line_text = &text[line.offset..line.offset + line.bytes.len()];
+            match line.number {
+                1 => doc.header = line_text,
+                n => doc.push(line_text, n)?,
+            }
+        }
+        Ok(doc)
+    }
+
+    #[test]
+    fn parse_matches_the_scanner_parse_on_every_golden_file() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/durable");
+        let mut files = 0;
+        for entry in fs::read_dir(&dir).unwrap() {
+            let text = fs::read_to_string(entry.unwrap().path()).unwrap();
+            files += 1;
+            // The whole file, every cut of it (a torn last line included)
+            // and every line replaced by one without `=`.
+            let mut inputs: Vec<String> = (0..=text.len())
+                .filter(|&cut| text.is_char_boundary(cut))
+                .map(|cut| text[..cut].to_string())
+                .collect();
+            for (k, line) in text.lines().enumerate() {
+                inputs.push(text.replacen(line, &format!("bad line {k}"), 1));
+            }
+            for input in &inputs {
+                assert_eq!(Document::parse(input), parse_by_scanner(input), "{input:?}");
+            }
+            // A sealed document (a log's seal also counts its records).
+            if let Some(at) = text.rfind("[seal]\nfnv1a=") {
+                let doc = Document::open(&text).unwrap();
+                assert_eq!(Ok(doc), parse_by_scanner(&text[..at]));
+            }
+        }
+        assert!(files >= 6, "{files} golden files under {}", dir.display());
+    }
+
+    #[test]
+    fn list_readers_take_only_the_writers_form() {
+        let mut w = Writer::default();
+        w.section("s");
+        w.f64_list("none", &[]);
+        w.f64_list("two", &[1.0, -0.0]);
+        w.indexed_f64_list("pairs", [(0, 0.5), (10, 2.0), (u64::from(u32::MAX), 1.0)]);
+        w.indexed_f64_list("empty", []);
+        let canonical = w.text().to_string();
+        let section = |text: &str, check: &dyn Fn(Section<'_>)| {
+            let text = format!("doc v1\n{text}");
+            check(Document::parse(&text).unwrap().section("s").unwrap());
+        };
+        section(&canonical, &|s| {
+            let mut values = vec![9.0];
+            assert_eq!(s.f64_list_into("none", &mut values).unwrap(), 0);
+            assert_eq!(s.f64_list_into("two", &mut values).unwrap(), 2);
+            assert_eq!(
+                values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                [9.0f64, 1.0, -0.0].map(f64::to_bits)
+            );
+            let (mut indices, mut values) = (vec![7], vec![9.0]);
+            assert_eq!(
+                s.indexed_f64_list_into("pairs", &mut indices, &mut values)
+                    .unwrap(),
+                3
+            );
+            assert_eq!(
+                s.indexed_f64_list_into("empty", &mut indices, &mut values)
+                    .unwrap(),
+                0
+            );
+            assert_eq!(indices, [7, 0, 10, u32::MAX]);
+            assert_eq!(values, [9.0, 0.5, 2.0, 1.0]);
+        });
+        let bad_lists = [
+            ("two=3ff0000000000000  8000000000000000", "two"),
+            ("two=3ff0000000000000 8000000000000000 ", "two"),
+            ("two= 3ff0000000000000", "two"),
+            ("two=3ff000000000000 8000000000000000", "two"),
+            ("two=3ff00000000000000 8000000000000000", "two"),
+            ("two=3FF0000000000000", "two"),
+            ("pairs=+0:3fe0000000000000", "pairs"),
+            ("pairs=00:3fe0000000000000", "pairs"),
+            ("pairs=010:3fe0000000000000", "pairs"),
+            ("pairs=4294967296:3fe0000000000000", "pairs"),
+            ("pairs=0:3fe0000000000000  10:4000000000000000", "pairs"),
+            ("pairs=0;3fe0000000000000", "pairs"),
+            ("pairs=:3fe0000000000000", "pairs"),
+            ("pairs=0:3fe000000000000", "pairs"),
+            ("pairs=0:3fe0000000000000 ", "pairs"),
+            ("pairs=0:3fe0000000000000 1", "pairs"),
+        ];
+        for (line, key) in bad_lists {
+            let old = canonical
+                .lines()
+                .find(|l| l.starts_with(&format!("{key}=")))
+                .unwrap();
+            section(&canonical.replacen(old, line, 1), &|s| {
+                // A refused list leaves the columns as they were.
+                let (mut indices, mut values) = (vec![7], vec![9.0]);
+                let err = if key == "two" {
+                    s.f64_list_into(key, &mut values).unwrap_err()
+                } else {
+                    s.indexed_f64_list_into(key, &mut indices, &mut values)
+                        .unwrap_err()
+                };
+                assert!(matches!(err, Error::Format { .. }), "{line}: {err}");
+                assert_eq!((indices, values), (vec![7], vec![9.0]), "{line}");
+            });
+        }
+    }
+
     const STEPS: LogFormat = LogFormat {
         header: "steps v1",
         record: "step",
@@ -1567,7 +1833,7 @@ mod tests {
         assert_eq!(names, ["meta", "step 0", "step 1", "step 2", "step 3"]);
         // A ledger is never overwritten.
         assert!(matches!(
-            LogFile::create_new(&path, STEPS, |_| {}),
+            create_new_ledger_file(&path),
             Err(Error::Exists { .. })
         ));
         let _ = fs::remove_dir_all(&dir);
