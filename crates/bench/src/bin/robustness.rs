@@ -15,9 +15,9 @@
 //!    checkpointing every quantum vs. without, reporting time per quantum
 //!    and the relative overhead (target: < 5%).
 //! 4. **Tracing overhead** — the same simulation with telemetry compiled
-//!    in but disabled (target: < 1%) and with the full JSONL journal +
-//!    metrics recording enabled (target: < 5%), against the same
-//!    interleaved median-of-paired-differences protocol.
+//!    in but disabled (target: < 1%) and with the full JSONL journal
+//!    streamed to a file + metrics recording enabled (target: < 5%),
+//!    against the same interleaved median-of-paired-differences protocol.
 //!
 //! Usage: `robustness [cores] [quanta] [seed]` (defaults: 8, 8, 1).
 
@@ -304,9 +304,13 @@ fn tracing_overhead(
         faults: Some(plan.clone()),
         ..SimOptions::default()
     };
+    // The traced arm streams its journal to a file, as `--trace` does.
+    let trace = std::env::temp_dir().join(format!("rebudget-robustness-{}", std::process::id()));
+    let journal = &rebudget_telemetry::global().journal;
     let timed = |traced: bool| {
         if traced {
             rebudget_telemetry::reset();
+            exit_on_error(journal.open(&trace));
             rebudget_telemetry::set_enabled(true);
         }
         let t0 = Instant::now();
@@ -314,6 +318,7 @@ fn tracing_overhead(
         let s = t0.elapsed().as_secs_f64();
         if traced {
             rebudget_telemetry::set_enabled(false);
+            exit_on_error(journal.finish());
         }
         match r {
             Ok(r) => (s, r),
@@ -345,7 +350,8 @@ fn tracing_overhead(
         traced.efficiency.to_bits(),
         "tracing must not perturb the simulation"
     );
-    let events = rebudget_telemetry::global().journal.len();
+    let events = journal.recorded();
+    let _ = std::fs::remove_file(&trace);
 
     let per_quantum = |s: f64| s * 1e3 / quanta as f64;
     let overhead = (traced_s - disabled_s) / disabled_s * 100.0;

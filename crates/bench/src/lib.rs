@@ -22,7 +22,7 @@ pub mod export;
 use rebudget_core::mechanisms::{
     Balanced, EqualBudget, EqualShare, MaxEfficiency, Mechanism, ReBudget,
 };
-use rebudget_market::{MarketError, ParallelPolicy, Result};
+use rebudget_market::{ParallelPolicy, Result};
 use rebudget_sim::analytic::build_market;
 use rebudget_sim::{DramConfig, SystemConfig};
 use rebudget_workloads::Bundle;
@@ -115,7 +115,8 @@ impl BundleResult {
 ///
 /// # Errors
 ///
-/// Propagates [`MarketError`]s (cannot occur for valid bundles).
+/// Propagates [`rebudget_market::MarketError`]s (cannot occur for valid
+/// bundles).
 pub fn evaluate_bundle_analytic(
     bundle: &Bundle,
     sys: &SystemConfig,
@@ -234,9 +235,9 @@ fn parse_arg<T: std::str::FromStr>(arg: Option<&str>, default: T) -> Option<T> {
     }
 }
 
-/// Converts a [`MarketError`] chain into a process exit with a message —
-/// for binary main functions.
-pub fn exit_on_error<T>(result: std::result::Result<T, MarketError>) -> T {
+/// Converts an error (a [`rebudget_market::MarketError`] chain, an I/O
+/// error) into a process exit with a message — for binary main functions.
+pub fn exit_on_error<T, E: std::fmt::Display>(result: std::result::Result<T, E>) -> T {
     match result {
         Ok(v) => v,
         Err(e) => {

@@ -172,7 +172,8 @@ SERVER:     `serve` runs the fault-tolerant online market daemon:
             `scenario audit` verifies the sealed ledger. Exit code 5 for
             daemon failures.
 OBSERVING:  every subcommand also accepts --trace=PATH (write a JSONL
-            event journal, crash-atomically, without touching stdout),
+            event journal, each event as it happens, without touching
+            stdout; a killed run keeps its trace),
             --metrics (append a counters/gauges/histograms section), and
             --profile (append per-span wall-clock timings). Tracing never
             changes allocations: a traced run is bit-identical to an
@@ -408,8 +409,15 @@ fn run_inner(args: &[String], notes: &mut Vec<String>) -> Result<String, CliErro
     let metrics = extract_switch(&mut args, "metrics");
     let profile = extract_switch(&mut args, "profile");
     let observing = trace.is_some() || metrics || profile;
+    let trace_err = |e: std::io::Error| {
+        let path = trace.as_deref().unwrap_or(Path::new(""));
+        err(format!("cannot write trace to '{}': {e}", path.display()))
+    };
     if observing {
         telemetry::reset();
+        if let Some(path) = &trace {
+            telemetry::global().journal.open(path).map_err(trace_err)?;
+        }
         telemetry::set_enabled(true);
         telemetry::record(
             telemetry::Event::new("trace_meta")
@@ -418,16 +426,14 @@ fn run_inner(args: &[String], notes: &mut Vec<String>) -> Result<String, CliErro
         );
     }
     let result = dispatch(&args, notes);
-    if observing {
+    let traced = if observing {
         telemetry::set_enabled(false);
-    }
+        telemetry::global().journal.finish().map_err(trace_err)
+    } else {
+        Ok(())
+    };
     let mut out = result?;
-    if let Some(path) = &trace {
-        telemetry::global()
-            .journal
-            .flush_to(path)
-            .map_err(|e| err(format!("cannot write trace to '{}': {e}", path.display())))?;
-    }
+    traced?;
     if metrics {
         out.push_str(
             "
@@ -1555,13 +1561,55 @@ mod tests {
             let traced = run_ok(&traced_args);
             assert_eq!(traced, reference, "tracing must not touch stdout");
             let text = std::fs::read_to_string(&trace).unwrap();
-            let n = rebudget_telemetry::schema::validate_stream(&text).expect("schema-valid");
-            assert!(n >= 3, "expected events, got {n}");
+            let summary =
+                rebudget_telemetry::schema::validate_stream(text.as_bytes()).expect("schema-valid");
+            assert!(summary.events >= 3, "expected events, got {summary:?}");
+            assert_eq!(summary.torn_bytes, 0);
             assert!(text.lines().next().unwrap().contains("trace_meta"));
             assert!(text.contains("\"event\":\"quantum\""), "{text}");
             assert!(text.contains("\"event\":\"rebudget_round\""), "{text}");
             assert!(text.contains("\"event\":\"solve_end\""), "{text}");
             let _ = std::fs::remove_dir_all(&dir);
+        });
+    }
+
+    #[test]
+    fn an_unwritable_trace_fails_before_the_run() {
+        observed(|| {
+            let dir = std::env::temp_dir().join(format!("rebudget-cli-nt-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let log = dir.join("sweep.log");
+            let missing = dir.join("missing").join("t.jsonl");
+            let e = run_err(&[
+                "sweep",
+                "bbpc",
+                "8",
+                &format!("--checkpoint={}", log.display()),
+                &format!("--trace={}", missing.display()),
+            ]);
+            assert!(
+                e.message
+                    .starts_with(&format!("cannot write trace to '{}'", missing.display())),
+                "{e:?}"
+            );
+            assert!(!log.exists(), "no work before the trace is open");
+            let _ = std::fs::remove_dir_all(&dir);
+        });
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_trace_write_error_fails_the_command() {
+        observed(|| {
+            let e = run_err(&["simulate", "bbpc", "8", "2", "--trace=/dev/full"]);
+            assert!(
+                e.message.starts_with("cannot write trace to '/dev/full'"),
+                "{e:?}"
+            );
+            // The command's own error wins over the trace's.
+            let e = run_err(&["simulate", "bbpc", "0", "--trace=/dev/full"]);
+            assert!(!e.message.contains("trace"), "{e:?}");
         });
     }
 

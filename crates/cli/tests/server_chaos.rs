@@ -353,6 +353,46 @@ fn sigkill_after_long_uptime_resumes_byte_identical() {
     assert_audits(&ledger);
 }
 
+/// The trace journal is written an event at a time, before the response
+/// it explains, so a SIGKILLed traced daemon keeps every event of every
+/// request it answered: the file validates and is a prefix of an
+/// uninterrupted run's trace.
+#[test]
+fn sigkill_keeps_the_trace_of_every_answered_request() {
+    let dir = temp_dir("trace");
+    let socket = dir.join("s.sock");
+    let state = dir.join("state");
+    let trace = dir.join("trace.jsonl");
+    let flag = format!("--trace={}", trace.display());
+    let run = |ticks: u64, kill: bool| {
+        let _ = std::fs::remove_dir_all(&state);
+        let _ = std::fs::remove_file(&trace);
+        let daemon = Daemon::spawn(&socket, &state, &[&flag]);
+        let mut client = Client::connect(&socket);
+        for tick in 1..=ticks {
+            client.drive_tick(&spec(), tick);
+        }
+        if kill {
+            daemon.sigkill();
+        } else {
+            shutdown(daemon, client);
+        }
+        std::fs::read(&trace).expect("trace written")
+    };
+    let full = run(4, false);
+    let cut = run(2, true);
+    let summary = rebudget_telemetry::schema::validate_stream(&cut).expect("cut trace validates");
+    assert_eq!(summary.torn_bytes, 0, "each event is one whole write");
+    assert!(
+        full.starts_with(&cut),
+        "the cut trace is a prefix of the full one"
+    );
+    let ticks = String::from_utf8_lossy(&cut)
+        .matches("\"event\":\"server_tick\"")
+        .count();
+    assert_eq!(ticks, 2, "every answered tick's event survives the kill");
+}
+
 /// A sealed state directory refuses to serve again — with the dedicated
 /// server exit code, not a usage error.
 #[test]

@@ -520,17 +520,21 @@ mod tests {
 
         // No policy: one plain solve, bit-identical to calling the engine
         // directly, with no `retry_attempt` event.
+        let dir = std::env::temp_dir().join(format!("rebudget-ladder-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("trace.jsonl");
         let journal = &telemetry::global().journal;
-        journal.reset();
+        journal.open(&trace).unwrap();
         telemetry::set_enabled(true);
         let run = solve_with_retry(&opts, None, dense(&m));
         telemetry::set_enabled(false);
+        journal.finish().unwrap();
         let (out, report) = run.unwrap();
+        let text = std::fs::read_to_string(&trace).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(text.contains("\"solve_end\""), "the solve was traced");
         assert!(
-            !journal
-                .lines()
-                .iter()
-                .any(|l| l.contains("\"retry_attempt\"")),
+            !text.contains("\"retry_attempt\""),
             "a plain solve records no retry_attempt"
         );
         let plain = m.equilibrium_with_budgets(&[100.0, 100.0], &opts).unwrap();

@@ -179,11 +179,11 @@ impl Listener {
     }
 }
 
-/// Request accounting, mirrored into `server.*` counters. The ledger of
-/// request fates: every complete admission frame ends up in exactly one
-/// of `shed`, `accepted`, or `rejected` once its tick has run (or
-/// `malformed` if it never parsed); `requests` counts every complete
-/// frame received.
+/// Request accounting, mirrored into `server.*` counters while telemetry
+/// is on. The ledger of request fates: every complete admission frame
+/// ends up in exactly one of `shed`, `accepted`, or `rejected` once its
+/// tick has run (or `malformed` if it never parsed); `requests` counts
+/// every complete frame received.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Complete request lines received (admission + control).
@@ -213,10 +213,12 @@ pub struct Stats {
 macro_rules! bump {
     ($stats:expr, $field:ident) => {{
         $stats.$field += 1;
-        telemetry::global()
-            .registry
-            .counter(concat!("server.", stringify!($field)))
-            .incr();
+        if telemetry::enabled() {
+            telemetry::global()
+                .registry
+                .counter(concat!("server.", stringify!($field)))
+                .incr();
+        }
     }};
 }
 
@@ -752,6 +754,15 @@ mod tests {
                 + summary.stats.shed
                 + summary.stats.malformed
                 + summary.stats.control
+        );
+        // With telemetry off, `Stats` alone keeps the count: no frame
+        // touched the metrics registry.
+        let counters = telemetry::global().registry.snapshot().counters;
+        assert!(
+            counters
+                .iter()
+                .all(|(name, _)| !name.starts_with("server.")),
+            "{counters:?}"
         );
     }
 

@@ -543,11 +543,12 @@ fn line_ends<const FOLD: bool>(bytes: &[u8]) -> (Vec<usize>, u64) {
     (ends, hash)
 }
 
+/// One `key=value` body line. Every body line of a section is an entry,
+/// so entry `k` of a section is on the section's line `+ 1 + k`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Entry<'a> {
     key: &'a str,
     value: &'a str,
-    line: usize,
 }
 
 /// A durable file split into sections.
@@ -648,11 +649,7 @@ impl<'a> Document<'a> {
             None => fault(format!("unrecognized line `{line}`")),
             Some(_) if self.sections.is_empty() => fault("key=value before any [section]".into()),
             Some((key, value)) => {
-                self.entries.push(Entry {
-                    key,
-                    value,
-                    line: number,
-                });
+                self.entries.push(Entry { key, value });
                 Ok(())
             }
         }
@@ -706,18 +703,29 @@ pub struct Section<'a> {
 }
 
 impl<'a> Section<'a> {
-    fn entry(&self, key: &str) -> Result<Option<&'a Entry<'a>>, Error> {
-        let mut found = self.entries.iter().filter(|e| e.key == key);
+    /// The line of entry `k`: the one after the `[name]` line and the
+    /// `k` entries before it.
+    fn line_of(&self, k: usize) -> usize {
+        self.line + 1 + k
+    }
+
+    /// The line and value of `key`, if present.
+    fn entry(&self, key: &str) -> Result<Option<(usize, &'a str)>, Error> {
+        let mut found = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.key == key);
         match (found.next(), found.next()) {
-            (_, Some(again)) => Err(format_err(
-                again.line,
+            (_, Some((again, _))) => Err(format_err(
+                self.line_of(again),
                 format!("section [{}] repeats key `{key}`", self.name),
             )),
-            (first, None) => Ok(first),
+            (first, None) => Ok(first.map(|(k, e)| (self.line_of(k), e.value))),
         }
     }
 
-    fn required(&self, key: &str) -> Result<&'a Entry<'a>, Error> {
+    fn required(&self, key: &str) -> Result<(usize, &'a str), Error> {
         self.entry(key)?.ok_or_else(|| {
             format_err(
                 self.line,
@@ -728,10 +736,13 @@ impl<'a> Section<'a> {
 
     /// Fails on the first key that is not in `known`.
     pub fn only(&self, known: &[&str]) -> Result<(), Error> {
-        match self.entries.iter().find(|e| !known.contains(&e.key)) {
-            Some(e) => Err(format_err(
-                e.line,
-                format!("section [{}] has unknown key `{}`", self.name, e.key),
+        match self.entries.iter().position(|e| !known.contains(&e.key)) {
+            Some(k) => Err(format_err(
+                self.line_of(k),
+                format!(
+                    "section [{}] has unknown key `{}`",
+                    self.name, self.entries[k].key
+                ),
             )),
             None => Ok(()),
         }
@@ -739,44 +750,41 @@ impl<'a> Section<'a> {
 
     /// The value of `key`, if present.
     pub fn optional(&self, key: &str) -> Result<Option<&'a str>, Error> {
-        Ok(self.entry(key)?.map(|e| e.value))
+        Ok(self.entry(key)?.map(|(_, value)| value))
     }
 
     /// The value of `key`.
     pub fn get(&self, key: &str) -> Result<&'a str, Error> {
-        Ok(self.required(key)?.value)
+        Ok(self.required(key)?.1)
     }
 
     /// The value of `key` parsed with [`FromStr`].
     pub fn parse<T: FromStr>(&self, key: &str) -> Result<T, Error> {
-        let e = self.required(key)?;
-        e.value.parse().map_err(|_| {
-            format_err(
-                e.line,
-                format!("key `{key}` has unparsable value `{}`", e.value),
-            )
-        })
+        let (line, value) = self.required(key)?;
+        value
+            .parse()
+            .map_err(|_| format_err(line, format!("key `{key}` has unparsable value `{value}`")))
     }
 
     /// The value of `key` as one `f64` bits word.
     pub fn f64(&self, key: &str) -> Result<f64, Error> {
-        let e = self.required(key)?;
-        parse_f64(e.value).ok_or_else(|| {
+        let (line, value) = self.required(key)?;
+        parse_f64(value).ok_or_else(|| {
             format_err(
-                e.line,
-                format!("key `{key}` is not a 16-hex-digit f64: `{}`", e.value),
+                line,
+                format!("key `{key}` is not a 16-hex-digit f64: `{value}`"),
             )
         })
     }
 
     /// The value of `key` as `0` (false) or `1` (true).
     pub fn bool(&self, key: &str) -> Result<bool, Error> {
-        let e = self.required(key)?;
-        match e.value {
+        let (line, value) = self.required(key)?;
+        match value {
             "0" => Ok(false),
             "1" => Ok(true),
             other => Err(format_err(
-                e.line,
+                line,
                 format!("key `{key}` must be 0 or 1, got `{other}`"),
             )),
         }
@@ -838,11 +846,11 @@ impl<'a> Section<'a> {
         key: &str,
         mut item: impl FnMut(&[u8]) -> Option<usize>,
     ) -> Result<(), Error> {
-        let e = self.required(key)?;
-        let list = e.value.as_bytes();
+        let (line, value) = self.required(key)?;
+        let list = value.as_bytes();
         let fault = |at: usize| {
             format_err(
-                e.line,
+                line,
                 format!("key `{key}` has a malformed list item at byte {at}"),
             )
         };

@@ -834,10 +834,7 @@ pub fn run_simulation_hooked(
             telemetry::record(
                 telemetry::Event::new("quantum_alloc")
                     .field_u64("quantum", q as u64)
-                    .field_rows(
-                        "allocation",
-                        allocation.chunks(2).map(<[f64]>::to_vec).collect(),
-                    ),
+                    .field_rows("allocation", allocation.chunks(2)),
             );
             let now = if verdict.fallback {
                 "fallback"

@@ -17,8 +17,9 @@
 //!   registry histograms keyed by the span path.
 //! * [`journal`] — a structured JSONL event journal (per-iteration solver
 //!   residuals and prices, guardrail recoveries, ReBudget round budgets,
-//!   per-quantum allocations) flushed crash-atomically through a temp
-//!   file and a rename.
+//!   per-quantum allocations), each event written to the trace file as
+//!   it is recorded, so a killed run keeps every line but a torn last
+//!   one.
 //! * [`schema`] — a hand-rolled JSON parser and the closed event schema,
 //!   shared by the test suite and the `trace_check` bin so CI can validate
 //!   every emitted line.
@@ -92,8 +93,8 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Clears all recorded state (metrics, journal, sequence numbers) without
-/// touching the enabled switch. Callers that own a "run" (the CLI, tests)
+/// Clears all recorded state (metrics, sequence numbers) and drops any
+/// open trace file without touching the enabled switch. Callers that own a "run" (the CLI, tests)
 /// reset before recording so output reflects that run alone.
 pub fn reset() {
     let t = global();

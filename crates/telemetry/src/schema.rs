@@ -417,33 +417,43 @@ pub fn validate_line(line: &str) -> Result<u64, SchemaError> {
     Ok(seq)
 }
 
-/// Validates a whole JSONL stream: every line against the schema, and
-/// `seq` strictly increasing from 0. Returns the number of events.
+/// What [`validate_stream`] found in a trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamSummary {
+    /// Complete lines, each a valid event.
+    pub events: usize,
+    /// Length of a final line cut before its newline, as a killed run
+    /// leaves it; 0 when the trace ends at a line end. Not validated and
+    /// not counted.
+    pub torn_bytes: usize,
+}
+
+/// Validates a whole JSONL stream: every complete line against the
+/// schema, and `seq` running densely from 0. A final line without its
+/// newline is torn (a killed run): it is reported, not validated.
 ///
 /// # Errors
 ///
 /// [`SchemaError`] prefixed with the 1-based line number.
-pub fn validate_stream(text: &str) -> Result<usize, SchemaError> {
-    let mut expected = 0u64;
-    let mut count = 0usize;
-    for (i, line) in text.lines().enumerate() {
+pub fn validate_stream(text: &[u8]) -> Result<StreamSummary, SchemaError> {
+    let complete = text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let mut events = 0usize;
+    for (i, line) in text[..complete].split(|&b| b == b'\n').enumerate() {
         if line.is_empty() {
             continue;
         }
-        let seq =
-            validate_line(line).map_err(|e| SchemaError(format!("line {}: {}", i + 1, e.0)))?;
-        if seq != expected {
-            return err(format!(
-                "line {}: seq {} out of order (expected {})",
-                i + 1,
-                seq,
-                expected
-            ));
+        let at = |e: String| SchemaError(format!("line {}: {e}", i + 1));
+        let line = std::str::from_utf8(line).map_err(|e| at(e.to_string()))?;
+        let seq = validate_line(line).map_err(|e| at(e.0))?;
+        if seq != events as u64 {
+            return Err(at(format!("seq {seq} out of order (expected {events})")));
         }
-        expected += 1;
-        count += 1;
+        events += 1;
     }
-    Ok(count)
+    Ok(StreamSummary {
+        events,
+        torn_bytes: text.len() - complete,
+    })
 }
 
 #[cfg(test)]
@@ -481,7 +491,11 @@ mod tests {
 
     #[test]
     fn journal_output_validates() {
+        let dir = std::env::temp_dir().join(format!("rebudget-schema-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.jsonl");
         let j = Journal::new();
+        j.open(&path).unwrap();
         j.record(
             Event::new("trace_meta")
                 .field_u64("version", TRACE_VERSION)
@@ -496,10 +510,48 @@ mod tests {
         j.record(
             Event::new("quantum_alloc")
                 .field_u64("quantum", 0)
-                .field_rows("allocation", vec![vec![1.0], vec![2.0]]),
+                .field_rows("allocation", [&[1.0][..], &[2.0]]),
         );
-        let text = j.lines().join("\n");
-        assert_eq!(validate_stream(&text).unwrap(), 3);
+        j.finish().unwrap();
+        let text = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let summary = validate_stream(&text).unwrap();
+        assert_eq!(
+            summary,
+            StreamSummary {
+                events: 3,
+                torn_bytes: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_cut_trace_counts_its_complete_lines_and_reports_the_torn_one() {
+        let text = concat!(
+            "{\"seq\":0,\"event\":\"trace_meta\",\"version\":1,\"command\":\"caf\u{e9}\"}\n",
+            "{\"seq\":1,\"event\":\"rollback\",\"round\":1,\"cause\":\"floor\"}\n",
+            "{\"seq\":2,\"event\":\"solve_start\",\"players\":2,\"resources\":3}\n",
+        )
+        .as_bytes();
+        for cut in 0..=text.len() {
+            let kept = &text[..cut];
+            let complete = kept.iter().filter(|&&b| b == b'\n').count();
+            let torn_bytes = cut - kept.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            assert_eq!(
+                validate_stream(kept).unwrap(),
+                StreamSummary {
+                    events: complete,
+                    torn_bytes
+                },
+                "cut at byte {cut}"
+            );
+        }
+        // A malformed complete line still fails, torn tail or not.
+        let bad = [&text[..20], b"\n", &text[20..40]].concat();
+        let e = validate_stream(&bad).unwrap_err();
+        assert!(e.0.starts_with("line 1:"), "{e}");
+        let e = validate_stream(&text[1..]).unwrap_err();
+        assert!(e.0.starts_with("line 1:"), "{e}");
     }
 
     #[test]
@@ -524,9 +576,9 @@ mod tests {
             "{\"seq\":0,\"event\":\"trace_meta\",\"version\":1,\"command\":\"x\"}\n",
             "{\"seq\":1,\"event\":\"rollback\",\"round\":1,\"cause\":\"floor\"}\n",
         );
-        assert_eq!(validate_stream(good).unwrap(), 2);
+        assert_eq!(validate_stream(good.as_bytes()).unwrap().events, 2);
         let skipped = good.replace("\"seq\":1", "\"seq\":2");
-        let e = validate_stream(&skipped).unwrap_err();
+        let e = validate_stream(skipped.as_bytes()).unwrap_err();
         assert!(e.0.contains("out of order"), "{e}");
     }
 

@@ -108,10 +108,14 @@ fn traced_runs_match_goldens_bit_for_bit() {
             golden(file),
             "tracing changed stdout for {args:?} (fingerprint = allocation bits)"
         );
-        let text = std::fs::read_to_string(&trace).expect("trace written");
-        let events =
+        let text = std::fs::read(&trace).expect("trace written");
+        let summary =
             rebudget_telemetry::schema::validate_stream(&text).expect("schema-valid journal");
-        assert!(events > 0, "journal for {args:?} is empty");
+        assert!(summary.events > 0, "journal for {args:?} is empty");
+        assert_eq!(
+            summary.torn_bytes, 0,
+            "a finished run's trace ends at a line end"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

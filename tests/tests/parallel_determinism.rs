@@ -157,18 +157,25 @@ fn traced_equilibrium_bit_identical_to_untraced() {
     // perturb a single bit of the solve, under any execution policy.
     let market = market_for(Category::Cpbn, 64);
     let untraced = solve(&market, ParallelPolicy::Serial);
+    let dir = std::env::temp_dir().join(format!("rebudget-traced-eq-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("trace.jsonl");
+    let journal = &rebudget_telemetry::global().journal;
     rebudget_telemetry::reset();
+    journal.open(&trace).expect("trace file");
     rebudget_telemetry::set_enabled(true);
     let traced_serial = solve(&market, ParallelPolicy::Serial);
     let traced_threads = solve(&market, ParallelPolicy::Threads(4));
     rebudget_telemetry::set_enabled(false);
+    journal.finish().expect("trace written");
     assert_bitwise_equal(&untraced, &traced_serial, "traced serial vs untraced");
     assert_bitwise_equal(&untraced, &traced_threads, "traced threaded vs untraced");
-    // And the observation actually happened: the journal holds the
+    // And the observation actually happened: the trace holds the
     // solver's own story of those two runs.
-    let journal = &rebudget_telemetry::global().journal;
-    assert!(!journal.is_empty(), "traced solves recorded events");
-    let text = journal.lines().join("\n");
+    let text = std::fs::read_to_string(&trace).expect("trace readable");
+    let _ = std::fs::remove_dir_all(&dir);
+    let summary = rebudget_telemetry::schema::validate_stream(text.as_bytes()).expect("valid");
+    assert!(summary.events > 0, "traced solves recorded events");
     assert!(text.contains("\"event\":\"solve_start\""));
     assert!(text.contains("\"event\":\"solver_iteration\""));
     assert!(text.contains("\"event\":\"solve_end\""));

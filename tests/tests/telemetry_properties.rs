@@ -151,9 +151,13 @@ fn span_guards_survive_randomized_drop_orders() {
 #[allow(clippy::expect_used)]
 fn journal_seq_is_dense_under_concurrent_recording() {
     // Events recorded from many threads still get a gap-free, strictly
-    // increasing seq in buffer order — the invariant validate_stream
-    // enforces on flushed traces.
+    // increasing seq in file order — the invariant validate_stream
+    // enforces on written traces.
+    let dir = std::env::temp_dir().join(format!("rebudget-dense-seq-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("trace.jsonl");
     let journal = rebudget_telemetry::Journal::new();
+    journal.open(&path).expect("trace file");
     std::thread::scope(|scope| {
         for t in 0..8 {
             let journal = &journal;
@@ -168,10 +172,13 @@ fn journal_seq_is_dense_under_concurrent_recording() {
             });
         }
     });
-    let lines = journal.lines();
+    journal.finish().expect("trace written");
+    let text = std::fs::read_to_string(&path).expect("trace readable");
+    let _ = std::fs::remove_dir_all(&dir);
+    let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 8 * 200);
     for (i, line) in lines.iter().enumerate() {
         let seq = rebudget_telemetry::schema::validate_line(line).expect("valid event");
-        assert_eq!(seq, i as u64, "seq must match buffer position");
+        assert_eq!(seq, i as u64, "seq must match file position");
     }
 }
