@@ -36,8 +36,8 @@ use rebudget_market::{
 };
 use rebudget_scenario::{run_scenario, Scenario, ScenarioError};
 use rebudget_sim::analytic::build_market;
-use rebudget_sim::checkpoint::{write_point, SweepCheckpoint, SweepMeta, SWEEP_LOG};
-use rebudget_sim::durable::{self, fnv1a, LogFile};
+use rebudget_sim::checkpoint::{open_log, write_point, SweepCheckpoint, SweepMeta, SWEEP_LOG};
+use rebudget_sim::durable::{self, fnv1a};
 use rebudget_sim::{
     run_simulation_recoverable, system_for, RecoveryOptions, SimOptions, SimResult,
 };
@@ -611,7 +611,7 @@ fn sweep(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, CliEr
             steps: steps.to_vec(),
         };
         let ckpt = |e: &dyn std::fmt::Display| checkpoint_err(e.to_string());
-        let (mut oracle, mut pts, mut log) = (None, Vec::new(), None);
+        let (mut oracle, mut pts, mut resumed) = (None, Vec::new(), None);
         if let Some(from) = &resume {
             let cp = SweepCheckpoint::load(from).map_err(|e| ckpt(&e))?;
             meta.ensure_matches(&cp.meta).map_err(|e| ckpt(&e))?;
@@ -620,18 +620,12 @@ fn sweep(mut args: Vec<String>, notes: &mut Vec<String>) -> Result<String, CliEr
                 cp.points.len(),
                 steps.len()
             ));
-            // Logging into the resumed file continues it; any other file
-            // starts anew and gets the reused points first.
-            if from == path {
-                let cut = LogFile::resume(path, SWEEP_LOG, &cp.prefix, cp.points.len());
-                log = Some(cut.map_err(|e| ckpt(&e))?);
-            }
-            (oracle, pts) = (cp.oracle, cp.points);
+            (oracle, pts, resumed) = (cp.oracle, cp.points, Some((from.as_path(), cp.prefix)));
         }
-        let mut log = match log {
-            Some(log) => log,
-            None => LogFile::create(path, SWEEP_LOG, |w| meta.render(w)).map_err(|e| ckpt(&e))?,
-        };
+        let from = resumed
+            .as_ref()
+            .map(|(from, prefix)| (*from, prefix, pts.len()));
+        let mut log = open_log(path, SWEEP_LOG, from, |w| meta.render(w)).map_err(|e| ckpt(&e))?;
         let oracle = match oracle {
             Some(oracle) => oracle,
             None => sweep_oracle(&market, ParallelPolicy::Auto).map_err(|e| err(e.to_string()))?,

@@ -330,6 +330,10 @@ impl Mechanism for Balanced {
     }
 }
 
+/// ReBudget stops when `step` falls below this fraction of the base budget
+/// (paper: 1%).
+const MIN_STEP_FRACTION: f64 = 0.01;
+
 /// **ReBudget** (§4.2): iterative budget re-assignment with exponential
 /// back-off.
 ///
@@ -353,9 +357,6 @@ pub struct ReBudget {
     /// A player is "low λ" when `λ_i < lambda_threshold · max λ`
     /// (paper: 0.5, tied to the knee of Theorem 1).
     pub lambda_threshold: f64,
-    /// Stop when `step` falls below this fraction of `base_budget`
-    /// (paper: 1%).
-    pub min_step_fraction: f64,
     /// Hard floor on any budget, as a fraction of `base_budget`
     /// (`Some(MBR)` when constructed from a fairness target).
     pub budget_floor: Option<f64>,
@@ -384,7 +385,6 @@ impl ReBudget {
             base_budget,
             initial_step,
             lambda_threshold: 0.5,
-            min_step_fraction: 0.01,
             budget_floor: None,
             options: EquilibriumOptions::default(),
             retry: None,
@@ -459,7 +459,7 @@ impl Mechanism for ReBudget {
         let mut budgets = vec![self.base_budget; n];
         let floor = self.budget_floor.map(|f| f * self.base_budget);
         let mut step = self.initial_step;
-        let min_step = self.min_step_fraction * self.base_budget;
+        let min_step = MIN_STEP_FRACTION * self.base_budget;
 
         let _rebudget_span = telemetry::span!("rebudget");
         let mut solve = SolveSummary::default();

@@ -68,11 +68,16 @@ pub(crate) const MAX_RESTARTS: usize = 2;
 /// * [`SolverKind::ProportionalResponse`] — proportional response
 ///   dynamics on the Eisenberg–Gale program: players are *price takers*.
 ///   Linear-time in the number of nonzero (player, resource) interests;
-///   converges at `10⁵`–`10⁶` players (see
-///   [`crate::proportional_response`]).
+///   converges at `10⁵`–`10⁶` players.
 /// * [`SolverKind::MirrorDescent`] — entropic mirror descent on the same
-///   program: a damped generalization of proportional response with a
-///   tunable step (see [`crate::mirror_descent`]).
+///   program: a damped generalization of proportional response.
+///
+/// The two first-order engines are one multiplicative update at
+/// different steps γ (1 and 0.7). Over sparse bids they run through
+/// [`crate::SparseMarket::solve`], whose iterations are `O(nnz)` and
+/// allocation-free; over dense bids through [`crate::fisher`]. Both share
+/// the private `first_order` module's outer loop (deadline, guardrails,
+/// telemetry) and the workspace residual semantics.
 ///
 /// The price-anticipating and price-taking equilibria coincide as
 /// `N → ∞` (each player's bid stops moving prices) but differ at small
@@ -84,11 +89,47 @@ pub enum SolverKind {
     /// Dense Jacobi best-response hill climbing (the paper's engine).
     #[default]
     Jacobi,
-    /// First-order proportional response dynamics (price-taking).
+    /// First-order proportional response dynamics (price-taking; Wu &
+    /// Zhang, analyzed at scale by Gao & Kroer, *First-Order Methods for
+    /// Large-Scale Market Equilibrium Computation*): each player splits
+    /// its budget across goods **in proportion to the utility each good
+    /// currently earns it**. For linear utilities, with per-good money
+    /// `p̂_j = Σ_i b_ij` and allocation `x_ij = b_ij·C_j/p̂_j`:
+    ///
+    /// ```text
+    /// b'_ij = B_i · (v_ij·x_ij) / Σ_k (v_ik·x_ik)
+    /// ```
+    ///
+    /// which is entropic mirror descent on the Shmyrev reformulation of
+    /// the Eisenberg–Gale program with step γ = 1. For Leontief utilities
+    /// the response spends proportionally to `a_ij·p_j`, the equilibrium
+    /// spending profile of a perfect-complements player.
     ProportionalResponse,
     /// First-order entropic mirror descent (price-taking, damped step).
+    /// The entropy mirror map on the Shmyrev (bid-space) reformulation of
+    /// Eisenberg–Gale yields a *multiplicative* update over each player's
+    /// bids — for linear utilities, with bang-per-buck `q_ij = v_ij·C_j/p̂_j`:
+    ///
+    /// ```text
+    /// b'_ij ∝ b_ij · q_ij^γ        (normalized to Σ_j b'_ij = B_i)
+    /// ```
+    ///
+    /// at γ = 0.7. The step `γ ∈ (0, 1]` interpolates between standing
+    /// still (γ → 0) and full proportional response (γ = 1, bit-identical
+    /// to [`SolverKind::ProportionalResponse`]: the two share one kernel).
+    /// Every γ in the range has the same fixed points — bang-per-buck
+    /// equalized across each player's support, the Eisenberg–Gale
+    /// first-order condition — so the solvers agree on the equilibrium
+    /// and differ only in trajectory: smaller steps damp the oscillations
+    /// that full proportional response can exhibit on hard instances
+    /// (Leontief complements especially), at the cost of more iterations.
     MirrorDescent,
 }
+
+/// Mirror descent's step: damped enough to stabilize Leontief
+/// complements, close enough to 1 to keep iteration counts near
+/// proportional response's.
+const MIRROR_STEP: f64 = 0.7;
 
 impl SolverKind {
     /// Parses the CLI spelling (`jacobi` | `propresp` | `mirror`).
@@ -107,6 +148,17 @@ impl SolverKind {
             SolverKind::Jacobi => "jacobi",
             SolverKind::ProportionalResponse => "propresp",
             SolverKind::MirrorDescent => "mirror",
+        }
+    }
+
+    /// The multiplicative step γ of a first-order engine: 1 for
+    /// proportional response, 0.7 for mirror descent, and `None` for
+    /// Jacobi, which is not a first-order engine.
+    pub(crate) fn first_order_step(self) -> Option<f64> {
+        match self {
+            SolverKind::Jacobi => None,
+            SolverKind::ProportionalResponse => Some(1.0),
+            SolverKind::MirrorDescent => Some(MIRROR_STEP),
         }
     }
 }
@@ -223,9 +275,6 @@ pub struct EquilibriumOptions {
     /// Options forwarded to each player's hill-climbing best response
     /// (Jacobi engine only; first-order engines have no hill climb).
     pub bidding: BiddingOptions,
-    /// Record the price vector after every iteration in
-    /// [`EquilibriumOutcome::price_history`] (for convergence studies).
-    pub record_history: bool,
     /// How the per-player best-response fan-out executes. Purely an
     /// execution knob: results are bit-identical under every policy.
     pub parallel: ParallelPolicy,
@@ -250,7 +299,6 @@ impl Default for EquilibriumOptions {
             max_iterations: 30,
             price_tolerance: 0.01,
             bidding: BiddingOptions::default(),
-            record_history: false,
             parallel: ParallelPolicy::Auto,
             deadline: DeadlineBudget::UNBOUNDED,
             solver: SolverKind::Jacobi,
@@ -260,8 +308,9 @@ impl Default for EquilibriumOptions {
 }
 
 impl EquilibriumOptions {
-    /// A high-precision variant used by the analytical evaluation phase:
-    /// finer bid steps and a tighter price tolerance than the defaults.
+    /// A high-precision variant: finer bid steps and a tighter price
+    /// tolerance than the defaults. Only tests use it; the analytical
+    /// evaluation phase runs on the defaults.
     pub fn precise() -> Self {
         Self {
             max_iterations: 60,
@@ -270,7 +319,6 @@ impl EquilibriumOptions {
                 lambda_tolerance: 0.02,
                 min_step_fraction: 0.001,
             },
-            record_history: false,
             parallel: ParallelPolicy::Auto,
             deadline: DeadlineBudget::UNBOUNDED,
             solver: SolverKind::Jacobi,
@@ -286,7 +334,6 @@ impl EquilibriumOptions {
             max_iterations: 20_000,
             price_tolerance: 1e-6,
             bidding: BiddingOptions::default(),
-            record_history: false,
             parallel: ParallelPolicy::Auto,
             deadline: DeadlineBudget::UNBOUNDED,
             solver: SolverKind::ProportionalResponse,
@@ -449,12 +496,6 @@ pub struct EquilibriumOutcome {
     /// How the solve went: convergence, residual, and every guardrail
     /// intervention ([`RecoveryAction`]) taken along the way.
     pub report: SolveReport,
-    /// Per-iteration price vectors (only populated when
-    /// [`EquilibriumOptions::record_history`] is set). When the solver
-    /// falls back to the best stable iterate after a non-converged run,
-    /// that iterate's prices are appended so the last entry always matches
-    /// [`EquilibriumOutcome::prices`].
-    pub price_history: Vec<Vec<f64>>,
 }
 
 impl EquilibriumOutcome {
@@ -545,7 +586,6 @@ fn find_equilibrium_jacobi(
     let mut prices = pricing::prices(&bids, market.resources());
     let mut iterations: u64 = 0;
     let mut converged = false;
-    let mut price_history = Vec::new();
     let threads = options.parallel.resolved_threads(n);
 
     // Guardrail state. Every guardrail decision below is a deterministic
@@ -642,9 +682,6 @@ fn find_equilibrium_jacobi(
                     .field_f64s("prices", &prices),
             );
         }
-        if options.record_history {
-            price_history.push(prices.clone());
-        }
         if fluctuation <= options.price_tolerance {
             converged = true;
             break;
@@ -699,9 +736,6 @@ fn find_equilibrium_jacobi(
         bids.clone_from(&best_bids);
         prices = pricing::prices(&bids, market.resources());
         residual = best_residual;
-        if options.record_history {
-            price_history.push(prices.clone());
-        }
     }
 
     let allocation = pricing::allocate(&bids, market.resources());
@@ -755,7 +789,6 @@ fn find_equilibrium_jacobi(
         lambdas,
         iterations,
         report,
-        price_history,
     })
 }
 
@@ -865,17 +898,6 @@ mod tests {
         // The richer symmetric player gets more of everything.
         assert!(out.allocation.get(0, 0) > out.allocation.get(1, 0));
         assert!(out.allocation.get(0, 1) > out.allocation.get(1, 1));
-    }
-
-    #[test]
-    fn price_history_recorded_on_request() {
-        let market = two_player_market([0.8, 0.2], [0.2, 0.8]);
-        let mut opts = EquilibriumOptions::default();
-        assert!(market.equilibrium(&opts).unwrap().price_history.is_empty());
-        opts.record_history = true;
-        let out = market.equilibrium(&opts).unwrap();
-        assert_eq!(out.price_history.len() as u64, out.iterations);
-        assert_eq!(out.price_history.last().unwrap(), &out.prices);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! The shared engine behind the first-order solvers.
 //!
-//! [`crate::proportional_response`], [`crate::mirror_descent`], and the
-//! dense reference in [`crate::fisher`] are all multiplicative-weights
-//! dynamics with the same outer loop: iterate "players respond to the
-//! current per-good money, money is re-totalled" until the relative
-//! excess demand ([`crate::residual`]) drops below the tolerance. This
-//! module owns that loop — [`drive`] — so residual semantics, deadline
-//! accounting, the guardrail set (damping, divergence restart, non-finite
-//! sanitization), and the telemetry schema are identical across engines
-//! and match the dense Jacobi solver event for event.
+//! Proportional response and mirror descent over sparse bids
+//! ([`SparseMarket::solve`]) and the dense reference in [`crate::fisher`]
+//! are all multiplicative-weights dynamics with the same outer loop:
+//! iterate "players respond to the current per-good money, money is
+//! re-totalled" until the relative excess demand ([`crate::residual`])
+//! drops below the tolerance. This module owns that loop — [`drive`] — so
+//! residual semantics, deadline accounting, the guardrail set (damping,
+//! divergence restart, non-finite sanitization), and the telemetry schema
+//! are identical across engines and match the dense Jacobi solver event
+//! for event.
 //!
 //! It also owns the sparse sweep kernel ([`solve_sparse`]): allocation-free
 //! in-place updates over the CSR bid values, parallelized over fixed
@@ -43,8 +44,6 @@ pub(crate) struct FirstOrderRun {
     /// Convergence/guardrail report. The caller appends any
     /// post-processing sanitizations before emitting `solve_end`.
     pub(crate) report: SolveReport,
-    /// Per-iteration *unit* price vectors when history is requested.
-    pub(crate) price_history: Vec<Vec<f64>>,
 }
 
 /// Emits the `solve_start` event; every engine, Jacobi included, calls it.
@@ -126,7 +125,6 @@ pub(crate) fn drive(
     let mut damping = 1.0_f64;
     let mut restarts = 0usize;
     let mut recovery: Vec<RecoveryAction> = Vec::new();
-    let mut price_history = Vec::new();
     let mut clock = options.deadline.start();
 
     while iterations < options.max_iterations as u64 {
@@ -157,9 +155,6 @@ pub(crate) fn drive(
                     .field_f64("residual", fluctuation)
                     .field_f64s("prices", &unit_prices(&money, capacities)),
             );
-        }
-        if options.record_history {
-            price_history.push(unit_prices(&money, capacities));
         }
         if fluctuation <= options.price_tolerance {
             converged = true;
@@ -215,9 +210,6 @@ pub(crate) fn drive(
         vals.clone_from(&best_vals);
         money.clone_from(&best_money);
         residual = best_residual;
-        if options.record_history {
-            price_history.push(unit_prices(&money, capacities));
-        }
     }
 
     FirstOrderRun {
@@ -230,7 +222,6 @@ pub(crate) fn drive(
             recovery,
             timed_out,
         },
-        price_history,
     }
 }
 
@@ -702,7 +693,6 @@ pub(crate) fn solve_sparse(
         utilities,
         iterations: run.report.iterations,
         report: run.report,
-        price_history: run.price_history,
     })
 }
 
@@ -711,7 +701,7 @@ pub(crate) fn solve_sparse(
 mod tests {
     use super::*;
     use crate::sparse::{SparseBids, SynthSpec};
-    use crate::{splitmix64, ParallelPolicy};
+    use crate::{splitmix64, ParallelPolicy, SolverKind};
 
     /// The unspecialised step weight the kernel replaced: one `match` on
     /// the utility family and one γ = 1 test per entry.
@@ -1166,13 +1156,59 @@ mod tests {
     }
 
     #[test]
-    fn history_is_recorded_on_request() {
-        let market = SynthSpec::new(100, 8, 3).generate().unwrap();
-        let mut opts = tight();
-        opts.record_history = true;
-        let out = solve_sparse(&market, &opts, 1.0).unwrap();
-        assert_eq!(out.price_history.len() as u64, out.iterations);
-        assert_eq!(out.price_history.last().unwrap(), &out.prices);
+    fn converges_on_a_synthetic_market_to_paper_grade_residual() {
+        let market = SynthSpec::new(1000, 16, 1).generate().unwrap();
+        let out = market.solve(&EquilibriumOptions::large_scale()).unwrap();
+        assert!(out.converged(), "residual {}", out.report.residual);
+        assert!(out.report.residual <= 1e-6);
+        assert!(out.report.is_clean(), "{:?}", out.report.recovery);
+        assert!(out.efficiency() > 0.0);
+    }
+
+    #[test]
+    fn dispatch_through_solve_matches_direct_call() {
+        let market = SynthSpec::new(200, 8, 4).generate().unwrap();
+        let opts = EquilibriumOptions::large_scale();
+        let direct = solve_sparse(&market, &opts, 1.0).unwrap();
+        let dispatched = market.solve(&opts).unwrap();
+        assert_eq!(direct.prices, dispatched.prices);
+        assert_eq!(direct.iterations, dispatched.iterations);
+    }
+
+    #[test]
+    fn agrees_with_proportional_response_on_the_equilibrium() {
+        let market = SynthSpec::new(400, 8, 21).generate().unwrap();
+        let mut opts = EquilibriumOptions::large_scale();
+        opts.max_iterations = 100_000;
+        opts.price_tolerance = 1e-10;
+        let md = market
+            .solve(&opts.clone().with_solver(SolverKind::MirrorDescent))
+            .unwrap();
+        let pr = market.solve(&opts).unwrap();
+        assert!(md.converged() && pr.converged());
+        for (a, b) in md.prices.iter().zip(&pr.prices) {
+            assert!(
+                (a - b).abs() / a.max(*b).max(1e-12) < 1e-6,
+                "prices diverge: {a} vs {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn smaller_steps_take_more_iterations() {
+        let market = SynthSpec::new(400, 8, 22).generate().unwrap();
+        let mut opts = EquilibriumOptions::large_scale();
+        opts.max_iterations = 100_000;
+        opts.price_tolerance = 1e-8;
+        let fast = solve_sparse(&market, &opts, 1.0).unwrap();
+        let slow = solve_sparse(&market, &opts, 0.3).unwrap();
+        assert!(fast.converged() && slow.converged());
+        assert!(
+            slow.iterations > fast.iterations,
+            "γ=0.3 took {} vs γ=1 {}",
+            slow.iterations,
+            fast.iterations
+        );
     }
 
     #[test]

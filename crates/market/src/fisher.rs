@@ -1,13 +1,13 @@
 //! Dense first-order reference: the price-taking (Fisher) equilibrium on
 //! dense storage.
 //!
-//! This is the same multiplicative dynamics as
-//! [`crate::proportional_response`]/[`crate::mirror_descent`], run over a
-//! dense bid matrix against the crate's full [`crate::Utility`] zoo: each
-//! player re-spends its budget in proportion to
-//! `b_ij · (∂U_i/∂x_ij · C_j / p̂_j)^γ` — bang-per-buck-weighted bids —
-//! whose fixed point equalizes marginal utility per unit money across
-//! each player's support, the Fisher-market first-order condition.
+//! This is the same multiplicative dynamics as the sparse first-order
+//! solvers ([`crate::SparseMarket::solve`]), run over a dense bid matrix
+//! against the crate's full [`crate::Utility`] zoo: each player re-spends
+//! its budget in proportion to `b_ij · (∂U_i/∂x_ij · C_j / p̂_j)^γ` —
+//! bang-per-buck-weighted bids — whose fixed point equalizes marginal
+//! utility per unit money across each player's support, the
+//! Fisher-market first-order condition.
 //!
 //! # Why it exists
 //!
@@ -40,17 +40,13 @@ pub(crate) fn find_equilibrium_first_order(
     options: &EquilibriumOptions,
     kind: SolverKind,
 ) -> Result<EquilibriumOutcome> {
-    let gamma = match kind {
-        SolverKind::ProportionalResponse => 1.0,
-        SolverKind::MirrorDescent => crate::mirror_descent::DEFAULT_STEP,
-        SolverKind::Jacobi => {
-            // `find_equilibrium` routes Jacobi to its own engine; reaching
-            // here means a caller bypassed the dispatch.
-            return Err(MarketError::UnsupportedSolver {
-                solver: SolverKind::Jacobi.label(),
-                context: "the dense first-order reference",
-            });
-        }
+    // `find_equilibrium` routes Jacobi to its own engine; reaching here
+    // without a step means a caller bypassed the dispatch.
+    let Some(gamma) = kind.first_order_step() else {
+        return Err(MarketError::UnsupportedSolver {
+            solver: kind.label(),
+            context: "the dense first-order reference",
+        });
     };
     let n = market.len();
     let m = market.resources().len();
@@ -224,7 +220,6 @@ pub(crate) fn find_equilibrium_first_order(
         lambdas,
         iterations: run.report.iterations,
         report: run.report,
-        price_history: run.price_history,
     })
 }
 
@@ -333,11 +328,8 @@ mod tests {
     #[test]
     fn report_flows_like_the_jacobi_engine() {
         let market = linear_two_player();
-        let mut opts = tight(SolverKind::ProportionalResponse);
-        opts.record_history = true;
+        let opts = tight(SolverKind::ProportionalResponse);
         let out = market.equilibrium(&opts).unwrap();
-        assert_eq!(out.price_history.len() as u64, out.iterations);
-        assert_eq!(out.price_history.last().unwrap(), &out.prices);
         assert!(out.report.residual <= opts.price_tolerance);
         assert!(out.report.ensure_converged().is_ok());
         assert!(out.report.ensure_within_deadline().is_ok());

@@ -71,12 +71,10 @@ mod first_order;
 pub mod fisher;
 pub mod fit;
 pub mod metrics;
-pub mod mirror_descent;
 pub mod optimal;
 pub mod par;
 pub mod player;
 pub mod pricing;
-pub mod proportional_response;
 pub mod residual;
 pub mod resource;
 pub mod sparse;

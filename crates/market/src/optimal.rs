@@ -34,21 +34,25 @@ use crate::deadline::DeadlineBudget;
 use crate::par::{self, ParallelPolicy};
 use crate::{AllocationMatrix, Market, MarketError, Result};
 
-/// Tuning knobs for the welfare-maximizing search.
+/// First exchange quantum, as a fraction of each capacity.
+const INITIAL_STEP_FRACTION: f64 = 0.25;
+
+/// Final (finest) exchange quantum, as a fraction of each capacity.
+const MIN_STEP_FRACTION: f64 = 1e-4;
+
+/// Maximum full sweeps over the resources per step level.
+const MAX_PASSES_PER_LEVEL: usize = 64;
+
+/// Execution and budget settings for the welfare-maximizing search.
+///
+/// Each step level also runs a pass of pairwise cross-resource *swaps*
+/// (player A gives δ of one resource to player B in exchange for δ' of
+/// another) while the quantum is at least 8× the finest. Utilities that
+/// are concave per axis but not jointly concave (e.g. bilinear
+/// interpolations of profiled surfaces) stall single-resource exchange at
+/// non-optimal points; swaps break those deadlocks. O(N²) per pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimalOptions {
-    /// First exchange quantum, as a fraction of each capacity.
-    pub initial_step_fraction: f64,
-    /// Final (finest) exchange quantum, as a fraction of each capacity.
-    pub min_step_fraction: f64,
-    /// Maximum full sweeps over the resources per step level.
-    pub max_passes_per_level: usize,
-    /// Also attempt pairwise cross-resource *swaps* (player A gives δ of
-    /// one resource to player B in exchange for δ' of another). Utilities
-    /// that are concave per axis but not jointly concave (e.g. bilinear
-    /// interpolations of profiled surfaces) stall single-resource exchange
-    /// at non-optimal points; swaps break those deadlocks. O(N²) per pass.
-    pub enable_swaps: bool,
     /// How the marginal-utility table build executes. Purely an execution
     /// knob: results are bit-identical under every policy.
     pub parallel: ParallelPolicy,
@@ -62,10 +66,6 @@ pub struct OptimalOptions {
 impl Default for OptimalOptions {
     fn default() -> Self {
         Self {
-            initial_step_fraction: 0.25,
-            min_step_fraction: 1e-4,
-            max_passes_per_level: 64,
-            enable_swaps: true,
             parallel: ParallelPolicy::Auto,
             deadline: DeadlineBudget::UNBOUNDED,
         }
@@ -158,9 +158,9 @@ pub fn max_efficiency_from(
 
     let mut marginals = MarginalTable::build(market, &alloc, options.parallel);
 
-    let mut frac = options.initial_step_fraction;
-    'climb: while frac >= options.min_step_fraction {
-        for _pass in 0..options.max_passes_per_level {
+    let mut frac = INITIAL_STEP_FRACTION;
+    'climb: while frac >= MIN_STEP_FRACTION {
+        for _pass in 0..MAX_PASSES_PER_LEVEL {
             let mut accepted_any = false;
             for j in 0..m {
                 let step = frac * capacities[j];
@@ -189,7 +189,7 @@ pub fn max_efficiency_from(
                 break;
             }
         }
-        if options.enable_swaps && m >= 2 && frac >= options.min_step_fraction * 8.0 {
+        if m >= 2 && frac >= MIN_STEP_FRACTION * 8.0 {
             moves += swap_pass(market, &mut alloc, &mut marginals, capacities, frac);
             if clock.charge(1) {
                 timed_out = true;

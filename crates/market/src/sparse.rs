@@ -5,9 +5,8 @@
 //! `10⁵`–`10⁶` players over tens of resources, most players care about a
 //! handful of goods. [`SparseBids`] stores only the nonzero
 //! (player, resource) interests in CSR form (row pointers + column
-//! indices + values, structure-of-arrays), so the first-order solvers in
-//! [`crate::proportional_response`] and [`crate::mirror_descent`] run in
-//! time linear in the number of interests per iteration instead of
+//! indices + values, structure-of-arrays), so the first-order solvers
+//! behind [`SparseMarket::solve`] run in time linear in the number of interests per iteration instead of
 //! `O(N·M)`.
 //!
 //! [`SparseMarket`] bundles the interest matrix with capacities, budgets,
@@ -20,7 +19,7 @@
 //! seed (SplitMix64 streams, the same discipline as [`crate::faults`]),
 //! and solves are bit-identical under every [`crate::ParallelPolicy`].
 
-use crate::equilibrium::{EquilibriumOptions, SolveReport, SolverKind};
+use crate::equilibrium::{EquilibriumOptions, SolveReport};
 use crate::faults::splitmix64;
 use crate::utility::LinearUtility;
 use crate::{Market, MarketError, Player, ResourceSpace, Result};
@@ -429,24 +428,28 @@ impl SparseMarket {
         (self.capacities, self.budgets, self.interests)
     }
 
-    /// Solves for the market equilibrium with the engine selected by
-    /// [`EquilibriumOptions::solver`].
+    /// Solves for the market equilibrium with the first-order engine
+    /// selected by [`EquilibriumOptions::solver`], at its step γ (1 for
+    /// proportional response, 0.7 for mirror descent). The first-order
+    /// engines compute the **price-taking** (Fisher) equilibrium;
+    /// cross-validation against the price-anticipating Jacobi engine goes
+    /// through the dense price-taking reference in [`crate::fisher`] (see DESIGN.md
+    /// "Large-scale solvers").
     ///
     /// # Errors
     ///
-    /// [`MarketError::UnsupportedSolver`] for [`SolverKind::Jacobi`] — the
-    /// dense engine needs an `N×M` matrix, which is exactly what sparse
-    /// markets avoid. Non-convergence is *not* an error; inspect
+    /// [`MarketError::UnsupportedSolver`] for
+    /// [`crate::SolverKind::Jacobi`] — the dense engine needs an `N×M`
+    /// matrix, which is exactly what sparse markets avoid. Non-convergence is *not* an error; inspect
     /// [`SparseOutcome::report`].
     pub fn solve(&self, options: &EquilibriumOptions) -> Result<SparseOutcome> {
-        match options.solver {
-            SolverKind::Jacobi => Err(MarketError::UnsupportedSolver {
-                solver: SolverKind::Jacobi.label(),
+        let Some(gamma) = options.solver.first_order_step() else {
+            return Err(MarketError::UnsupportedSolver {
+                solver: options.solver.label(),
                 context: "sparse markets (use propresp or mirror, or densify first)",
-            }),
-            SolverKind::ProportionalResponse => crate::proportional_response::solve(self, options),
-            SolverKind::MirrorDescent => crate::mirror_descent::solve(self, options),
-        }
+            });
+        };
+        crate::first_order::solve_sparse(self, options, gamma)
     }
 
     /// Densifies into a [`Market`] of [`LinearUtility`] players (small
@@ -507,9 +510,6 @@ pub struct SparseOutcome {
     /// relative excess demand, recovery actions, deadline verdict) as the
     /// dense engines.
     pub report: SolveReport,
-    /// Per-iteration price vectors when
-    /// [`EquilibriumOptions::record_history`] is set.
-    pub price_history: Vec<Vec<f64>>,
 }
 
 impl AsRef<SolveReport> for SparseOutcome {
@@ -548,6 +548,12 @@ impl SparseOutcome {
 /// `α·min/(α−1) = 2·min` at α = 2.
 const DEGREE_ALPHA: f64 = 2.0;
 
+/// Minimum interests per player, and the Pareto scale of the degree.
+const MIN_DEGREE: usize = 4;
+
+/// Maximum interests per player (clamped to the resource count).
+const MAX_DEGREE: usize = 32;
+
 /// Zipf-style exponent for resource popularity: resource `j` is picked
 /// with probability ∝ `(j+1)^-0.7` — a heavy head of contested resources
 /// plus a long tail.
@@ -567,24 +573,18 @@ pub struct SynthSpec {
     pub resources: usize,
     /// Generation seed.
     pub seed: u64,
-    /// Minimum interests per player (also the Pareto scale; default 4).
-    pub min_degree: usize,
-    /// Maximum interests per player (clamped to `resources`; default 32).
-    pub max_degree: usize,
     /// Utility family to generate (default linear).
     pub kind: SparseUtilityKind,
 }
 
 impl SynthSpec {
-    /// A spec with the default degree distribution (min 4, max 32,
-    /// mean ≈ 8) and linear utilities.
+    /// A spec with linear utilities. Degrees run from 4 to 32 (mean ≈ 8),
+    /// both ends clamped to `resources`.
     pub fn new(players: usize, resources: usize, seed: u64) -> Self {
         Self {
             players,
             resources,
             seed,
-            min_degree: 4,
-            max_degree: 32,
             kind: SparseUtilityKind::Linear,
         }
     }
@@ -598,8 +598,7 @@ impl SynthSpec {
     ///
     /// # Errors
     ///
-    /// [`MarketError::Empty`] for zero players/resources,
-    /// [`MarketError::InvalidValue`] for a degenerate degree range.
+    /// [`MarketError::Empty`] for zero players/resources.
     pub fn generate(&self) -> Result<SparseMarket> {
         if self.players == 0 {
             return Err(MarketError::Empty { what: "players" });
@@ -607,15 +606,9 @@ impl SynthSpec {
         if self.resources == 0 {
             return Err(MarketError::Empty { what: "resources" });
         }
-        if self.min_degree == 0 || self.max_degree < self.min_degree {
-            return Err(MarketError::InvalidValue {
-                what: "degree range",
-                value: self.max_degree as f64,
-            });
-        }
         let (n, m) = (self.players, self.resources);
-        let max_degree = self.max_degree.min(m);
-        let min_degree = self.min_degree.min(max_degree);
+        let max_degree = MAX_DEGREE.min(m);
+        let min_degree = MIN_DEGREE.min(max_degree);
 
         // Cumulative resource-popularity weights for inverse-CDF sampling.
         let mut cum = Vec::with_capacity(m);
@@ -912,6 +905,22 @@ mod tests {
         // A different seed gives a different market.
         let c = SynthSpec::new(500, 16, 43).generate().unwrap();
         assert_ne!(a.interests(), c.interests());
+    }
+
+    #[test]
+    fn generator_clamps_both_degree_ends_to_the_resources() {
+        let degrees = |market: &SparseMarket| {
+            (0..market.players())
+                .map(|i| market.interests().row_cols(i).len())
+                .collect::<Vec<_>>()
+        };
+        // Two resources: both ends clamp to 2, so every row takes both.
+        let narrow = SynthSpec::new(200, 2, 5).generate().unwrap();
+        assert!(degrees(&narrow).iter().all(|&d| d == 2));
+        // 64 resources: no clamp, the Pareto tail reaches the cap.
+        let wide = degrees(&SynthSpec::new(2000, 64, 5).generate().unwrap());
+        assert!(wide.iter().all(|d| (4..=32).contains(d)), "{wide:?}");
+        assert!(wide.contains(&32), "no row reached the cap");
     }
 
     #[test]

@@ -134,7 +134,6 @@ fn run_once(
         // Faults flow through the hook's controls, not the options: the
         // hook installs the base plan at quantum 0 and swaps it on events.
         faults: None,
-        max_consecutive_failures: 3,
     };
     let mut hook = ScenarioHook::new(scenario, &opts);
     let result = run_simulation_hooked(

@@ -43,7 +43,7 @@ use rebudget_core::mechanisms::SolveSummary;
 use rebudget_core::sweep::SweepPoint;
 use rebudget_market::FaultPlan;
 
-use crate::durable::{self, LedgerPrefix, LogFormat, Section, Writer};
+use crate::durable::{self, LedgerPrefix, LogFile, LogFormat, Section, Writer};
 
 /// The simulation checkpoint log: one `[quantum N]` record per quantum.
 pub const SIM_LOG: LogFormat = LogFormat {
@@ -56,6 +56,29 @@ pub const SWEEP_LOG: LogFormat = LogFormat {
     header: "rebudget-checkpoint v2 sweep",
     record: "point",
 };
+
+/// Opens the `format` log a run checkpoints into at `path`. When the
+/// run resumed from that same file (`resumed`: its path, valid prefix
+/// and the records to keep), the file is cut to those records and
+/// continued; any other file starts anew with the header and the meta
+/// lines `meta` writes, and the run appends its reused records to it.
+///
+/// # Errors
+///
+/// As [`LogFile::resume`] or [`LogFile::create`].
+pub fn open_log(
+    path: &Path,
+    format: LogFormat,
+    resumed: Option<(&Path, &LedgerPrefix, usize)>,
+    meta: impl FnOnce(&mut Writer),
+) -> std::result::Result<LogFile, durable::Error> {
+    match resumed {
+        Some((from, prefix, records)) if from == path => {
+            LogFile::resume(path, format, prefix, records)
+        }
+        _ => LogFile::create(path, format, meta),
+    }
+}
 
 /// Errors from checkpoint parsing, validation, and I/O.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -13,11 +13,10 @@ use crate::analytic::resource_space;
 use rebudget_telemetry as telemetry;
 
 use crate::checkpoint::{
-    write_quantum, CheckpointError, SimCheckpoint, SimCounters, SimMeta, SIM_LOG,
+    open_log, write_quantum, CheckpointError, SimCheckpoint, SimCounters, SimMeta, SIM_LOG,
 };
 use crate::config::SystemConfig;
 use crate::dram::DramConfig;
-use crate::durable::LogFile;
 use crate::machine::Machine;
 use crate::monitor::CoreMonitor;
 use crate::utility_model::{
@@ -108,11 +107,14 @@ pub struct SimOptions {
     /// telemetry faults are injected every quantum and solver failures
     /// degrade gracefully instead of aborting the run.
     pub faults: Option<FaultPlan>,
-    /// After this many consecutive quanta whose solve failed or hit the
-    /// fail-safe, the next quantum falls back to [`EqualShare`] (logged and
-    /// counted), then the market is re-attempted. Only under a fault plan.
-    pub max_consecutive_failures: usize,
 }
+
+/// After this many consecutive quanta whose solve failed or hit the
+/// fail-safe, the next quantum falls back to [`EqualShare`] (logged and
+/// counted), then the market is re-attempted. Only under a fault plan.
+/// Recorded in a checkpoint's meta, so a log that says otherwise is
+/// refused on resume.
+const MAX_CONSECUTIVE_FAILURES: usize = 3;
 
 impl Default for SimOptions {
     fn default() -> Self {
@@ -124,7 +126,6 @@ impl Default for SimOptions {
             seed: 1,
             execution: ExecutionModel::Analytic,
             faults: None,
-            max_consecutive_failures: 3,
         }
     }
 }
@@ -508,15 +509,14 @@ impl Verdict {
 /// Allocates live quantum `q` over the active players of `market` and
 /// tallies its solve health into `c`. Without a fault plan, market errors
 /// propagate. With one, the market-level faults are injected, and a
-/// failed solve (or a run of `max_failures` degraded ones) falls back to
-/// [`EqualShare`] instead of aborting.
+/// failed solve (or a run of [`MAX_CONSECUTIVE_FAILURES`] degraded ones)
+/// falls back to [`EqualShare`] instead of aborting.
 fn live_allocation(
     mechanism: &dyn Mechanism,
     market: &Market,
     kept: usize,
     plan: Option<&FaultPlan>,
     q: usize,
-    max_failures: usize,
     c: &mut SimCounters,
 ) -> Result<(AllocationMatrix, Verdict), SimError> {
     let Some(plan) = plan else {
@@ -535,7 +535,7 @@ fn live_allocation(
         ..plan.clone()
     };
     let faulted = market_plan.apply(market, q as u64)?;
-    if c.consecutive_failures >= max_failures.max(1) {
+    if c.consecutive_failures >= MAX_CONSECUTIVE_FAILURES {
         // Safe mode for this interval: equal shares, no market.
         // Re-attempt the market next interval.
         let out = EqualShare.allocate(market)?;
@@ -702,7 +702,7 @@ pub fn run_simulation_hooked(
         accesses_per_quantum: opts.accesses_per_quantum,
         use_monitors: opts.use_monitors,
         execution: execution_label(opts.execution).to_string(),
-        max_consecutive_failures: opts.max_consecutive_failures,
+        max_consecutive_failures: MAX_CONSECUTIVE_FAILURES,
         faults: plan.clone(),
     };
 
@@ -725,15 +725,17 @@ pub fn run_simulation_hooked(
         }
         None => None,
     };
-    let mut log = match (&recovery.checkpoint, &resumed) {
-        (Some(path), Some((from, cp))) if path == *from => {
-            Some(LogFile::resume(path, SIM_LOG, &cp.prefix, cp.quanta.len()))
-        }
-        (Some(path), _) => Some(LogFile::create(path, SIM_LOG, |w| meta.render(w))),
-        (None, _) => None,
-    }
-    .transpose()
-    .map_err(CheckpointError::from)?;
+    let mut log = recovery
+        .checkpoint
+        .as_deref()
+        .map(|path| {
+            let from = resumed
+                .as_ref()
+                .map(|(from, cp)| (from.as_path(), &cp.prefix, cp.quanta.len()));
+            open_log(path, SIM_LOG, from, |w| meta.render(w))
+        })
+        .transpose()
+        .map_err(CheckpointError::from)?;
     let records = resumed.map_or_else(Vec::new, |(_, cp)| cp.quanta);
     let replayed_quanta = records.len();
     let mut c = SimCounters::default();
@@ -790,15 +792,8 @@ pub fn run_simulation_hooked(
             }
             (alloc, alloc_kept, Verdict::REPLAYED)
         } else {
-            let (alloc_kept, verdict) = live_allocation(
-                mechanism,
-                &market,
-                kept.len(),
-                qplan.as_ref(),
-                q,
-                opts.max_consecutive_failures,
-                &mut c,
-            )?;
+            let (alloc_kept, verdict) =
+                live_allocation(mechanism, &market, kept.len(), qplan.as_ref(), q, &mut c)?;
             (expand_rows(&alloc_kept, &kept, n)?, alloc_kept, verdict)
         };
 

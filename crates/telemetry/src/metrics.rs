@@ -188,6 +188,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// The instrument named `name` in `map`, created if absent. Only a name
+/// seen for the first time allocates its key.
+fn named<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = lock(map);
+    if let Some(found) = map.get(name) {
+        return Arc::clone(found);
+    }
+    Arc::clone(map.entry(name.to_owned()).or_default())
+}
+
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
@@ -197,20 +207,17 @@ impl MetricsRegistry {
     /// The counter named `name`, created if absent. Hot paths should hold
     /// on to the returned `Arc` — lookups take the registration lock.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = lock(&self.counters);
-        Arc::clone(map.entry(name.to_owned()).or_default())
+        named(&self.counters, name)
     }
 
     /// The gauge named `name`, created if absent.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = lock(&self.gauges);
-        Arc::clone(map.entry(name.to_owned()).or_default())
+        named(&self.gauges, name)
     }
 
     /// The histogram named `name`, created if absent.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = lock(&self.histograms);
-        Arc::clone(map.entry(name.to_owned()).or_default())
+        named(&self.histograms, name)
     }
 
     /// Drops every instrument. Outstanding `Arc`s keep recording into
@@ -357,6 +364,26 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.get(), n_threads * per_thread);
+    }
+
+    #[test]
+    fn a_name_resolves_to_one_shared_instrument() {
+        let registry = MetricsRegistry::new();
+        let (a, b) = (registry.counter("ticks"), registry.counter("ticks"));
+        assert!(Arc::ptr_eq(&a, &b));
+        a.add(2);
+        b.add(3);
+        let (g, h) = (registry.gauge("level"), registry.gauge("level"));
+        assert!(Arc::ptr_eq(&g, &h));
+        let (x, y) = (registry.histogram("ms"), registry.histogram("ms"));
+        assert!(Arc::ptr_eq(&x, &y));
+        x.record(4);
+        y.record(8);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters, vec![("ticks".to_owned(), 5)]);
+        assert_eq!(snap.gauges.len(), 1);
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.histograms[0].1.count, 2);
     }
 
     #[test]

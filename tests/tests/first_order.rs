@@ -8,10 +8,6 @@
 //! honest tolerance on random markets. The dense Jacobi engine computes
 //! the **price-anticipating** Nash equilibrium, which only converges to
 //! the Fisher point as the market grows — checked qualitatively here.
-//!
-//! Also pins the workspace-wide residual contract: every solver's
-//! `SolveReport::residual` is the same function
-//! (`residual::relative_price_gap`) of its own last two price iterates.
 
 use std::sync::Arc;
 
@@ -21,8 +17,7 @@ use rebudget_market::equilibrium::EquilibriumOptions;
 use rebudget_market::residual::relative_price_gap;
 use rebudget_market::utility::LinearUtility;
 use rebudget_market::{
-    Market, Player, ResourceSpace, SolverKind, SparseBids, SparseMarket, SparseOutcome,
-    SparseUtilityKind,
+    Market, Player, ResourceSpace, SolverKind, SparseBids, SparseMarket, SparseUtilityKind,
 };
 
 /// Markets for the cross-validation sweep (the issue's acceptance bar).
@@ -115,93 +110,6 @@ fn sparse_and_dense_first_order_solvers_agree_on_200_random_markets() {
         assert_close("pr/dense price", case, &pr.prices, &dn.prices);
         assert_close("pr/md utility", case, &pr.utilities, &md.utilities);
         assert_close("pr/dense utility", case, &pr.utilities, &dn.utilities);
-    }
-}
-
-/// Residual semantics are identical across every solver: the reported
-/// residual is `relative_price_gap` of the solver's own last two price
-/// iterates — for dense Jacobi, dense first-order, and sparse
-/// first-order alike. A solver that switched to a different error measure
-/// (absolute gap, ∞-norm of excess demand, …) would break this.
-#[test]
-fn all_solvers_report_the_same_residual_semantics() {
-    let resources = ResourceSpace::new(vec![1.0, 1.0]).expect("caps");
-    let dense = Market::new(
-        resources,
-        vec![
-            Player::new(
-                "a",
-                1.0,
-                Arc::new(LinearUtility::new(vec![3.0, 1.0]).expect("weights")),
-            ),
-            Player::new(
-                "b",
-                1.0,
-                Arc::new(LinearUtility::new(vec![1.0, 2.0]).expect("weights")),
-            ),
-        ],
-    )
-    .expect("market");
-
-    let check = |label: &str, residual: f64, history: &[Vec<f64>], tolerance: f64| {
-        assert!(
-            residual <= tolerance,
-            "{label}: residual {residual} over tolerance"
-        );
-        assert!(history.len() >= 2, "{label}: history too short");
-        let recomputed =
-            relative_price_gap(&history[history.len() - 2], &history[history.len() - 1]);
-        // Unit prices divide the per-good money by the capacity; the
-        // per-coordinate *relative* gap is identical up to rounding.
-        let gap = (residual - recomputed).abs() / residual.abs().max(recomputed.abs()).max(1e-300);
-        assert!(
-            gap < 1e-9,
-            "{label}: reported {residual:e} vs recomputed {recomputed:e}"
-        );
-    };
-
-    for solver in [
-        SolverKind::Jacobi,
-        SolverKind::ProportionalResponse,
-        SolverKind::MirrorDescent,
-    ] {
-        let mut opts = EquilibriumOptions::default().with_solver(solver);
-        if solver != SolverKind::Jacobi {
-            opts = tight(solver);
-        }
-        opts.record_history = true;
-        let out = dense.equilibrium(&opts).expect("solves");
-        assert!(out.converged(), "{}", solver.label());
-        check(
-            solver.label(),
-            out.report.residual,
-            &out.price_history,
-            opts.price_tolerance,
-        );
-    }
-
-    // Sparse solvers report through the same contract.
-    let interests =
-        SparseBids::from_rows(2, vec![vec![(0, 3.0), (1, 1.0)], vec![(0, 1.0), (1, 2.0)]])
-            .expect("rows");
-    let sparse = SparseMarket::new(
-        vec![1.0, 1.0],
-        vec![1.0, 1.0],
-        interests,
-        SparseUtilityKind::Linear,
-    )
-    .expect("market");
-    for solver in [SolverKind::ProportionalResponse, SolverKind::MirrorDescent] {
-        let mut opts = tight(solver);
-        opts.record_history = true;
-        let out: SparseOutcome = sparse.solve(&opts).expect("solves");
-        assert!(out.converged(), "sparse {}", solver.label());
-        check(
-            solver.label(),
-            out.report.residual,
-            &out.price_history,
-            opts.price_tolerance,
-        );
     }
 }
 
