@@ -11,12 +11,15 @@
 //!
 //! [`Writer`] writes that grammar and carries the running hash;
 //! [`lines`]/[`read_lines`] scan it back with the hash before each line,
-//! for the log scans that read it; [`Document`] hands out borrowed
-//! [`Section`]s, folding a sealed file's hash into the one pass that
-//! splits its lines and hashing nothing else. A section's list readers
-//! ([`Section::f64_list_into`], [`Section::indexed_f64_list_into`])
-//! append straight into caller-owned columns and take only the form the
-//! writer emits, so whatever decodes re-encodes to the same bytes.
+//! for the log scans that read it; [`Document`] splits text whose
+//! integrity is already known into borrowed [`Section`]s.
+//! [`read_sealed`] reads a sealed file (one closed by [`Writer::seal`])
+//! in one pass through one fixed buffer: it folds each line into the
+//! seal's hash and hands it, read as an [`Item`], to a visitor, so the
+//! file is never held whole. A [`Field`]'s readers — its list readers
+//! ([`Field::f64_list_into`], [`Field::indexed_f64_list_into`]) append
+//! straight into caller-owned columns — take only the form the writer
+//! emits, so whatever decodes re-encodes to the same bytes.
 //!
 //! Every file that grows is an append-only, hash-chained log
 //! ([`LogFormat`]): a header, a meta section, then one record per step,
@@ -24,8 +27,9 @@
 //! costs O(record) to append ([`Ledger`], [`LogFile`]), and one pass finds
 //! the longest chain-valid prefix ([`LogFormat::valid_prefix`]), which is
 //! where a killed writer resumes. The server's snapshot, the one file
-//! rewritten whole, is a sealed [`Document`] that its owner writes into
-//! one of two slots in turn (`rebudget_server::state`).
+//! rewritten whole, is a sealed file that its owner writes into one of
+//! two slots in turn and reads back with [`read_sealed`]
+//! (`rebudget_server::state`).
 
 use std::fmt::{self, Display};
 use std::fs;
@@ -512,35 +516,380 @@ pub fn read_lines(
     Ok(())
 }
 
-/// The offset of every newline in `bytes` and, with `FOLD`, the FNV-1a
-/// of `bytes`, in one pass eight bytes at a time: the hash is a chain of
-/// dependent multiplies, and finding each word's newlines runs in its
-/// shadow.
-fn line_ends<const FOLD: bool>(bytes: &[u8]) -> (Vec<usize>, u64) {
+/// The offset of the first newline in `bytes`, found eight bytes at a
+/// time.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
     const ONES: u64 = 0x0101_0101_0101_0101;
     const LOW: u64 = ONES * 0x7f;
-    let (mut ends, mut hash) = (Vec::new(), FNV_OFFSET);
     let mut words = bytes.chunks_exact(8);
     for (k, word) in words.by_ref().enumerate() {
-        if FOLD {
-            hash = fnv1a_extend(hash, word);
-        }
         // 0x80 in each byte that is a newline: a byte of `x` is zero
         // exactly when neither its high bit nor its low seven are set.
         let x = u64::from_le_bytes(word.try_into().expect("a word of eight bytes"))
             ^ (ONES * u64::from(b'\n'));
-        let mut newlines = !(((x & LOW) + LOW) | x | LOW);
-        while newlines != 0 {
-            ends.push(k * 8 + newlines.trailing_zeros() as usize / 8);
-            newlines &= newlines - 1;
+        let newlines = !(((x & LOW) + LOW) | x | LOW);
+        if newlines != 0 {
+            return Some(k * 8 + newlines.trailing_zeros() as usize / 8);
         }
     }
-    let (tail, at) = (words.remainder(), bytes.len() - words.remainder().len());
-    if FOLD {
-        hash = fnv1a_extend(hash, tail);
+    let at = bytes.len() - words.remainder().len();
+    let tail = words.remainder().iter().position(|&b| b == b'\n');
+    tail.map(|i| at + i)
+}
+
+/// One line of durable text as the grammar reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Item<'a> {
+    /// Line 1: the schema's name and version.
+    Header(&'a [u8]),
+    /// A `[name]` line.
+    Section {
+        /// 1-based line number.
+        line: usize,
+        /// The bytes between the brackets.
+        name: &'a [u8],
+    },
+    /// A `key=value` line under a section.
+    Field(Field<'a>),
+}
+
+impl<'a> Item<'a> {
+    /// Reads line `number`, `bytes` without its newline; `sectioned`
+    /// says whether a `[name]` line came before it.
+    fn read(number: usize, bytes: &'a [u8], sectioned: bool) -> Result<Self, Error> {
+        if number == 1 {
+            return Ok(Item::Header(bytes));
+        }
+        if let Some(name) = bytes.strip_prefix(b"[").and_then(|l| l.strip_suffix(b"]")) {
+            return Ok(Item::Section { line: number, name });
+        }
+        // Keys are short: a plain scan finds the `=` sooner than a
+        // `memchr` call is set up.
+        match bytes.iter().position(|&b| b == b'=') {
+            None => Err(format_err(
+                number,
+                format!("unrecognized line `{}`", String::from_utf8_lossy(bytes)),
+            )),
+            Some(_) if !sectioned => {
+                Err(format_err(number, "key=value before any [section]".into()))
+            }
+            Some(eq) => Ok(Item::Field(Field {
+                line: number,
+                key: &bytes[..eq],
+                value: &bytes[eq + 1..],
+            })),
+        }
     }
-    ends.extend((at..bytes.len()).filter(|&i| bytes[i] == b'\n'));
-    (ends, hash)
+}
+
+/// One `key=value` line: the bytes before its first `=` and after it.
+/// A value's readers take only the form [`Writer`] emits, so whatever
+/// decodes re-encodes to the same bytes, and fail with an
+/// [`Error::Format`] on the field's line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Field<'a> {
+    /// 1-based line number.
+    pub line: usize,
+    /// The bytes before the first `=`.
+    pub key: &'a [u8],
+    /// The bytes after it.
+    pub value: &'a [u8],
+}
+
+impl<'a> Field<'a> {
+    /// An [`Error::Format`] on this field's line, naming its key before
+    /// `what`.
+    #[must_use]
+    pub fn fault(&self, what: impl Display) -> Error {
+        let key = String::from_utf8_lossy(self.key);
+        format_err(self.line, format!("key `{key}` {what}"))
+    }
+
+    /// The value as text.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Format`] when it is not UTF-8.
+    pub fn text(&self) -> Result<&'a str, Error> {
+        std::str::from_utf8(self.value).map_err(|_| self.fault("is not UTF-8"))
+    }
+
+    /// The value parsed with [`FromStr`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Format`] when it does not parse.
+    pub fn parse<T: FromStr>(&self) -> Result<T, Error> {
+        let value = || String::from_utf8_lossy(self.value);
+        let parsed = self.text().ok().and_then(|text| text.parse().ok());
+        parsed.ok_or_else(|| self.fault(format_args!("has unparsable value `{}`", value())))
+    }
+
+    /// The value as one `f64` bits word.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Format`] for anything but 16 lowercase hex digits.
+    pub fn f64(&self) -> Result<f64, Error> {
+        parse_hex(self.value).map(f64::from_bits).ok_or_else(|| {
+            let value = String::from_utf8_lossy(self.value);
+            self.fault(format_args!("is not a 16-hex-digit f64: `{value}`"))
+        })
+    }
+
+    /// The value as `0` (false) or `1` (true).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Format`] for any other value.
+    pub fn bool(&self) -> Result<bool, Error> {
+        match self.value {
+            b"0" => Ok(false),
+            b"1" => Ok(true),
+            other => {
+                let other = String::from_utf8_lossy(other);
+                Err(self.fault(format_args!("must be 0 or 1, got `{other}`")))
+            }
+        }
+    }
+
+    /// Appends the value, read in the one form [`Writer::f64_list`]
+    /// writes, to `values`; returns how many it appended.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Format`] at the first malformed item; `values` is then as
+    /// it was.
+    pub fn f64_list_into(&self, values: &mut Vec<f64>) -> Result<usize, Error> {
+        let start = values.len();
+        self.read_list(|word| {
+            values.push(f64::from_bits(parse_hex(word.get(..16)?)?));
+            Some(16)
+        })
+        .inspect_err(|_| values.truncate(start))?;
+        Ok(values.len() - start)
+    }
+
+    /// Appends the value, read in the one form
+    /// [`Writer::indexed_f64_list`] writes, to `indices` and `values`;
+    /// returns how many pairs it appended. An index is decimal with no
+    /// sign and no leading zero, and must fit a `u32`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Format`] at the first malformed item; both columns are
+    /// then as they were.
+    pub fn indexed_f64_list_into(
+        &self,
+        indices: &mut Vec<u32>,
+        values: &mut Vec<f64>,
+    ) -> Result<usize, Error> {
+        let start = (indices.len(), values.len());
+        self.read_list(|item| {
+            let colon = item.iter().take(11).position(|&b| b == b':')?;
+            let index = parse_index(&item[..colon])?;
+            let bits = parse_hex(item.get(colon + 1..colon + 17)?)?;
+            indices.push(index);
+            values.push(f64::from_bits(bits));
+            Some(colon + 17)
+        })
+        .inspect_err(|_| {
+            indices.truncate(start.0);
+            values.truncate(start.1);
+        })?;
+        Ok(values.len() - start.1)
+    }
+
+    /// Hands the value to `item` an item at a time: items are joined by
+    /// single spaces, and the empty value is the empty list. `item` takes
+    /// the item at the front of the bytes it is given and returns its
+    /// length, or `None` when it is malformed.
+    fn read_list(&self, mut item: impl FnMut(&[u8]) -> Option<usize>) -> Result<(), Error> {
+        let list = self.value;
+        let fault = |at: usize| self.fault(format_args!("has a malformed list item at byte {at}"));
+        if list.is_empty() {
+            return Ok(());
+        }
+        let mut at = 0;
+        loop {
+            at += item(&list[at..]).ok_or_else(|| fault(at))?;
+            match list.get(at) {
+                None => return Ok(()),
+                Some(b' ') => at += 1,
+                Some(_) => return Err(fault(at)),
+            }
+        }
+    }
+}
+
+/// A list index as [`Writer::indexed_f64_list`] writes it: decimal
+/// digits with no sign and no leading zero, or `None`; also `None`
+/// past `u32::MAX`.
+fn parse_index(digits: &[u8]) -> Option<u32> {
+    if digits.is_empty() || (digits[0] == b'0' && digits.len() > 1) {
+        return None;
+    }
+    let mut value = 0u64;
+    for &d in digits {
+        if !d.is_ascii_digit() {
+            return None;
+        }
+        value = value * 10 + u64::from(d - b'0');
+    }
+    u32::try_from(value).ok()
+}
+
+/// Bytes a [`read_sealed`] asks its reader for at a time.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Reads a sealed file ([`Writer::seal`]) from `reader` in one pass
+/// through one reused buffer of 64 KiB, grown only for a line longer
+/// than it. Each complete line is folded into the seal's hash and,
+/// unless it belongs to the trailer, read as an [`Item`] and handed to
+/// `visit`. The trailer is the last `[seal]` line, then
+/// `fnv1a=` and the hash of every byte before that line, then the end.
+///
+/// # Errors
+///
+/// [`Error::Io`] (with an empty path: the caller knows the file) when a
+/// read fails. Then the file as a whole: [`Error::Format`] at line 1 with
+/// no complete line, at line 0 for a missing or malformed trailer, then
+/// [`Error::Checksum`] for a wrong digest. Only a sealed file reports its
+/// first malformed line or `visit`'s first error — the first fault ends
+/// the visits but not the hash — so a damaged file reports the damage.
+pub fn read_sealed(
+    mut reader: impl std::io::Read,
+    visit: impl FnMut(Item<'_>) -> Result<(), Error>,
+) -> Result<(), Error> {
+    let mut scan = SealScan {
+        visit,
+        lines: 0,
+        hash: FNV_OFFSET,
+        sectioned: false,
+        seal: None,
+        digest: None,
+        held: Vec::new(),
+        fault: None,
+    };
+    let mut buf = vec![0; READ_CHUNK];
+    // `buf[start..filled]` is the line being read, with no newline in
+    // `buf[start..scanned]`.
+    let (mut start, mut scanned, mut filled) = (0, 0, 0);
+    loop {
+        while let Some(at) = find_newline(&buf[scanned..filled]) {
+            let end = scanned + at + 1;
+            scan.take(&buf[start..end]);
+            (start, scanned) = (end, end);
+        }
+        // What is left is the start of a line: keep it at the front.
+        if start > 0 {
+            buf.copy_within(start..filled, 0);
+            (filled, start) = (filled - start, 0);
+        }
+        scanned = filled;
+        if filled == buf.len() {
+            buf.resize(2 * filled, 0);
+        }
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                return Err(Error::Io {
+                    path: String::new(),
+                    message: e.to_string(),
+                })
+            }
+        }
+    }
+    scan.finish(filled > 0)
+}
+
+/// [`read_sealed`]'s state between lines.
+struct SealScan<V> {
+    visit: V,
+    /// Lines taken.
+    lines: usize,
+    /// FNV-1a of every byte taken.
+    hash: u64,
+    /// Whether a `[name]` line has been visited.
+    sectioned: bool,
+    /// The number of a held `[seal]` line: the trailer's, if the file
+    /// ends one digest line after it.
+    seal: Option<usize>,
+    /// The hash before the held `fnv1a=` line after it, in `held`.
+    digest: Option<u64>,
+    held: Vec<u8>,
+    fault: Option<Error>,
+}
+
+impl<V: FnMut(Item<'_>) -> Result<(), Error>> SealScan<V> {
+    /// Takes one complete line, its newline included.
+    fn take(&mut self, raw: &[u8]) {
+        let before = self.hash;
+        self.hash = fnv1a_extend(self.hash, raw);
+        self.lines += 1;
+        let line = &raw[..raw.len() - 1];
+        if let Some(seal) = self.seal {
+            if self.digest.is_none() && line.starts_with(b"fnv1a=") {
+                self.held.clear();
+                self.held.extend_from_slice(line);
+                self.digest = Some(before);
+                return;
+            }
+            // Lines follow: the held ones were body lines after all.
+            self.seal = None;
+            self.deliver(seal, b"[seal]");
+            if self.digest.take().is_some() {
+                let held = std::mem::take(&mut self.held);
+                self.deliver(seal + 1, &held);
+                self.held = held;
+            }
+        }
+        if line == b"[seal]" && self.lines > 1 {
+            self.seal = Some(self.lines);
+        } else {
+            self.deliver(self.lines, line);
+        }
+    }
+
+    /// Hands line `number` to the visitor, up to the first fault.
+    fn deliver(&mut self, number: usize, line: &[u8]) {
+        if self.fault.is_some() {
+            return;
+        }
+        let visited = Item::read(number, line, self.sectioned).and_then(|item| {
+            self.sectioned |= matches!(item, Item::Section { .. });
+            (self.visit)(item)
+        });
+        self.fault = visited.err();
+    }
+
+    /// The verdict once the input has ended, `torn` if after a partial
+    /// line.
+    fn finish(self, torn: bool) -> Result<(), Error> {
+        if self.lines == 0 {
+            return Err(format_err(1, "empty or headerless file".into()));
+        }
+        if self.seal.is_none() {
+            return Err(format_err(
+                0,
+                "missing [seal] trailer (file truncated?)".into(),
+            ));
+        }
+        let digest = self.digest.filter(|_| !torn);
+        let recorded = digest.and_then(|_| parse_hex(&self.held[b"fnv1a=".len()..]));
+        let (Some(computed), Some(recorded)) = (digest, recorded) else {
+            return Err(format_err(0, "[seal] trailer has no fnv1a digest".into()));
+        };
+        if recorded != computed {
+            return Err(Error::Checksum {
+                expected: recorded,
+                found: computed,
+            });
+        }
+        self.fault.map_or(Ok(()), Err)
+    }
 }
 
 /// One `key=value` body line. Every body line of a section is an entry,
@@ -569,90 +918,41 @@ impl<'a> Document<'a> {
     ///
     /// [`Error::Format`] for an empty file or a malformed body line.
     pub fn parse(text: &'a str) -> Result<Self, Error> {
-        Self::split::<false>(text).0
-    }
-
-    /// Checks `text`'s trailer, a `[seal]` line and `fnv1a=`, the hash of
-    /// every byte before that line ([`Writer::seal`]), and
-    /// [`parse`](Self::parse)s the text before the trailer in the same
-    /// pass that hashes it.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Checksum`] for a wrong digest, else [`Error::Format`] for
-    /// a missing header or trailer or a malformed body line — trailer
-    /// faults first, so a damaged file reports the damage.
-    pub fn open(text: &'a str) -> Result<Self, Error> {
-        let header = text
-            .find('\n')
-            .ok_or_else(|| format_err(1, "empty or headerless file".into()))?;
-        let tag = "[seal]\n";
-        let at = text
-            .rfind(tag)
-            .filter(|&at| at > header && text.as_bytes()[at - 1] == b'\n')
-            .ok_or_else(|| format_err(0, "missing [seal] trailer (file truncated?)".into()))?;
-        let recorded = text[at + tag.len()..]
-            .strip_prefix("fnv1a=")
-            .and_then(|digest| parse_hex(digest.strip_suffix('\n')?))
-            .ok_or_else(|| format_err(0, "[seal] trailer has no fnv1a digest".into()))?;
-        let (doc, hash) = Self::split::<true>(&text[..at]);
-        let computed = fnv1a_extend(hash, tag.as_bytes());
-        if recorded != computed {
-            return Err(Error::Checksum {
-                expected: recorded,
-                found: computed,
-            });
-        }
-        doc
-    }
-
-    /// Splits `text` at its newlines and files each line up to the first
-    /// malformed one; with `FOLD`, also returns the FNV-1a of all of
-    /// `text`, computed in the same pass that finds the newlines.
-    fn split<const FOLD: bool>(text: &'a str) -> (Result<Self, Error>, u64) {
         if text.is_empty() {
-            let fault = format_err(1, "empty or headerless file".into());
-            return (Err(fault), FNV_OFFSET);
+            return Err(format_err(1, "empty or headerless file".into()));
         }
-        let (ends, hash) = line_ends::<FOLD>(text.as_bytes());
         let mut doc = Self {
             header: "",
             sections: Vec::new(),
             entries: Vec::new(),
         };
-        // The last line may lack its newline.
-        let torn = (!text.ends_with('\n')).then_some(text.len());
-        let mut start = 0;
-        for (i, end) in ends.into_iter().chain(torn).enumerate() {
-            let line = &text[start..end];
+        let (mut start, mut number) = (0, 0);
+        while start < text.len() {
+            // The last line may lack its newline.
+            let end = find_newline(&text.as_bytes()[start..]).map_or(text.len(), |at| start + at);
+            number += 1;
+            doc.push(&text[start..end], number)?;
             start = end + 1;
-            if i == 0 {
-                doc.header = line;
-            } else if let Err(fault) = doc.push(line, i + 1) {
-                return (Err(fault), hash);
-            }
         }
-        (Ok(doc), hash)
+        Ok(doc)
     }
 
-    /// Files body line `number`, `line`, under the current section.
+    /// Files line `number`, `line`: the header, or a body line under the
+    /// current section.
     fn push(&mut self, line: &'a str, number: usize) -> Result<(), Error> {
-        let fault = |reason: String| Err(format_err(number, reason));
-        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            self.sections.push((name, number, self.entries.len()));
-            return Ok(());
-        }
-        // Keys are short: a plain scan finds the `=` sooner than a
-        // `memchr` call is set up.
-        let eq = line.bytes().position(|b| b == b'=');
-        match eq.map(|eq| (&line[..eq], &line[eq + 1..])) {
-            None => fault(format!("unrecognized line `{line}`")),
-            Some(_) if self.sections.is_empty() => fault("key=value before any [section]".into()),
-            Some((key, value)) => {
+        match Item::read(number, line.as_bytes(), !self.sections.is_empty())? {
+            Item::Header(_) => self.header = line,
+            Item::Section { name, .. } => {
+                let name = &line[1..=name.len()];
+                self.sections.push((name, number, self.entries.len()));
+            }
+            Item::Field(field) => {
+                let eq = field.key.len();
+                let (key, value) = (&line[..eq], &line[eq + 1..]);
                 self.entries.push(Entry { key, value });
-                Ok(())
             }
         }
+        Ok(())
     }
 
     /// The header line.
@@ -692,7 +992,7 @@ impl<'a> Document<'a> {
 
 /// One `[name]` section's `key=value` records, borrowed from the text.
 /// Every getter fails with a line-numbered [`Error::Format`] when its key
-/// is repeated, and all but [`Section::optional`] when it is missing.
+/// is repeated or missing.
 #[derive(Debug, Clone, Copy)]
 pub struct Section<'a> {
     /// The name between the brackets.
@@ -703,187 +1003,70 @@ pub struct Section<'a> {
 }
 
 impl<'a> Section<'a> {
-    /// The line of entry `k`: the one after the `[name]` line and the
-    /// `k` entries before it.
-    fn line_of(&self, k: usize) -> usize {
-        self.line + 1 + k
+    /// Every key, in file order, repeats included.
+    pub fn keys(&self) -> impl Iterator<Item = &'a str> {
+        self.entries.iter().map(|e| e.key)
     }
 
-    /// The line and value of `key`, if present.
-    fn entry(&self, key: &str) -> Result<Option<(usize, &'a str)>, Error> {
+    /// The one `key=` line.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Format`] when the key is missing or repeated.
+    pub fn field(&self, key: &str) -> Result<Field<'a>, Error> {
+        // Entry `k` is on the line after the `[name]` line and the `k`
+        // entries before it.
         let mut found = self
             .entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.key == key);
+            .filter(|(_, e)| e.key == key)
+            .map(|(k, e)| Field {
+                line: self.line + 1 + k,
+                key: e.key.as_bytes(),
+                value: e.value.as_bytes(),
+            });
+        let name = self.name;
         match (found.next(), found.next()) {
-            (_, Some((again, _))) => Err(format_err(
-                self.line_of(again),
-                format!("section [{}] repeats key `{key}`", self.name),
+            (_, Some(again)) => Err(format_err(
+                again.line,
+                format!("section [{name}] repeats key `{key}`"),
             )),
-            (first, None) => Ok(first.map(|(k, e)| (self.line_of(k), e.value))),
+            (first, None) => first.ok_or_else(|| {
+                format_err(
+                    self.line,
+                    format!("section [{name}] is missing key `{key}`"),
+                )
+            }),
         }
-    }
-
-    fn required(&self, key: &str) -> Result<(usize, &'a str), Error> {
-        self.entry(key)?.ok_or_else(|| {
-            format_err(
-                self.line,
-                format!("section [{}] is missing key `{key}`", self.name),
-            )
-        })
-    }
-
-    /// Fails on the first key that is not in `known`.
-    pub fn only(&self, known: &[&str]) -> Result<(), Error> {
-        match self.entries.iter().position(|e| !known.contains(&e.key)) {
-            Some(k) => Err(format_err(
-                self.line_of(k),
-                format!(
-                    "section [{}] has unknown key `{}`",
-                    self.name, self.entries[k].key
-                ),
-            )),
-            None => Ok(()),
-        }
-    }
-
-    /// The value of `key`, if present.
-    pub fn optional(&self, key: &str) -> Result<Option<&'a str>, Error> {
-        Ok(self.entry(key)?.map(|(_, value)| value))
     }
 
     /// The value of `key`.
     pub fn get(&self, key: &str) -> Result<&'a str, Error> {
-        Ok(self.required(key)?.1)
+        self.field(key)?.text()
     }
 
     /// The value of `key` parsed with [`FromStr`].
     pub fn parse<T: FromStr>(&self, key: &str) -> Result<T, Error> {
-        let (line, value) = self.required(key)?;
-        value
-            .parse()
-            .map_err(|_| format_err(line, format!("key `{key}` has unparsable value `{value}`")))
+        self.field(key)?.parse()
     }
 
     /// The value of `key` as one `f64` bits word.
     pub fn f64(&self, key: &str) -> Result<f64, Error> {
-        let (line, value) = self.required(key)?;
-        parse_f64(value).ok_or_else(|| {
-            format_err(
-                line,
-                format!("key `{key}` is not a 16-hex-digit f64: `{value}`"),
-            )
-        })
+        self.field(key)?.f64()
     }
 
     /// The value of `key` as `0` (false) or `1` (true).
     pub fn bool(&self, key: &str) -> Result<bool, Error> {
-        let (line, value) = self.required(key)?;
-        match value {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            other => Err(format_err(
-                line,
-                format!("key `{key}` must be 0 or 1, got `{other}`"),
-            )),
-        }
+        self.field(key)?.bool()
     }
 
     /// The value of `key` as single-space-separated `f64` bits words.
     pub fn f64_list(&self, key: &str) -> Result<Vec<f64>, Error> {
         let mut values = Vec::new();
-        self.f64_list_into(key, &mut values)?;
+        self.field(key)?.f64_list_into(&mut values)?;
         Ok(values)
     }
-
-    /// Appends the value of `key`, read in the one form
-    /// [`Writer::f64_list`] writes, to `values`; returns how many it
-    /// appended. On error `values` is as it was.
-    pub fn f64_list_into(&self, key: &str, values: &mut Vec<f64>) -> Result<usize, Error> {
-        let start = values.len();
-        self.read_list(key, |word| {
-            values.push(f64::from_bits(parse_hex(word.get(..16)?)?));
-            Some(16)
-        })
-        .inspect_err(|_| values.truncate(start))?;
-        Ok(values.len() - start)
-    }
-
-    /// Appends the value of `key`, read in the one form
-    /// [`Writer::indexed_f64_list`] writes, to `indices` and `values`;
-    /// returns how many pairs it appended. An index is decimal with no
-    /// sign and no leading zero, and must fit a `u32`. On error both are
-    /// as they were.
-    pub fn indexed_f64_list_into(
-        &self,
-        key: &str,
-        indices: &mut Vec<u32>,
-        values: &mut Vec<f64>,
-    ) -> Result<usize, Error> {
-        let start = (indices.len(), values.len());
-        self.read_list(key, |item| {
-            let colon = item.iter().take(11).position(|&b| b == b':')?;
-            let index = parse_index(&item[..colon])?;
-            let bits = parse_hex(item.get(colon + 1..colon + 17)?)?;
-            indices.push(index);
-            values.push(f64::from_bits(bits));
-            Some(colon + 17)
-        })
-        .inspect_err(|_| {
-            indices.truncate(start.0);
-            values.truncate(start.1);
-        })?;
-        Ok(values.len() - start.1)
-    }
-
-    /// Hands the value of `key` to `item` an item at a time: items are
-    /// joined by single spaces, and the empty value is the empty list.
-    /// `item` takes the item at the front of the bytes it is given and
-    /// returns its length, or `None` when it is malformed.
-    fn read_list(
-        &self,
-        key: &str,
-        mut item: impl FnMut(&[u8]) -> Option<usize>,
-    ) -> Result<(), Error> {
-        let (line, value) = self.required(key)?;
-        let list = value.as_bytes();
-        let fault = |at: usize| {
-            format_err(
-                line,
-                format!("key `{key}` has a malformed list item at byte {at}"),
-            )
-        };
-        if list.is_empty() {
-            return Ok(());
-        }
-        let mut at = 0;
-        loop {
-            at += item(&list[at..]).ok_or_else(|| fault(at))?;
-            match list.get(at) {
-                None => return Ok(()),
-                Some(b' ') => at += 1,
-                Some(_) => return Err(fault(at)),
-            }
-        }
-    }
-}
-
-/// A list index as [`Writer::indexed_f64_list`] writes it: decimal
-/// digits with no sign and no leading zero, or `None`; also `None`
-/// past `u32::MAX`.
-fn parse_index(digits: &[u8]) -> Option<u32> {
-    if digits.is_empty() || (digits[0] == b'0' && digits.len() > 1) {
-        return None;
-    }
-    let mut value = 0u64;
-    for &d in digits {
-        if !d.is_ascii_digit() {
-            return None;
-        }
-        value = value * 10 + u64::from(d - b'0');
-    }
-    u32::try_from(value).ok()
 }
 
 /// The shape of one append-only, hash-chained log. A log is the header
@@ -1579,7 +1762,7 @@ mod tests {
         let text = sealed(w.text());
         let unsealed = format!("doc v1\n{}", w.text());
         for doc in [
-            Document::open(&text).unwrap(),
+            Document::parse(&text).unwrap(),
             Document::parse(&unsealed).unwrap(),
         ] {
             assert_eq!(doc.header(), "doc v1");
@@ -1591,12 +1774,75 @@ mod tests {
             );
             assert!(meta.bool("on").unwrap());
             assert_eq!(meta.f64_list("steps").unwrap(), vec![0.0, 5.0]);
-            assert_eq!(meta.optional("absent").unwrap(), None);
+            assert!(meta.field("absent").is_err());
+            let keys: Vec<&str> = meta.keys().collect();
+            assert_eq!(keys, ["name", "budget", "on", "steps"]);
             assert_eq!(
                 doc.section("point 0").unwrap().parse::<u32>("n").unwrap(),
                 3
             );
-            assert_eq!(doc.sections().count(), 2);
+        }
+        // A sealed read visits the same lines, the trailer left out.
+        let mut visited = Vec::new();
+        read_sealed(text.as_bytes(), |item| {
+            visited.push(format!("{item:?}"));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(visited, items(&unsealed));
+    }
+
+    /// Every line of `text` as [`read_sealed`] would visit it.
+    fn items(text: &str) -> Vec<String> {
+        let mut sectioned = false;
+        lines(text)
+            .map(|line| {
+                let item = Item::read(line.number, line.bytes, sectioned).unwrap();
+                sectioned |= matches!(item, Item::Section { .. });
+                format!("{item:?}")
+            })
+            .collect()
+    }
+
+    /// A reader that hands out at most `step` bytes per `read`.
+    struct Chunked<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl std::io::Read for Chunked<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn sealed_reads_are_independent_of_read_sizes() {
+        // Lines longer than the read buffer, at and past its size, and a
+        // short one after them.
+        let mut w = Writer::default();
+        w.section("s");
+        for len in [READ_CHUNK - 3, READ_CHUNK, 3 * READ_CHUNK + 5] {
+            w.str("long", &"x".repeat(len));
+        }
+        w.kv("k", 7);
+        let text = sealed(w.text());
+        let want = items(&format!("doc v1\n{}", w.text()));
+        for step in [1, 7, 4096, READ_CHUNK + 1, text.len()] {
+            let mut visited = Vec::new();
+            let reader = Chunked {
+                bytes: text.as_bytes(),
+                step,
+            };
+            read_sealed(reader, |item| {
+                visited.push(format!("{item:?}"));
+                Ok(())
+            })
+            .unwrap();
+            assert!(visited == want, "reads of {step} bytes");
         }
     }
 
@@ -1604,7 +1850,7 @@ mod tests {
     fn getters_reject_missing_repeated_and_malformed_keys() {
         let body = "[s]\nk=1\nk=2\nb=7\nf=3ff\nl=3ff0000000000000  4000000000000000\n[s]\n";
         let text = sealed(body);
-        let doc = Document::open(&text).unwrap();
+        let doc = Document::parse(&text).unwrap();
         assert!(matches!(
             doc.section("s"),
             Err(Error::Format { line: 8, .. })
@@ -1625,35 +1871,57 @@ mod tests {
 
     #[test]
     fn trailer_faults_win_over_body_faults() {
+        let open = |text: &str| read_sealed(text.as_bytes(), |_| Ok(()));
         let text = sealed("[s]\nk=v\n");
-        assert!(Document::open(&text).is_ok());
+        assert!(open(&text).is_ok());
         // A trailer of another name is missing.
         assert!(matches!(
-            Document::open(&text.replacen("[seal]", "[checksum]", 1)),
+            open(&text.replacen("[seal]", "[checksum]", 1)),
             Err(Error::Format { line: 0, reason }) if reason.contains("missing [seal]")
         ));
         // A broken body line under a stale digest reports the digest.
         let broken = text.replacen("k=v", "k~v", 1);
-        assert!(matches!(
-            Document::open(&broken),
-            Err(Error::Checksum { .. })
-        ));
+        assert!(matches!(open(&broken), Err(Error::Checksum { .. })));
         // Under a valid digest it reports the line.
         let resealed = sealed("[s]\nk~v\n");
         assert!(matches!(
-            Document::open(&resealed),
+            open(&resealed),
             Err(Error::Format { line: 3, .. })
+        ));
+        // So with the visitor's own faults: the first one, after the seal.
+        let refuse = |text: &str| {
+            read_sealed(text.as_bytes(), |item| match item {
+                Item::Field(field) => Err(field.fault("is refused")),
+                _ => Ok(()),
+            })
+        };
+        assert!(matches!(refuse(&broken), Err(Error::Checksum { .. })));
+        let twice = sealed("[s]\nk=v\nj=w\n");
+        assert!(matches!(
+            refuse(&twice),
+            Err(Error::Format { line: 3, reason }) if reason.contains("`k`")
         ));
         let cut = text.rfind("fnv1a=").unwrap();
         assert!(matches!(
-            Document::open(&text[..cut]),
+            open(&text[..cut]),
+            Err(Error::Format { line: 0, reason }) if reason.contains("fnv1a")
+        ));
+        // A torn digest line has no digest either.
+        assert!(matches!(
+            open(&text[..text.len() - 1]),
             Err(Error::Format { line: 0, reason }) if reason.contains("fnv1a")
         ));
         assert!(matches!(
-            Document::open(&format!("{text}more\n")),
+            open(&format!("{text}more\n")),
             Err(Error::Format { .. })
         ));
-        for empty in [Document::open(""), Document::parse("")] {
+        // A `[seal]` and digest inside the body are body lines.
+        let inner = sealed(&format!(
+            "[s]\n{}k=v\n",
+            &text[text.rfind("[seal]").unwrap()..]
+        ));
+        assert!(open(&inner).is_ok());
+        for empty in [open(""), open("doc v1"), Document::parse("").map(|_| ())] {
             assert!(matches!(empty, Err(Error::Format { line: 1, .. })));
         }
     }
@@ -1699,10 +1967,15 @@ mod tests {
             for input in &inputs {
                 assert_eq!(Document::parse(input), parse_by_scanner(input), "{input:?}");
             }
-            // A sealed document (a log's seal also counts its records).
+            // A sealed file (a log's seal also counts its records).
             if let Some(at) = text.rfind("[seal]\nfnv1a=") {
-                let doc = Document::open(&text).unwrap();
-                assert_eq!(Ok(doc), parse_by_scanner(&text[..at]));
+                let mut visited = Vec::new();
+                read_sealed(text.as_bytes(), |item| {
+                    visited.push(format!("{item:?}"));
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!(visited, items(&text[..at]));
             }
         }
         assert!(files >= 6, "{files} golden files under {}", dir.display());
@@ -1723,23 +1996,19 @@ mod tests {
         };
         section(&canonical, &|s| {
             let mut values = vec![9.0];
-            assert_eq!(s.f64_list_into("none", &mut values).unwrap(), 0);
-            assert_eq!(s.f64_list_into("two", &mut values).unwrap(), 2);
+            let list = |key: &str, values: &mut Vec<f64>| s.field(key)?.f64_list_into(values);
+            assert_eq!(list("none", &mut values).unwrap(), 0);
+            assert_eq!(list("two", &mut values).unwrap(), 2);
             assert_eq!(
                 values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 [9.0f64, 1.0, -0.0].map(f64::to_bits)
             );
             let (mut indices, mut values) = (vec![7], vec![9.0]);
-            assert_eq!(
-                s.indexed_f64_list_into("pairs", &mut indices, &mut values)
-                    .unwrap(),
-                3
-            );
-            assert_eq!(
-                s.indexed_f64_list_into("empty", &mut indices, &mut values)
-                    .unwrap(),
-                0
-            );
+            let pairs = |key: &str, indices: &mut Vec<u32>, values: &mut Vec<f64>| {
+                s.field(key)?.indexed_f64_list_into(indices, values)
+            };
+            assert_eq!(pairs("pairs", &mut indices, &mut values).unwrap(), 3);
+            assert_eq!(pairs("empty", &mut indices, &mut values).unwrap(), 0);
             assert_eq!(indices, [7, 0, 10, u32::MAX]);
             assert_eq!(values, [9.0, 0.5, 2.0, 1.0]);
         });
@@ -1769,10 +2038,12 @@ mod tests {
             section(&canonical.replacen(old, line, 1), &|s| {
                 // A refused list leaves the columns as they were.
                 let (mut indices, mut values) = (vec![7], vec![9.0]);
+                let field = s.field(key).unwrap();
                 let err = if key == "two" {
-                    s.f64_list_into(key, &mut values).unwrap_err()
+                    field.f64_list_into(&mut values).unwrap_err()
                 } else {
-                    s.indexed_f64_list_into(key, &mut indices, &mut values)
+                    field
+                        .indexed_f64_list_into(&mut indices, &mut values)
                         .unwrap_err()
                 };
                 assert!(matches!(err, Error::Format { .. }), "{line}: {err}");

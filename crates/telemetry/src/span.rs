@@ -22,14 +22,18 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Unique id per live span, used for order-independent stack removal.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
+/// What every span's histogram name starts with, before its path.
+const PREFIX: &str = "span.";
+
 thread_local! {
-    /// Innermost-last stack of `(id, path)` for the current thread.
-    static STACK: RefCell<Vec<(u64, String)>> = const { RefCell::new(Vec::new()) };
+    /// Innermost-last stack of `(id, key)` for the current thread.
+    static STACK: RefCell<Vec<(u64, Arc<str>)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A live span; records its duration on drop. Inert when telemetry was
@@ -42,7 +46,9 @@ pub struct SpanGuard {
 #[derive(Debug)]
 struct ActiveSpan {
     id: u64,
-    path: String,
+    /// The histogram name, `span.<path>`, built once at open and shared
+    /// with the stack entry.
+    key: Arc<str>,
     start: Instant,
 }
 
@@ -52,21 +58,20 @@ pub fn span(name: &str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard { inner: None };
     }
-    let parent = STACK.with(|s| s.borrow().last().map(|(_, p)| p.clone()));
+    let parent = STACK.with(|s| s.borrow().last().map(|(_, key)| Arc::clone(key)));
     open(parent.as_deref(), name)
 }
 
+/// Opens a span named `name` under the span whose key is `parent`.
 fn open(parent: Option<&str>, name: &str) -> SpanGuard {
-    let path = match parent {
-        Some(p) => format!("{p}/{name}"),
-        None => name.to_owned(),
-    };
+    let (head, slash) = parent.map_or((PREFIX, ""), |key| (key, "/"));
+    let key: Arc<str> = [head, slash, name].concat().into();
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    STACK.with(|s| s.borrow_mut().push((id, path.clone())));
+    STACK.with(|s| s.borrow_mut().push((id, Arc::clone(&key))));
     SpanGuard {
         inner: Some(ActiveSpan {
             id,
-            path,
+            key,
             start: Instant::now(),
         }),
     }
@@ -77,14 +82,14 @@ impl SpanGuard {
     /// is on the thread's stack). Inert if this guard is inert.
     pub fn child(&self, name: &str) -> SpanGuard {
         match &self.inner {
-            Some(active) if crate::enabled() => open(Some(&active.path), name),
+            Some(active) if crate::enabled() => open(Some(&active.key), name),
             _ => SpanGuard { inner: None },
         }
     }
 
     /// The span's full path, if live (for tests).
     pub fn path(&self) -> Option<&str> {
-        self.inner.as_ref().map(|a| a.path.as_str())
+        self.inner.as_ref().map(|a| &a.key[PREFIX.len()..])
     }
 }
 
@@ -108,7 +113,7 @@ impl Drop for SpanGuard {
         // flag read would make overhead measurements flaky.
         crate::global()
             .registry
-            .histogram(&format!("span.{}", active.path))
+            .histogram(&active.key)
             .record(nanos);
     }
 }
@@ -179,13 +184,13 @@ mod tests {
     fn durations_land_in_registry_histograms() {
         with_enabled(|| {
             {
-                let _g = span("timed-unit");
+                let g = span("timed-unit");
+                let _inner = g.child("inner");
             }
-            let snap = crate::global()
-                .registry
-                .histogram("span.timed-unit")
-                .snapshot();
-            assert!(snap.count >= 1, "drop recorded a duration");
+            for name in ["span.timed-unit", "span.timed-unit/inner"] {
+                let snap = crate::global().registry.histogram(name).snapshot();
+                assert!(snap.count >= 1, "drop recorded a duration in {name}");
+            }
         });
     }
 }
