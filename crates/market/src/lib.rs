@@ -65,7 +65,6 @@ pub mod bids;
 pub mod deadline;
 pub mod equilibrium;
 mod error;
-pub mod exact;
 pub mod faults;
 mod first_order;
 pub mod fisher;

@@ -8,6 +8,19 @@
 //! passes; only once it has been quiet that long does it sleep 500 µs
 //! between passes.
 //!
+//! A pass reads every open connection but calls `accept(2)` only when a
+//! new client can be waiting for it: on every pass while no connection
+//! is open, on the first pass after an idle sleep, and otherwise at most
+//! once per [`BUSY_POLL`]. A nonblocking `accept` that finds nothing
+//! costs 2–3.5 µs on Linux, which sets up the new socket before it
+//! looks at the queue, against ~0.3 µs for a `read` that finds nothing;
+//! a lockstep client's ack would otherwise pay it on every pass. A
+//! client that connects while another is busy waits at most 1 ms.
+//!
+//! Buffered input and output are consumed by offset and compacted once
+//! per pass, so a pipelined burst costs linear time, and the admission
+//! ack is written straight into the connection's output.
+//!
 //! Robustness behaviors, each with its own counter (`server.*` in the
 //! metrics registry, mirrored locally for the `stats` response):
 //!
@@ -45,7 +58,8 @@ use crate::ServerResult;
 /// A lockstep client's next frame follows its ack within microseconds.
 /// Sleeping as soon as a pass finds nothing would make that frame race
 /// the sleep: answered at once or ~500 µs later, depending on CPU
-/// placement and host timing.
+/// placement and host timing. While a connection is open and the loop
+/// is polling, it is also the longest a new client waits for `accept`.
 const BUSY_POLL: Duration = Duration::from_millis(1);
 /// The pause between passes once the loop has been quiet for
 /// [`BUSY_POLL`].
@@ -239,25 +253,29 @@ impl Conn {
         self.sock.is_some()
     }
 
-    /// Writes as much pending output as the socket will take.
+    /// Writes as much pending output as the socket will take, then drops
+    /// the written prefix once (not once per partial write).
     /// `Ok(true)` if fully drained, `Ok(false)` on `WouldBlock`,
     /// `Err` on a fatal socket error.
     fn write_out(&mut self) -> io::Result<bool> {
         let Some(sock) = self.sock.as_mut() else {
             return Ok(true);
         };
-        while !self.out.is_empty() {
-            match sock.write(&self.out) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.out.drain(..n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+        let mut sent = 0;
+        let drained = loop {
+            if sent == self.out.len() {
+                break Ok(true);
             }
-        }
-        Ok(true)
+            match sock.write(&self.out[sent..]) {
+                Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
+        };
+        self.out.drain(..sent);
+        drained
     }
 
     /// Best-effort flush of pending output, then ends the output and
@@ -345,20 +363,27 @@ impl Daemon {
     pub fn serve(mut self, listener: Listener) -> ServerResult<DaemonSummary> {
         let mut last_tick = Instant::now();
         let mut last_active = Instant::now();
+        let mut last_accept = Instant::now();
+        let mut slept = false;
         loop {
             let mut active = false;
-            while let Some(sock) = listener.accept()? {
-                let id = self.next_conn_id;
-                self.next_conn_id += 1;
-                self.conns.push(Conn {
-                    sock: Some(sock),
-                    id,
-                    buf: Vec::new(),
-                    out: Vec::new(),
-                    last_activity: Instant::now(),
-                });
-                active = true;
+            if slept || !self.conns.iter().any(Conn::is_open) || last_accept.elapsed() >= BUSY_POLL
+            {
+                last_accept = Instant::now();
+                while let Some(sock) = listener.accept()? {
+                    let id = self.next_conn_id;
+                    self.next_conn_id += 1;
+                    self.conns.push(Conn {
+                        sock: Some(sock),
+                        id,
+                        buf: Vec::new(),
+                        out: Vec::new(),
+                        last_activity: Instant::now(),
+                    });
+                    active = true;
+                }
             }
+            slept = false;
             for i in 0..self.conns.len() {
                 if self.conns[i].is_open() {
                     active |= self.pump_conn(i)?;
@@ -387,6 +412,7 @@ impl Daemon {
                 std::thread::yield_now();
             } else {
                 std::thread::sleep(IDLE_SLEEP);
+                slept = true;
             }
         }
         self.flush_all();
@@ -430,33 +456,40 @@ impl Daemon {
         }
         // Handle every complete buffered line — including lines that
         // arrived in the same segment as an EOF — enforcing the frame
-        // cap on both complete and still-partial frames.
-        loop {
-            let conn = &mut self.conns[i];
-            if !conn.is_open() {
-                break;
-            }
-            match conn.buf.iter().position(|&b| b == b'\n') {
-                Some(pos) if pos > self.config.frame_cap => {
+        // cap on both complete and still-partial frames. Lines are taken
+        // by offset and the handled prefix dropped once: draining line by
+        // line would shift the rest of a pipelined burst for every line.
+        let mut buf = std::mem::take(&mut self.conns[i].buf);
+        let mut start = 0;
+        while self.conns[i].is_open() {
+            match buf[start..].iter().position(|&b| b == b'\n') {
+                Some(len) if len > self.config.frame_cap => {
                     self.oversize(i);
                     break;
                 }
-                Some(pos) => {
-                    let line: Vec<u8> = conn.buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line[..pos]).into_owned();
-                    let line = line.trim_end_matches('\r').to_string();
+                Some(len) => {
+                    let mut line = &buf[start..start + len];
+                    start += len + 1;
+                    while let [rest @ .., b'\r'] = line {
+                        line = rest;
+                    }
                     if line.is_empty() {
                         continue;
                     }
-                    self.handle_line(i, &line)?;
+                    // Borrows the line unless it holds invalid UTF-8.
+                    self.handle_line(i, &String::from_utf8_lossy(line))?;
                     active = true;
                 }
-                None if conn.buf.len() > self.config.frame_cap => {
+                None if buf.len() - start > self.config.frame_cap => {
                     self.oversize(i);
                     break;
                 }
                 None => break,
             }
+        }
+        if self.conns[i].is_open() {
+            buf.drain(..start);
+            self.conns[i].buf = buf;
         }
         if eof && self.conns[i].is_open() {
             bump!(self.stats, disconnects);
@@ -508,13 +541,15 @@ impl Daemon {
                 );
             } else {
                 self.event_request(req.cmd(), "queued");
-                let ack = ok_response(&[
-                    ("queued", "true".into()),
-                    ("tick", self.core.tick_index().to_string()),
-                ]);
-                let conn_id = self.conns[i].id;
-                self.queue.push_back(Queued { req, conn_id });
-                self.respond(i, &ack);
+                let tick = self.core.tick_index();
+                let conn = &mut self.conns[i];
+                self.queue.push_back(Queued {
+                    req,
+                    conn_id: conn.id,
+                });
+                // The same bytes as `ok_response` with `queued` and
+                // `tick`, written without building a `String`.
+                let _ = writeln!(conn.out, "{{\"ok\":true,\"queued\":true,\"tick\":{tick}}}");
             }
             return Ok(());
         }
@@ -653,6 +688,9 @@ mod tests {
     use rebudget_market::{RetryPolicy, SolverKind};
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
+    use std::path::Path;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Arc};
 
     fn test_config() -> ServerConfig {
         ServerConfig {
@@ -673,20 +711,67 @@ mod tests {
         dir
     }
 
-    /// Spawns a daemon on an ephemeral TCP port; returns the address
-    /// and the serving thread's handle.
-    fn spawn_daemon(
-        tag: &str,
-        dconfig: DaemonConfig,
-    ) -> (String, std::thread::JoinHandle<DaemonSummary>) {
+    type Served = (String, std::thread::JoinHandle<DaemonSummary>);
+
+    /// Spawns a daemon on the endpoint `endpoint` names for its state
+    /// directory; returns the address and the serving thread's handle.
+    fn spawn_on(tag: &str, dconfig: DaemonConfig, endpoint: fn(&Path) -> Endpoint) -> Served {
         let dir = temp_dir(tag);
         let core = ServerCore::open(test_config(), &dir).unwrap();
         let daemon = Daemon::new(core, dconfig);
-        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+        let listener = Listener::bind(&endpoint(&dir)).unwrap();
         let addr = listener.local_addr.clone();
         let handle = std::thread::spawn(move || daemon.serve(listener).unwrap());
         (addr, handle)
     }
+
+    /// A daemon on an ephemeral TCP port.
+    fn spawn_daemon(tag: &str, dconfig: DaemonConfig) -> Served {
+        spawn_on(tag, dconfig, |_| Endpoint::Tcp("127.0.0.1:0".into()))
+    }
+
+    /// A daemon on a Unix socket in its state directory.
+    #[cfg(unix)]
+    fn spawn_unix_daemon(tag: &str, dconfig: DaemonConfig) -> Served {
+        spawn_on(tag, dconfig, |dir| Endpoint::Unix(dir.join("sock")))
+    }
+
+    type Client = (
+        BufReader<Box<dyn io::Read + Send>>,
+        Box<dyn io::Write + Send>,
+    );
+
+    /// Connects to either kind of address [`spawn_on`] returns: a Unix
+    /// socket path is absolute, a TCP address is not a path.
+    fn connect(addr: &str) -> Client {
+        #[cfg(unix)]
+        if Path::new(addr).is_absolute() {
+            let sock = UnixStream::connect(addr).unwrap();
+            return (
+                BufReader::new(Box::new(sock.try_clone().unwrap())),
+                Box::new(sock),
+            );
+        }
+        let sock = TcpStream::connect(addr).unwrap();
+        (
+            BufReader::new(Box::new(sock.try_clone().unwrap())),
+            Box::new(sock),
+        )
+    }
+
+    fn arrive(k: usize) -> String {
+        format!(
+            "{{\"cmd\":\"arrive\",\"id\":\"p{k}\",\"budget\":10,\"interests\":[[{},1]]}}",
+            k % 4
+        )
+    }
+
+    /// The admission ack, as `ok_response` renders it.
+    fn queued_ack(tick: u64) -> String {
+        ok_response(&[("queued", "true".into()), ("tick", tick.to_string())])
+    }
+
+    const SHUTDOWN: &str = "{\"cmd\":\"shutdown\"}";
 
     fn roundtrip(reader: &mut impl BufRead, sock: &mut impl Write, line: &str) -> String {
         writeln!(sock, "{line}").unwrap();
@@ -850,5 +935,122 @@ mod tests {
         assert!(bye.contains("\"ok\":true"), "{bye}");
         let summary = handle.join().unwrap();
         assert_eq!(summary.stats.slowloris, 1);
+    }
+
+    #[test]
+    fn a_fresh_daemon_answers_its_first_client_on_either_endpoint() {
+        #[allow(unused_mut)]
+        let mut daemons = vec![spawn_daemon("first-tcp", DaemonConfig::default())];
+        #[cfg(unix)]
+        daemons.push(spawn_unix_daemon("first-unix", DaemonConfig::default()));
+        for (addr, handle) in daemons {
+            let (mut reader, mut sock) = connect(&addr);
+            assert_eq!(roundtrip(&mut reader, &mut sock, &arrive(0)), queued_ack(0));
+            let bye = roundtrip(&mut reader, &mut sock, SHUTDOWN);
+            assert_eq!(bye, ok_response(&[("records", "1".into())]), "{addr}");
+            assert_eq!(handle.join().unwrap().stats.accepted, 1, "{addr}");
+        }
+    }
+
+    /// While one lockstep client keeps the loop busy, `accept` runs only
+    /// once per `BUSY_POLL`; a second client must still get in.
+    #[cfg(unix)]
+    #[test]
+    fn a_client_connecting_mid_stream_gets_its_ack() {
+        let config = DaemonConfig {
+            queue_cap: 1 << 20,
+            ..DaemonConfig::default()
+        };
+        let (addr, handle) = spawn_unix_daemon("midstream", config);
+        let stop = Arc::new(AtomicBool::new(false));
+        let (streaming, started) = mpsc::channel();
+        let streamer = {
+            let (addr, stop) = (addr.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let (mut reader, mut sock) = connect(&addr);
+                let mut sent = 0;
+                while !stop.load(Ordering::SeqCst) {
+                    assert_eq!(
+                        roundtrip(&mut reader, &mut sock, &arrive(sent)),
+                        queued_ack(0)
+                    );
+                    sent += 1;
+                    if sent == 100 {
+                        streaming.send(()).unwrap();
+                    }
+                }
+                sent
+            })
+        };
+        started.recv().unwrap();
+        let (mut reader, mut sock) = connect(&addr);
+        let ack = roundtrip(&mut reader, &mut sock, &arrive(usize::MAX));
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(ack, queued_ack(0));
+        let streamed = streamer.join().unwrap();
+        assert!(streamed > 100, "{streamed}");
+        roundtrip(&mut reader, &mut sock, SHUTDOWN);
+        assert_eq!(handle.join().unwrap().stats.accepted, streamed as u64 + 1);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_client_connecting_after_an_idle_sleep_gets_its_ack() {
+        let (addr, handle) = spawn_unix_daemon("idle", DaemonConfig::default());
+        let (mut first, mut first_sock) = connect(&addr);
+        assert_eq!(
+            roundtrip(&mut first, &mut first_sock, &arrive(0)),
+            queued_ack(0)
+        );
+        // Quiet long enough that the loop sleeps with a connection open.
+        std::thread::sleep(BUSY_POLL * 20);
+        let (mut reader, mut sock) = connect(&addr);
+        assert_eq!(roundtrip(&mut reader, &mut sock, &arrive(1)), queued_ack(0));
+        roundtrip(&mut first, &mut first_sock, SHUTDOWN);
+        assert_eq!(handle.join().unwrap().stats.accepted, 2);
+    }
+
+    /// One write of 20k frames: each gets exactly one response, in order.
+    /// Every 1000th frame is `stats`, whose `queued` count places it.
+    #[test]
+    fn a_pipelined_burst_is_answered_in_order() {
+        const FRAMES: usize = 20_000;
+        let config = DaemonConfig {
+            queue_cap: FRAMES,
+            ..DaemonConfig::default()
+        };
+        let (addr, handle) = spawn_daemon("burst", config);
+        let (mut reader, mut sock) = connect(&addr);
+        let is_stats = |k: usize| k % 1000 == 999;
+        let mut burst = String::new();
+        for k in 0..FRAMES {
+            burst.push_str(&if is_stats(k) {
+                "{\"cmd\":\"stats\"}".to_string()
+            } else {
+                arrive(k)
+            });
+            burst.push('\n');
+        }
+        sock.write_all(burst.as_bytes()).unwrap();
+        sock.flush().unwrap();
+        let mut queued = 0;
+        let mut line = String::new();
+        for k in 0..FRAMES {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            if is_stats(k) {
+                assert!(
+                    line.contains(&format!(",\"queued\":{queued},")),
+                    "{k}: {line}"
+                );
+            } else {
+                assert_eq!(line.trim_end(), queued_ack(0), "frame {k}");
+                queued += 1;
+            }
+        }
+        roundtrip(&mut reader, &mut sock, SHUTDOWN);
+        let summary = handle.join().unwrap();
+        assert_eq!(summary.stats.requests, FRAMES as u64 + 1);
+        assert_eq!(summary.stats.accepted, queued as u64);
     }
 }

@@ -199,8 +199,7 @@ fn field_interests(map: &Json) -> Result<Vec<(u32, f64)>, ProtoError> {
 /// command, missing/invalid field).
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     let value = parse_json(line).map_err(|e| ProtoError(e.0))?;
-    let cmd = field_str(&value, "cmd")?.to_string();
-    match cmd.as_str() {
+    match field_str(&value, "cmd")? {
         "arrive" => {
             let id = field_id(&value)?;
             let Json::Object(obj) = &value else {
@@ -253,7 +252,10 @@ pub fn json_f64(x: f64) -> String {
 pub fn ok_response(fields: &[(&str, String)]) -> String {
     let mut out = String::from("{\"ok\":true");
     for (key, value) in fields {
-        out.push_str(&format!(",\"{key}\":{value}"));
+        out.push_str(",\"");
+        out.push_str(key);
+        out.push_str("\":");
+        out.push_str(value);
     }
     out.push('}');
     out

@@ -11,8 +11,10 @@
 //! The parser is a minimal recursive-descent JSON reader (objects,
 //! arrays, strings, numbers, booleans, null). It exists so the test
 //! suite and the `trace_check` CI bin can validate traces without adding
-//! a serde dependency to the workspace.
+//! a serde dependency to the workspace, and the daemon reads every
+//! request frame with it.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -78,7 +80,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, SchemaError> {
 pub fn parse_json(text: &str) -> Result<Json, SchemaError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(text, &mut pos)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return err(format!("trailing data at byte {pos}"));
@@ -101,13 +103,14 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), SchemaError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, SchemaError> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, SchemaError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => err("unexpected end of input"),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_object(text, pos),
+        Some(b'[') => parse_array(text, pos),
+        Some(b'"') => Ok(Json::String(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
@@ -147,59 +150,55 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, SchemaError> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, SchemaError> {
+/// Reads a string, copying it in runs: everything up to the next `"` or
+/// `\` goes in with one `push_str`. Both delimiters are ASCII, and so
+/// is every escape, so each run starts and ends on a char boundary of
+/// `text`: slicing it needs no UTF-8 check, and a string costs time
+/// linear in its length. (A `from_utf8` per char would re-check the
+/// whole rest of the input each time, quadratic in the line.)
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, SchemaError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return err("unterminated string"),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| SchemaError("truncated \\u escape".into()))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| SchemaError("invalid \\u escape".into()))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| SchemaError("invalid \\u escape".into()))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return err("invalid escape"),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so
-                // boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| SchemaError("invalid utf-8 in string".into()))?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| SchemaError("unterminated string".into()))?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        let Some(run) = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\') else {
+            return err("unterminated string");
+        };
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hex = bytes
+                    .get(*pos + 1..*pos + 5)
+                    .ok_or_else(|| SchemaError("truncated \\u escape".into()))?;
+                let hex = std::str::from_utf8(hex)
+                    .map_err(|_| SchemaError("invalid \\u escape".into()))?;
+                let code = u32::from_str_radix(hex, 16)
+                    .map_err(|_| SchemaError("invalid \\u escape".into()))?;
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                *pos += 4;
+            }
+            _ => return err("invalid escape"),
+        }
+        *pos += 1;
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, SchemaError> {
+fn parse_array(text: &str, pos: &mut usize) -> Result<Json, SchemaError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -208,7 +207,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, SchemaError> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -221,7 +220,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, SchemaError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, SchemaError> {
+fn parse_object(text: &str, pos: &mut usize) -> Result<Json, SchemaError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -231,12 +231,15 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, SchemaError> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        if map.insert(key.clone(), value).is_some() {
-            return err(format!("duplicate key \"{key}\""));
+        let value = parse_value(text, pos)?;
+        match map.entry(key) {
+            Entry::Occupied(slot) => return err(format!("duplicate key \"{}\"", slot.key())),
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+            }
         }
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -487,6 +490,287 @@ mod tests {
         assert!(parse_json(r#"{"a":1,"a":2}"#).is_err(), "duplicate keys");
         assert!(parse_json("NaN").is_err());
         assert!(parse_json("[1,]").is_err());
+    }
+
+    /// The reader as it was before strings were copied in runs: one char
+    /// at a time, each decoded by `from_utf8` over the rest of the input.
+    /// `parse_json` must agree with it on every input, value and error.
+    mod by_char {
+        use super::super::{err, expect, parse_literal, parse_number, skip_ws, Json, SchemaError};
+        use std::collections::BTreeMap;
+
+        pub fn parse_json(text: &str) -> Result<Json, SchemaError> {
+            let bytes = text.as_bytes();
+            let mut pos = 0usize;
+            let value = parse_value(bytes, &mut pos)?;
+            skip_ws(bytes, &mut pos);
+            if pos != bytes.len() {
+                return err(format!("trailing data at byte {pos}"));
+            }
+            Ok(value)
+        }
+
+        fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, SchemaError> {
+            skip_ws(bytes, pos);
+            match bytes.get(*pos) {
+                None => err("unexpected end of input"),
+                Some(b'{') => parse_object(bytes, pos),
+                Some(b'[') => parse_array(bytes, pos),
+                Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
+                Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
+                Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
+                Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
+                Some(_) => parse_number(bytes, pos),
+            }
+        }
+
+        fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, SchemaError> {
+            expect(bytes, pos, b'"')?;
+            let mut out = String::new();
+            loop {
+                match bytes.get(*pos) {
+                    None => return err("unterminated string"),
+                    Some(b'"') => {
+                        *pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        *pos += 1;
+                        match bytes.get(*pos) {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'u') => {
+                                let hex = bytes
+                                    .get(*pos + 1..*pos + 5)
+                                    .ok_or_else(|| SchemaError("truncated \\u escape".into()))?;
+                                let hex = std::str::from_utf8(hex)
+                                    .map_err(|_| SchemaError("invalid \\u escape".into()))?;
+                                let code = u32::from_str_radix(hex, 16)
+                                    .map_err(|_| SchemaError("invalid \\u escape".into()))?;
+                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                                *pos += 4;
+                            }
+                            _ => return err("invalid escape"),
+                        }
+                        *pos += 1;
+                    }
+                    Some(_) => {
+                        let rest = std::str::from_utf8(&bytes[*pos..])
+                            .map_err(|_| SchemaError("invalid utf-8 in string".into()))?;
+                        let c = rest
+                            .chars()
+                            .next()
+                            .ok_or_else(|| SchemaError("unterminated string".into()))?;
+                        out.push(c);
+                        *pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+
+        fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, SchemaError> {
+            expect(bytes, pos, b'[')?;
+            let mut items = Vec::new();
+            skip_ws(bytes, pos);
+            if bytes.get(*pos) == Some(&b']') {
+                *pos += 1;
+                return Ok(Json::Array(items));
+            }
+            loop {
+                items.push(parse_value(bytes, pos)?);
+                skip_ws(bytes, pos);
+                match bytes.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b']') => {
+                        *pos += 1;
+                        return Ok(Json::Array(items));
+                    }
+                    _ => return err(format!("expected ',' or ']' at byte {}", *pos)),
+                }
+            }
+        }
+
+        fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, SchemaError> {
+            expect(bytes, pos, b'{')?;
+            let mut map = BTreeMap::new();
+            skip_ws(bytes, pos);
+            if bytes.get(*pos) == Some(&b'}') {
+                *pos += 1;
+                return Ok(Json::Object(map));
+            }
+            loop {
+                skip_ws(bytes, pos);
+                let key = parse_string(bytes, pos)?;
+                skip_ws(bytes, pos);
+                expect(bytes, pos, b':')?;
+                let value = parse_value(bytes, pos)?;
+                if map.insert(key.clone(), value).is_some() {
+                    return err(format!("duplicate key \"{key}\""));
+                }
+                skip_ws(bytes, pos);
+                match bytes.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b'}') => {
+                        *pos += 1;
+                        return Ok(Json::Object(map));
+                    }
+                    _ => return err(format!("expected ',' or '}}' at byte {}", *pos)),
+                }
+            }
+        }
+    }
+
+    fn assert_agrees(text: &str) {
+        assert_eq!(parse_json(text), by_char::parse_json(text), "{text:?}");
+    }
+
+    /// Every admission frame of serve-churn's ticks 0-5 (seed 7001, as
+    /// the repository benchmark renders them); every 97th frame is also
+    /// cut at each char boundary within its first and last 40 bytes.
+    #[test]
+    fn parse_json_agrees_with_the_char_reader_on_serve_churn_frames() {
+        use rebudget_server::workload::WorkloadSpec;
+        let spec = WorkloadSpec {
+            seed: 7001,
+            initial_players: 10_000,
+            resources: 64,
+            arrivals_per_tick: 100,
+            mean_lifetime: 100,
+            update_percent: 1,
+        };
+        let mut frames = 0;
+        for tick in 0..=5 {
+            for req in spec.commands_for_tick(tick) {
+                let line = req.to_line();
+                assert!(parse_json(&line).is_ok(), "{line}");
+                assert_agrees(&line);
+                frames += 1;
+                if frames % 97 == 0 {
+                    let cuts = (0..40).chain(line.len().saturating_sub(40)..line.len());
+                    for cut in cuts.filter(|&c| line.is_char_boundary(c)) {
+                        assert_agrees(&line[..cut]);
+                    }
+                }
+            }
+        }
+        assert!(frames > 10_000, "{frames} frames");
+    }
+
+    /// Escapes, raw multi-byte UTF-8, empty and unterminated strings and
+    /// duplicate keys, written out and then shuffled into seeded
+    /// documents of those same pieces, every one also cut short.
+    #[test]
+    fn parse_json_agrees_with_the_char_reader_on_string_edge_cases() {
+        let written = [
+            r#""""#,
+            r#""\"""#,
+            r#""\\""#,
+            r#""\/""#,
+            r#""a\nb\r\t\b\f""#,
+            r#""\u0041\u00e9\u4e2d\ud83d\u+041""#,
+            r#""\u12""#,
+            r#""\u12G4""#,
+            r#""\u00é""#,
+            r#""\x""#,
+            r#""\é""#,
+            "\"caf\u{e9} \u{4e2d}\u{6587} \u{1f600}\"",
+            "\"\u{1f600}\\\"\u{e9}\"",
+            r#""unterminated"#,
+            r#""ends in a backslash\"#,
+            r#"{"":1}"#,
+            r#"{"a":1,"a":2}"#,
+            r#"{"é":1,"é":[]}"#,
+            r#"{"a\u0062":1,"ab":2}"#,
+            r#"{"x":{"y":"z","y":"w"}}"#,
+            r#"["a","b\"c",{"d":"\\"}]"#,
+        ];
+        for text in written {
+            assert_agrees(text);
+        }
+        let pieces = [
+            "\"",
+            "\\",
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\n",
+            "\\u",
+            "\\u00e9",
+            "\\ud800",
+            "\\q",
+            "0",
+            "1",
+            "a",
+            "é",
+            "\u{4e2d}",
+            "\u{1f600}",
+            ":",
+            ",",
+            "{",
+            "}",
+            "[",
+            "]",
+            " ",
+            "\"k\"",
+            "\"k\":",
+            "null",
+            "-2.5e1",
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..4000 {
+            let len = 1 + next() % 12;
+            let mut text = String::new();
+            for _ in 0..len {
+                text.push_str(pieces[(next() % pieces.len() as u64) as usize]);
+            }
+            for doc in [
+                text.clone(),
+                format!("{{\"s\":\"{text}\"}}"),
+                format!("[\"{text}\"]"),
+            ] {
+                for cut in (0..=doc.len()).filter(|&c| doc.is_char_boundary(c)) {
+                    assert_agrees(&doc[..cut]);
+                }
+            }
+        }
+    }
+
+    /// A structural check: a 1 MiB string value, mixing ASCII, multi-byte
+    /// chars and escapes, parses to the text it encodes.
+    #[test]
+    fn a_one_mebibyte_string_value_parses() {
+        let mut want = String::new();
+        let mut wire = String::from("{\"big\":\"");
+        let mut k = 0usize;
+        while wire.len() < 1 << 20 {
+            let (plain, escaped) = match k % 5 {
+                0 => ("quote\"", "quote\\\""),
+                1 => ("caf\u{e9}", "caf\u{e9}"),
+                2 => ("\u{1f600}\\", "\u{1f600}\\\\"),
+                3 => ("tab\t", "tab\\t"),
+                _ => ("plain run of ascii ", "plain run of ascii "),
+            };
+            want.push_str(plain);
+            wire.push_str(escaped);
+            k += 1;
+        }
+        wire.push_str("\"}");
+        let Json::Object(map) = parse_json(&wire).unwrap() else {
+            panic!("object")
+        };
+        assert_eq!(map.get("big").and_then(Json::as_str), Some(want.as_str()));
     }
 
     #[test]
