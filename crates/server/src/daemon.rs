@@ -11,7 +11,7 @@
 //! A pass reads every open connection but calls `accept(2)` only when a
 //! new client can be waiting for it: on every pass while no connection
 //! is open, on the first pass after an idle sleep, and otherwise at most
-//! once per [`BUSY_POLL`]. A nonblocking `accept` that finds nothing
+//! once per `BUSY_POLL`. A nonblocking `accept` that finds nothing
 //! costs 2–3.5 µs on Linux, which sets up the new socket before it
 //! looks at the queue, against ~0.3 µs for a `read` that finds nothing;
 //! a lockstep client's ack would otherwise pay it on every pass. A

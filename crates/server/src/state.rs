@@ -18,8 +18,9 @@
 //!
 //! * killed before the ledger append: the snapshot still says tick `T`
 //!   and the ledger holds `T` records — resume re-runs tick `T`.
-//! * killed mid-append: the torn tail is cut at
-//!   [`durable::LogFormat::read_valid_prefix`]'s record boundary — same as above.
+//! * killed mid-append: the torn tail is cut at the record boundary that
+//!   [`durable::LogFormat::read_valid_prefix`] finds, reading the ledger
+//!   file straight through the codec's one buffer — same as above.
 //! * killed between append and snapshot: the ledger holds `T + 1`
 //!   records but the snapshot says `T` — recovery truncates the ledger
 //!   back to the snapshot's `T` records and re-runs tick `T`, which is
@@ -70,7 +71,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, Write};
+use std::io::{Read, Seek, Write};
 use std::mem::take;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -600,7 +601,7 @@ impl ServerCore {
         // chain state at each record boundary.
         let ledger_span = telemetry::span!("recover_ledger");
         let prefix = File::open(&ledger_path)
-            .and_then(|f| LEDGER.read_valid_prefix(BufReader::new(f)))
+            .and_then(|f| LEDGER.read_valid_prefix(f))
             .map_err(|e| ServerError::Snapshot {
                 reason: format!("ledger '{}' is unreadable: {e}", ledger_path.display()),
             })?;
@@ -1260,7 +1261,7 @@ mod tests {
     use super::*;
     use crate::workload::WorkloadSpec;
     use rebudget_market::equilibrium::EquilibriumOptions;
-    use rebudget_sim::durable::{fnv1a, Document};
+    use rebudget_sim::durable::{fnv1a, Field, Section};
 
     fn config(solver: SolverKind) -> ServerConfig {
         ServerConfig {
@@ -2003,6 +2004,56 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A sealed file's body split into its header line and `[name]`
+    /// sections by `str` splitting, as the reference reads the grammar.
+    struct Document<'a> {
+        header: &'a str,
+        /// Each section's name, line and `key=value` lines.
+        sections: Vec<(&'a str, usize, Vec<Field<'a>>)>,
+    }
+
+    impl<'a> Document<'a> {
+        fn parse(text: &'a str) -> Result<Self, durable::Error> {
+            let mut lines = text.split_terminator('\n');
+            let mut doc = Self {
+                header: lines.next().unwrap_or_default(),
+                sections: Vec::new(),
+            };
+            for (k, content) in lines.enumerate() {
+                let number = k + 2;
+                let name = content.strip_prefix('[').and_then(|l| l.strip_suffix(']'));
+                match (name, content.split_once('='), doc.sections.last_mut()) {
+                    (Some(name), _, _) => doc.sections.push((name, number, Vec::new())),
+                    (None, Some((key, value)), Some((_, _, fields))) => fields.push(Field {
+                        line: number,
+                        key: key.as_bytes(),
+                        value: value.as_bytes(),
+                    }),
+                    _ => return Err(bad(number, format!("bad line `{content}`"))),
+                }
+            }
+            Ok(doc)
+        }
+
+        /// Every section, in file order.
+        fn sections(&self) -> impl Iterator<Item = Section<'_>> + use<'_, 'a> {
+            (self.sections.iter()).map(|(name, line, fields)| Section {
+                name,
+                line: *line,
+                fields,
+            })
+        }
+
+        /// The one section called `name`.
+        fn section(&self, name: &str) -> Result<Section<'_>, durable::Error> {
+            let mut found = self.sections().filter(|s| s.name == name);
+            match (found.next(), found.next()) {
+                (Some(section), None) => Ok(section),
+                (_, again) => Err(bad(again.map_or(0, |s| s.line), format!("[{name}]"))),
+            }
+        }
+    }
+
     /// The whole-text seal check that [`durable::read_sealed`] makes as
     /// it streams.
     fn open_sealed(text: &str) -> Result<Document<'_>, durable::Error> {
@@ -2039,11 +2090,14 @@ mod tests {
     ) -> Result<Decoded, durable::Error> {
         let text = std::str::from_utf8(bytes).map_err(|e| bad(0, e.to_string()))?;
         let doc = open_sealed(text)?;
-        if doc.header() != SNAPSHOT_HEADER {
-            return Err(bad(1, format!("snapshot header '{}'", doc.header())));
+        if doc.header != SNAPSHOT_HEADER {
+            return Err(bad(1, format!("snapshot header '{}'", doc.header)));
         }
         let market = doc.section("config")?;
-        let (resources, solver) = (market.parse::<usize>("resources")?, market.get("solver")?);
+        let (resources, solver) = (
+            market.field("resources")?.parse::<usize>()?,
+            market.field("solver")?.text()?,
+        );
         if (resources, solver) != (config.capacities.len(), config.solver.label()) {
             return Err(bad(market.line, "another market".into()));
         }
@@ -2052,20 +2106,20 @@ mod tests {
         let mut prev: Option<&str> = None;
         for player in doc.sections().filter(|s| s.name.starts_with("player ")) {
             let fault = |reason: &str| bad(player.line, reason.into());
-            let known = ["id", "budget", "interests", "bids"];
-            if let Some(k) = player.keys().position(|key| !known.contains(&key)) {
-                return Err(bad(player.line + 1 + k, "unknown key".into()));
+            let known: [&[u8]; 4] = [b"id", b"budget", b"interests", b"bids"];
+            if let Some(unknown) = player.fields.iter().find(|f| !known.contains(&f.key)) {
+                return Err(bad(unknown.line, "unknown key".into()));
             }
-            let id = player.get("id")?;
+            let id = player.field("id")?.text()?;
             if prev.is_some_and(|prev| id <= prev) {
                 return Err(fault("out of id order"));
             }
             prev = Some(id);
-            let budget = player.f64("budget")?;
+            let budget = player.field("budget")?.f64()?;
             let k = player
                 .field("interests")?
                 .indexed_f64_list_into(&mut next.cols, &mut next.weights)?;
-            let seeded = player.keys().any(|key| key == "bids");
+            let seeded = player.fields.iter().any(|f| f.key == b"bids");
             if seeded {
                 if player.field("bids")?.f64_list_into(&mut next.seed)? != k {
                     return Err(fault("bids/interests length mismatch"));
@@ -2080,10 +2134,10 @@ mod tests {
             next.row_ptr.push(next.cols.len());
         }
         let rows = next.id_ends.len();
-        if state.parse::<usize>("players")? != rows {
+        if state.field("players")?.parse::<usize>()? != rows {
             return Err(bad(state.line, "player count".into()));
         }
-        let tick = state.parse("tick")?;
+        let tick = state.field("tick")?.parse()?;
         if tick > records as u64 {
             return Err(bad(state.line, "ahead of the ledger".into()));
         }
@@ -2092,8 +2146,8 @@ mod tests {
             .map_err(|e| bad(state.line, e.to_string()))?;
         Ok(Decoded {
             tick,
-            degraded: state.bool("degraded")?,
-            failures: state.parse("failures")?,
+            degraded: state.field("degraded")?.bool()?,
+            failures: state.field("failures")?.parse()?,
             table: Table {
                 ids: next.ids,
                 id_ends: next.id_ends,
@@ -2350,7 +2404,7 @@ mod tests {
     /// Byte length of each record in the ledger file under `dir`.
     fn record_lengths(dir: &Path) -> Vec<usize> {
         let file = File::open(dir.join("server.ledger")).unwrap();
-        let prefix = LEDGER.read_valid_prefix(BufReader::new(file)).unwrap();
+        let prefix = LEDGER.read_valid_prefix(file).unwrap();
         (0..prefix.records)
             .map(|k| prefix.cut(k + 1) - prefix.cut(k))
             .collect()
@@ -2404,11 +2458,10 @@ mod tests {
         drop(core);
         let text = std::fs::read_to_string(dir.join("server.ledger")).unwrap();
         let field = |key: &str| {
-            let lines: Vec<f64> = durable::lines(&text)
-                .filter_map(|line| {
-                    let line = std::str::from_utf8(line.bytes).unwrap();
-                    durable::parse_f64(line.strip_prefix(key)?.strip_prefix('=')?)
-                })
+            let lines: Vec<f64> = text
+                .lines()
+                .filter_map(|line| durable::parse_hex(line.strip_prefix(key)?.strip_prefix('=')?))
+                .map(f64::from_bits)
                 .collect();
             assert_eq!(lines.len(), 1, "one `{key}=` line");
             lines[0]

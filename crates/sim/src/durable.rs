@@ -9,17 +9,18 @@
 //! integrity is 64-bit FNV-1a, whose running state after N bytes *is* the
 //! hash of those N bytes.
 //!
-//! [`Writer`] writes that grammar and carries the running hash;
-//! [`lines`]/[`read_lines`] scan it back with the hash before each line,
-//! for the log scans that read it; [`Document`] splits text whose
-//! integrity is already known into borrowed [`Section`]s.
-//! [`read_sealed`] reads a sealed file (one closed by [`Writer::seal`])
-//! in one pass through one fixed buffer: it folds each line into the
-//! seal's hash and hands it, read as an [`Item`], to a visitor, so the
-//! file is never held whole. A [`Field`]'s readers — its list readers
-//! ([`Field::f64_list_into`], [`Field::indexed_f64_list_into`]) append
-//! straight into caller-owned columns — take only the form the writer
-//! emits, so whatever decodes re-encodes to the same bytes.
+//! [`Writer`] writes that grammar and carries the running hash. Every
+//! reader runs on one line source, `each_line`: one reused 64 KiB buffer,
+//! a newline search eight bytes at a time, and FNV-1a folded line by
+//! line, so no file is ever held whole. It has two visitors.
+//! [`read_sealed`] checks a sealed file (one closed by [`Writer::seal`])
+//! against its trailer and hands each line, read as an [`Item`], to its
+//! caller. The log scan behind [`LogFormat`] applies the chain rules, and
+//! [`LogFormat::read_records`] hands on each `[name]` [`Section`] of the
+//! chain-valid prefix as it validates. A [`Field`]'s readers — its list
+//! readers ([`Field::f64_list_into`], [`Field::indexed_f64_list_into`])
+//! append straight into caller-owned columns — take only the form the
+//! writer emits, so whatever decodes re-encodes to the same bytes.
 //!
 //! Every file that grows is an append-only, hash-chained log
 //! ([`LogFormat`]): a header, a meta section, then one record per step,
@@ -33,7 +34,7 @@
 
 use std::fmt::{self, Display};
 use std::fs;
-use std::io::{BufRead, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
@@ -113,6 +114,9 @@ impl Display for Error {
 
 impl std::error::Error for Error {}
 
+/// The fault of a file with no complete first line.
+const HEADERLESS: &str = "empty or headerless file";
+
 fn format_err(line: usize, reason: String) -> Error {
     Error::Format { line, reason }
 }
@@ -154,12 +158,6 @@ fn hex_eight(digits: &[u8]) -> Option<u64> {
     let v = (v | v >> 4) & 0x00ff_00ff_00ff_00ff;
     let v = (v | v >> 8) & 0x0000_ffff_0000_ffff;
     Some((v | v >> 16) & 0xffff_ffff)
-}
-
-/// An `f64` from its 16-hex-digit bits word.
-#[must_use]
-pub fn parse_f64(word: &str) -> Option<f64> {
-    parse_hex(word).map(f64::from_bits)
 }
 
 /// `v`'s 16 lowercase hex digits, eight at a time: each half's nibbles
@@ -435,83 +433,85 @@ impl Writer {
     }
 }
 
-/// One scanned line of durable text.
+/// One line of durable text as [`each_line`] yields it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Line<'a> {
+struct Line<'a> {
     /// 1-based line number.
-    pub number: usize,
-    /// Byte offset of the line's first byte.
-    pub offset: usize,
-    /// Byte offset just past the line, its newline included.
-    pub end: usize,
-    /// FNV-1a of every byte before the line.
-    pub hash_before: u64,
-    /// FNV-1a of every byte before [`Line::end`].
-    pub hash_after: u64,
-    /// The line's bytes without its newline. From [`lines`] they are
-    /// `text[offset..offset + bytes.len()]`, a `&str` slice on char
-    /// boundaries; a reader's bytes need not be UTF-8.
-    pub bytes: &'a [u8],
-    /// Whether the line ends in a newline: only a torn last line does not.
-    pub complete: bool,
-}
-
-/// The position after the lines scanned so far.
-#[derive(Debug, Clone, Copy)]
-struct Scanner {
     number: usize,
-    offset: usize,
-    hash: u64,
+    /// Byte offset just past the line, its newline included.
+    end: usize,
+    /// FNV-1a of every byte before the line.
+    hash_before: u64,
+    /// FNV-1a of every byte before [`Line::end`].
+    hash_after: u64,
+    /// The line's bytes without its newline; they need not be UTF-8.
+    bytes: &'a [u8],
+    /// Whether the line ends in a newline: only a torn last line does not.
+    complete: bool,
 }
 
-impl Scanner {
-    fn new() -> Self {
-        Self {
-            number: 0,
-            offset: 0,
-            hash: FNV_OFFSET,
-        }
-    }
+/// Bytes [`each_line`] asks its reader for at a time.
+const READ_CHUNK: usize = 64 * 1024;
 
-    /// Steps over `raw`: one line, its newline included when complete.
-    fn feed<'a>(&mut self, raw: &'a [u8]) -> Line<'a> {
-        let before = *self;
-        self.number += 1;
-        self.offset += raw.len();
-        self.hash = fnv1a_extend(self.hash, raw);
-        Line {
-            number: self.number,
-            offset: before.offset,
-            end: self.offset,
-            hash_before: before.hash,
-            hash_after: self.hash,
-            bytes: raw.strip_suffix(b"\n").unwrap_or(raw),
-            complete: raw.last() == Some(&b'\n'),
-        }
-    }
-}
-
-/// The lines of `text`, in order.
-pub fn lines(text: &str) -> impl Iterator<Item = Line<'_>> {
-    let mut scanner = Scanner::new();
-    text.split_inclusive('\n')
-        .map(move |raw| scanner.feed(raw.as_bytes()))
-}
-
-/// Feeds the lines of `reader` to `visit`, holding one line at a time,
-/// until the input ends or `visit` returns `false`.
+/// The codec's one line source: hands the lines of `reader` to `visit`,
+/// in order, until the input ends or `visit` returns `false`. It reads
+/// through one reused buffer of 64 KiB, grown only for a line longer than
+/// it, finds each newline eight bytes at a time and folds each line into
+/// the running hash, so a line costs one pass over its bytes and no
+/// allocation. A last line with no newline is handed over as torn.
 ///
 /// # Errors
 ///
 /// Whatever reading `reader` returns.
-pub fn read_lines(
-    mut reader: impl BufRead,
+fn each_line(
+    mut reader: impl Read,
     mut visit: impl FnMut(Line<'_>) -> bool,
 ) -> std::io::Result<()> {
-    let mut scanner = Scanner::new();
-    let mut raw = Vec::new();
-    while reader.read_until(b'\n', &mut raw)? > 0 && visit(scanner.feed(&raw)) {
-        raw.clear();
+    let (mut number, mut end, mut hash) = (0, 0, FNV_OFFSET);
+    // Takes one line, its newline included when it has one.
+    let mut take = |raw: &[u8]| {
+        let complete = raw.last() == Some(&b'\n');
+        let hash_before = hash;
+        (number, end, hash) = (number + 1, end + raw.len(), fnv1a_extend(hash, raw));
+        visit(Line {
+            number,
+            end,
+            hash_before,
+            hash_after: hash,
+            bytes: &raw[..raw.len() - usize::from(complete)],
+            complete,
+        })
+    };
+    let mut buf = vec![0; READ_CHUNK];
+    // `buf[start..filled]` is the line being read, with no newline in
+    // `buf[start..scanned]`.
+    let (mut start, mut scanned, mut filled) = (0, 0, 0);
+    loop {
+        while let Some(at) = find_newline(&buf[scanned..filled]) {
+            let end = scanned + at + 1;
+            if !take(&buf[start..end]) {
+                return Ok(());
+            }
+            (start, scanned) = (end, end);
+        }
+        // What is left is the start of a line: keep it at the front.
+        if start > 0 {
+            buf.copy_within(start..filled, 0);
+            (filled, start) = (filled - start, 0);
+        }
+        scanned = filled;
+        if filled == buf.len() {
+            buf.resize(2 * filled, 0);
+        }
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    if filled > 0 {
+        take(&buf[..filled]);
     }
     Ok(())
 }
@@ -739,15 +739,11 @@ fn parse_index(digits: &[u8]) -> Option<u32> {
     u32::try_from(value).ok()
 }
 
-/// Bytes a [`read_sealed`] asks its reader for at a time.
-const READ_CHUNK: usize = 64 * 1024;
-
-/// Reads a sealed file ([`Writer::seal`]) from `reader` in one pass
-/// through one reused buffer of 64 KiB, grown only for a line longer
-/// than it. Each complete line is folded into the seal's hash and,
-/// unless it belongs to the trailer, read as an [`Item`] and handed to
-/// `visit`. The trailer is the last `[seal]` line, then
-/// `fnv1a=` and the hash of every byte before that line, then the end.
+/// Reads a sealed file ([`Writer::seal`]) from `reader` in one pass of
+/// the codec's line source. Each line, unless it belongs to the trailer, is read as
+/// an [`Item`] and handed to `visit`. The trailer is the last `[seal]`
+/// line, then `fnv1a=` and the hash of every byte before that line, then
+/// the end.
 ///
 /// # Errors
 ///
@@ -758,60 +754,32 @@ const READ_CHUNK: usize = 64 * 1024;
 /// first malformed line or `visit`'s first error — the first fault ends
 /// the visits but not the hash — so a damaged file reports the damage.
 pub fn read_sealed(
-    mut reader: impl std::io::Read,
+    reader: impl Read,
     visit: impl FnMut(Item<'_>) -> Result<(), Error>,
 ) -> Result<(), Error> {
     let mut scan = SealScan {
         visit,
         lines: 0,
-        hash: FNV_OFFSET,
         sectioned: false,
         seal: None,
         digest: None,
         held: Vec::new(),
         fault: None,
     };
-    let mut buf = vec![0; READ_CHUNK];
-    // `buf[start..filled]` is the line being read, with no newline in
-    // `buf[start..scanned]`.
-    let (mut start, mut scanned, mut filled) = (0, 0, 0);
-    loop {
-        while let Some(at) = find_newline(&buf[scanned..filled]) {
-            let end = scanned + at + 1;
-            scan.take(&buf[start..end]);
-            (start, scanned) = (end, end);
-        }
-        // What is left is the start of a line: keep it at the front.
-        if start > 0 {
-            buf.copy_within(start..filled, 0);
-            (filled, start) = (filled - start, 0);
-        }
-        scanned = filled;
-        if filled == buf.len() {
-            buf.resize(2 * filled, 0);
-        }
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                return Err(Error::Io {
-                    path: String::new(),
-                    message: e.to_string(),
-                })
-            }
-        }
-    }
-    scan.finish(filled > 0)
+    each_line(reader, |line| {
+        scan.take(line);
+        true
+    })
+    .map_err(|e| io_err(Path::new(""), &e))?;
+    scan.finish()
 }
 
-/// [`read_sealed`]'s state between lines.
+/// [`read_sealed`]'s visitor of [`each_line`]: it holds back what may be
+/// the trailer, and keeps the first fault until the seal's verdict.
 struct SealScan<V> {
     visit: V,
-    /// Lines taken.
+    /// Complete lines taken.
     lines: usize,
-    /// FNV-1a of every byte taken.
-    hash: u64,
     /// Whether a `[name]` line has been visited.
     sectioned: bool,
     /// The number of a held `[seal]` line: the trailer's, if the file
@@ -824,17 +792,19 @@ struct SealScan<V> {
 }
 
 impl<V: FnMut(Item<'_>) -> Result<(), Error>> SealScan<V> {
-    /// Takes one complete line, its newline included.
-    fn take(&mut self, raw: &[u8]) {
-        let before = self.hash;
-        self.hash = fnv1a_extend(self.hash, raw);
-        self.lines += 1;
-        let line = &raw[..raw.len() - 1];
+    /// Takes the next line.
+    fn take(&mut self, line: Line<'_>) {
+        if !line.complete {
+            // A torn last line: the file ends in no digest.
+            self.digest = None;
+            return;
+        }
+        self.lines = line.number;
         if let Some(seal) = self.seal {
-            if self.digest.is_none() && line.starts_with(b"fnv1a=") {
+            if self.digest.is_none() && line.bytes.starts_with(b"fnv1a=") {
                 self.held.clear();
-                self.held.extend_from_slice(line);
-                self.digest = Some(before);
+                self.held.extend_from_slice(line.bytes);
+                self.digest = Some(line.hash_before);
                 return;
             }
             // Lines follow: the held ones were body lines after all.
@@ -846,10 +816,10 @@ impl<V: FnMut(Item<'_>) -> Result<(), Error>> SealScan<V> {
                 self.held = held;
             }
         }
-        if line == b"[seal]" && self.lines > 1 {
-            self.seal = Some(self.lines);
+        if line.bytes == b"[seal]" && line.number > 1 {
+            self.seal = Some(line.number);
         } else {
-            self.deliver(self.lines, line);
+            self.deliver(line.number, line.bytes);
         }
     }
 
@@ -865,11 +835,10 @@ impl<V: FnMut(Item<'_>) -> Result<(), Error>> SealScan<V> {
         self.fault = visited.err();
     }
 
-    /// The verdict once the input has ended, `torn` if after a partial
-    /// line.
-    fn finish(self, torn: bool) -> Result<(), Error> {
+    /// The verdict once the input has ended.
+    fn finish(self) -> Result<(), Error> {
         if self.lines == 0 {
-            return Err(format_err(1, "empty or headerless file".into()));
+            return Err(format_err(1, HEADERLESS.into()));
         }
         if self.seal.is_none() {
             return Err(format_err(
@@ -877,9 +846,10 @@ impl<V: FnMut(Item<'_>) -> Result<(), Error>> SealScan<V> {
                 "missing [seal] trailer (file truncated?)".into(),
             ));
         }
-        let digest = self.digest.filter(|_| !torn);
-        let recorded = digest.and_then(|_| parse_hex(&self.held[b"fnv1a=".len()..]));
-        let (Some(computed), Some(recorded)) = (digest, recorded) else {
+        let recorded = self
+            .digest
+            .and_then(|_| parse_hex(&self.held[b"fnv1a=".len()..]));
+        let (Some(computed), Some(recorded)) = (self.digest, recorded) else {
             return Err(format_err(0, "[seal] trailer has no fnv1a digest".into()));
         };
         if recorded != computed {
@@ -892,180 +862,36 @@ impl<V: FnMut(Item<'_>) -> Result<(), Error>> SealScan<V> {
     }
 }
 
-/// One `key=value` body line. Every body line of a section is an entry,
-/// so entry `k` of a section is on the section's line `+ 1 + k`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Entry<'a> {
-    key: &'a str,
-    value: &'a str,
-}
-
-/// A durable file split into sections.
-#[derive(Debug, PartialEq)]
-pub struct Document<'a> {
-    header: &'a str,
-    /// `(name, line, first entry)` per section, in file order.
-    sections: Vec<(&'a str, usize, usize)>,
-    entries: Vec<Entry<'a>>,
-}
-
-impl<'a> Document<'a> {
-    /// Splits `text`, a header line and then its sections, checking no
-    /// digest: for text whose integrity is already known, such as a
-    /// log's chain-valid prefix.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Format`] for an empty file or a malformed body line.
-    pub fn parse(text: &'a str) -> Result<Self, Error> {
-        if text.is_empty() {
-            return Err(format_err(1, "empty or headerless file".into()));
-        }
-        let mut doc = Self {
-            header: "",
-            sections: Vec::new(),
-            entries: Vec::new(),
-        };
-        let (mut start, mut number) = (0, 0);
-        while start < text.len() {
-            // The last line may lack its newline.
-            let end = find_newline(&text.as_bytes()[start..]).map_or(text.len(), |at| start + at);
-            number += 1;
-            doc.push(&text[start..end], number)?;
-            start = end + 1;
-        }
-        Ok(doc)
-    }
-
-    /// Files line `number`, `line`: the header, or a body line under the
-    /// current section.
-    fn push(&mut self, line: &'a str, number: usize) -> Result<(), Error> {
-        match Item::read(number, line.as_bytes(), !self.sections.is_empty())? {
-            Item::Header(_) => self.header = line,
-            Item::Section { name, .. } => {
-                let name = &line[1..=name.len()];
-                self.sections.push((name, number, self.entries.len()));
-            }
-            Item::Field(field) => {
-                let eq = field.key.len();
-                let (key, value) = (&line[..eq], &line[eq + 1..]);
-                self.entries.push(Entry { key, value });
-            }
-        }
-        Ok(())
-    }
-
-    /// The header line.
-    #[must_use]
-    pub fn header(&self) -> &'a str {
-        self.header
-    }
-
-    /// Every section, in file order.
-    pub fn sections(&self) -> impl Iterator<Item = Section<'_>> {
-        let ends = self.sections.iter().skip(1).map(|s| s.2);
-        self.sections
-            .iter()
-            .zip(ends.chain([self.entries.len()]))
-            .map(|(&(name, line, start), end)| Section {
-                name,
-                line,
-                entries: &self.entries[start..end],
-            })
-    }
-
-    /// The one section called `name`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Format`] when the section is missing or repeated.
-    pub fn section(&self, name: &str) -> Result<Section<'_>, Error> {
-        let mut found = self.sections().filter(|s| s.name == name);
-        match (found.next(), found.next()) {
-            (_, Some(again)) => Err(format_err(again.line, format!("repeated [{name}] section"))),
-            (first, None) => {
-                first.ok_or_else(|| format_err(0, format!("missing [{name}] section")))
-            }
-        }
-    }
-}
-
-/// One `[name]` section's `key=value` records, borrowed from the text.
-/// Every getter fails with a line-numbered [`Error::Format`] when its key
-/// is repeated or missing.
+/// One `[name]` section of a log's chain-valid prefix, as
+/// [`LogFormat::read_records`] hands it over, its lines borrowed. Every
+/// getter fails with a line-numbered [`Error::Format`] when its key is
+/// repeated or missing.
 #[derive(Debug, Clone, Copy)]
 pub struct Section<'a> {
     /// The name between the brackets.
     pub name: &'a str,
     /// 1-based line of the `[name]` line.
     pub line: usize,
-    entries: &'a [Entry<'a>],
+    /// Its `key=value` lines, in file order.
+    pub fields: &'a [Field<'a>],
 }
 
 impl<'a> Section<'a> {
-    /// Every key, in file order, repeats included.
-    pub fn keys(&self) -> impl Iterator<Item = &'a str> {
-        self.entries.iter().map(|e| e.key)
-    }
-
     /// The one `key=` line.
     ///
     /// # Errors
     ///
     /// [`Error::Format`] when the key is missing or repeated.
     pub fn field(&self, key: &str) -> Result<Field<'a>, Error> {
-        // Entry `k` is on the line after the `[name]` line and the `k`
-        // entries before it.
-        let mut found = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.key == key)
-            .map(|(k, e)| Field {
-                line: self.line + 1 + k,
-                key: e.key.as_bytes(),
-                value: e.value.as_bytes(),
-            });
-        let name = self.name;
+        let mut found = self.fields.iter().filter(|f| f.key == key.as_bytes());
+        let fault =
+            |line, what| format_err(line, format!("section [{}] {what} `{key}`", self.name));
         match (found.next(), found.next()) {
-            (_, Some(again)) => Err(format_err(
-                again.line,
-                format!("section [{name}] repeats key `{key}`"),
-            )),
-            (first, None) => first.ok_or_else(|| {
-                format_err(
-                    self.line,
-                    format!("section [{name}] is missing key `{key}`"),
-                )
-            }),
+            (_, Some(again)) => Err(fault(again.line, "repeats key")),
+            (first, None) => first
+                .copied()
+                .ok_or_else(|| fault(self.line, "is missing key")),
         }
-    }
-
-    /// The value of `key`.
-    pub fn get(&self, key: &str) -> Result<&'a str, Error> {
-        self.field(key)?.text()
-    }
-
-    /// The value of `key` parsed with [`FromStr`].
-    pub fn parse<T: FromStr>(&self, key: &str) -> Result<T, Error> {
-        self.field(key)?.parse()
-    }
-
-    /// The value of `key` as one `f64` bits word.
-    pub fn f64(&self, key: &str) -> Result<f64, Error> {
-        self.field(key)?.f64()
-    }
-
-    /// The value of `key` as `0` (false) or `1` (true).
-    pub fn bool(&self, key: &str) -> Result<bool, Error> {
-        self.field(key)?.bool()
-    }
-
-    /// The value of `key` as single-space-separated `f64` bits words.
-    pub fn f64_list(&self, key: &str) -> Result<Vec<f64>, Error> {
-        let mut values = Vec::new();
-        self.field(key)?.f64_list_into(&mut values)?;
-        Ok(values)
     }
 }
 
@@ -1376,12 +1202,12 @@ impl LedgerPrefix {
     }
 }
 
-/// One pass of a log's line rules over the codec's scanned lines: the
-/// only reader, behind [`LogFormat::valid_prefix`],
-/// [`LogFormat::read_valid_prefix`] and [`LogFormat::verify`], so bytes in
+/// A log's line rules, the visitor of [`each_line`] behind
+/// [`LogFormat::valid_prefix`], [`LogFormat::read_valid_prefix`],
+/// [`LogFormat::read_records`] and [`LogFormat::verify`], so bytes in
 /// memory and a file reader share it.
+#[derive(Default)]
 struct PrefixScan {
-    format: LogFormat,
     prefix: LedgerPrefix,
     /// Are we past the header/meta section (at or after the first record)?
     in_records: bool,
@@ -1398,15 +1224,15 @@ struct PrefixScan {
 impl PrefixScan {
     /// Takes the next line. Returns `false` once the prefix is final and
     /// further lines cannot change it.
-    fn feed(&mut self, line: Line<'_>) -> bool {
+    fn feed(&mut self, format: LogFormat, line: Line<'_>) -> bool {
         let (n, content, hash) = (line.number, line.bytes, line.hash_before);
         let lossy = String::from_utf8_lossy;
         self.last_line = n;
-        if n == 1 && content != self.format.header.as_bytes() {
+        if n == 1 && content != format.header.as_bytes() {
             let reason = format!(
                 "bad header '{}' (expected '{}')",
                 lossy(content),
-                self.format.header
+                format.header
             );
             return self.offend(n, reason);
         }
@@ -1453,7 +1279,7 @@ impl PrefixScan {
                 }
                 None => return self.offend(n, format!("malformed chain hash '{}'", lossy(rest))),
             }
-        } else if self.opens_record(content) {
+        } else if opens_record(format, content) {
             self.in_records = true;
         } else if !self.in_records && content != b"[seal]" {
             // Meta lines carry no checksum; they stand with the header.
@@ -1469,14 +1295,6 @@ impl PrefixScan {
         true
     }
 
-    /// Whether `content` is a `[<record> ...` line.
-    fn opens_record(&self, content: &[u8]) -> bool {
-        content
-            .strip_prefix(b"[")
-            .and_then(|rest| rest.strip_prefix(self.format.record.as_bytes()))
-            .is_some_and(|rest| rest.first() == Some(&b' '))
-    }
-
     /// Keeps the first offence; returns `false`, for the scans that stop
     /// there.
     fn offend(&mut self, line: usize, reason: String) -> bool {
@@ -1485,19 +1303,27 @@ impl PrefixScan {
     }
 }
 
+/// Whether `content` is a `[<record> ...` line of `format`.
+fn opens_record(format: LogFormat, content: &[u8]) -> bool {
+    content
+        .strip_prefix(b"[")
+        .and_then(|rest| rest.strip_prefix(format.record.as_bytes()))
+        .is_some_and(|rest| rest.first() == Some(&b' '))
+}
+
 impl LogFormat {
-    /// Scans `reader` until its prefix is final.
-    fn scan(self, reader: impl BufRead) -> std::io::Result<PrefixScan> {
-        let mut scan = PrefixScan {
-            format: self,
-            prefix: LedgerPrefix::default(),
-            in_records: false,
-            seal_records: None,
-            digest: 0,
-            last_line: 0,
-            offence: None,
-        };
-        read_lines(reader, |line| scan.feed(line))?;
+    /// Scans `reader` until its prefix is final, handing each line, and
+    /// the length of the prefix cut to whole records after it, to `then`,
+    /// which may stop the scan.
+    fn scan(
+        self,
+        reader: impl Read,
+        mut then: impl FnMut(usize, Line<'_>) -> bool,
+    ) -> std::io::Result<PrefixScan> {
+        let mut scan = PrefixScan::default();
+        each_line(reader, |line| {
+            scan.feed(self, line) && then(scan.prefix.cut(scan.prefix.records), line)
+        })?;
         Ok(scan)
     }
 
@@ -1505,40 +1331,68 @@ impl LogFormat {
     /// errors: a hopeless input simply yields a zero-byte prefix.
     #[must_use]
     pub fn valid_prefix(self, bytes: &[u8]) -> LedgerPrefix {
-        self.scan(bytes).map(|scan| scan.prefix).unwrap_or_default()
+        self.read_valid_prefix(bytes).unwrap_or_default()
     }
 
-    /// [`LogFormat::valid_prefix`] of a log read line by line from
-    /// `reader`, holding one line at a time: recovery never loads the
+    /// [`LogFormat::valid_prefix`] of a log streamed from `reader`
+    /// through the codec's one line buffer: recovery never loads the
     /// whole log.
     ///
     /// # Errors
     ///
     /// Whatever reading `reader` returns.
-    pub fn read_valid_prefix(self, reader: impl BufRead) -> std::io::Result<LedgerPrefix> {
-        Ok(self.scan(reader)?.prefix)
+    pub fn read_valid_prefix(self, reader: impl Read) -> std::io::Result<LedgerPrefix> {
+        Ok(self.scan(reader, |_, _| true)?.prefix)
     }
 
-    /// The valid prefix of the log `bytes` cut to its whole records (a
-    /// seal left out), split into sections: `[meta]`, then one per
-    /// record.
+    /// Decodes the valid prefix of the log in `reader`, cut to its whole
+    /// records (a seal left out), as it streams: `[meta]` with
+    /// `parse_meta` as the first record opens (or the input ends), then
+    /// each record `k` with `record` as its `chain=` validates. The log is
+    /// read once, through the codec's one line buffer, holding one
+    /// section's lines. Records must be `[<record> 0]`, `[<record> 1]`, …
+    /// in order after `[meta]`; one before `[meta]` is never decoded, as
+    /// `[meta]` then fails that order.
     ///
     /// # Errors
     ///
-    /// [`Error::Format`] naming the header when it is not this format's,
-    /// or when the prefix is not text.
-    pub fn read_records(self, bytes: &[u8]) -> Result<(LedgerPrefix, Document<'_>), Error> {
-        let scan = self.scan(bytes).map_err(|e| format_err(0, e.to_string()))?;
-        let prefix = scan.prefix;
-        if prefix.header_bytes == 0 {
-            let (line, reason) = scan
-                .offence
-                .unwrap_or((1, "empty or headerless file".into()));
+    /// [`Error::Io`] (with an empty path) when a read fails. Then the
+    /// first of these, each a check of the whole prefix: [`Error::Format`]
+    /// naming the header when it is not this format's; at line 0 when the
+    /// prefix is not text; at its first malformed line; at a repeated
+    /// `[meta]` section, or line 0 for none; `parse_meta`'s error; at the
+    /// first record out of order, or `record`'s first error.
+    pub fn read_records<M>(
+        self,
+        reader: impl Read,
+        parse_meta: impl FnOnce(&Section<'_>) -> Result<M, Error>,
+        record: impl FnMut(&M, usize, &Section<'_>) -> Result<(), Error>,
+    ) -> Result<(M, LedgerPrefix), Error> {
+        let mut read = RecordScan {
+            record_name: self.record,
+            pending: Vec::new(),
+            lines: 0,
+            opened: 0,
+            line: 0,
+            held: String::new(),
+            spans: Vec::new(),
+            parse_meta: Some(parse_meta),
+            meta: None,
+            record,
+            faults: Default::default(),
+        };
+        let scan = self.scan(reader, |cut, line| read.feed(cut, line));
+        let scan = scan.map_err(|e| io_err(Path::new(""), &e))?;
+        read.close();
+        if scan.prefix.header_bytes == 0 {
+            let (line, reason) = scan.offence.unwrap_or((1, HEADERLESS.into()));
             return Err(format_err(line, reason));
         }
-        let text = std::str::from_utf8(&bytes[..prefix.cut(prefix.records)])
-            .map_err(|e| format_err(0, format!("not text: {e}")))?;
-        Ok((prefix, Document::parse(text)?))
+        match (read.faults.into_iter().flatten().next(), read.meta) {
+            (Some(e), _) => Err(e),
+            (None, Some(meta)) => Ok((meta, scan.prefix)),
+            (None, None) => Err(format_err(0, "missing [meta] section".into())),
+        }
     }
 
     /// Verifies a whole log: its scan found no offence, ends in a seal,
@@ -1554,7 +1408,8 @@ impl LogFormat {
     ///
     /// [`Error::Format`] with the 1-based line of the first offence.
     pub fn verify(self, bytes: &[u8]) -> Result<(LedgerPrefix, u64), Error> {
-        let scan = self.scan(bytes).map_err(|e| format_err(0, e.to_string()))?;
+        // Reading a slice never fails.
+        let scan = self.scan(bytes, |_, _| true).unwrap_or_default();
         let (p, last) = (&scan.prefix, scan.last_line.max(1));
         if let Some((line, reason)) = scan.offence {
             return Err(format_err(line, reason));
@@ -1572,6 +1427,137 @@ impl LogFormat {
                 format!("seal claims {n} records, ledger holds {}", p.records),
             )),
             None => Err(format_err(last, "seal is missing its record count".into())),
+        }
+    }
+}
+
+/// [`LogFormat::read_records`]'s reader of the lines its scan takes:
+/// those past the prefix are held (a record until its chain validates),
+/// those in it are read as sections, one held at a time.
+struct RecordScan<M, P, R> {
+    /// The log's record name, a word with no space.
+    record_name: &'static str,
+    /// Complete lines past the prefix.
+    pending: Vec<u8>,
+    /// Lines of the prefix read.
+    lines: usize,
+    /// Sections opened so far; the open one's line, and its name then
+    /// its `key=value` lines, with each one's line, start, `=` and end in
+    /// that text.
+    opened: usize,
+    line: usize,
+    held: String,
+    spans: Vec<(usize, usize, usize, usize)>,
+    /// `[meta]`'s decoder until it runs, then the meta it decoded.
+    parse_meta: Option<P>,
+    meta: Option<M>,
+    record: R,
+    /// The first fault of each rank: 0 bytes that are not text, 1 a
+    /// malformed line, 2 a repeated `[meta]`, 3 the meta's, 4 a record's.
+    /// A lower rank wins wherever it comes, as each was once checked over
+    /// the whole prefix before the next.
+    faults: [Option<Error>; 5],
+}
+
+impl<M, P, R> RecordScan<M, P, R>
+where
+    P: FnOnce(&Section<'_>) -> Result<M, Error>,
+    R: FnMut(&M, usize, &Section<'_>) -> Result<(), Error>,
+{
+    /// Takes the next line, after which the prefix cut to whole records
+    /// is `cut` bytes long; returns `false` once nothing further can
+    /// change the outcome.
+    fn feed(&mut self, cut: usize, line: Line<'_>) -> bool {
+        self.pending.extend_from_slice(line.bytes);
+        self.pending.push(b'\n');
+        // The prefix only ever grows to the end of the line just taken.
+        if cut < line.end {
+            return true;
+        }
+        let pending = std::mem::take(&mut self.pending);
+        match std::str::from_utf8(&pending) {
+            Ok(text) => text.split_inclusive('\n').for_each(|line| self.take(line)),
+            Err(e) => {
+                // A newline ends any sequence, so the error has a length.
+                let (n, at) = (e.error_len().unwrap_or_default(), e.valid_up_to());
+                let at = line.end - pending.len() + at;
+                let reason =
+                    format!("not text: invalid utf-8 sequence of {n} bytes from index {at}");
+                self.faults[0].get_or_insert(format_err(0, reason));
+                return false;
+            }
+        }
+        self.pending = pending;
+        self.pending.clear();
+        true
+    }
+
+    /// Takes the prefix's next line, `raw` with its newline.
+    fn take(&mut self, raw: &str) {
+        self.lines += 1;
+        let line = &raw[..raw.len() - 1];
+        match Item::read(self.lines, line.as_bytes(), self.opened > 0) {
+            Err(e) => _ = self.faults[1].get_or_insert(e),
+            Ok(Item::Header(_)) => {}
+            Ok(Item::Section { name, .. }) => {
+                self.close();
+                (self.opened, self.line) = (self.opened + 1, self.lines);
+                self.held.replace_range(.., &line[1..=name.len()]);
+                self.spans.clear();
+            }
+            Ok(Item::Field(field)) => {
+                let (at, eq) = (self.held.len(), self.held.len() + field.key.len());
+                self.held.push_str(line);
+                self.spans.push((self.lines, at, eq, self.held.len()));
+            }
+        }
+    }
+
+    /// Decodes the open section: `[meta]`, or record `k` once `[meta]`
+    /// has decoded and while no fault has come.
+    fn close(&mut self) {
+        let held = self.held.as_bytes();
+        let fields: Vec<Field<'_>> = (self.spans.iter())
+            .map(|&(line, at, eq, end)| Field {
+                line,
+                key: &held[at..eq],
+                value: &held[eq + 1..end],
+            })
+            .collect();
+        let section = Section {
+            name: &self.held[..self.spans.first().map_or(held.len(), |s| s.1)],
+            line: self.line,
+            fields: &fields,
+        };
+        if section.name == "meta" {
+            let (rank, decoded) = match self.parse_meta.take() {
+                Some(parse) => (3, parse(&section).map(|meta| self.meta = Some(meta))),
+                None => (
+                    2,
+                    Err(format_err(self.line, "repeated [meta] section".into())),
+                ),
+            };
+            if let Err(e) = decoded {
+                self.faults[rank].get_or_insert(e);
+            }
+        }
+        let clean = self.faults.iter().all(Option::is_none);
+        let (Some(meta), true, Some(k)) = (&self.meta, clean, self.opened.checked_sub(2)) else {
+            return;
+        };
+        let record = self.record_name;
+        let at = section.name.split_once(' ').map(|(r, n)| (r, n.parse()));
+        let decoded = if at == Some((record, Ok(k))) {
+            (self.record)(meta, k, &section)
+        } else {
+            let reason = format!(
+                "{record} sections out of order: expected [{record} {k}], got [{}]",
+                section.name
+            );
+            Err(format_err(section.line, reason))
+        };
+        if let Err(e) = decoded {
+            self.faults[4].get_or_insert(e);
         }
     }
 }
@@ -1626,7 +1612,7 @@ mod tests {
             f64::MIN_POSITIVE / 8.0,
         ] {
             let word = format!("{:016x}", v.to_bits());
-            assert_eq!(parse_f64(&word).unwrap().to_bits(), v.to_bits());
+            assert_eq!(parse_hex(&word).unwrap(), v.to_bits());
         }
         for bad in [
             "3ff",
@@ -1634,7 +1620,7 @@ mod tests {
             "+ff0000000000000",
             "3ff00000000000000",
         ] {
-            assert_eq!(parse_f64(bad), None, "{bad}");
+            assert_eq!(parse_hex(bad), None, "{bad}");
         }
     }
 
@@ -1720,25 +1706,38 @@ mod tests {
     }
 
     #[test]
-    fn scanners_agree_on_numbers_offsets_and_hashes() {
+    fn line_source_yields_numbers_offsets_and_hashes() {
         let text = "head\n[a]\nk=v\ntorn";
-        let from_str: Vec<Line<'_>> = lines(text).collect();
-        let mut from_reader = Vec::new();
-        read_lines(text.as_bytes(), |l| {
-            from_reader.push((l.number, l.offset, l.end, l.hash_before, l.complete));
-            true
+        // The same lines whatever size of read hands over the bytes.
+        for step in [1, 3, text.len()] {
+            let mut seen = Vec::new();
+            let reader = Chunked {
+                bytes: text.as_bytes(),
+                step,
+            };
+            each_line(reader, |l| {
+                let bytes = l.bytes.to_vec();
+                seen.push((l.number, l.end, l.hash_before, l.hash_after, bytes));
+                assert_eq!(l.complete, l.number < 4);
+                true
+            })
+            .unwrap();
+            let at = |prefix: &str| fnv1a(prefix.as_bytes());
+            assert_eq!(seen.len(), 4, "reads of {step} bytes");
+            let (k_v, before) = ("head\n[a]\nk=v\n", at("head\n[a]\n"));
+            let third = (3, 13, before, at(k_v), b"k=v".to_vec());
+            assert_eq!(seen[2], third, "reads of {step} bytes");
+            let torn = (4, 17, at(k_v), at(text), b"torn".to_vec());
+            assert_eq!(seen[3], torn, "reads of {step} bytes");
+        }
+        // A visitor that returns `false` takes no further line.
+        let mut taken = 0;
+        each_line(text.as_bytes(), |_| {
+            taken += 1;
+            taken < 2
         })
         .unwrap();
-        let summary: Vec<_> = from_str
-            .iter()
-            .map(|l| (l.number, l.offset, l.end, l.hash_before, l.complete))
-            .collect();
-        assert_eq!(summary, from_reader);
-        assert_eq!(from_str[2].bytes, b"k=v");
-        assert_eq!(from_str[2].hash_before, fnv1a(b"head\n[a]\n"));
-        assert_eq!(from_str[2].hash_after, fnv1a(b"head\n[a]\nk=v\n"));
-        assert!(!from_str[3].complete);
-        assert_eq!(from_str[3].end, text.len());
+        assert_eq!(taken, 2);
     }
 
     fn sealed(body: &str) -> String {
@@ -1751,53 +1750,84 @@ mod tests {
 
     #[test]
     fn sections_read_back_what_the_writer_wrote() {
+        let meta = |w: &mut Writer| {
+            w.kv("name", "x");
+            w.f64("budget", 0.1 + 0.2);
+            w.bool("on", true);
+            w.f64_list("steps", &[0.0, 5.0]);
+        };
+        let mut log = Ledger::new(STEPS, meta);
+        log.append_section(0, |w| w.kv("n", 3));
+        let mut seen = Vec::new();
+        let meta_of = |s: &Section<'_>| {
+            assert_eq!((s.name, s.line), ("meta", 2));
+            assert_eq!(s.field("name")?.text()?, "x");
+            assert_eq!(
+                s.field("budget")?.f64()?.to_bits(),
+                (0.1f64 + 0.2).to_bits()
+            );
+            assert!(s.field("on")?.bool()?);
+            assert!(s.field("absent").is_err());
+            let mut steps = Vec::new();
+            s.field("steps")?.f64_list_into(&mut steps)?;
+            Ok(steps)
+        };
+        let (steps, prefix) = STEPS
+            .read_records(log.text().as_bytes(), meta_of, |steps, k, s| {
+                seen.push((k, s.name.to_string(), s.line, steps.len()));
+                assert_eq!(s.field("n")?.parse::<u32>()?, 3);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!((steps, prefix.records), (vec![0.0, 5.0], 1));
+        assert_eq!(seen, [(0, "step 0".to_string(), 7, 2)]);
+        // A sealed read visits the same lines, the trailer left out.
         let mut w = Writer::default();
         w.section("meta");
-        w.kv("name", "x");
-        w.f64("budget", 0.1 + 0.2);
-        w.bool("on", true);
-        w.f64_list("steps", &[0.0, 5.0]);
+        meta(&mut w);
         w.section("point 0");
         w.kv("n", 3);
         let text = sealed(w.text());
-        let unsealed = format!("doc v1\n{}", w.text());
-        for doc in [
-            Document::parse(&text).unwrap(),
-            Document::parse(&unsealed).unwrap(),
-        ] {
-            assert_eq!(doc.header(), "doc v1");
-            let meta = doc.section("meta").unwrap();
-            assert_eq!(meta.get("name").unwrap(), "x");
-            assert_eq!(
-                meta.f64("budget").unwrap().to_bits(),
-                (0.1f64 + 0.2).to_bits()
-            );
-            assert!(meta.bool("on").unwrap());
-            assert_eq!(meta.f64_list("steps").unwrap(), vec![0.0, 5.0]);
-            assert!(meta.field("absent").is_err());
-            let keys: Vec<&str> = meta.keys().collect();
-            assert_eq!(keys, ["name", "budget", "on", "steps"]);
-            assert_eq!(
-                doc.section("point 0").unwrap().parse::<u32>("n").unwrap(),
-                3
-            );
-        }
-        // A sealed read visits the same lines, the trailer left out.
         let mut visited = Vec::new();
         read_sealed(text.as_bytes(), |item| {
             visited.push(format!("{item:?}"));
             Ok(())
         })
         .unwrap();
-        assert_eq!(visited, items(&unsealed));
+        assert_eq!(visited, items(&format!("doc v1\n{}", w.text())));
+        // So does the sealed golden snapshot (a log's seal also counts
+        // its records).
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/durable");
+        let mut files = 0;
+        for entry in fs::read_dir(&dir).unwrap() {
+            let text = fs::read_to_string(entry.unwrap().path()).unwrap();
+            let Some(at) = text.rfind("[seal]\nfnv1a=") else {
+                continue;
+            };
+            files += 1;
+            let mut visited = Vec::new();
+            read_sealed(text.as_bytes(), |item| {
+                visited.push(format!("{item:?}"));
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(visited, items(&text[..at]));
+        }
+        assert!(
+            files >= 1,
+            "{files} sealed golden files under {}",
+            dir.display()
+        );
     }
 
-    /// Every line of `text` as [`read_sealed`] would visit it.
+    /// Every line of `text`, whose lines are all complete, as
+    /// [`read_sealed`] would visit it.
     fn items(text: &str) -> Vec<String> {
         let mut sectioned = false;
-        lines(text)
-            .map(|line| {
-                let item = Item::read(line.number, line.bytes, sectioned).unwrap();
+        text.split_terminator('\n')
+            .enumerate()
+            .map(|(k, line)| {
+                let item = Item::read(k + 1, line.as_bytes(), sectioned).unwrap();
                 sectioned |= matches!(item, Item::Section { .. });
                 format!("{item:?}")
             })
@@ -1844,29 +1874,91 @@ mod tests {
             .unwrap();
             assert!(visited == want, "reads of {step} bytes");
         }
+        // So are a log's valid prefix and a checkpoint's decode, whole and
+        // torn, with allocation lines longer than the buffer.
+        use crate::checkpoint::{write_quantum, SimCheckpoint, SimCounters, SimMeta, SIM_LOG};
+        let cores = 2048;
+        let meta = SimMeta {
+            mechanism: "ReBudget-40".into(),
+            cores,
+            resources: 2,
+            apps: (0..cores).map(|i| format!("mcf#{i}")).collect(),
+            seed: 17,
+            budget: 100.0,
+            accesses_per_quantum: 8000,
+            use_monitors: true,
+            execution: "analytic".into(),
+            max_consecutive_failures: 3,
+            faults: None,
+        };
+        let mut log = Ledger::new(SIM_LOG, |w| meta.render(w));
+        for q in 0..2 {
+            let allocation: Vec<f64> = (0..2 * cores).map(|i| (i * (q + 1)) as f64).collect();
+            log.append_section(q, |w| {
+                write_quantum(w, &allocation, 1.5, &SimCounters::default());
+            });
+        }
+        let whole = log.text().as_bytes();
+        assert!(whole.len() > 2 * READ_CHUNK);
+        for bytes in [whole, &whole[..whole.len() - 40]] {
+            let (prefix, decoded) = (SIM_LOG.valid_prefix(bytes), SimCheckpoint::parse(bytes));
+            let records = if bytes == whole { 2 } else { 1 };
+            assert_eq!(prefix.records, records);
+            assert_eq!(decoded.as_ref().unwrap().quanta.len(), records);
+            for step in [1, 7, READ_CHUNK + 1, bytes.len()] {
+                let reader = || Chunked { bytes, step };
+                assert_eq!(SIM_LOG.read_valid_prefix(reader()).unwrap(), prefix);
+                assert_eq!(
+                    SimCheckpoint::parse(reader()),
+                    decoded,
+                    "reads of {step} bytes"
+                );
+            }
+        }
+    }
+
+    /// The `key=value` lines of `body`, the first on line `line + 1`.
+    fn fields_of(line: usize, body: &str) -> Vec<Field<'_>> {
+        let lines = (line + 1..).zip(body.split_terminator('\n'));
+        lines
+            .map(|(line, text)| {
+                let (key, value) = text.split_once('=').unwrap();
+                let (key, value) = (key.as_bytes(), value.as_bytes());
+                Field { line, key, value }
+            })
+            .collect()
     }
 
     #[test]
     fn getters_reject_missing_repeated_and_malformed_keys() {
-        let body = "[s]\nk=1\nk=2\nb=7\nf=3ff\nl=3ff0000000000000  4000000000000000\n[s]\n";
-        let text = sealed(body);
-        let doc = Document::parse(&text).unwrap();
-        assert!(matches!(
-            doc.section("s"),
-            Err(Error::Format { line: 8, .. })
-        ));
-        let s = doc.sections().next().unwrap();
-        assert!(matches!(s.get("k"), Err(Error::Format { line: 4, .. })));
-        assert!(matches!(
-            s.get("missing"),
-            Err(Error::Format { line: 2, .. })
-        ));
-        assert!(matches!(s.bool("b"), Err(Error::Format { line: 5, .. })));
-        assert!(matches!(s.f64("f"), Err(Error::Format { line: 6, .. })));
-        assert!(matches!(
-            s.f64_list("l"),
-            Err(Error::Format { line: 7, .. })
-        ));
+        let fields = fields_of(
+            2,
+            "k=1\nk=2\nb=7\nf=3ff\nl=3ff0000000000000  4000000000000000\n",
+        );
+        let s = Section {
+            name: "s",
+            line: 2,
+            fields: &fields,
+        };
+        let line_of = |e: Error| match e {
+            Error::Format { line, .. } => line,
+            other => panic!("{other}"),
+        };
+        assert_eq!(line_of(s.field("k").unwrap_err()), 4);
+        assert_eq!(line_of(s.field("missing").unwrap_err()), 2);
+        assert_eq!(line_of(s.field("b").unwrap().bool().unwrap_err()), 5);
+        assert_eq!(line_of(s.field("f").unwrap().f64().unwrap_err()), 6);
+        let mut values = Vec::new();
+        let list = s.field("l").unwrap().f64_list_into(&mut values);
+        assert_eq!(line_of(list.unwrap_err()), 7);
+        // A key is the whole of what comes before the first `=`.
+        let fields = fields_of(2, "kk=1\nk==2\n");
+        let s = Section {
+            fields: &fields,
+            ..s
+        };
+        assert_eq!(s.field("k").unwrap().line, 4);
+        assert_eq!(s.field("k").unwrap().text().unwrap(), "=2");
     }
 
     #[test]
@@ -1921,78 +2013,27 @@ mod tests {
             &text[text.rfind("[seal]").unwrap()..]
         ));
         assert!(open(&inner).is_ok());
-        for empty in [open(""), open("doc v1"), Document::parse("").map(|_| ())] {
+        let no_log = STEPS.read_records(&b""[..], |_| Ok(()), |(), _, _| Ok(()));
+        let no_log = no_log.map(|_| ());
+        for empty in [open(""), open("doc v1"), no_log] {
             assert!(matches!(empty, Err(Error::Format { line: 1, .. })));
         }
-    }
-
-    /// The parse over [`lines`], whose scanner folds every byte into a
-    /// hash that a parse never reads: the reference for
-    /// [`Document::parse`].
-    fn parse_by_scanner(text: &str) -> Result<Document<'_>, Error> {
-        let mut doc = Document {
-            header: "",
-            sections: Vec::new(),
-            entries: Vec::new(),
-        };
-        if text.is_empty() {
-            return Err(format_err(1, "empty or headerless file".into()));
-        }
-        for line in lines(text) {
-            let line_text = &text[line.offset..line.offset + line.bytes.len()];
-            match line.number {
-                1 => doc.header = line_text,
-                n => doc.push(line_text, n)?,
-            }
-        }
-        Ok(doc)
-    }
-
-    #[test]
-    fn parse_matches_the_scanner_parse_on_every_golden_file() {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/durable");
-        let mut files = 0;
-        for entry in fs::read_dir(&dir).unwrap() {
-            let text = fs::read_to_string(entry.unwrap().path()).unwrap();
-            files += 1;
-            // The whole file, every cut of it (a torn last line included)
-            // and every line replaced by one without `=`.
-            let mut inputs: Vec<String> = (0..=text.len())
-                .filter(|&cut| text.is_char_boundary(cut))
-                .map(|cut| text[..cut].to_string())
-                .collect();
-            for (k, line) in text.lines().enumerate() {
-                inputs.push(text.replacen(line, &format!("bad line {k}"), 1));
-            }
-            for input in &inputs {
-                assert_eq!(Document::parse(input), parse_by_scanner(input), "{input:?}");
-            }
-            // A sealed file (a log's seal also counts its records).
-            if let Some(at) = text.rfind("[seal]\nfnv1a=") {
-                let mut visited = Vec::new();
-                read_sealed(text.as_bytes(), |item| {
-                    visited.push(format!("{item:?}"));
-                    Ok(())
-                })
-                .unwrap();
-                assert_eq!(visited, items(&text[..at]));
-            }
-        }
-        assert!(files >= 6, "{files} golden files under {}", dir.display());
     }
 
     #[test]
     fn list_readers_take_only_the_writers_form() {
         let mut w = Writer::default();
-        w.section("s");
         w.f64_list("none", &[]);
         w.f64_list("two", &[1.0, -0.0]);
         w.indexed_f64_list("pairs", [(0, 0.5), (10, 2.0), (u64::from(u32::MAX), 1.0)]);
         w.indexed_f64_list("empty", []);
         let canonical = w.text().to_string();
-        let section = |text: &str, check: &dyn Fn(Section<'_>)| {
-            let text = format!("doc v1\n{text}");
-            check(Document::parse(&text).unwrap().section("s").unwrap());
+        let section = |body: &str, check: &dyn Fn(Section<'_>)| {
+            check(Section {
+                name: "s",
+                line: 2,
+                fields: &fields_of(2, body),
+            });
         };
         section(&canonical, &|s| {
             let mut values = vec![9.0];
@@ -2098,7 +2139,9 @@ mod tests {
             header: "steps v2",
             ..STEPS
         };
-        let err = other.read_records(&torn).unwrap_err();
+        let err = other
+            .read_records(&torn[..], |_| Ok(()), |(), _, _| Ok(()))
+            .unwrap_err();
         assert!(
             matches!(&err, Error::Format { line: 1, reason } if reason.contains("'steps v1'")),
             "{err}"
@@ -2106,9 +2149,18 @@ mod tests {
         assert!(LogFile::resume(&path, other, &other.valid_prefix(&torn), 0).is_err());
         assert_eq!(fs::read_to_string(&path).unwrap(), whole.text());
         // The sections of the valid prefix: meta, then each record.
-        let (prefix, doc) = STEPS.read_records(whole.text().as_bytes()).unwrap();
+        let mut names = vec!["meta".to_string()];
+        let ((), prefix) = STEPS
+            .read_records(
+                whole.text().as_bytes(),
+                |_| Ok(()),
+                |(), _, s| {
+                    names.push(s.name.to_string());
+                    Ok(())
+                },
+            )
+            .unwrap();
         assert_eq!(prefix.records, 4);
-        let names: Vec<&str> = doc.sections().map(|s| s.name).collect();
         assert_eq!(names, ["meta", "step 0", "step 1", "step 2", "step 3"]);
         // A ledger is never overwritten.
         assert!(matches!(
