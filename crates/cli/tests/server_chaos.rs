@@ -353,6 +353,57 @@ fn sigkill_after_long_uptime_resumes_byte_identical() {
     assert_audits(&ledger);
 }
 
+/// A SIGKILL, then one flipped byte in the newest snapshot slot: the
+/// restarted binary recovers from the older slot, whose tick its
+/// readiness line names, and, re-driven from there, seals a ledger
+/// byte-identical to the uninterrupted reference.
+#[test]
+fn sigkill_with_a_corrupt_newest_slot_resumes_from_the_older() {
+    const KILLED_AT: u64 = 5;
+    let reference = reference_ledger("slot-ref", TICKS);
+
+    let dir = temp_dir("slot");
+    let socket = dir.join("slot.sock");
+    let state = dir.join("state");
+    let spec = spec();
+    let daemon = Daemon::spawn(&socket, &state, &[]);
+    let mut client = Client::connect(&socket);
+    for tick in 1..=KILLED_AT {
+        client.drive_tick(&spec, tick);
+    }
+    drop(client);
+    daemon.sigkill();
+
+    // The snapshot that says tick `T` is in slot `T % 2`; the other slot
+    // holds tick `T - 1`.
+    let slots = ["server.snapshot", "server.snapshot.1"];
+    let newest = state.join(slots[(KILLED_AT % 2) as usize]);
+    let mut bytes = std::fs::read(&newest).expect("newest slot");
+    let at = bytes.len() / 2;
+    bytes[at] ^= 0x20;
+    std::fs::write(&newest, &bytes).expect("flip a byte of the newest slot");
+
+    let daemon = Daemon::spawn(&socket, &state, &[]);
+    assert_eq!(
+        daemon.ready_tick,
+        KILLED_AT - 1,
+        "recovery must resume from the older slot's tick"
+    );
+    let mut client = Client::connect(&socket);
+    for tick in daemon.ready_tick + 1..=TICKS {
+        client.drive_tick(&spec, tick);
+    }
+    shutdown(daemon, client);
+
+    let ledger = state.join("server.ledger");
+    let resumed = std::fs::read_to_string(&ledger).expect("resumed ledger");
+    assert_eq!(
+        resumed, reference,
+        "the resume from the older slot diverged from the uninterrupted reference"
+    );
+    assert_audits(&ledger);
+}
+
 /// The trace journal is written an event at a time, before the response
 /// it explains, so a SIGKILLed traced daemon keeps every event of every
 /// request it answered: the file validates and is a prefix of an

@@ -49,14 +49,14 @@
 //! "Durable codec"), sealed by `[seal]` and the hash of every byte before
 //! its `fnv1a=` line. Recovery streams a slot through
 //! [`durable::read_sealed`]'s one fixed read buffer, so the file is never
-//! held whole: each line is folded into the seal hash and handed to a
-//! per-line state machine over `[config]`, `[state]` and `[player N]`,
-//! which resolves each section's keys as they arrive and reads each
-//! player's interests and bids straight into the columns, with no
-//! allocation per player. Its first fault is reported only once the seal
-//! holds. With telemetry on, [`ServerCore::open`] times the spans
-//! `recover_ledger` (the prefix scan and the resume) and `recover_slot`
-//! (reading, checking and decoding the slots).
+//! held whole: each line is folded into the seal hash, and each section
+//! — `[config]`, `[state]`, then `[player 0]`, `[player 1]`, … — is
+//! handed over as it closes. Each player's interests and bids are read
+//! straight into the columns, with no allocation per player, and only
+//! the writer's sections and keys decode. The first fault is reported
+//! only once the seal holds. With telemetry on, [`ServerCore::open`]
+//! times the spans `recover_ledger` (the prefix scan and the resume) and
+//! `recover_slot` (reading, checking and decoding the slots).
 //!
 //! The ledger is a `rebudget_sim::durable` log ([`LogFile`]), the
 //! machinery the scenario ledgers and the simulator's checkpoints share,
@@ -83,7 +83,7 @@ use rebudget_market::{
     SparseUtilityKind,
 };
 use rebudget_sim::durable::{
-    self, fnv1a_f64_words, fnv1a_joined, Field, Item, Ledger, LogFile, Writer, LEDGER,
+    self, fnv1a_f64_words, fnv1a_joined, Ledger, LogFile, Section, Writer, LEDGER,
 };
 use rebudget_telemetry as telemetry;
 
@@ -991,268 +991,147 @@ struct Decoded {
 
 /// Decodes a snapshot taken under `config` that a ledger holding
 /// `records` valid records can resume (its tick may not be ahead), in one
-/// streaming pass over `reader` ([`durable::read_sealed`]).
+/// streaming pass over `reader` ([`durable::read_sealed`]). The sections
+/// must be the writer's — `[config]`, `[state]`, then `[player 0]`,
+/// `[player 1]`, … — each with only the keys the writer writes, in its
+/// order, so whatever decodes re-encodes to the same bytes.
 fn decode_snapshot(
     reader: impl Read,
     config: &ServerConfig,
     records: usize,
 ) -> Result<Decoded, durable::Error> {
-    let mut slot = SlotReader {
-        open: Open::Other,
-        market: None,
-        state: None,
-        next: Columns::new(),
+    let mut decoded = Decoded::default();
+    let mut next = Columns::new();
+    // The sections read, and `[state]`'s line and player count.
+    let (mut sections, mut declared) = (0, (0, 0));
+    durable::read_sealed(reader, SNAPSHOT_HEADER, |s| {
+        sections += 1;
+        match sections {
+            1 if s.name == "config" => read_market(s, config),
+            2 if s.name == "state" => {
+                declared = (s.line, read_state(s, records, &mut decoded)?);
+                next.reserve_rows(declared.1);
+                Ok(())
+            }
+            3.. if s.index("player") == Some(sections as u64 - 3) => read_player(s, &mut next),
+            _ => Err(bad(
+                s.line,
+                format!("section [{}] is out of the writer's order", s.name),
+            )),
+        }
+    })?;
+    if sections < 2 {
+        let name = ["config", "state"][sections];
+        return Err(bad(0, format!("missing [{name}] section")));
+    }
+    let ((line, declared), rows) = (declared, next.id_ends.len());
+    if declared != rows {
+        let reason = format!("snapshot declares {declared} players, holds {rows}");
+        return Err(bad(line, reason));
+    }
+    let market = next
+        .take_market(&config.capacities)
+        .map_err(|e| bad(line, e.to_string()))?;
+    decoded.table = Table {
+        ids: next.ids,
+        id_ends: next.id_ends,
+        market,
+        seed: next.seed,
+        seeded: next.seeded,
+        pending: BTreeMap::new(),
+        live: rows,
+        spare: Columns::default(),
     };
-    durable::read_sealed(reader, |item| slot.take(item))?;
-    slot.finish(config, records)
+    Ok(decoded)
 }
 
 fn bad(line: usize, reason: String) -> durable::Error {
     durable::Error::Format { line, reason }
 }
 
-/// The snapshot schema as a state machine over its lines. Each section
-/// resolves its keys as their lines arrive, refusing a repeated key (and
-/// in a player, an unknown one) on its line, and each player goes
-/// straight into the columns; [`SlotReader::finish`] makes the checks
-/// that need the whole file.
-struct SlotReader {
-    /// The section the next field belongs to.
-    open: Open,
-    /// The closed `[config]` and `[state]` sections.
-    market: Option<MarketKeys>,
-    state: Option<StateKeys>,
-    /// The players so far, in file order.
-    next: Columns,
-}
-
-/// The open section and what it has read so far.
-enum Open {
-    /// Before the first section, or in one the schema does not read.
-    Other,
-    Market(MarketKeys),
-    State(StateKeys),
-    Player(PlayerKeys),
-}
-
-/// `[config]`'s keys, opened on line `line`; other keys are ignored.
-#[derive(Default)]
-struct MarketKeys {
-    line: usize,
-    resources: Option<usize>,
-    solver: Option<String>,
-}
-
-/// `[state]`'s keys, opened on line `line`; other keys are ignored.
-#[derive(Default)]
-struct StateKeys {
-    line: usize,
-    tick: Option<u64>,
-    degraded: Option<bool>,
-    failures: Option<usize>,
-    players: Option<usize>,
-}
-
-/// A `[player N]` section's keys, opened on line `line`: its id, pushed
-/// onto the id column as it arrives, its budget, and how many interests
-/// and bids it pushed onto their columns.
-#[derive(Default)]
-struct PlayerKeys {
-    line: usize,
-    id: Option<()>,
-    budget: Option<f64>,
-    interests: Option<usize>,
-    bids: Option<usize>,
-}
-
-/// Files `field`'s value, read by `read`, in `slot`, refusing a key its
-/// section already has.
-fn once<'a, T>(
-    slot: &mut Option<T>,
-    field: &Field<'a>,
-    read: impl FnOnce(&Field<'a>) -> Result<T, durable::Error>,
-) -> Result<(), durable::Error> {
-    if slot.is_some() {
-        return Err(field.fault("is repeated in its section"));
+/// Refuses a key of `s` that is not one of `keys`, the keys the writer
+/// writes in that section, or that comes again or out of their order.
+fn writers_keys(s: &Section<'_>, keys: &[&str]) -> Result<(), durable::Error> {
+    let mut next = 0;
+    for field in s.fields {
+        match keys[next..].iter().position(|k| k.as_bytes() == field.key) {
+            Some(at) => next += at + 1,
+            None if keys.iter().any(|k| k.as_bytes() == field.key) => {
+                return Err(field.fault("is repeated or out of order"));
+            }
+            None => return Err(field.fault(format_args!("is not written in [{}]", s.name))),
+        }
     }
-    *slot = Some(read(field)?);
     Ok(())
 }
 
-/// `value`, or the fault of section `name` on `line` missing `key`.
-fn required<T>(value: Option<T>, line: usize, name: &str, key: &str) -> Result<T, durable::Error> {
-    value.ok_or_else(|| bad(line, format!("section [{name}] is missing key `{key}`")))
+/// Checks that `[config]` names `config`'s market.
+fn read_market(s: &Section<'_>, config: &ServerConfig) -> Result<(), durable::Error> {
+    writers_keys(s, &["resources", "solver"])?;
+    let resources: usize = s.field("resources")?.parse()?;
+    let solver = s.field("solver")?.text()?;
+    let (want_resources, want_solver) = (config.capacities.len(), config.solver.label());
+    if (resources, solver) != (want_resources, want_solver) {
+        return Err(bad(
+            s.line,
+            format!(
+                "snapshot is for {resources} resources and solver '{solver}', \
+                 server configured with {want_resources} and '{want_solver}'"
+            ),
+        ));
+    }
+    Ok(())
 }
 
-impl SlotReader {
-    fn take(&mut self, item: Item<'_>) -> Result<(), durable::Error> {
-        match item {
-            Item::Header(header) if header == SNAPSHOT_HEADER.as_bytes() => Ok(()),
-            Item::Header(header) => Err(bad(
-                1,
-                format!(
-                    "snapshot header '{}' is not '{SNAPSHOT_HEADER}' (an older state \
-                     directory is not resumed)",
-                    String::from_utf8_lossy(header)
-                ),
-            )),
-            Item::Section { line, name } => {
-                self.close()?;
-                let repeated = |name: &str| bad(line, format!("repeated [{name}] section"));
-                self.open = match name {
-                    b"config" if self.market.is_some() => return Err(repeated("config")),
-                    b"state" if self.state.is_some() => return Err(repeated("state")),
-                    b"config" => Open::Market(MarketKeys {
-                        line,
-                        ..MarketKeys::default()
-                    }),
-                    b"state" => Open::State(StateKeys {
-                        line,
-                        ..StateKeys::default()
-                    }),
-                    _ if name.starts_with(b"player ") => Open::Player(PlayerKeys {
-                        line,
-                        ..PlayerKeys::default()
-                    }),
-                    _ => Open::Other,
-                };
-                Ok(())
-            }
-            Item::Field(field) => match &mut self.open {
-                Open::Other => Ok(()),
-                Open::Market(market) => match field.key {
-                    b"resources" => once(&mut market.resources, &field, Field::parse),
-                    b"solver" => once(&mut market.solver, &field, |f| Ok(f.text()?.to_owned())),
-                    _ => Ok(()),
-                },
-                Open::State(state) => match field.key {
-                    b"tick" => once(&mut state.tick, &field, Field::parse),
-                    b"degraded" => once(&mut state.degraded, &field, Field::bool),
-                    b"failures" => once(&mut state.failures, &field, Field::parse),
-                    b"players" => once(&mut state.players, &field, Field::parse),
-                    _ => Ok(()),
-                },
-                Open::Player(player) => player.take(&field, &mut self.next),
-            },
-        }
+/// Reads `[state]` into `decoded`, refusing a tick ahead of a ledger of
+/// `records` records; returns the declared player count.
+fn read_state(
+    s: &Section<'_>,
+    records: usize,
+    decoded: &mut Decoded,
+) -> Result<usize, durable::Error> {
+    writers_keys(s, &["tick", "degraded", "failures", "players"])?;
+    decoded.tick = s.field("tick")?.parse()?;
+    if decoded.tick > records as u64 {
+        let reason = format!(
+            "snapshot tick {} ahead of ledger ({records} records)",
+            decoded.tick
+        );
+        return Err(bad(s.line, reason));
     }
-
-    /// Files the open section: a player becomes a row, and `[state]`'s
-    /// player count reserves the row columns.
-    fn close(&mut self) -> Result<(), durable::Error> {
-        match std::mem::replace(&mut self.open, Open::Other) {
-            Open::Other => {}
-            Open::Market(market) => self.market = Some(market),
-            Open::State(state) => {
-                if let Some(players) = state.players {
-                    self.next.reserve_rows(players);
-                }
-                self.state = Some(state);
-            }
-            Open::Player(player) => player.close(&mut self.next)?,
-        }
-        Ok(())
-    }
-
-    fn finish(mut self, config: &ServerConfig, records: usize) -> Result<Decoded, durable::Error> {
-        self.close()?;
-        let missing = |name: &str| bad(0, format!("missing [{name}] section"));
-        let market = self.market.ok_or_else(|| missing("config"))?;
-        let resources = required(market.resources, market.line, "config", "resources")?;
-        let solver = required(market.solver, market.line, "config", "solver")?;
-        let (want_resources, want_solver) = (config.capacities.len(), config.solver.label());
-        if (resources, solver.as_str()) != (want_resources, want_solver) {
-            return Err(bad(
-                market.line,
-                format!(
-                    "snapshot is for {resources} resources and solver '{solver}', \
-                     server configured with {want_resources} and '{want_solver}'"
-                ),
-            ));
-        }
-        let state = self.state.ok_or_else(|| missing("state"))?;
-        let line = state.line;
-        let declared = required(state.players, line, "state", "players")?;
-        let rows = self.next.id_ends.len();
-        if declared != rows {
-            let reason = format!("snapshot declares {declared} players, holds {rows}");
-            return Err(bad(line, reason));
-        }
-        let tick = required(state.tick, line, "state", "tick")?;
-        if tick > records as u64 {
-            let reason = format!("snapshot tick {tick} ahead of ledger ({records} records)");
-            return Err(bad(line, reason));
-        }
-        let degraded = required(state.degraded, line, "state", "degraded")?;
-        let failures = required(state.failures, line, "state", "failures")?;
-        let mut next = self.next;
-        let market = next
-            .take_market(&config.capacities)
-            .map_err(|e| bad(line, e.to_string()))?;
-        Ok(Decoded {
-            tick,
-            degraded,
-            failures,
-            table: Table {
-                ids: next.ids,
-                id_ends: next.id_ends,
-                market,
-                seed: next.seed,
-                seeded: next.seeded,
-                pending: BTreeMap::new(),
-                live: rows,
-                spare: Columns::default(),
-            },
-        })
-    }
+    decoded.degraded = s.field("degraded")?.bool()?;
+    decoded.failures = s.field("failures")?.parse()?;
+    s.field("players")?.parse()
 }
 
-impl PlayerKeys {
-    /// Reads one of the player's fields, its lists straight into `next`.
-    fn take(&mut self, field: &Field<'_>, next: &mut Columns) -> Result<(), durable::Error> {
-        match field.key {
-            b"id" => once(&mut self.id, field, |f| {
-                // The writer emits players in id order, so strictly
-                // increasing ids also rule out duplicates.
-                let id = f.text()?;
-                if let Some(prev) = next.last_id().filter(|&prev| id <= prev) {
-                    let reason = format!("player '{id}' does not follow '{prev}' in id order");
-                    return Err(bad(self.line, reason));
-                }
-                next.ids.push_str(id);
-                Ok(())
-            }),
-            b"budget" => once(&mut self.budget, field, Field::f64),
-            b"interests" => once(&mut self.interests, field, |f| {
-                f.indexed_f64_list_into(&mut next.cols, &mut next.weights)
-            }),
-            b"bids" => once(&mut self.bids, field, |f| f.f64_list_into(&mut next.seed)),
-            _ => Err(field.fault("is not a player key")),
-        }
+/// Reads a `[player N]` section into the next row of `next`, its lists
+/// straight into the columns; an unseeded row's seed is the equal split
+/// of its budget.
+fn read_player(s: &Section<'_>, next: &mut Columns) -> Result<(), durable::Error> {
+    writers_keys(s, &["id", "budget", "interests", "bids"])?;
+    // The writer emits players in id order, so strictly increasing ids
+    // also rule out duplicates.
+    let id = s.field("id")?.text()?;
+    if let Some(prev) = next.last_id().filter(|&prev| id <= prev) {
+        let reason = format!("player '{id}' does not follow '{prev}' in id order");
+        return Err(bad(s.line, reason));
     }
-
-    /// Completes the player's row in `next`: an unseeded row's seed is
-    /// the equal split of its budget.
-    fn close(self, next: &mut Columns) -> Result<(), durable::Error> {
-        let line = self.line;
-        required(self.id, line, "player", "id")?;
-        let budget = required(self.budget, line, "player", "budget")?;
-        let k = required(self.interests, line, "player", "interests")?;
-        match self.bids {
-            Some(bids) if bids != k => {
-                let id = &next.ids[next.id_ends.last().copied().unwrap_or(0)..];
-                let reason = format!("player '{id}' bids/interests length mismatch");
-                return Err(bad(self.line, reason));
-            }
-            Some(_) => {}
-            None => next.seed.extend((0..k).map(|_| budget / k as f64)),
-        }
-        next.seeded.push(self.bids.is_some());
-        next.id_ends.push(next.ids.len());
-        next.budgets.push(budget);
-        next.row_ptr.push(next.cols.len());
-        Ok(())
+    let budget = s.field("budget")?.f64()?;
+    let interests = s.field("interests")?;
+    let k = interests.indexed_f64_list_into(&mut next.cols, &mut next.weights)?;
+    let seeded = s.fields.last().is_some_and(|f| f.key == b"bids");
+    if !seeded {
+        next.seed.extend((0..k).map(|_| budget / k as f64));
+    } else if s.field("bids")?.f64_list_into(&mut next.seed)? != k {
+        let reason = format!("player '{id}' bids/interests length mismatch");
+        return Err(bad(s.line, reason));
     }
+    next.seeded.push(seeded);
+    next.ids.push_str(id);
+    next.id_ends.push(next.ids.len());
+    next.budgets.push(budget);
+    next.row_ptr.push(next.cols.len());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1261,7 +1140,7 @@ mod tests {
     use super::*;
     use crate::workload::WorkloadSpec;
     use rebudget_market::equilibrium::EquilibriumOptions;
-    use rebudget_sim::durable::{fnv1a, Field, Section};
+    use rebudget_sim::durable::{fnv1a, Field};
 
     fn config(solver: SolverKind) -> ServerConfig {
         ServerConfig {
@@ -1886,7 +1765,7 @@ mod tests {
                 0
             };
         let inner = lines.len() - 1;
-        match seed % 10 {
+        match seed % 13 {
             0 => {
                 lines.remove(1 + pick(&mut state, inner - 1));
                 ("a dropped line", false)
@@ -1910,7 +1789,7 @@ mod tests {
                 ("a double space", true)
             }
             5 | 6 if interests => {
-                let sign = if seed % 10 == 5 { '+' } else { '0' };
+                let sign = if seed % 13 == 5 { '+' } else { '0' };
                 lines[line].insert(item, sign);
                 ("a signed or zero-led index", true)
             }
@@ -1931,6 +1810,25 @@ mod tests {
                     line.push_str(&word);
                 }
                 ("a bids list one word off", true)
+            }
+            10 => {
+                let players = keyed(lines, &["[player "]);
+                let at = players[pick(&mut state, players.len())];
+                let row = players.iter().position(|&p| p == at).unwrap();
+                lines[at] = format!("[player {}]", row + 1 + pick(&mut state, 9));
+                ("a player numbered off its row", true)
+            }
+            11 => {
+                lines.insert(1 + pick(&mut state, inner), "[junk]".to_string());
+                ("a section the writer never writes", true)
+            }
+            12 => {
+                let sections = keyed(lines, &["[config]", "[state]"]);
+                let at = sections[pick(&mut state, sections.len())];
+                let key = ["extra=1", "seed=7", "capacity=8"][pick(&mut state, 3)];
+                let at = at + 1 + pick(&mut state, 2);
+                lines.insert(at, key.to_string());
+                ("a [config] or [state] key the writer does not write", true)
             }
             _ => {
                 let players = keyed(lines, &["[player "]);
@@ -2043,15 +1941,6 @@ mod tests {
                 fields,
             })
         }
-
-        /// The one section called `name`.
-        fn section(&self, name: &str) -> Result<Section<'_>, durable::Error> {
-            let mut found = self.sections().filter(|s| s.name == name);
-            match (found.next(), found.next()) {
-                (Some(section), None) => Ok(section),
-                (_, again) => Err(bad(again.map_or(0, |s| s.line), format!("[{name}]"))),
-            }
-        }
     }
 
     /// The whole-text seal check that [`durable::read_sealed`] makes as
@@ -2093,7 +1982,27 @@ mod tests {
         if doc.header != SNAPSHOT_HEADER {
             return Err(bad(1, format!("snapshot header '{}'", doc.header)));
         }
-        let market = doc.section("config")?;
+        // The writer's sections in its order, each with its keys or a
+        // subsequence of them.
+        let sections: Vec<Section<'_>> = doc.sections().collect();
+        let names = ["config".to_string(), "state".to_string()]
+            .into_iter()
+            .chain((0..).map(|k| format!("player {k}")));
+        let keys: [&[&str]; 3] = [
+            &["resources", "solver"],
+            &["tick", "degraded", "failures", "players"],
+            &["id", "budget", "interests", "bids"],
+        ];
+        for (k, (section, name)) in sections.iter().zip(names).enumerate() {
+            let mut keys = keys[k.min(2)].iter();
+            let writers = (section.fields.iter()).all(|f| keys.any(|k| k.as_bytes() == f.key));
+            if section.name != name || !writers {
+                return Err(bad(section.line, "not the writer's section".into()));
+            }
+        }
+        let [market, state, players @ ..] = &sections[..] else {
+            return Err(bad(0, "missing section".into()));
+        };
         let (resources, solver) = (
             market.field("resources")?.parse::<usize>()?,
             market.field("solver")?.text()?,
@@ -2101,15 +2010,10 @@ mod tests {
         if (resources, solver) != (config.capacities.len(), config.solver.label()) {
             return Err(bad(market.line, "another market".into()));
         }
-        let state = doc.section("state")?;
         let mut next = Columns::new();
         let mut prev: Option<&str> = None;
-        for player in doc.sections().filter(|s| s.name.starts_with("player ")) {
+        for player in players {
             let fault = |reason: &str| bad(player.line, reason.into());
-            let known: [&[u8]; 4] = [b"id", b"budget", b"interests", b"bids"];
-            if let Some(unknown) = player.fields.iter().find(|f| !known.contains(&f.key)) {
-                return Err(bad(unknown.line, "unknown key".into()));
-            }
             let id = player.field("id")?.text()?;
             if prev.is_some_and(|prev| id <= prev) {
                 return Err(fault("out of id order"));

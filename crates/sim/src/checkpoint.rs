@@ -1090,13 +1090,13 @@ mod tests {
             ("ledger", Some(LEDGER), read("scenario.ledger")),
             ("snapshot", None, read("server.snapshot")),
         ];
-        let sealed_items = |bytes: &[u8]| {
-            let mut items = Vec::new();
-            let sealed = crate::durable::read_sealed(bytes, |item| {
-                items.push(format!("{item:?}"));
+        let sealed_sections = |bytes: &[u8], header: &str| {
+            let mut sections = Vec::new();
+            let sealed = crate::durable::read_sealed(bytes, header, |s| {
+                sections.push(format!("{s:?}"));
                 Ok(())
             });
-            sealed.map(|()| items)
+            sealed.map(|()| sections)
         };
         for seed in 0..2_000u64 {
             for (i, (name, format, original)) in inputs.iter().enumerate() {
@@ -1117,8 +1117,9 @@ mod tests {
                 let first = original.iter().zip(&damaged).position(|(a, b)| a != b);
                 let first = first.unwrap_or(original.len().min(damaged.len()));
                 let checked = std::panic::catch_unwind(|| {
-                    if let Ok(items) = sealed_items(&damaged) {
-                        assert_eq!(Ok(items), sealed_items(original), "{what}");
+                    let header = format.map_or("rebudget-server-snapshot v2", |f| f.header);
+                    if let Ok(sections) = sealed_sections(&damaged, header) {
+                        assert_eq!(Ok(sections), sealed_sections(original, header), "{what}");
                     }
                     let Some(format) = *format else { return };
                     let prefix = format.valid_prefix(&damaged);

@@ -12,15 +12,16 @@
 //! [`Writer`] writes that grammar and carries the running hash. Every
 //! reader runs on one line source, `each_line`: one reused 64 KiB buffer,
 //! a newline search eight bytes at a time, and FNV-1a folded line by
-//! line, so no file is ever held whole. It has two visitors.
-//! [`read_sealed`] checks a sealed file (one closed by [`Writer::seal`])
-//! against its trailer and hands each line, read as an [`Item`], to its
-//! caller. The log scan behind [`LogFormat`] applies the chain rules, and
-//! [`LogFormat::read_records`] hands on each `[name]` [`Section`] of the
-//! chain-valid prefix as it validates. A [`Field`]'s readers — its list
-//! readers ([`Field::f64_list_into`], [`Field::indexed_f64_list_into`])
-//! append straight into caller-owned columns — take only the form the
-//! writer emits, so whatever decodes re-encodes to the same bytes.
+//! line, so no file is ever held whole. There is one section reader, with
+//! two callers: the lines of each `[name]` block are gathered into one
+//! reused buffer and handed over as a [`Section`]. [`read_sealed`] checks
+//! a sealed file (one closed by [`Writer::seal`]) against its trailer and
+//! hands over each of its sections; [`LogFormat::read_records`] applies a
+//! log's chain rules and hands over each section of the chain-valid
+//! prefix as it validates. A [`Field`]'s readers — its list readers
+//! ([`Field::f64_list_into`], [`Field::indexed_f64_list_into`]) append
+//! straight into caller-owned columns — take only the form the writer
+//! emits, so whatever decodes re-encodes to the same bytes.
 //!
 //! Every file that grows is an append-only, hash-chained log
 //! ([`LogFormat`]): a header, a meta section, then one record per step,
@@ -36,7 +37,6 @@ use std::fmt::{self, Display};
 use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 
 /// FNV-1a's initial state: the hash of no bytes.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -119,6 +119,18 @@ const HEADERLESS: &str = "empty or headerless file";
 
 fn format_err(line: usize, reason: String) -> Error {
     Error::Format { line, reason }
+}
+
+/// Line 1's fault when it is not `header`.
+fn check_header(found: &[u8], header: &str) -> Result<(), Error> {
+    if found != header.as_bytes() {
+        let found = String::from_utf8_lossy(found);
+        return Err(format_err(
+            1,
+            format!("bad header '{found}' (expected '{header}')"),
+        ));
+    }
+    Ok(())
 }
 
 fn io_err(path: &Path, e: &std::io::Error) -> Error {
@@ -537,31 +549,49 @@ fn find_newline(bytes: &[u8]) -> Option<usize> {
     tail.map(|i| at + i)
 }
 
-/// One line of durable text as the grammar reads it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Item<'a> {
-    /// Line 1: the schema's name and version.
-    Header(&'a [u8]),
-    /// A `[name]` line.
-    Section {
-        /// 1-based line number.
-        line: usize,
-        /// The bytes between the brackets.
-        name: &'a [u8],
-    },
-    /// A `key=value` line under a section.
-    Field(Field<'a>),
+/// The codec's one section reader, behind [`read_sealed`] and
+/// [`LogFormat::read_records`]: it gathers the open section's name and
+/// `key=value` lines into reused buffers, and hands the section over as a
+/// [`Section`] when the next `[name]` line, or the caller at the end,
+/// closes it. Once its buffers have grown it allocates nothing.
+#[derive(Default)]
+struct Sections {
+    /// The open section's `[name]` line; 0 before the first.
+    line: usize,
+    name: String,
+    /// Its `key=value` lines back to back, and each one's line number,
+    /// start, `=` and end there.
+    held: Vec<u8>,
+    spans: Vec<(usize, usize, usize, usize)>,
+    /// The storage of each handed-over section's fields, empty between
+    /// sections.
+    fields: Vec<Field<'static>>,
 }
 
-impl<'a> Item<'a> {
-    /// Reads line `number`, `bytes` without its newline; `sectioned`
-    /// says whether a `[name]` line came before it.
-    fn read(number: usize, bytes: &'a [u8], sectioned: bool) -> Result<Self, Error> {
-        if number == 1 {
-            return Ok(Item::Header(bytes));
-        }
+impl Sections {
+    /// Takes line `number` of the body (the header is the caller's),
+    /// `bytes` without its newline: a `[name]` line closes the open
+    /// section ([`Sections::close`]) and opens the next, and a
+    /// `key=value` line joins the open one.
+    ///
+    /// # Errors
+    ///
+    /// `done`'s error, or [`Error::Format`] on a line that is neither, a
+    /// `key=value` line before any `[name]` line, or a name that is not
+    /// UTF-8.
+    fn take(
+        &mut self,
+        number: usize,
+        bytes: &[u8],
+        done: impl FnOnce(&Section<'_>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
         if let Some(name) = bytes.strip_prefix(b"[").and_then(|l| l.strip_suffix(b"]")) {
-            return Ok(Item::Section { line: number, name });
+            let name = std::str::from_utf8(name)
+                .map_err(|_| format_err(number, "section name is not UTF-8".into()))?;
+            let closed = self.close(done);
+            self.line = number;
+            self.name.push_str(name);
+            return closed;
         }
         // Keys are short: a plain scan finds the `=` sooner than a
         // `memchr` call is set up.
@@ -570,16 +600,51 @@ impl<'a> Item<'a> {
                 number,
                 format!("unrecognized line `{}`", String::from_utf8_lossy(bytes)),
             )),
-            Some(_) if !sectioned => {
+            Some(_) if self.line == 0 => {
                 Err(format_err(number, "key=value before any [section]".into()))
             }
-            Some(eq) => Ok(Item::Field(Field {
-                line: number,
-                key: &bytes[..eq],
-                value: &bytes[eq + 1..],
-            })),
+            Some(eq) => {
+                let at = self.held.len();
+                self.held.extend_from_slice(bytes);
+                self.spans.push((number, at, at + eq, self.held.len()));
+                Ok(())
+            }
         }
     }
+
+    /// Hands the open section, if there is one, to `done`, and empties
+    /// the buffers for the next.
+    fn close(&mut self, done: impl FnOnce(&Section<'_>) -> Result<(), Error>) -> Result<(), Error> {
+        if self.line == 0 {
+            return Ok(());
+        }
+        let held = &self.held;
+        let mut fields = recycle(std::mem::take(&mut self.fields));
+        fields.extend(self.spans.iter().map(|&(line, at, eq, end)| Field {
+            line,
+            key: &held[at..eq],
+            value: &held[eq + 1..end],
+        }));
+        let done = done(&Section {
+            name: &self.name,
+            line: self.line,
+            fields: &fields,
+        });
+        self.fields = recycle(fields);
+        self.line = 0;
+        self.name.clear();
+        self.held.clear();
+        self.spans.clear();
+        done
+    }
+}
+
+/// `fields` emptied, with its storage kept for fields that borrow other
+/// bytes: collecting a vector's own by-value iterator reuses its
+/// allocation.
+fn recycle<'b>(mut fields: Vec<Field<'_>>) -> Vec<Field<'b>> {
+    fields.clear();
+    fields.into_iter().map(|_| unreachable!()).collect()
 }
 
 /// One `key=value` line: the bytes before its first `=` and after it.
@@ -614,14 +679,15 @@ impl<'a> Field<'a> {
         std::str::from_utf8(self.value).map_err(|_| self.fault("is not UTF-8"))
     }
 
-    /// The value parsed with [`FromStr`].
+    /// The value as an unsigned integer, in the one form the writer emits:
+    /// decimal digits with no sign and no leading zero.
     ///
     /// # Errors
     ///
-    /// [`Error::Format`] when it does not parse.
-    pub fn parse<T: FromStr>(&self) -> Result<T, Error> {
+    /// [`Error::Format`] for any other form, or a value `T` cannot hold.
+    pub fn parse<T: TryFrom<u64>>(&self) -> Result<T, Error> {
         let value = || String::from_utf8_lossy(self.value);
-        let parsed = self.text().ok().and_then(|text| text.parse().ok());
+        let parsed = parse_decimal(self.value);
         parsed.ok_or_else(|| self.fault(format_args!("has unparsable value `{}`", value())))
     }
 
@@ -687,7 +753,7 @@ impl<'a> Field<'a> {
         let start = (indices.len(), values.len());
         self.read_list(|item| {
             let colon = item.iter().take(11).position(|&b| b == b':')?;
-            let index = parse_index(&item[..colon])?;
+            let index = parse_decimal(&item[..colon])?;
             let bits = parse_hex(item.get(colon + 1..colon + 17)?)?;
             indices.push(index);
             values.push(f64::from_bits(bits));
@@ -722,10 +788,10 @@ impl<'a> Field<'a> {
     }
 }
 
-/// A list index as [`Writer::indexed_f64_list`] writes it: decimal
-/// digits with no sign and no leading zero, or `None`; also `None`
-/// past `u32::MAX`.
-fn parse_index(digits: &[u8]) -> Option<u32> {
+/// An integer as the writer writes it — decimal digits with no sign and
+/// no leading zero — that `T` can hold, or `None`. The codec's one
+/// reader of integers.
+fn parse_decimal<T: TryFrom<u64>>(digits: &[u8]) -> Option<T> {
     if digits.is_empty() || (digits[0] == b'0' && digits.len() > 1) {
         return None;
     }
@@ -734,16 +800,16 @@ fn parse_index(digits: &[u8]) -> Option<u32> {
         if !d.is_ascii_digit() {
             return None;
         }
-        value = value * 10 + u64::from(d - b'0');
+        value = value.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
     }
-    u32::try_from(value).ok()
+    T::try_from(value).ok()
 }
 
 /// Reads a sealed file ([`Writer::seal`]) from `reader` in one pass of
-/// the codec's line source. Each line, unless it belongs to the trailer, is read as
-/// an [`Item`] and handed to `visit`. The trailer is the last `[seal]`
-/// line, then `fnv1a=` and the hash of every byte before that line, then
-/// the end.
+/// the codec's line source. Line 1 must be `header`, and each section
+/// after it, up to the trailer, is handed to `section`. The trailer is
+/// the last `[seal]` line, then `fnv1a=` and the hash of every byte
+/// before that line, then the end.
 ///
 /// # Errors
 ///
@@ -751,19 +817,21 @@ fn parse_index(digits: &[u8]) -> Option<u32> {
 /// read fails. Then the file as a whole: [`Error::Format`] at line 1 with
 /// no complete line, at line 0 for a missing or malformed trailer, then
 /// [`Error::Checksum`] for a wrong digest. Only a sealed file reports its
-/// first malformed line or `visit`'s first error — the first fault ends
-/// the visits but not the hash — so a damaged file reports the damage.
+/// first body fault — a header other than `header`, a malformed line or
+/// `section`'s first error, which ends the reading of sections but not
+/// the hash — so a damaged file reports the damage.
 pub fn read_sealed(
     reader: impl Read,
-    visit: impl FnMut(Item<'_>) -> Result<(), Error>,
+    header: &str,
+    section: impl FnMut(&Section<'_>) -> Result<(), Error>,
 ) -> Result<(), Error> {
     let mut scan = SealScan {
-        visit,
+        header,
+        section,
+        sections: Sections::default(),
         lines: 0,
-        sectioned: false,
-        seal: None,
+        seal: false,
         digest: None,
-        held: Vec::new(),
         fault: None,
     };
     each_line(reader, |line| {
@@ -774,24 +842,26 @@ pub fn read_sealed(
     scan.finish()
 }
 
-/// [`read_sealed`]'s visitor of [`each_line`]: it holds back what may be
-/// the trailer, and keeps the first fault until the seal's verdict.
-struct SealScan<V> {
-    visit: V,
+/// [`read_sealed`]'s visitor of [`each_line`]: it hands each line to the
+/// section reader up to the first fault, which it keeps until the seal's
+/// verdict, and watches for the trailer. The trailer is the section that
+/// is still open at the end, so it is never handed over.
+struct SealScan<'h, F> {
+    header: &'h str,
+    section: F,
+    sections: Sections,
     /// Complete lines taken.
     lines: usize,
-    /// Whether a `[name]` line has been visited.
-    sectioned: bool,
-    /// The number of a held `[seal]` line: the trailer's, if the file
-    /// ends one digest line after it.
-    seal: Option<usize>,
-    /// The hash before the held `fnv1a=` line after it, in `held`.
-    digest: Option<u64>,
-    held: Vec<u8>,
+    /// Whether the last complete line is a `[seal]` line (not the
+    /// header), or an `fnv1a=` line right after one.
+    seal: bool,
+    /// For such an `fnv1a=` line, its digest, if it has one, and the
+    /// hash before it.
+    digest: Option<(Option<u64>, u64)>,
     fault: Option<Error>,
 }
 
-impl<V: FnMut(Item<'_>) -> Result<(), Error>> SealScan<V> {
+impl<F: FnMut(&Section<'_>) -> Result<(), Error>> SealScan<'_, F> {
     /// Takes the next line.
     fn take(&mut self, line: Line<'_>) {
         if !line.complete {
@@ -800,39 +870,17 @@ impl<V: FnMut(Item<'_>) -> Result<(), Error>> SealScan<V> {
             return;
         }
         self.lines = line.number;
-        if let Some(seal) = self.seal {
-            if self.digest.is_none() && line.bytes.starts_with(b"fnv1a=") {
-                self.held.clear();
-                self.held.extend_from_slice(line.bytes);
-                self.digest = Some(line.hash_before);
-                return;
-            }
-            // Lines follow: the held ones were body lines after all.
-            self.seal = None;
-            self.deliver(seal, b"[seal]");
-            if self.digest.take().is_some() {
-                let held = std::mem::take(&mut self.held);
-                self.deliver(seal + 1, &held);
-                self.held = held;
-            }
+        let after_seal = self.seal && self.digest.is_none();
+        let digest = line.bytes.strip_prefix(b"fnv1a=").filter(|_| after_seal);
+        self.digest = digest.map(|digest| (parse_hex(digest), line.hash_before));
+        self.seal = self.digest.is_some() || (line.bytes == b"[seal]" && line.number > 1);
+        if self.fault.is_none() {
+            let read = match line.number {
+                1 => check_header(line.bytes, self.header),
+                n => self.sections.take(n, line.bytes, &mut self.section),
+            };
+            self.fault = read.err();
         }
-        if line.bytes == b"[seal]" && line.number > 1 {
-            self.seal = Some(line.number);
-        } else {
-            self.deliver(line.number, line.bytes);
-        }
-    }
-
-    /// Hands line `number` to the visitor, up to the first fault.
-    fn deliver(&mut self, number: usize, line: &[u8]) {
-        if self.fault.is_some() {
-            return;
-        }
-        let visited = Item::read(number, line, self.sectioned).and_then(|item| {
-            self.sectioned |= matches!(item, Item::Section { .. });
-            (self.visit)(item)
-        });
-        self.fault = visited.err();
     }
 
     /// The verdict once the input has ended.
@@ -840,16 +888,13 @@ impl<V: FnMut(Item<'_>) -> Result<(), Error>> SealScan<V> {
         if self.lines == 0 {
             return Err(format_err(1, HEADERLESS.into()));
         }
-        if self.seal.is_none() {
+        if !self.seal {
             return Err(format_err(
                 0,
                 "missing [seal] trailer (file truncated?)".into(),
             ));
         }
-        let recorded = self
-            .digest
-            .and_then(|_| parse_hex(&self.held[b"fnv1a=".len()..]));
-        let (Some(computed), Some(recorded)) = (self.digest, recorded) else {
+        let Some((Some(recorded), computed)) = self.digest else {
             return Err(format_err(0, "[seal] trailer has no fnv1a digest".into()));
         };
         if recorded != computed {
@@ -862,8 +907,8 @@ impl<V: FnMut(Item<'_>) -> Result<(), Error>> SealScan<V> {
     }
 }
 
-/// One `[name]` section of a log's chain-valid prefix, as
-/// [`LogFormat::read_records`] hands it over, its lines borrowed. Every
+/// One `[name]` section, as [`read_sealed`] and
+/// [`LogFormat::read_records`] hand it over, its lines borrowed. Every
 /// getter fails with a line-numbered [`Error::Format`] when its key is
 /// repeated or missing.
 #[derive(Debug, Clone, Copy)]
@@ -892,6 +937,14 @@ impl<'a> Section<'a> {
                 .copied()
                 .ok_or_else(|| fault(self.line, "is missing key")),
         }
+    }
+
+    /// `N` when this is a `[name N]` section, with `N` in the writer's
+    /// decimal form.
+    #[must_use]
+    pub fn index(&self, name: &str) -> Option<u64> {
+        let index = self.name.strip_prefix(name)?.strip_prefix(' ')?;
+        parse_decimal(index.as_bytes())
     }
 }
 
@@ -1217,8 +1270,8 @@ struct PrefixScan {
     digest: u64,
     /// Number of the last line taken.
     last_line: usize,
-    /// The first offence against the line rules: its line and reason.
-    offence: Option<(usize, String)>,
+    /// The first offence against the line rules.
+    offence: Option<Error>,
 }
 
 impl PrefixScan {
@@ -1228,13 +1281,11 @@ impl PrefixScan {
         let (n, content, hash) = (line.number, line.bytes, line.hash_before);
         let lossy = String::from_utf8_lossy;
         self.last_line = n;
-        if n == 1 && content != format.header.as_bytes() {
-            let reason = format!(
-                "bad header '{}' (expected '{}')",
-                lossy(content),
-                format.header
-            );
-            return self.offend(n, reason);
+        if n == 1 {
+            if let Err(e) = check_header(content, format.header) {
+                self.offence = Some(e);
+                return false;
+            }
         }
         if !line.complete {
             // Torn final line: everything before it already stands.
@@ -1242,7 +1293,7 @@ impl PrefixScan {
         }
         if let Some(rest) = content.strip_prefix(b"records=") {
             // Seal in progress; only a valid fnv1a line below completes it.
-            self.seal_records = std::str::from_utf8(rest).ok().and_then(|r| r.parse().ok());
+            self.seal_records = parse_decimal(rest);
             if self.seal_records.is_none() {
                 self.offend(n, format!("malformed record count '{}'", lossy(rest)));
             }
@@ -1298,7 +1349,7 @@ impl PrefixScan {
     /// Keeps the first offence; returns `false`, for the scans that stop
     /// there.
     fn offend(&mut self, line: usize, reason: String) -> bool {
-        self.offence.get_or_insert((line, reason));
+        self.offence.get_or_insert(format_err(line, reason));
         false
     }
 }
@@ -1373,20 +1424,20 @@ impl LogFormat {
             pending: Vec::new(),
             lines: 0,
             opened: 0,
-            line: 0,
-            held: String::new(),
-            spans: Vec::new(),
             parse_meta: Some(parse_meta),
             meta: None,
             record,
             faults: Default::default(),
         };
-        let scan = self.scan(reader, |cut, line| read.feed(cut, line));
+        let mut sections = Sections::default();
+        let scan = self.scan(reader, |cut, line| read.feed(cut, line, &mut sections));
         let scan = scan.map_err(|e| io_err(Path::new(""), &e))?;
-        read.close();
+        // `read` ranks the faults of the sections it is handed.
+        let _ = sections.close(|s| read.section(s));
         if scan.prefix.header_bytes == 0 {
-            let (line, reason) = scan.offence.unwrap_or((1, HEADERLESS.into()));
-            return Err(format_err(line, reason));
+            return Err(scan
+                .offence
+                .unwrap_or_else(|| format_err(1, HEADERLESS.into())));
         }
         match (read.faults.into_iter().flatten().next(), read.meta) {
             (Some(e), _) => Err(e),
@@ -1411,8 +1462,8 @@ impl LogFormat {
         // Reading a slice never fails.
         let scan = self.scan(bytes, |_, _| true).unwrap_or_default();
         let (p, last) = (&scan.prefix, scan.last_line.max(1));
-        if let Some((line, reason)) = scan.offence {
-            return Err(format_err(line, reason));
+        if let Some(offence) = scan.offence {
+            return Err(offence);
         }
         if !p.sealed {
             return Err(format_err(last, "ledger is not sealed (truncated?)".into()));
@@ -1433,21 +1484,15 @@ impl LogFormat {
 
 /// [`LogFormat::read_records`]'s reader of the lines its scan takes:
 /// those past the prefix are held (a record until its chain validates),
-/// those in it are read as sections, one held at a time.
+/// those in it are read as sections and decoded.
 struct RecordScan<M, P, R> {
     /// The log's record name, a word with no space.
     record_name: &'static str,
     /// Complete lines past the prefix.
     pending: Vec<u8>,
-    /// Lines of the prefix read.
+    /// Lines of the prefix read, and sections handed over.
     lines: usize,
-    /// Sections opened so far; the open one's line, and its name then
-    /// its `key=value` lines, with each one's line, start, `=` and end in
-    /// that text.
     opened: usize,
-    line: usize,
-    held: String,
-    spans: Vec<(usize, usize, usize, usize)>,
     /// `[meta]`'s decoder until it runs, then the meta it decoded.
     parse_meta: Option<P>,
     meta: Option<M>,
@@ -1465,9 +1510,9 @@ where
     R: FnMut(&M, usize, &Section<'_>) -> Result<(), Error>,
 {
     /// Takes the next line, after which the prefix cut to whole records
-    /// is `cut` bytes long; returns `false` once nothing further can
-    /// change the outcome.
-    fn feed(&mut self, cut: usize, line: Line<'_>) -> bool {
+    /// is `cut` bytes long, reading the prefix's lines into `sections`;
+    /// returns `false` once nothing further can change the outcome.
+    fn feed(&mut self, cut: usize, line: Line<'_>, sections: &mut Sections) -> bool {
         self.pending.extend_from_slice(line.bytes);
         self.pending.push(b'\n');
         // The prefix only ever grows to the end of the line just taken.
@@ -1475,16 +1520,23 @@ where
             return true;
         }
         let pending = std::mem::take(&mut self.pending);
-        match std::str::from_utf8(&pending) {
-            Ok(text) => text.split_inclusive('\n').for_each(|line| self.take(line)),
-            Err(e) => {
-                // A newline ends any sequence, so the error has a length.
-                let (n, at) = (e.error_len().unwrap_or_default(), e.valid_up_to());
-                let at = line.end - pending.len() + at;
-                let reason =
-                    format!("not text: invalid utf-8 sequence of {n} bytes from index {at}");
-                self.faults[0].get_or_insert(format_err(0, reason));
-                return false;
+        if let Err(e) = std::str::from_utf8(&pending) {
+            // A newline ends any sequence, so the error has a length.
+            let (n, at) = (e.error_len().unwrap_or_default(), e.valid_up_to());
+            let at = line.end - pending.len() + at;
+            let reason = format!("not text: invalid utf-8 sequence of {n} bytes from index {at}");
+            self.faults[0].get_or_insert(format_err(0, reason));
+            return false;
+        }
+        for line in pending.split_inclusive(|&b| b == b'\n') {
+            self.lines += 1;
+            // Line 1, the header, is the scan's.
+            let taken = match self.lines {
+                1 => Ok(()),
+                n => sections.take(n, &line[..line.len() - 1], |s| self.section(s)),
+            };
+            if let Err(e) = taken {
+                self.faults[1].get_or_insert(e);
             }
         }
         self.pending = pending;
@@ -1492,49 +1544,17 @@ where
         true
     }
 
-    /// Takes the prefix's next line, `raw` with its newline.
-    fn take(&mut self, raw: &str) {
-        self.lines += 1;
-        let line = &raw[..raw.len() - 1];
-        match Item::read(self.lines, line.as_bytes(), self.opened > 0) {
-            Err(e) => _ = self.faults[1].get_or_insert(e),
-            Ok(Item::Header(_)) => {}
-            Ok(Item::Section { name, .. }) => {
-                self.close();
-                (self.opened, self.line) = (self.opened + 1, self.lines);
-                self.held.replace_range(.., &line[1..=name.len()]);
-                self.spans.clear();
-            }
-            Ok(Item::Field(field)) => {
-                let (at, eq) = (self.held.len(), self.held.len() + field.key.len());
-                self.held.push_str(line);
-                self.spans.push((self.lines, at, eq, self.held.len()));
-            }
-        }
-    }
-
-    /// Decodes the open section: `[meta]`, or record `k` once `[meta]`
-    /// has decoded and while no fault has come.
-    fn close(&mut self) {
-        let held = self.held.as_bytes();
-        let fields: Vec<Field<'_>> = (self.spans.iter())
-            .map(|&(line, at, eq, end)| Field {
-                line,
-                key: &held[at..eq],
-                value: &held[eq + 1..end],
-            })
-            .collect();
-        let section = Section {
-            name: &self.held[..self.spans.first().map_or(held.len(), |s| s.1)],
-            line: self.line,
-            fields: &fields,
-        };
+    /// Decodes the prefix's next section: `[meta]`, or record `k` once
+    /// `[meta]` has decoded and while no fault has come. Its fault is
+    /// ranked here, never returned.
+    fn section(&mut self, section: &Section<'_>) -> Result<(), Error> {
+        self.opened += 1;
         if section.name == "meta" {
             let (rank, decoded) = match self.parse_meta.take() {
-                Some(parse) => (3, parse(&section).map(|meta| self.meta = Some(meta))),
+                Some(parse) => (3, parse(section).map(|meta| self.meta = Some(meta))),
                 None => (
                     2,
-                    Err(format_err(self.line, "repeated [meta] section".into())),
+                    Err(format_err(section.line, "repeated [meta] section".into())),
                 ),
             };
             if let Err(e) = decoded {
@@ -1543,12 +1563,11 @@ where
         }
         let clean = self.faults.iter().all(Option::is_none);
         let (Some(meta), true, Some(k)) = (&self.meta, clean, self.opened.checked_sub(2)) else {
-            return;
+            return Ok(());
         };
         let record = self.record_name;
-        let at = section.name.split_once(' ').map(|(r, n)| (r, n.parse()));
-        let decoded = if at == Some((record, Ok(k))) {
-            (self.record)(meta, k, &section)
+        let decoded = if section.index(record) == Some(k as u64) {
+            (self.record)(meta, k, section)
         } else {
             let reason = format!(
                 "{record} sections out of order: expected [{record} {k}], got [{}]",
@@ -1559,6 +1578,7 @@ where
         if let Err(e) = decoded {
             self.faults[4].get_or_insert(e);
         }
+        Ok(())
     }
 }
 
@@ -1748,6 +1768,66 @@ mod tests {
         w.text().to_string()
     }
 
+    /// The sections [`read_sealed`] hands over, in their `Debug` form.
+    fn sealed_sections(reader: impl Read, header: &str) -> Result<Vec<String>, Error> {
+        let mut seen = Vec::new();
+        read_sealed(reader, header, |s| {
+            seen.push(format!("{s:?}"));
+            Ok(())
+        })
+        .map(|()| seen)
+    }
+
+    /// The sections [`LogFormat::read_records`] hands over, `[meta]`
+    /// first, in their `Debug` form.
+    fn log_sections(format: LogFormat, bytes: &[u8]) -> Result<Vec<String>, Error> {
+        let mut seen = Vec::new();
+        let (meta, _) = format.read_records(
+            bytes,
+            |s| Ok(format!("{s:?}")),
+            |_, _, s| {
+                seen.push(format!("{s:?}"));
+                Ok(())
+            },
+        )?;
+        seen.insert(0, meta);
+        Ok(seen)
+    }
+
+    /// The sections of `text`, whose lines are all complete, split after
+    /// its header line by `str` methods, in their `Debug` form.
+    fn split_sections(text: &str) -> Vec<String> {
+        let mut sections: Vec<(&str, usize, Vec<Field<'_>>)> = Vec::new();
+        for (k, line) in text.split_terminator('\n').enumerate().skip(1) {
+            match line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+                Some(name) => sections.push((name, k + 1, Vec::new())),
+                None => {
+                    let (key, value) = line.split_once('=').unwrap();
+                    let (key, value) = (key.as_bytes(), value.as_bytes());
+                    let field = Field {
+                        line: k + 1,
+                        key,
+                        value,
+                    };
+                    sections.last_mut().unwrap().2.push(field);
+                }
+            }
+        }
+        let debug = |(name, line, fields): &(&str, usize, Vec<Field<'_>>)| {
+            let line = *line;
+            format!("{:?}", Section { name, line, fields })
+        };
+        sections.iter().map(debug).collect()
+    }
+
+    /// `text` closed by a seal.
+    fn seal_text(text: &str) -> String {
+        let mut w = Writer::default();
+        w.word(text);
+        w.seal();
+        w.text().to_string()
+    }
+
     #[test]
     fn sections_read_back_what_the_writer_wrote() {
         let meta = |w: &mut Writer| {
@@ -1781,57 +1861,47 @@ mod tests {
             .unwrap();
         assert_eq!((steps, prefix.records), (vec![0.0, 5.0], 1));
         assert_eq!(seen, [(0, "step 0".to_string(), 7, 2)]);
-        // A sealed read visits the same lines, the trailer left out.
-        let mut w = Writer::default();
-        w.section("meta");
-        meta(&mut w);
-        w.section("point 0");
-        w.kv("n", 3);
-        let text = sealed(w.text());
-        let mut visited = Vec::new();
-        read_sealed(text.as_bytes(), |item| {
-            visited.push(format!("{item:?}"));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(visited, items(&format!("doc v1\n{}", w.text())));
-        // So does the sealed golden snapshot (a log's seal also counts
-        // its records).
+        // The same body read sealed hands over the same sections.
+        let body = log.text();
+        let sections = log_sections(STEPS, body.as_bytes()).unwrap();
+        assert_eq!(sections.len(), 2);
+        let sealed = seal_text(body);
+        assert_eq!(
+            sealed_sections(sealed.as_bytes(), STEPS.header),
+            Ok(sections)
+        );
+        // So does every golden file: the valid prefix of a log, sealed,
+        // reads as its records do, and the sealed snapshot as its body
+        // split by `str` methods.
+        use crate::checkpoint::{SIM_LOG, SWEEP_LOG};
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/durable");
         let mut files = 0;
         for entry in fs::read_dir(&dir).unwrap() {
             let text = fs::read_to_string(entry.unwrap().path()).unwrap();
-            let Some(at) = text.rfind("[seal]\nfnv1a=") else {
-                continue;
+            let header = text.lines().next().unwrap();
+            let format = [LEDGER, SIM_LOG, SWEEP_LOG]
+                .into_iter()
+                .find(|f| f.header == header);
+            let (sealed, want) = match (format, text.rfind("[seal]\nfnv1a=")) {
+                (Some(format), _) => {
+                    let prefix = format.valid_prefix(text.as_bytes());
+                    let body = &text[..prefix.cut(prefix.records)];
+                    (
+                        seal_text(body),
+                        log_sections(format, text.as_bytes()).unwrap(),
+                    )
+                }
+                (None, Some(at)) => (text.clone(), split_sections(&text[..at])),
+                (None, None) => continue,
             };
             files += 1;
-            let mut visited = Vec::new();
-            read_sealed(text.as_bytes(), |item| {
-                visited.push(format!("{item:?}"));
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(visited, items(&text[..at]));
+            assert_eq!(sealed_sections(sealed.as_bytes(), header), Ok(want));
         }
         assert!(
-            files >= 1,
-            "{files} sealed golden files under {}",
+            files >= 5,
+            "{files} readable golden files under {}",
             dir.display()
         );
-    }
-
-    /// Every line of `text`, whose lines are all complete, as
-    /// [`read_sealed`] would visit it.
-    fn items(text: &str) -> Vec<String> {
-        let mut sectioned = false;
-        text.split_terminator('\n')
-            .enumerate()
-            .map(|(k, line)| {
-                let item = Item::read(k + 1, line.as_bytes(), sectioned).unwrap();
-                sectioned |= matches!(item, Item::Section { .. });
-                format!("{item:?}")
-            })
-            .collect()
     }
 
     /// A reader that hands out at most `step` bytes per `read`.
@@ -1852,27 +1922,28 @@ mod tests {
     #[test]
     fn sealed_reads_are_independent_of_read_sizes() {
         // Lines longer than the read buffer, at and past its size, and a
-        // short one after them.
+        // short one after them; then a section of short lines that spans
+        // refills.
         let mut w = Writer::default();
         w.section("s");
         for len in [READ_CHUNK - 3, READ_CHUNK, 3 * READ_CHUNK + 5] {
             w.str("long", &"x".repeat(len));
         }
         w.kv("k", 7);
+        w.section("t");
+        for i in 0..20_000 {
+            w.kv("i", i);
+        }
         let text = sealed(w.text());
-        let want = items(&format!("doc v1\n{}", w.text()));
+        let want = split_sections(&text[..text.rfind("[seal]").unwrap()]);
+        assert_eq!(want.len(), 2);
         for step in [1, 7, 4096, READ_CHUNK + 1, text.len()] {
-            let mut visited = Vec::new();
             let reader = Chunked {
                 bytes: text.as_bytes(),
                 step,
             };
-            read_sealed(reader, |item| {
-                visited.push(format!("{item:?}"));
-                Ok(())
-            })
-            .unwrap();
-            assert!(visited == want, "reads of {step} bytes");
+            let read = sealed_sections(reader, "doc v1").unwrap();
+            assert!(read == want, "reads of {step} bytes");
         }
         // So are a log's valid prefix and a checkpoint's decode, whole and
         // torn, with allocation lines longer than the buffer.
@@ -1917,6 +1988,38 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_section_reader_reuses_its_buffers() {
+        let mut sections = Sections::default();
+        let mut names = Vec::new();
+        let mut storage = Vec::new();
+        for k in 0..4 {
+            let line = 2 + 3 * k;
+            let opened = sections.take(line, format!("[player {k}]").as_bytes(), |s| {
+                names.push((s.name.to_string(), s.line, s.fields.len()));
+                Ok(())
+            });
+            opened.unwrap();
+            for (i, field) in ["id=p", "budget=3ff0000000000000"].iter().enumerate() {
+                let taken = sections.take(line + 1 + i, field.as_bytes(), |_| Ok(()));
+                taken.unwrap();
+            }
+            let (fields, held) = (&sections.fields, &sections.held);
+            storage.push((fields.as_ptr(), fields.capacity(), held.as_ptr()));
+        }
+        sections.close(|_| Ok(())).unwrap();
+        let closed = |k: usize| (format!("player {k}"), 2 + 3 * k, 2);
+        assert_eq!(names, (0..3).map(closed).collect::<Vec<_>>());
+        // Once the first section has closed, no buffer moves.
+        assert!(storage[1].1 >= 2, "{storage:?}");
+        assert!(storage[1..].windows(2).all(|w| w[0] == w[1]), "{storage:?}");
+        // A section can only come after a `[name]` line, whose name is text.
+        let mut fresh = Sections::default();
+        assert!(fresh.take(2, b"k=v", |_| Ok(())).is_err());
+        assert!(fresh.take(2, b"[\xff]", |_| Ok(())).is_err());
+        assert!(fresh.take(2, b"no equals sign", |_| Ok(())).is_err());
+    }
+
     /// The `key=value` lines of `body`, the first on line `line + 1`.
     fn fields_of(line: usize, body: &str) -> Vec<Field<'_>> {
         let lines = (line + 1..).zip(body.split_terminator('\n'));
@@ -1959,18 +2062,71 @@ mod tests {
         };
         assert_eq!(s.field("k").unwrap().line, 4);
         assert_eq!(s.field("k").unwrap().text().unwrap(), "=2");
+        // An integer is decimal with no sign and no leading zero, and
+        // must fit its type.
+        let body = "a=+1\nb=007\nc=\nd=-1\ne= 1\nf=1 \ng=18446744073709551616\n\
+                    h=4294967296\nz=0\nm=18446744073709551615\n";
+        let fields = fields_of(2, body);
+        let s = Section {
+            fields: &fields,
+            ..s
+        };
+        for (key, line) in [
+            ("a", 3),
+            ("b", 4),
+            ("c", 5),
+            ("d", 6),
+            ("e", 7),
+            ("f", 8),
+            ("g", 9),
+        ] {
+            assert_eq!(
+                line_of(s.field(key).unwrap().parse::<u64>().unwrap_err()),
+                line
+            );
+        }
+        let h = s.field("h").unwrap();
+        assert_eq!(line_of(h.parse::<u32>().unwrap_err()), 10);
+        assert_eq!(h.parse::<u64>(), Ok(1 << 32));
+        assert_eq!(s.field("z").unwrap().parse::<usize>(), Ok(0));
+        assert_eq!(s.field("m").unwrap().parse::<u64>(), Ok(u64::MAX));
+        // So is a section's index.
+        for (name, index) in [
+            ("step 0", Some(0)),
+            ("step 12", Some(12)),
+            ("step +1", None),
+            ("step 01", None),
+            ("step  1", None),
+            ("step", None),
+            ("steps 1", None),
+        ] {
+            assert_eq!(Section { name, ..s }.index("step"), index, "{name}");
+        }
+        // And a seal's record count, under a digest that holds.
+        let mut log = Ledger::new(STEPS, |w| w.kv("name", "demo"));
+        log.append_section(0, |w| step(w, 0));
+        log.seal();
+        assert!(STEPS.verify(log.text().as_bytes()).is_ok());
+        for count in ["+1", "01"] {
+            let text = log
+                .text()
+                .replacen("records=1", &format!("records={count}"), 1);
+            let at = text.rfind("fnv1a=").unwrap();
+            let digest = fnv1a(&text.as_bytes()[..at]);
+            let resealed = format!("{}fnv1a={digest:016x}\n", &text[..at]);
+            let err = STEPS.verify(resealed.as_bytes()).unwrap_err();
+            assert!(
+                matches!(&err, Error::Format { reason, .. } if reason.contains("record count")),
+                "records={count}: {err}"
+            );
+        }
     }
 
     #[test]
     fn trailer_faults_win_over_body_faults() {
-        let open = |text: &str| read_sealed(text.as_bytes(), |_| Ok(()));
+        let open = |text: &str| read_sealed(text.as_bytes(), "doc v1", |_| Ok(()));
         let text = sealed("[s]\nk=v\n");
         assert!(open(&text).is_ok());
-        // A trailer of another name is missing.
-        assert!(matches!(
-            open(&text.replacen("[seal]", "[checksum]", 1)),
-            Err(Error::Format { line: 0, reason }) if reason.contains("missing [seal]")
-        ));
         // A broken body line under a stale digest reports the digest.
         let broken = text.replacen("k=v", "k~v", 1);
         assert!(matches!(open(&broken), Err(Error::Checksum { .. })));
@@ -1980,29 +2136,42 @@ mod tests {
             open(&resealed),
             Err(Error::Format { line: 3, .. })
         ));
-        // So with the visitor's own faults: the first one, after the seal.
+        // So with another header: the one found is named.
+        let other = text.replacen("doc v1", "doc v0", 1);
+        assert!(matches!(open(&other), Err(Error::Checksum { .. })));
+        assert!(matches!(
+            open(&seal_text(&other[..other.rfind("[seal]").unwrap()])),
+            Err(Error::Format { line: 1, reason }) if reason.contains("'doc v0'")
+        ));
+        // So with the caller's own faults: the first one, after the seal.
         let refuse = |text: &str| {
-            read_sealed(text.as_bytes(), |item| match item {
-                Item::Field(field) => Err(field.fault("is refused")),
-                _ => Ok(()),
+            read_sealed(text.as_bytes(), "doc v1", |s| match s.fields.first() {
+                Some(field) => Err(field.fault("is refused")),
+                None => Ok(()),
             })
         };
         assert!(matches!(refuse(&broken), Err(Error::Checksum { .. })));
-        let twice = sealed("[s]\nk=v\nj=w\n");
+        let twice = sealed("[s]\nk=v\n[t]\nj=w\n");
         assert!(matches!(
             refuse(&twice),
             Err(Error::Format { line: 3, reason }) if reason.contains("`k`")
         ));
+        // A trailer of another name is missing, and a cut or torn digest
+        // line has no digest, whatever the sections say.
+        let renamed = text.replacen("[seal]", "[checksum]", 1);
         let cut = text.rfind("fnv1a=").unwrap();
-        assert!(matches!(
-            open(&text[..cut]),
-            Err(Error::Format { line: 0, reason }) if reason.contains("fnv1a")
-        ));
-        // A torn digest line has no digest either.
-        assert!(matches!(
-            open(&text[..text.len() - 1]),
-            Err(Error::Format { line: 0, reason }) if reason.contains("fnv1a")
-        ));
+        for (damaged, fault) in [
+            (&renamed[..], "missing [seal]"),
+            (&text[..cut], "fnv1a"),
+            (&text[..text.len() - 1], "fnv1a"),
+        ] {
+            for read in [open(damaged), refuse(damaged)] {
+                assert!(matches!(
+                    read,
+                    Err(Error::Format { line: 0, reason }) if reason.contains(fault)
+                ));
+            }
+        }
         assert!(matches!(
             open(&format!("{text}more\n")),
             Err(Error::Format { .. })
